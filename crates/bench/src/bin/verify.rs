@@ -15,8 +15,13 @@
 //! `--gate FILE` additionally compares this run against the committed
 //! `BENCH_verify.json`: for every case present in both, the verdict
 //! fields (`reached_states`, `lost_possible`, `dead_transitions`,
-//! `deadlock`) must match exactly and `peak_live_nodes` must not regress
-//! by more than 5%.
+//! `deadlock`) and the traversal shape (`iterations`, `image_steps`)
+//! must match exactly and `peak_live_nodes` must not regress by more
+//! than 5%.
+//!
+//! Each case also prints and records the fixpoint's wall time per phase
+//! (`phase_<name>_ms` columns: env images, relational products, rename,
+//! union, frontier, GC, sift).
 
 use polis_cfsm::Network;
 use polis_core::random::{random_network, RandomSpec};
@@ -60,7 +65,7 @@ impl CaseResult {
              \"mid_reach_reorders\": {},\n      \"mid_reach_collections\": {},\n      \
              \"props_checked\": {},\n      \"prop_violations\": {},\n      \
              \"prop_wall_ms\": {:.3},\n      \"max_trace_len\": {},\n      \
-             \"preimage_nodes\": {}\n    }}",
+             \"preimage_nodes\": {}{}\n    }}",
             escape_json(&self.name),
             self.wall_ms,
             self.report.machines,
@@ -88,6 +93,14 @@ impl CaseResult {
                 .map_or(0.0, |p| p.wall.as_secs_f64() * 1e3),
             self.prop.as_ref().map_or(0, |p| p.max_trace_len),
             self.prop.as_ref().map_or(0, |p| p.preimage_nodes),
+            s.phases
+                .named()
+                .iter()
+                .map(|(phase, t)| format!(
+                    ",\n      \"phase_{phase}_ms\": {:.3}",
+                    t.as_secs_f64() * 1e3
+                ))
+                .collect::<String>(),
         )
     }
 }
@@ -218,6 +231,8 @@ fn run_case(name: &str, net: &Network) -> CaseResult {
 /// The committed per-case fields the CI gate compares against.
 struct GateCase {
     name: String,
+    iterations: u64,
+    image_steps: u64,
     reached_states: Option<u128>,
     peak_live_nodes: u64,
     lost_possible: u64,
@@ -255,6 +270,8 @@ fn parse_gate_file(text: &str) -> Vec<GateCase> {
         if let Some(v) = field(t, "name") {
             cases.push(GateCase {
                 name: v.trim_matches('"').to_owned(),
+                iterations: 0,
+                image_steps: 0,
                 reached_states: None,
                 peak_live_nodes: 0,
                 lost_possible: 0,
@@ -262,7 +279,11 @@ fn parse_gate_file(text: &str) -> Vec<GateCase> {
                 deadlock: false,
             });
         } else if let Some(c) = cases.last_mut() {
-            if let Some(v) = field(t, "reached_states") {
+            if let Some(v) = field(t, "iterations") {
+                c.iterations = v.parse().unwrap_or(0);
+            } else if let Some(v) = field(t, "image_steps") {
+                c.image_steps = v.parse().unwrap_or(0);
+            } else if let Some(v) = field(t, "reached_states") {
                 c.reached_states = v.parse::<u128>().ok();
             } else if let Some(v) = field(t, "peak_live_nodes") {
                 c.peak_live_nodes = v.parse().unwrap_or(0);
@@ -279,8 +300,9 @@ fn parse_gate_file(text: &str) -> Vec<GateCase> {
 }
 
 /// Deterministic regression gate: every case of this run that is also in
-/// the committed file must agree exactly on the verdict fields, and may
-/// not regress `peak_live_nodes` by more than 10%.
+/// the committed file must agree exactly on the verdict fields and on
+/// `iterations`/`image_steps`, and may not regress `peak_live_nodes` by
+/// more than 5%.
 fn gate_failures(results: &[CaseResult], committed: &[GateCase]) -> Vec<String> {
     let mut failures = Vec::new();
     let mut matched = 0usize;
@@ -290,6 +312,12 @@ fn gate_failures(results: &[CaseResult], committed: &[GateCase]) -> Vec<String> 
         };
         matched += 1;
         let s = &r.report.stats;
+        if (s.iterations, s.image_steps) != (c.iterations, c.image_steps) {
+            failures.push(format!(
+                "{}: iterations/image_steps {}/{} differ from committed {}/{}",
+                r.name, s.iterations, s.image_steps, c.iterations, c.image_steps
+            ));
+        }
         if s.reached_states != c.reached_states {
             failures.push(format!(
                 "{}: reached_states {:?} differs from committed {:?}",
@@ -355,8 +383,9 @@ fn main() {
 
     // The fused relational product plus mid-reach reordering keeps the
     // n=16 chain inside the default 2^22 node budget; the pre-kernel
-    // traversal could not finish it.
-    let chain_sizes: &[usize] = if smoke { &[4, 8] } else { &[4, 8, 12, 16] };
+    // traversal could not finish it. The smoke set keeps n=12, the
+    // smallest chain that collects mid-reach, so the gate covers a GC.
+    let chain_sizes: &[usize] = if smoke { &[4, 8, 12] } else { &[4, 8, 12, 16] };
 
     let mut results = Vec::new();
     for (name, net) in [
@@ -393,6 +422,20 @@ fn main() {
             s.constrain_reduced_nodes,
             s.mid_reach_reorders,
             s.mid_reach_collections,
+        );
+        let phases = s.phases.named();
+        println!(
+            "{:<18} {:>9.2} ms  {}",
+            "  phases",
+            phases
+                .iter()
+                .map(|(_, t)| t.as_secs_f64() * 1e3)
+                .sum::<f64>(),
+            phases
+                .iter()
+                .map(|(phase, t)| format!("{phase} {:.2}", t.as_secs_f64() * 1e3))
+                .collect::<Vec<_>>()
+                .join("  "),
         );
         if let Some(p) = &r.prop {
             println!(

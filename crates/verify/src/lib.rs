@@ -172,11 +172,50 @@ pub struct VerifyStats {
     /// Sifting passes triggered between fixpoint iterations by
     /// [`VerifyOptions::reorder_threshold`].
     pub mid_reach_reorders: u64,
-    /// Garbage collections triggered mid-traversal by the dead-node
-    /// ratio policy (see `reach::enforce_budget`).
+    /// Garbage collections run mid-traversal: allocation crossed the
+    /// `GC_FLOOR`/`GC_REGROW` trigger or the node budget (see
+    /// `reach::enforce_budget`).
     pub mid_reach_collections: u64,
     /// Wall-clock time of model construction plus traversal.
     pub wall: Duration,
+    /// Wall-clock time of the traversal, split by fixpoint phase.
+    pub phases: PhaseTimes,
+}
+
+/// Fixpoint wall time per phase, summed over all iterations. Timing
+/// only: no verdict, count or report line depends on it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// Environment-delivery images (`exists_cube` then `and`).
+    pub env: Duration,
+    /// The two `and_exists` relational products of each reaction image.
+    pub products: Duration,
+    /// Renaming reaction images from the next-state rail to the current.
+    pub rename: Duration,
+    /// The balanced image union, including the subtraction of the
+    /// reached set.
+    pub union: Duration,
+    /// Reached-set update, `constrain` minimization and frontier sizes.
+    pub frontier: Duration,
+    /// Mid-traversal garbage collections.
+    pub gc: Duration,
+    /// Mid-traversal sifting.
+    pub sift: Duration,
+}
+
+impl PhaseTimes {
+    /// `(name, time)` for every phase, in fixpoint order.
+    pub fn named(&self) -> [(&'static str, Duration); 7] {
+        [
+            ("env", self.env),
+            ("products", self.products),
+            ("rename", self.rename),
+            ("union", self.union),
+            ("frontier", self.frontier),
+            ("gc", self.gc),
+            ("sift", self.sift),
+        ]
+    }
 }
 
 /// Lost-event verdict for one buffer.
@@ -426,7 +465,7 @@ mod tests {
     use polis_expr::{Expr, Type, Value};
 
     /// tick -> [toggler] -> tock -> [sink].
-    fn toggler_pair() -> Network {
+    pub(crate) fn toggler_pair() -> Network {
         let mut b = Cfsm::builder("toggler");
         b.input_pure("tick");
         b.output_pure("tock");
@@ -510,7 +549,7 @@ mod tests {
     /// once (on the primary `start`), then emits `q` only after `worker`
     /// has consumed `p` and handed back `tok`. So `p` and `q` can never
     /// be pending at `worker` simultaneously.
-    fn token_ring() -> Network {
+    pub(crate) fn token_ring() -> Network {
         let mut b = Cfsm::builder("driver");
         b.input_pure("start");
         b.input_pure("tok");
@@ -696,7 +735,7 @@ mod tests {
         }
     }
 
-    fn oneshot() -> Network {
+    pub(crate) fn oneshot() -> Network {
         let mut b = Cfsm::builder("oneshot");
         b.input_pure("x");
         b.output_pure("done");
