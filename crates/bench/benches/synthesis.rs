@@ -4,7 +4,7 @@
 
 use polis_bench::bench;
 use polis_cfsm::{OrderScheme, ReactiveFn};
-use polis_core::{synthesize_with_params, workloads, SynthesisOptions};
+use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
 use polis_estimate::calibrate;
 use polis_sgraph::build;
 use polis_vm::{assemble, compile, BufferPolicy, Profile};
@@ -30,10 +30,12 @@ fn main() {
     let params = calibrate(Profile::Mcu8);
     let opts = SynthesisOptions::default();
     bench("pipeline/dashboard_all_modules", || {
+        let mut ctx = SynthCtx::new(&opts, &params);
         net.cfsms()
             .iter()
             .map(|m| {
-                synthesize_with_params(m, &opts, &params)
+                synthesize_cfsm(&mut ctx, m)
+                    .expect("validated CFSMs synthesize")
                     .measured
                     .size_bytes
             })

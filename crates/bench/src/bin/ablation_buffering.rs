@@ -5,7 +5,7 @@
 //! worst-case cycles with the paper's buffer-all policy versus the
 //! analyzed minimal-buffering policy.
 
-use polis_core::{workloads, SynthesisOptions};
+use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
 use polis_estimate::calibrate;
 use polis_sgraph::BufferPolicy;
 use polis_vm::Profile;
@@ -17,6 +17,8 @@ fn main() {
         buffering: BufferPolicy::Minimal,
         ..SynthesisOptions::default()
     };
+    let mut all_ctx = SynthCtx::new(&all, &params);
+    let mut min_ctx = SynthCtx::new(&min, &params);
 
     println!("Ablation: entry-copy buffering (Mcu8)\n");
     println!(
@@ -30,8 +32,8 @@ fn main() {
     let mut cyc_saved = 0i64;
     for net in [workloads::shock_absorber(), workloads::dashboard()] {
         for m in net.cfsms() {
-            let a = polis_core::synthesize_with_params(m, &all, &params);
-            let b = polis_core::synthesize_with_params(m, &min, &params);
+            let a = synthesize_cfsm(&mut all_ctx, m).expect("validated CFSMs synthesize");
+            let b = synthesize_cfsm(&mut min_ctx, m).expect("validated CFSMs synthesize");
             rom_saved += a.measured.size_bytes as i64 - b.measured.size_bytes as i64;
             ram_saved += a.measured.ram_bytes as i64 - b.measured.ram_bytes as i64;
             cyc_saved += a.measured.max_cycles as i64 - b.measured.max_cycles as i64;

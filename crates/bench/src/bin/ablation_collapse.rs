@@ -5,7 +5,7 @@
 //! a result, we do not currently use TEST node collapsing." This harness
 //! reruns that experiment over the dashboard and seat-belt machines.
 
-use polis_core::{workloads, SynthesisOptions};
+use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
 use polis_estimate::calibrate;
 use polis_vm::Profile;
 
@@ -16,6 +16,8 @@ fn main() {
         collapse: true,
         ..SynthesisOptions::default()
     };
+    let mut plain_ctx = SynthCtx::new(&plain, &params);
+    let mut collapsed_ctx = SynthCtx::new(&collapsed, &params);
 
     println!("Ablation: TEST-node collapsing (Mcu8)\n");
     println!(
@@ -28,8 +30,8 @@ fn main() {
     let mut total = 0usize;
     for net in [workloads::dashboard(), workloads::seat_belt()] {
         for m in net.cfsms() {
-            let a = polis_core::synthesize_with_params(m, &plain, &params);
-            let b = polis_core::synthesize_with_params(m, &collapsed, &params);
+            let a = synthesize_cfsm(&mut plain_ctx, m).expect("validated CFSMs synthesize");
+            let b = synthesize_cfsm(&mut collapsed_ctx, m).expect("validated CFSMs synthesize");
             let better = b.measured.size_bytes < a.measured.size_bytes
                 && b.measured.max_cycles < a.measured.max_cycles;
             if better {

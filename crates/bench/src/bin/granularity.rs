@@ -11,7 +11,7 @@
 
 use polis_bench::dashboard_stimulus;
 use polis_cfsm::{compose, Network};
-use polis_core::{synthesize_with_params, workloads, SynthesisOptions};
+use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
 use polis_estimate::calibrate;
 use polis_rtos::{RtosConfig, Simulator};
 
@@ -23,6 +23,7 @@ fn main() {
         ..SynthesisOptions::default()
     };
     let params = calibrate(opts.profile);
+    let mut ctx = SynthCtx::new(&opts, &params);
     let rtos = RtosConfig {
         profile: opts.profile,
         ..RtosConfig::default()
@@ -72,7 +73,8 @@ fn main() {
             .cfsms()
             .iter()
             .map(|m| {
-                synthesize_with_params(m, &opts, &params)
+                synthesize_cfsm(&mut ctx, m)
+                    .expect("validated CFSMs synthesize")
                     .measured
                     .size_bytes
             })

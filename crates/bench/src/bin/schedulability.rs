@@ -8,8 +8,7 @@
 //! Liu–Layland utilization and exact response-time analysis, sweeping the
 //! sensor event rates, and cross-check a verdict by co-simulation.
 
-use polis_bench::synthesize_all;
-use polis_core::{workloads, SynthesisOptions};
+use polis_core::{synthesize_network_staged, workloads, SynthesisOptions};
 use polis_rtos::{
     rate_monotonic, rate_monotonic_nonpreemptive, RtosConfig, SchedulingPolicy, Simulator,
     Stimulus, TaskModel,
@@ -18,7 +17,9 @@ use polis_rtos::{
 fn main() {
     let net = workloads::dashboard();
     let opts = SynthesisOptions::default();
-    let (results, _) = synthesize_all(&net, &opts);
+    let (synth, _) = synthesize_network_staged(&net, &opts, &RtosConfig::default(), 1)
+        .expect("validated CFSMs synthesize");
+    let results = synth.machines;
     let overhead = RtosConfig::default().overhead;
     // Per reaction the RTOS charges dispatch, and each triggering event
     // costs one ISR; fold both into the task WCETs.

@@ -11,7 +11,7 @@
 //! (two-level jump structure, no entry buffering), plus the announced
 //! write-before-read data-flow optimization that closes most of the gap.
 
-use polis_core::{synthesize_network, workloads, ImplStyle, SynthesisOptions};
+use polis_core::{synthesize_network_staged, workloads, ImplStyle, SynthesisOptions};
 use polis_rtos::{RtosConfig, Simulator, Stimulus};
 use polis_sgraph::BufferPolicy;
 
@@ -49,7 +49,8 @@ fn main() {
     let mut roms = Vec::new();
     let mut rams = Vec::new();
     for (label, opts) in &variants {
-        let r = synthesize_network(&net, opts, &RtosConfig::default());
+        let (r, _) = synthesize_network_staged(&net, opts, &RtosConfig::default(), 1)
+            .expect("validated CFSMs synthesize");
         println!(
             "| {:<28} | {:>8} | {:>8} |",
             label, r.total_rom, r.total_ram

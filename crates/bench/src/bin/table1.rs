@@ -6,13 +6,16 @@
 //! object code, on the 68HC11-like `Mcu8` target. The paper reports close
 //! agreement; the %err columns quantify ours.
 
-use polis_bench::{pct_err, synthesize_all};
-use polis_core::{workloads, SynthesisOptions};
+use polis_bench::pct_err;
+use polis_core::{synthesize_network_staged, workloads, SynthesisOptions};
+use polis_rtos::RtosConfig;
 
 fn main() {
     let net = workloads::dashboard();
     let opts = SynthesisOptions::default();
-    let (results, _) = synthesize_all(&net, &opts);
+    let (synth, _) = synthesize_network_staged(&net, &opts, &RtosConfig::default(), 1)
+        .expect("validated CFSMs synthesize");
+    let results = synth.machines;
 
     println!("Table I: estimated vs measured cost (dashboard, Mcu8 target)\n");
     println!(

@@ -14,7 +14,7 @@
 //! orderings (only the test order moves).
 
 use polis_cfsm::OrderScheme;
-use polis_core::{workloads, ImplStyle, SynthesisOptions};
+use polis_core::{synthesize_cfsm, workloads, ImplStyle, SynthCtx, SynthesisOptions};
 use polis_estimate::calibrate;
 
 fn main() {
@@ -52,6 +52,10 @@ fn main() {
         ),
     ];
 
+    let mut ctxs: Vec<SynthCtx> = variants
+        .iter()
+        .map(|(_, opts)| SynthCtx::new(opts, &params))
+        .collect();
     println!("Table II: code size (bytes, Mcu8) under different orderings\n");
     println!(
         "| {:<10} | {:>8} | {:>12} | {:>13} | {:>9} |",
@@ -62,8 +66,8 @@ fn main() {
     let mut max_spread = [0u64; 4]; // max cycles per variant, for the timing note
     for m in net.cfsms() {
         let mut sizes = [0u64; 4];
-        for (k, (_, opts)) in variants.iter().enumerate() {
-            let r = polis_core::synthesize_with_params(m, opts, &params);
+        for (k, ctx) in ctxs.iter_mut().enumerate() {
+            let r = synthesize_cfsm(ctx, m).expect("validated CFSMs synthesize");
             sizes[k] = r.measured.size_bytes;
             totals[k] += r.measured.size_bytes;
             max_spread[k] = max_spread[k].max(r.measured.max_cycles);

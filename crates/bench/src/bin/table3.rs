@@ -16,7 +16,7 @@
 
 use polis_bench::dashboard_stimulus;
 use polis_cfsm::{compose, Network, OrderScheme, ReactiveFn};
-use polis_core::{synthesize_with_params, workloads, SynthesisOptions};
+use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
 use polis_estimate::calibrate;
 use polis_rtos::{RtosConfig, Simulator};
 use polis_sgraph::ite_chain;
@@ -31,6 +31,7 @@ fn main() {
         profile: Profile::Risc32,
         ..SynthesisOptions::default()
     };
+    let mut ctx = SynthCtx::new(&opts, &params);
     let rtos = RtosConfig {
         profile: Profile::Risc32,
         ..RtosConfig::default()
@@ -51,7 +52,7 @@ fn main() {
     let polis_parts: Vec<_> = net
         .cfsms()
         .iter()
-        .map(|m| synthesize_with_params(m, &opts, &params))
+        .map(|m| synthesize_cfsm(&mut ctx, m).expect("validated CFSMs synthesize"))
         .collect();
     let polis_time = t0.elapsed();
     let polis_size: u64 = polis_parts.iter().map(|p| p.measured.size_bytes).sum();
@@ -66,7 +67,7 @@ fn main() {
     // ESTEREL: the composed single FSM.
     let t0 = Instant::now();
     let product = compose::compose(&net).expect("dashboard composes");
-    let est = synthesize_with_params(&product, &opts, &params);
+    let est = synthesize_cfsm(&mut ctx, &product).expect("validated CFSMs synthesize");
     let esterel_time = t0.elapsed();
     let product_net = Network::new("dash1", vec![product.clone()]).unwrap();
     let mut sim = Simulator::build(&product_net, rtos.clone());

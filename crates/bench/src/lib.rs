@@ -1,25 +1,10 @@
-//! Shared helpers for the experiment harnesses (`src/bin/table*.rs`) and
-//! criterion benches. Each binary regenerates one table or narrated
+//! Shared helpers for the experiment harnesses (`src/bin/*.rs`) and the
+//! self-contained micro-benchmarks (`benches/`, timed by [`bench`]).
+//! Each harness binary regenerates one table or narrated
 //! experiment of the paper's Section V; see EXPERIMENTS.md for the
 //! recorded outputs and the paper-vs-measured comparison.
 
-use polis_core::{synthesize_with_params, CfsmSynthesis, SynthesisOptions};
-use polis_estimate::{calibrate, CostParams};
 use polis_rtos::Stimulus;
-
-/// Synthesizes every machine of a network under shared calibration.
-pub fn synthesize_all(
-    net: &polis_cfsm::Network,
-    opts: &SynthesisOptions,
-) -> (Vec<CfsmSynthesis>, CostParams) {
-    let params = calibrate(opts.profile);
-    let rs = net
-        .cfsms()
-        .iter()
-        .map(|m| synthesize_with_params(m, opts, &params))
-        .collect();
-    (rs, params)
-}
 
 /// The "large simulation file" of Table III: a deterministic pseudo-random
 /// dashboard sensor stream of `n` events. Sampling windows (`timebase`)

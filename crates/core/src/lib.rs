@@ -13,11 +13,12 @@
 //!    68HC11-like or R3000-like cost profile.
 //!
 //! [`synthesize`] runs steps 1–3 and 5 for one CFSM under a chosen
-//! [`ImplStyle`]; [`synthesize_network`] maps it over a network and adds
-//! the RTOS. The [`workloads`] module provides the paper's evaluation
-//! subjects (dashboard, shock absorber, seat belt) rebuilt as synthetic
-//! equivalents, and [`random`] generates random networks for benchmarks
-//! and property tests.
+//! [`ImplStyle`]; [`synthesize_network_staged`] maps the same stage chain
+//! ([`synthesize_cfsm`]) over a network, optionally verifies it
+//! ([`verify_staged`]), and adds the RTOS. The [`workloads`] module
+//! provides the paper's evaluation subjects (dashboard, shock absorber,
+//! seat belt) rebuilt as synthetic equivalents, and [`random`] generates
+//! random networks for benchmarks and property tests.
 //!
 //! # Examples
 //!
@@ -38,15 +39,15 @@ pub mod trace;
 pub mod workloads;
 
 pub use pipeline::{
-    synthesize_cfsm, synthesize_network_staged, verify_properties_staged, Stage, SynthCtx,
-    SynthError, SynthFailure,
+    synthesize_cfsm, synthesize_network_staged, verify_staged, SynthCtx, SynthError, SynthFailure,
+    Verified,
 };
 pub use trace::{MetricValue, StageRecord, SynthTrace};
 
-use polis_cfsm::{Cfsm, Network, OrderScheme};
-use polis_estimate::{calibrate, CostParams, Estimate};
-use polis_rtos::RtosConfig;
+use polis_cfsm::{Cfsm, OrderScheme};
+use polis_estimate::{calibrate, Estimate};
 use polis_sgraph::{BufferPolicy, SGraph};
+use polis_verify::VerifyOptions;
 use polis_vm::{ObjectCode, Profile, VmProgram};
 use std::time::Duration;
 
@@ -78,17 +79,11 @@ pub struct SynthesisOptions {
     /// Target cost profile.
     pub profile: Profile,
     /// Run symbolic network verification (reachability, lost events,
-    /// dead transitions, deadlock) as a network-level stage.
-    pub verify: bool,
-    /// BDD node budget for the verification fixpoint; exceeding it
-    /// aborts the pipeline with [`SynthError::Verify`] (the trace
-    /// recorded so far is preserved in [`SynthFailure`]).
-    pub verify_node_budget: usize,
-    /// Allocated-node level above which the verify manager is sifted
-    /// between fixpoint iterations (`usize::MAX` disables mid-reach
-    /// reordering). Affects wall time and peak nodes only, never
-    /// verdicts.
-    pub verify_reorder_threshold: usize,
+    /// dead transitions, deadlock) as a network-level stage under these
+    /// traversal options. Exceeding the node budget aborts the pipeline
+    /// with [`SynthError::Verify`] (the trace recorded so far is
+    /// preserved in [`SynthFailure`]).
+    pub verify: Option<VerifyOptions>,
     /// Feed the verified reachability invariant back into the
     /// false-path cycle estimator
     /// ([`CfsmSynthesis::max_cycles_reach_aware`]). Requires `verify`.
@@ -104,9 +99,7 @@ impl Default for SynthesisOptions {
             collapse: false,
             buffering: BufferPolicy::All,
             profile: Profile::Mcu8,
-            verify: false,
-            verify_node_budget: polis_verify::VerifyOptions::default().node_budget,
-            verify_reorder_threshold: polis_verify::VerifyOptions::default().reorder_threshold,
+            verify: None,
             verify_refine_estimates: false,
         }
     }
@@ -154,30 +147,13 @@ pub struct CfsmSynthesis {
     pub synthesis_time: Duration,
 }
 
-/// Runs the single-CFSM pipeline.
+/// Runs the single-CFSM pipeline under a freshly calibrated target. To
+/// share one calibration across many machines, build one [`SynthCtx`]
+/// and call [`synthesize_cfsm`].
 pub fn synthesize(cfsm: &Cfsm, opts: &SynthesisOptions) -> CfsmSynthesis {
     let params = calibrate(opts.profile);
-    synthesize_with_params(cfsm, opts, &params)
-}
-
-/// Like [`synthesize`] with pre-calibrated cost parameters (avoids
-/// re-probing the target per machine). A thin wrapper over the staged
-/// pipeline ([`pipeline::synthesize_cfsm`]) that discards the trace.
-pub fn synthesize_with_params(
-    cfsm: &Cfsm,
-    opts: &SynthesisOptions,
-    params: &CostParams,
-) -> CfsmSynthesis {
-    let mut ctx = SynthCtx::new(opts, params);
-    pipeline::synthesize_cfsm(&mut ctx, cfsm).expect("validated CFSMs synthesize")
-}
-
-/// Like [`synthesize`], additionally returning the per-stage trace.
-pub fn synthesize_traced(cfsm: &Cfsm, opts: &SynthesisOptions) -> (CfsmSynthesis, SynthTrace) {
-    let params = calibrate(opts.profile);
     let mut ctx = SynthCtx::new(opts, &params);
-    let r = pipeline::synthesize_cfsm(&mut ctx, cfsm).expect("validated CFSMs synthesize");
-    (r, ctx.into_trace())
+    synthesize_cfsm(&mut ctx, cfsm).expect("validated CFSMs synthesize")
 }
 
 /// The pipeline applied to a whole network, plus the generated RTOS.
@@ -204,22 +180,10 @@ pub struct NetworkSynthesis {
 pub(crate) const RTOS_ROM_BYTES: u64 = 512;
 pub(crate) const RTOS_RAM_PER_TASK: u64 = 12;
 
-/// Runs the pipeline over every machine of `net` and generates the RTOS.
-/// Sequential; see [`synthesize_network_staged`] for the `--jobs N`
-/// parallel variant with a trace.
-pub fn synthesize_network(
-    net: &Network,
-    opts: &SynthesisOptions,
-    rtos: &RtosConfig,
-) -> NetworkSynthesis {
-    synthesize_network_staged(net, opts, rtos, 1)
-        .expect("validated CFSMs synthesize")
-        .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polis_rtos::RtosConfig;
 
     #[test]
     fn pipeline_produces_consistent_artifacts() {
@@ -272,7 +236,13 @@ mod tests {
     #[test]
     fn network_synthesis_totals_add_up() {
         let net = workloads::seat_belt();
-        let r = synthesize_network(&net, &SynthesisOptions::default(), &RtosConfig::default());
+        let (r, _) = synthesize_network_staged(
+            &net,
+            &SynthesisOptions::default(),
+            &RtosConfig::default(),
+            1,
+        )
+        .unwrap();
         assert_eq!(r.machines.len(), net.cfsms().len());
         let rom_sum: u64 = r.machines.iter().map(|m| m.measured.size_bytes).sum();
         assert!(r.total_rom > rom_sum);

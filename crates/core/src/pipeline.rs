@@ -3,8 +3,8 @@
 //! Each step of the five-step procedure (χ/BDD construction, constrained
 //! sifting, s-graph build, TEST collapsing, instruction selection +
 //! assembly, C emission, cost estimation, exact measurement, RTOS
-//! generation) is a [`Stage`]: a named function from an input to an
-//! output, run through a [`SynthCtx`] that records wall time and the
+//! generation) is a stage: a named function from an input to an output,
+//! run through [`SynthCtx::run_stage`], which records wall time and the
 //! owning layer's native counters into a [`SynthTrace`].
 //!
 //! [`synthesize_cfsm`] chains the per-machine stages for the selected
@@ -12,7 +12,9 @@
 //! pipeline out across `jobs` scoped worker threads — each worker owns
 //! its own BDD manager (one per [`ReactiveFn`]), and results are merged
 //! in network (input) order, so parallel output is byte-identical to the
-//! sequential run.
+//! sequential run. [`verify_staged`] is the one network verification
+//! stage: the synthesis driver runs it after the machines, and
+//! verify-only callers run it alone under an uncalibrated context.
 
 use crate::trace::{MetricValue, StageRecord, SynthTrace};
 use crate::{
@@ -77,17 +79,6 @@ impl std::error::Error for SynthFailure {
     }
 }
 
-/// One named pipeline stage: a pure function from `I` to `O` that reports
-/// counters through the context it runs under.
-#[derive(Clone, Copy)]
-pub struct Stage<I, O> {
-    /// Stage name as it appears in the trace.
-    pub name: &'static str,
-    /// The stage body. Counters reported via [`SynthCtx::count`] /
-    /// [`SynthCtx::ratio`] during the call are attributed to this stage.
-    pub run: fn(&mut SynthCtx<'_>, I) -> Result<O, SynthError>,
-}
-
 /// Per-run synthesis context: configuration plus the growing trace.
 ///
 /// One `SynthCtx` is threaded through every stage of one machine's
@@ -97,23 +88,42 @@ pub struct Stage<I, O> {
 pub struct SynthCtx<'a> {
     /// Pipeline configuration.
     pub opts: &'a SynthesisOptions,
-    /// Pre-calibrated target cost parameters.
-    pub params: &'a CostParams,
+    params: Option<&'a CostParams>,
     machine: Option<String>,
     trace: SynthTrace,
     open: Vec<(String, MetricValue)>,
 }
 
 impl<'a> SynthCtx<'a> {
-    /// Creates a context with an empty trace.
+    /// Creates a context with an empty trace and pre-calibrated target
+    /// cost parameters.
     pub fn new(opts: &'a SynthesisOptions, params: &'a CostParams) -> SynthCtx<'a> {
         SynthCtx {
+            params: Some(params),
+            ..SynthCtx::uncalibrated(opts)
+        }
+    }
+
+    /// Creates a context without cost parameters, for runs of stages
+    /// that never estimate (a verify-only run skips `calibrate`).
+    pub fn uncalibrated(opts: &'a SynthesisOptions) -> SynthCtx<'a> {
+        SynthCtx {
             opts,
-            params,
+            params: None,
             machine: None,
             trace: SynthTrace::new(),
             open: Vec::new(),
         }
+    }
+
+    /// The target cost parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics under a context made by [`SynthCtx::uncalibrated`].
+    pub fn params(&self) -> &'a CostParams {
+        self.params
+            .expect("cost estimation needs a SynthCtx made by SynthCtx::new")
     }
 
     /// Attributes subsequent stage records to `name` (a CFSM), or to the
@@ -132,15 +142,21 @@ impl<'a> SynthCtx<'a> {
         self.open.push((name.to_owned(), MetricValue::Float(value)));
     }
 
-    /// Runs one stage: times it, collects its counters, appends the
-    /// record, and returns the stage output.
-    pub fn run_stage<I, O>(&mut self, stage: Stage<I, O>, input: I) -> Result<O, SynthError> {
+    /// Runs one stage, named `name` in the trace: times `run` on `input`,
+    /// collects the counters it reports through [`SynthCtx::count`] /
+    /// [`SynthCtx::ratio`], appends the record, and returns the output.
+    pub fn run_stage<I, O>(
+        &mut self,
+        name: &'static str,
+        run: impl FnOnce(&mut Self, I) -> Result<O, SynthError>,
+        input: I,
+    ) -> Result<O, SynthError> {
         let start = Instant::now();
-        let out = (stage.run)(self, input);
+        let out = run(self, input);
         let wall = start.elapsed();
         let counters = std::mem::take(&mut self.open);
         self.trace.push(StageRecord {
-            stage: stage.name,
+            stage: name,
             machine: self.machine.clone(),
             wall,
             counters,
@@ -268,10 +284,10 @@ fn stage_estimate(
     ctx: &mut SynthCtx<'_>,
     (cfsm, graph): (&Cfsm, &SGraph),
 ) -> Result<(Estimate, Option<u64>), SynthError> {
-    let est = estimate(cfsm, graph, ctx.params, ctx.opts.buffering);
+    let est = estimate(cfsm, graph, ctx.params(), ctx.opts.buffering);
     let incompats = derive_incompatibilities(cfsm);
     let false_path_aware = (!incompats.is_empty())
-        .then(|| max_cycles_false_path_aware(cfsm, graph, ctx.params, &incompats));
+        .then(|| max_cycles_false_path_aware(cfsm, graph, ctx.params(), &incompats));
     ctx.count("est_size_bytes", est.size_bytes);
     ctx.count("est_min_cycles", est.min_cycles);
     ctx.count("est_max_cycles", est.max_cycles);
@@ -299,15 +315,25 @@ fn stage_measure(
     Ok(measured)
 }
 
-#[allow(clippy::type_complexity)]
+/// What the verify stage produces.
+#[derive(Debug)]
+pub struct Verified {
+    /// Reachability verdicts (lost events, dead transitions, deadlock).
+    pub report: VerifyReport,
+    /// Property verdicts; `Some` iff a suite was checked.
+    pub props: Option<PropReport>,
+    /// Per-machine input-presence incompatibilities of the reached set;
+    /// empty unless [`SynthesisOptions::verify_refine_estimates`] is set.
+    pub incompats: Vec<Vec<Incompat>>,
+}
+
 fn stage_verify(
     ctx: &mut SynthCtx<'_>,
-    net: &Network,
-) -> Result<(VerifyReport, Vec<Vec<Incompat>>), SynthError> {
+    (net, props): (&Network, Option<&[Property]>),
+) -> Result<Verified, SynthError> {
     let vopts = VerifyOptions {
-        node_budget: ctx.opts.verify_node_budget,
-        reorder_threshold: ctx.opts.verify_reorder_threshold,
-        ..VerifyOptions::default()
+        trace_rings: props.is_some(),
+        ..ctx.opts.verify.unwrap_or_default()
     };
     let mut v = Verifier::run(net, &vopts).map_err(SynthError::Verify)?;
     let stats = v.stats();
@@ -339,71 +365,49 @@ fn stage_verify(
     );
     ctx.count("dead_transitions", report.dead_transitions.len() as u64);
     ctx.count("deadlock", u64::from(report.deadlock.is_some()));
-    Ok((report, incompats))
+    let props = props.map(|props| {
+        let pr = v.check_properties(props);
+        ctx.count("properties_checked", pr.checked);
+        ctx.count("violations", pr.violations);
+        ctx.count("max_trace_len", pr.max_trace_len);
+        ctx.count("preimage_nodes", pr.preimage_nodes);
+        ctx.count("trace_rings_stored", pr.rings_stored);
+        ctx.count("trace_rings_complete", u64::from(pr.rings_complete));
+        ctx.count(
+            "deadlock_trace_len",
+            report
+                .deadlock
+                .as_ref()
+                .and_then(|w| w.trace.as_ref())
+                .map_or(0, |t| t.len() as u64),
+        );
+        pr
+    });
+    Ok(Verified {
+        report,
+        props,
+        incompats,
+    })
 }
 
-/// Property checking as its own instrumented stage: rerun the verifier
-/// with ring storage on, evaluate the suite, and record the
-/// counterexample counters ISSUE wiring asks for.
-fn stage_prop(
-    ctx: &mut SynthCtx<'_>,
-    (net, props): (&Network, &[Property]),
-) -> Result<(VerifyReport, PropReport), SynthError> {
-    let vopts = VerifyOptions {
-        node_budget: ctx.opts.verify_node_budget,
-        reorder_threshold: ctx.opts.verify_reorder_threshold,
-        trace_rings: true,
-        ..VerifyOptions::default()
-    };
-    let mut v = Verifier::run(net, &vopts).map_err(SynthError::Verify)?;
-    let report = v.report();
-    let pr = v.check_properties(props);
-    ctx.count("properties_checked", pr.checked);
-    ctx.count("violations", pr.violations);
-    ctx.count("max_trace_len", pr.max_trace_len);
-    ctx.count("preimage_nodes", pr.preimage_nodes);
-    ctx.count("trace_rings_stored", pr.rings_stored);
-    ctx.count("trace_rings_complete", u64::from(pr.rings_complete));
-    ctx.count(
-        "deadlock_trace_len",
-        report
-            .deadlock
-            .as_ref()
-            .and_then(|w| w.trace.as_ref())
-            .map_or(0, |t| t.len() as u64),
-    );
-    Ok((report, pr))
-}
-
-/// Runs verification plus a property suite as an instrumented `prop`
-/// stage and returns the verify report, the property verdicts, and the
-/// stage trace. Separate from [`synthesize_network_staged`] because
-/// [`SynthesisOptions`](crate::SynthesisOptions) is `Copy` and cannot
-/// carry a suite; `polis verify --props` and `polis prop` route here.
+/// Runs the `verify` stage: one fixpoint under `ctx.opts.verify` (the
+/// [`VerifyOptions`] defaults when unset), the reachability report, the
+/// presence incompatibilities `--refine` feeds back into the estimates,
+/// and, when `props` is given, the property verdicts with decoded
+/// traces (onion rings are stored only then). Records the traversal
+/// counters, plus the property counters when a suite runs. Never reads
+/// cost parameters, so `ctx` may be [`SynthCtx::uncalibrated`].
 ///
 /// # Errors
 ///
-/// [`SynthFailure`] with the partial trace when the traversal exceeds
-/// the node budget.
-pub fn verify_properties_staged(
+/// [`SynthError::Verify`] when the traversal exceeds the node budget;
+/// the aborted stage is still recorded in `ctx`'s trace.
+pub fn verify_staged(
+    ctx: &mut SynthCtx<'_>,
     net: &Network,
-    props: &[Property],
-    opts: &crate::SynthesisOptions,
-) -> Result<(VerifyReport, PropReport, SynthTrace), SynthFailure> {
-    let params = calibrate(opts.profile);
-    let mut ctx = SynthCtx::new(opts, &params);
-    let result = ctx.run_stage(
-        Stage {
-            name: "prop",
-            run: stage_prop,
-        },
-        (net, props),
-    );
-    let trace = ctx.into_trace();
-    match result {
-        Ok((report, pr)) => Ok((report, pr, trace)),
-        Err(error) => Err(SynthFailure { error, trace }),
-    }
+    props: Option<&[Property]>,
+) -> Result<Verified, SynthError> {
+    ctx.run_stage("verify", stage_verify, (net, props))
 }
 
 #[allow(clippy::type_complexity)]
@@ -423,7 +427,7 @@ fn stage_refine(
         if merged.is_empty() {
             continue;
         }
-        let bound = max_cycles_false_path_aware(m, &machines[i].graph, ctx.params, &merged);
+        let bound = max_cycles_false_path_aware(m, &machines[i].graph, ctx.params(), &merged);
         // Never looser than the derived-only bound (or the plain
         // estimate when no derived bound exists).
         let baseline = machines[i]
@@ -453,6 +457,27 @@ fn stage_rtos(
     Ok(rtos_c)
 }
 
+/// The network-level stages, after the machines: `verify` (then
+/// `refine`) when enabled, and `rtos`.
+fn network_stages(
+    ctx: &mut SynthCtx<'_>,
+    net: &Network,
+    rtos: &RtosConfig,
+    machines: &mut [CfsmSynthesis],
+) -> Result<(Option<VerifyReport>, String), SynthError> {
+    let mut report = None;
+    if ctx.opts.verify.is_some() {
+        let verified = verify_staged(ctx, net, None)?;
+        if ctx.opts.verify_refine_estimates {
+            let incompats = verified.incompats.as_slice();
+            ctx.run_stage("refine", stage_refine, (net, machines, incompats))?;
+        }
+        report = Some(verified.report);
+    }
+    let rtos_c = ctx.run_stage("rtos", stage_rtos, (net, rtos))?;
+    Ok((report, rtos_c))
+}
+
 // ---------------------------------------------------------------------
 // Staged drivers.
 // ---------------------------------------------------------------------
@@ -464,93 +489,28 @@ pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthe
     let start = Instant::now();
     let graph = match ctx.opts.style {
         ImplStyle::DecisionGraph => {
-            let rf = ctx.run_stage(
-                Stage {
-                    name: "chi",
-                    run: stage_chi,
-                },
-                cfsm,
-            )?;
-            let rf = ctx.run_stage(
-                Stage {
-                    name: "sift",
-                    run: stage_sift,
-                },
-                rf,
-            )?;
-            let g = ctx.run_stage(
-                Stage {
-                    name: "sgraph",
-                    run: stage_sgraph,
-                },
-                rf,
-            )?;
+            let rf = ctx.run_stage("chi", stage_chi, cfsm)?;
+            let rf = ctx.run_stage("sift", stage_sift, rf)?;
+            let g = ctx.run_stage("sgraph", stage_sgraph, rf)?;
             if ctx.opts.collapse {
-                ctx.run_stage(
-                    Stage {
-                        name: "collapse",
-                        run: stage_collapse,
-                    },
-                    g,
-                )?
+                ctx.run_stage("collapse", stage_collapse, g)?
             } else {
                 g
             }
         }
         ImplStyle::IteChain => {
-            let rf = ctx.run_stage(
-                Stage {
-                    name: "chi",
-                    run: stage_chi,
-                },
-                cfsm,
-            )?;
-            ctx.run_stage(
-                Stage {
-                    name: "sgraph",
-                    run: stage_ite_chain,
-                },
-                rf,
-            )?
+            let rf = ctx.run_stage("chi", stage_chi, cfsm)?;
+            ctx.run_stage("sgraph", stage_ite_chain, rf)?
         }
-        ImplStyle::TwoLevel => ctx.run_stage(
-            Stage {
-                name: "sgraph",
-                run: stage_two_level,
-            },
-            cfsm,
-        )?,
+        ImplStyle::TwoLevel => ctx.run_stage("sgraph", stage_two_level, cfsm)?,
     };
-    let (program, object) = ctx.run_stage(
-        Stage {
-            name: "compile",
-            run: stage_compile,
-        },
-        (cfsm, &graph),
-    )?;
+    let (program, object) = ctx.run_stage("compile", stage_compile, (cfsm, &graph))?;
     // Matches the historical definition: BDD + sift + build + compile.
     let synthesis_time = start.elapsed();
-    let c_code = ctx.run_stage(
-        Stage {
-            name: "emit_c",
-            run: stage_emit,
-        },
-        (cfsm, &graph),
-    )?;
-    let (est, max_cycles_false_path_aware) = ctx.run_stage(
-        Stage {
-            name: "estimate",
-            run: stage_estimate,
-        },
-        (cfsm, &graph),
-    )?;
-    let measured = ctx.run_stage(
-        Stage {
-            name: "measure",
-            run: stage_measure,
-        },
-        (&program, &object),
-    )?;
+    let c_code = ctx.run_stage("emit_c", stage_emit, (cfsm, &graph))?;
+    let (est, max_cycles_false_path_aware) =
+        ctx.run_stage("estimate", stage_estimate, (cfsm, &graph))?;
+    let measured = ctx.run_stage("measure", stage_measure, (&program, &object))?;
     ctx.set_machine(None);
     Ok(CfsmSynthesis {
         graph,
@@ -575,11 +535,11 @@ pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthe
 /// [`NetworkSynthesis`] — including every byte of generated C — is
 /// identical for every `jobs` value. Only wall-clock timings vary.
 ///
-/// When `opts.verify` is set, a network-level `verify` stage runs the
-/// symbolic reachability engine after the machines are synthesized (and
-/// a `refine` stage feeds the reachability invariant back into the
-/// false-path estimates when `opts.verify_refine_estimates` is also
-/// set). On any failure the [`SynthFailure`] carries every stage record
+/// When `opts.verify` is set, the network-level [`verify_staged`] stage
+/// runs the symbolic reachability engine after the machines are
+/// synthesized (and a `refine` stage feeds the reachability invariant
+/// back into the false-path estimates when
+/// `opts.verify_refine_estimates` is also set). On any failure the [`SynthFailure`] carries every stage record
 /// completed up to the abort, so callers can still flush the trace.
 pub fn synthesize_network_staged(
     net: &Network,
@@ -593,15 +553,11 @@ pub fn synthesize_network_staged(
     let jobs = jobs.clamp(1, n.max(1));
     let start = Instant::now();
 
-    type Slot = Result<(CfsmSynthesis, SynthTrace), (SynthError, SynthTrace)>;
+    type Slot = (Result<CfsmSynthesis, SynthError>, SynthTrace);
     let run_one = |i: usize| -> Slot {
         let mut ctx = SynthCtx::new(opts, &params);
         let r = synthesize_cfsm(&mut ctx, &cfsms[i]);
-        let t = ctx.into_trace();
-        match r {
-            Ok(s) => Ok((s, t)),
-            Err(e) => Err((e, t)),
-        }
+        (r, ctx.into_trace())
     };
 
     let mut slots: Vec<Option<Slot>> = (0..n).map(|_| None).collect();
@@ -643,62 +599,20 @@ pub fn synthesize_network_staged(
     let mut machines = Vec::with_capacity(n);
     let mut trace = SynthTrace::new();
     for slot in slots {
-        match slot.expect("every machine index was claimed") {
-            Ok((synth, t)) => {
-                machines.push(synth);
-                trace.extend(t);
-            }
-            Err((error, t)) => {
-                trace.extend(t);
-                return Err(SynthFailure { error, trace });
-            }
+        let (r, t) = slot.expect("every machine index was claimed");
+        trace.extend(t);
+        match r {
+            Ok(synth) => machines.push(synth),
+            Err(error) => return Err(SynthFailure { error, trace }),
         }
     }
     let synthesis_time = start.elapsed();
 
-    let mut verify_report = None;
-    if opts.verify {
-        let mut net_ctx = SynthCtx::new(opts, &params);
-        let verified = net_ctx.run_stage(
-            Stage {
-                name: "verify",
-                run: stage_verify,
-            },
-            net,
-        );
-        trace.extend(net_ctx.into_trace());
-        let (report, reach_incompats) = match verified {
-            Ok(v) => v,
-            Err(error) => return Err(SynthFailure { error, trace }),
-        };
-        verify_report = Some(report);
-        if opts.verify_refine_estimates {
-            let mut net_ctx = SynthCtx::new(opts, &params);
-            let refined = net_ctx.run_stage(
-                Stage {
-                    name: "refine",
-                    run: stage_refine,
-                },
-                (net, machines.as_mut_slice(), reach_incompats.as_slice()),
-            );
-            trace.extend(net_ctx.into_trace());
-            if let Err(error) = refined {
-                return Err(SynthFailure { error, trace });
-            }
-        }
-    }
-
     let mut net_ctx = SynthCtx::new(opts, &params);
-    let rtos_result = net_ctx.run_stage(
-        Stage {
-            name: "rtos",
-            run: stage_rtos,
-        },
-        (net, rtos),
-    );
+    let network = network_stages(&mut net_ctx, net, rtos, &mut machines);
     trace.extend(net_ctx.into_trace());
-    let rtos_c = match rtos_result {
-        Ok(c) => c,
+    let (verify_report, rtos_c) = match network {
+        Ok(out) => out,
         Err(error) => return Err(SynthFailure { error, trace }),
     };
 

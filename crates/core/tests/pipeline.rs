@@ -2,11 +2,21 @@
 //! byte-identical to sequential, and the trace records every stage with
 //! meaningful layer-native counters.
 
+use polis_cfsm::Cfsm;
 use polis_core::{
-    synthesize_network_staged, synthesize_traced, workloads, MetricValue, SynthTrace,
+    synthesize_cfsm, synthesize_network_staged, workloads, MetricValue, SynthCtx, SynthTrace,
     SynthesisOptions,
 };
+use polis_estimate::calibrate;
 use polis_rtos::RtosConfig;
+
+/// One machine through the staged per-CFSM chain, returning its trace.
+fn cfsm_trace(cfsm: &Cfsm, opts: &SynthesisOptions) -> SynthTrace {
+    let params = calibrate(opts.profile);
+    let mut ctx = SynthCtx::new(opts, &params);
+    synthesize_cfsm(&mut ctx, cfsm).unwrap();
+    ctx.into_trace()
+}
 
 /// `--jobs N` must not change a single output byte: per-machine synthesis
 /// is independent and results are merged in network order.
@@ -76,7 +86,7 @@ fn trace_records_every_stage_once_for_simple() {
         collapse: true,
         ..SynthesisOptions::default()
     };
-    let (_, trace) = synthesize_traced(&workloads::simple(), &opts);
+    let trace = cfsm_trace(&workloads::simple(), &opts);
     let stages: Vec<&str> = trace.records().iter().map(|r| r.stage).collect();
     assert_eq!(
         stages,
@@ -132,6 +142,6 @@ fn trace_records_every_stage_once_for_simple() {
 /// Without collapsing, the collapse stage must not appear.
 #[test]
 fn collapse_stage_only_runs_when_requested() {
-    let (_, trace) = synthesize_traced(&workloads::simple(), &SynthesisOptions::default());
+    let trace = cfsm_trace(&workloads::simple(), &SynthesisOptions::default());
     assert!(trace.records().iter().all(|r| r.stage != "collapse"));
 }

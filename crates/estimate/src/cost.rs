@@ -79,8 +79,8 @@ pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPoli
     }
 }
 
-#[allow(dead_code)]
-pub(crate) fn successors(g: &SGraph, id: NodeId) -> Vec<NodeId> {
+/// The children of `id`, in outcome order for a TEST.
+fn successors(g: &SGraph, id: NodeId) -> Vec<NodeId> {
     match g.node(id) {
         SNode::Begin { next } | SNode::Assign { next, .. } => vec![*next],
         SNode::End => vec![],

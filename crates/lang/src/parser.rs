@@ -149,10 +149,6 @@ impl Parser {
         &self.tokens[self.pos].kind
     }
 
-    fn peek2(&self) -> &Tok {
-        &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)].kind
-    }
-
     fn here(&self) -> (u32, u32) {
         let t = &self.tokens[self.pos];
         (t.line, t.col)
@@ -804,14 +800,6 @@ impl ModuleEnv {
         let id = b.test(format!("t{}", self.tests.len()), e.clone());
         self.tests.insert(e, id);
         id
-    }
-}
-
-// `peek2` is kept for grammar extensions (e.g. `?sig` in guards).
-impl Parser {
-    #[allow(dead_code)]
-    fn lookahead_is(&self, t: Tok) -> bool {
-        *self.peek2() == t
     }
 }
 

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example dashboard`.
 
-use polis::core::{synthesize_network, workloads, SynthesisOptions};
+use polis::core::{synthesize_network_staged, workloads, SynthesisOptions};
 use polis::rtos::{RtosConfig, Simulator, Stimulus};
 use polis::verify::{verify_network, VerifyOptions};
 
@@ -19,7 +19,13 @@ fn main() {
     );
 
     // Synthesize everything on the 68HC11-like target.
-    let result = synthesize_network(&net, &SynthesisOptions::default(), &RtosConfig::default());
+    let (result, _) = synthesize_network_staged(
+        &net,
+        &SynthesisOptions::default(),
+        &RtosConfig::default(),
+        1,
+    )
+    .expect("the dashboard synthesizes");
     println!(
         "\n{:<12} {:>8} {:>8} {:>10} {:>10}",
         "module", "ROM[B]", "RAM[B]", "min[cyc]", "max[cyc]"

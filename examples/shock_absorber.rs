@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example shock_absorber`.
 
-use polis::core::{synthesize_network, workloads, SynthesisOptions};
+use polis::core::{synthesize_network_staged, workloads, SynthesisOptions};
 use polis::rtos::{RtosConfig, Simulator, Stimulus};
 use polis::sgraph::BufferPolicy;
 
@@ -23,7 +23,8 @@ fn main() {
             buffering: policy,
             ..SynthesisOptions::default()
         };
-        let r = synthesize_network(&net, &opts, &RtosConfig::default());
+        let (r, _) = synthesize_network_staged(&net, &opts, &RtosConfig::default(), 1)
+            .expect("the shock absorber synthesizes");
         println!(
             "{label:<24} ROM {:>6} B   RAM {:>5} B   (incl. generated RTOS)",
             r.total_rom, r.total_ram

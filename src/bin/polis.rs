@@ -1,16 +1,7 @@
-//! The `polis` command-line tool: synthesize, estimate, simulate, and
-//! inspect CFSM networks written in the textual specification language.
-//!
-//! ```text
-//! polis synth <spec> [-o DIR] [--style dg|chain|2lvl] [--target mcu8|risc32]
-//!                    [--scheme natural|after-inputs|after-support]
-//!                    [--buffering all|minimal] [--collapse]
-//! polis estimate <spec> [same options]
-//! polis sim <spec> --stim <file> [--policy rr|prio] [--target ...]
-//! polis verify <spec> [--props] [--node-budget N] [--reorder-threshold N|off]
-//! polis prop <spec> [--max-rings N] [--node-budget N] [--reorder-threshold N|off]
-//! polis dot <spec> [--module NAME]
-//! ```
+//! The `polis` command-line tool: synthesize, estimate, simulate, verify,
+//! and inspect CFSM networks written in the textual specification
+//! language. Run `polis help` for the flags each command reads; they all
+//! come from one table, [`FLAGS`].
 //!
 //! Stimulus files contain one event per line: `<time> <signal> [value]`;
 //! `#` starts a comment.
@@ -18,13 +9,13 @@
 use polis::cfsm::Network;
 use polis::codegen::emit_network_header;
 use polis::core::{
-    synthesize_network, synthesize_network_staged, ImplStyle, MetricValue, StageRecord, SynthTrace,
-    SynthesisOptions,
+    synthesize_network_staged, verify_staged, ImplStyle, MetricValue, StageRecord, SynthCtx,
+    SynthError, SynthTrace, SynthesisOptions,
 };
-use polis::lang::{emit_spec_source, parse_network, parse_spec, Spec};
+use polis::lang::{emit_spec_source, parse_spec, Property, Spec};
 use polis::rtos::{RtosConfig, SchedulingPolicy, Simulator, Stimulus};
 use polis::sgraph::BufferPolicy;
-use polis::verify::{verify_network, verify_with_props, VerifyOptions};
+use polis::verify::VerifyOptions;
 use polis::vm::Profile;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,221 +30,304 @@ fn main() -> ExitCode {
     }
 }
 
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+/// The subcommands, in usage order. Each takes one `<spec>` argument.
+const COMMANDS: [&str; 7] = ["synth", "estimate", "sim", "verify", "prop", "dot", "fmt"];
+
+/// One command-line flag: how it is typed, the value it takes as shown
+/// in the usage text (`None` for a switch), and the commands that read
+/// it (every other command rejects it).
+struct Flag(&'static str, Option<&'static str>, &'static [&'static str]);
+
+/// Every flag of every command. The parser rejects flags not listed
+/// here, flags the command does not read, and value flags given no
+/// value; the usage text is rendered from this table.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag("-o",                  Some("DIR"), &["synth"]),
+    Flag("--style",             Some("dg|chain|2lvl"), &["synth", "estimate", "dot"]),
+    Flag("--target",            Some("mcu8|risc32"), &["synth", "estimate", "sim"]),
+    Flag("--scheme",            Some("natural|after-inputs|after-support"), &["synth", "estimate", "dot"]),
+    Flag("--buffering",         Some("all|minimal"), &["synth", "estimate"]),
+    Flag("--collapse",          None, &["synth", "estimate", "dot"]),
+    Flag("--jobs",              Some("N"), &["synth"]),
+    Flag("--trace",             Some("FILE"), &["synth", "verify", "prop"]),
+    Flag("--verify",            None, &["synth"]),
+    Flag("--refine",            None, &["synth"]),
+    Flag("--props",             None, &["verify"]),
+    Flag("--node-budget",       Some("N"), &["synth", "verify", "prop"]),
+    Flag("--reorder-threshold", Some("N|off"), &["synth", "verify", "prop"]),
+    Flag("--max-rings",         Some("N"), &["verify", "prop"]),
+    Flag("--stim",              Some("FILE"), &["sim"]),
+    Flag("--policy",            Some("rr|prio"), &["sim"]),
+    Flag("--module",            Some("NAME"), &["dot"]),
+];
+
+/// A parsed command line: the command, its spec path, and its flags.
+struct Cli {
+    command: &'static str,
+    spec: String,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
-impl Args {
-    fn parse(raw: Vec<String>) -> Args {
-        let mut positional = Vec::new();
+impl Cli {
+    fn parse(raw: Vec<String>) -> Result<Cli, String> {
+        let mut args = raw.into_iter();
+        let name = args.next().ok_or_else(usage)?;
+        let command = COMMANDS
+            .into_iter()
+            .find(|&c| c == name)
+            .ok_or_else(|| format!("unknown command `{name}`\n{}", usage()))?;
+        let mut spec = None;
         let mut flags = Vec::new();
-        let mut it = raw.into_iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = if it
-                    .peek()
-                    .map(|n| !n.starts_with("--") && !n.starts_with('-'))
-                    .unwrap_or(false)
-                    && takes_value(name)
-                {
-                    it.next()
-                } else {
-                    None
-                };
-                flags.push((name.to_owned(), value));
-            } else if let Some(name) = a.strip_prefix('-') {
-                let value = if takes_value(name) { it.next() } else { None };
-                flags.push((name.to_owned(), value));
-            } else {
-                positional.push(a);
+        while let Some(arg) = args.next() {
+            if !arg.starts_with('-') {
+                if spec.is_some() {
+                    return Err(format!("unexpected argument `{arg}`"));
+                }
+                spec = Some(arg);
+                continue;
             }
+            let Flag(name, shown, commands) = FLAGS
+                .iter()
+                .find(|f| f.0 == arg)
+                .ok_or_else(|| format!("unknown flag `{arg}`\n{}", usage()))?;
+            if !commands.contains(&command) {
+                return Err(format!("`{command}` does not take `{arg}`"));
+            }
+            let value = match shown {
+                Some(what) => Some(
+                    args.next()
+                        .filter(|v| !v.starts_with('-'))
+                        .ok_or_else(|| format!("`{arg}` takes a value: {what}"))?,
+                ),
+                None => None,
+            };
+            flags.push((*name, value));
         }
-        Args { positional, flags }
+        let spec = spec.ok_or_else(|| format!("missing <spec> argument\n{}", usage()))?;
+        Ok(Cli {
+            command,
+            spec,
+            flags,
+        })
     }
 
-    fn flag(&self, name: &str) -> Option<&str> {
+    fn value(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
-            .find(|(n, _)| n == name)
+            .find(|(n, _)| *n == name)
             .and_then(|(_, v)| v.as_deref())
     }
 
     fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
+        self.flags.iter().any(|(n, _)| *n == name)
     }
 }
 
-fn takes_value(name: &str) -> bool {
-    matches!(
-        name,
-        "o" | "style"
-            | "target"
-            | "scheme"
-            | "buffering"
-            | "stim"
-            | "policy"
-            | "module"
-            | "jobs"
-            | "trace"
-            | "node-budget"
-            | "reorder-threshold"
-            | "max-rings"
-    )
+/// The usage text, one line group per command, rendered from [`FLAGS`].
+fn usage() -> String {
+    let mut out = String::from("usage:");
+    for command in COMMANDS {
+        let mut line = format!("\n  polis {command} <spec>");
+        let mut width = line.len() - 1;
+        for Flag(name, shown, commands) in FLAGS {
+            if !commands.contains(&command) {
+                continue;
+            }
+            let item = match shown {
+                Some(v) => format!("[{name} {v}]"),
+                None => format!("[{name}]"),
+            };
+            if width + 1 + item.len() > 78 {
+                line.push_str("\n     ");
+                width = 5;
+            }
+            line.push(' ');
+            line.push_str(&item);
+            width += 1 + item.len();
+        }
+        out.push_str(&line);
+    }
+    out
 }
 
 fn run(raw: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(raw);
-    let Some(command) = args.positional.first() else {
-        return Err(usage());
-    };
-    match command.as_str() {
-        "synth" => synth(&args),
-        "estimate" => estimate_cmd(&args),
-        "sim" => sim(&args),
-        "verify" => verify_cmd(&args),
-        "prop" => prop_cmd(&args),
-        "dot" => dot(&args),
-        "fmt" => fmt(&args),
-        "help" | "--help" => {
-            println!("{}", usage());
+    if matches!(raw.first().map(String::as_str), Some("help" | "--help")) {
+        println!("{}", usage());
+        return Ok(());
+    }
+    let cli = Cli::parse(raw)?;
+    let (spec, trace) = load(&cli.spec)?;
+    let opts = Options::read(&cli, &spec.network)?;
+    let net = &spec.network;
+    match cli.command {
+        "synth" => synth(net, &opts, trace),
+        "estimate" => estimate_cmd(net, &opts),
+        "sim" => sim(net, &opts),
+        "verify" => verify_cmd(net, &spec.properties, &opts, trace),
+        "prop" => prop_cmd(&cli.spec, &spec, &opts, trace),
+        "dot" => dot(net, &opts),
+        "fmt" => {
+            print!("{}", emit_spec_source(net, &spec.properties));
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`\n{}", usage())),
+        other => unreachable!("`{other}` is not in COMMANDS"),
     }
 }
 
-fn usage() -> String {
-    "usage:\n  \
-     polis synth <spec> [-o DIR] [--style dg|chain|2lvl] [--target mcu8|risc32]\n    \
-       [--scheme natural|after-inputs|after-support] [--buffering all|minimal] [--collapse]\n    \
-       [--jobs N] [--trace FILE] [--verify] [--refine] [--node-budget N]\n    \
-       [--reorder-threshold N|off]\n  \
-     polis estimate <spec> [same options]\n  \
-     polis sim <spec> --stim <file> [--policy rr|prio] [--target mcu8|risc32]\n  \
-     polis verify <spec> [--props] [--node-budget N] [--reorder-threshold N|off]\n    \
-       [--max-rings N]\n  \
-     polis prop <spec> [--max-rings N] [--node-budget N] [--reorder-threshold N|off]\n  \
-     polis dot <spec> [--module NAME]\n  \
-     polis fmt <spec>"
-        .to_owned()
-}
-
-fn load_network(args: &Args) -> Result<Network, String> {
-    let path = args
-        .positional
-        .get(1)
-        .ok_or_else(|| format!("missing <spec> argument\n{}", usage()))?;
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let name = PathBuf::from(path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "network".to_owned());
-    parse_network(&name, &src).map_err(|e| format!("{path}:{e}"))
-}
-
-/// Like [`load_network`], keeping the resolved property suite.
-fn load_spec(args: &Args) -> Result<(String, Spec), String> {
-    let path = args
-        .positional
-        .get(1)
-        .ok_or_else(|| format!("missing <spec> argument\n{}", usage()))?;
+/// Reads and parses the spec at `path`, recording the parse as the first
+/// stage of the run's trace.
+fn load(path: &str) -> Result<(Spec, SynthTrace), String> {
+    let start = std::time::Instant::now();
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let name = PathBuf::from(path)
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "network".to_owned());
     let spec = parse_spec(&name, &src).map_err(|e| format!("{path}:{e}"))?;
-    Ok((path.clone(), spec))
+    let mut trace = SynthTrace::new();
+    trace.push(StageRecord {
+        stage: "parse",
+        machine: None,
+        wall: start.elapsed(),
+        counters: vec![(
+            "modules".to_owned(),
+            MetricValue::Int(spec.network.cfsms().len() as u64),
+        )],
+    });
+    Ok((spec, trace))
 }
 
-/// The verification flags shared by `verify` and `prop`.
-fn verify_options(args: &Args) -> Result<VerifyOptions, String> {
-    let mut vopts = VerifyOptions::default();
-    if let Some(budget) = args.flag("node-budget") {
-        vopts.node_budget = budget
-            .parse::<usize>()
-            .ok()
-            .filter(|&b| b >= 1)
-            .ok_or_else(|| format!("--node-budget takes a positive integer, got `{budget}`"))?;
-    }
-    if let Some(threshold) = args.flag("reorder-threshold") {
-        vopts.reorder_threshold = parse_reorder_threshold(threshold)?;
-    }
-    if let Some(cap) = args.flag("max-rings") {
-        vopts.max_trace_rings = cap
-            .parse::<usize>()
-            .ok()
-            .filter(|&c| c >= 1)
-            .ok_or_else(|| format!("--max-rings takes a positive integer, got `{cap}`"))?;
-    }
-    Ok(vopts)
+/// What the flags configure. Every flag is read here and nowhere else;
+/// flags a command does not read were rejected by [`Cli::parse`] and
+/// leave their defaults.
+struct Options {
+    synth: SynthesisOptions,
+    rtos: RtosConfig,
+    jobs: usize,
+    out_dir: PathBuf,
+    trace: Option<String>,
+    stim: Option<String>,
+    module: Option<String>,
+    props: bool,
 }
 
-fn options(args: &Args) -> Result<SynthesisOptions, String> {
-    let mut opts = SynthesisOptions::default();
-    if let Some(style) = args.flag("style") {
-        opts.style = match style {
-            "dg" | "decision-graph" => ImplStyle::DecisionGraph,
-            "chain" | "ite" => ImplStyle::IteChain,
-            "2lvl" | "two-level" => ImplStyle::TwoLevel,
-            other => return Err(format!("unknown style `{other}`")),
+impl Options {
+    fn read(cli: &Cli, net: &Network) -> Result<Options, String> {
+        let positive = |flag: &str| -> Result<Option<usize>, String> {
+            cli.value(flag)
+                .map(|raw| {
+                    raw.parse::<usize>()
+                        .ok()
+                        .filter(|&n| n >= 1)
+                        .ok_or_else(|| format!("{flag} takes a positive integer, got `{raw}`"))
+                })
+                .transpose()
         };
-    }
-    if let Some(scheme) = args.flag("scheme") {
-        opts.scheme = match scheme {
-            "natural" => polis::cfsm::OrderScheme::Natural,
-            "after-inputs" => polis::cfsm::OrderScheme::OutputsAfterAllInputs,
-            "after-support" => polis::cfsm::OrderScheme::OutputsAfterSupport,
-            other => return Err(format!("unknown scheme `{other}`")),
-        };
-    }
-    if let Some(target) = args.flag("target") {
-        opts.profile = parse_target(target)?;
-    }
-    if let Some(buffering) = args.flag("buffering") {
-        opts.buffering = match buffering {
-            "all" => BufferPolicy::All,
-            "minimal" | "wbr" => BufferPolicy::Minimal,
-            other => return Err(format!("unknown buffering policy `{other}`")),
-        };
-    }
-    opts.collapse = args.has("collapse");
-    opts.verify = args.has("verify") || args.has("refine");
-    opts.verify_refine_estimates = args.has("refine");
-    if let Some(budget) = args.flag("node-budget") {
-        opts.verify_node_budget = budget
-            .parse::<usize>()
-            .ok()
-            .filter(|&b| b >= 1)
-            .ok_or_else(|| format!("--node-budget takes a positive integer, got `{budget}`"))?;
-    }
-    if let Some(threshold) = args.flag("reorder-threshold") {
-        opts.verify_reorder_threshold = parse_reorder_threshold(threshold)?;
-    }
-    Ok(opts)
-}
+        let mut verify = VerifyOptions::default();
+        if let Some(budget) = positive("--node-budget")? {
+            verify.node_budget = budget;
+        }
+        if let Some(raw) = cli.value("--reorder-threshold") {
+            verify.reorder_threshold = if raw == "off" {
+                usize::MAX
+            } else {
+                raw.parse::<usize>()
+                    .ok()
+                    .filter(|&t| t >= 1)
+                    .ok_or_else(|| {
+                        format!(
+                            "--reorder-threshold takes a positive integer or `off`, got `{raw}`"
+                        )
+                    })?
+            };
+        }
+        if let Some(cap) = positive("--max-rings")? {
+            verify.max_trace_rings = cap;
+        }
 
-/// `--reorder-threshold N` (positive node count) or `off` to disable
-/// mid-reachability sifting.
-fn parse_reorder_threshold(raw: &str) -> Result<usize, String> {
-    if raw == "off" {
-        return Ok(usize::MAX);
-    }
-    raw.parse::<usize>()
-        .ok()
-        .filter(|&t| t >= 1)
-        .ok_or_else(|| {
-            format!("--reorder-threshold takes a positive integer or `off`, got `{raw}`")
+        let mut synth = SynthesisOptions::default();
+        if let Some(style) = cli.value("--style") {
+            synth.style = match style {
+                "dg" | "decision-graph" => ImplStyle::DecisionGraph,
+                "chain" | "ite" => ImplStyle::IteChain,
+                "2lvl" | "two-level" => ImplStyle::TwoLevel,
+                other => return Err(format!("unknown style `{other}`")),
+            };
+        }
+        if let Some(scheme) = cli.value("--scheme") {
+            synth.scheme = match scheme {
+                "natural" => polis::cfsm::OrderScheme::Natural,
+                "after-inputs" => polis::cfsm::OrderScheme::OutputsAfterAllInputs,
+                "after-support" => polis::cfsm::OrderScheme::OutputsAfterSupport,
+                other => return Err(format!("unknown scheme `{other}`")),
+            };
+        }
+        if let Some(target) = cli.value("--target") {
+            synth.profile = match target {
+                "mcu8" => Profile::Mcu8,
+                "risc32" => Profile::Risc32,
+                other => return Err(format!("unknown target `{other}`")),
+            };
+        }
+        if let Some(buffering) = cli.value("--buffering") {
+            synth.buffering = match buffering {
+                "all" => BufferPolicy::All,
+                "minimal" | "wbr" => BufferPolicy::Minimal,
+                other => return Err(format!("unknown buffering policy `{other}`")),
+            };
+        }
+        synth.collapse = cli.has("--collapse");
+        synth.verify_refine_estimates = cli.has("--refine");
+        let verifies = matches!(cli.command, "verify" | "prop");
+        synth.verify = (verifies || cli.has("--verify") || cli.has("--refine")).then_some(verify);
+
+        let mut rtos = RtosConfig {
+            profile: synth.profile,
+            ..RtosConfig::default()
+        };
+        if let Some(policy) = cli.value("--policy") {
+            rtos.policy = match policy {
+                "rr" => SchedulingPolicy::RoundRobin,
+                "prio" => SchedulingPolicy::StaticPriority {
+                    priorities: (0..net.cfsms().len() as u32).collect(),
+                },
+                other => return Err(format!("unknown policy `{other}`")),
+            };
+        }
+
+        Ok(Options {
+            synth,
+            rtos,
+            jobs: positive("--jobs")?.unwrap_or(1),
+            out_dir: PathBuf::from(cli.value("-o").unwrap_or(".")),
+            trace: cli.value("--trace").map(str::to_owned),
+            stim: cli.value("--stim").map(str::to_owned),
+            module: cli.value("--module").map(str::to_owned),
+            props: cli.has("--props"),
         })
+    }
 }
 
-fn parse_target(target: &str) -> Result<Profile, String> {
-    match target {
-        "mcu8" => Ok(Profile::Mcu8),
-        "risc32" => Ok(Profile::Risc32),
-        other => Err(format!("unknown target `{other}`")),
+/// Writes `trace` to the `--trace` file, if one was given, and returns
+/// its path.
+fn write_trace<'o>(opts: &'o Options, trace: &SynthTrace) -> Result<Option<&'o str>, String> {
+    let Some(path) = opts.trace.as_deref() else {
+        return Ok(None);
+    };
+    std::fs::write(path, trace.to_json()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    Ok(Some(path))
+}
+
+/// Flushes the trace recorded up to an aborted stage, so an interrupted
+/// run still leaves its instrumentation, and reports the abort.
+fn abort(opts: &Options, trace: &SynthTrace, error: SynthError) -> String {
+    match write_trace(opts, trace) {
+        Ok(Some(path)) => eprintln!("polis: wrote partial trace to {path}"),
+        Ok(None) => {}
+        Err(e) => return e,
     }
+    error.to_string()
 }
 
 fn cost_table(net: &Network, result: &polis::core::NetworkSynthesis) {
@@ -277,72 +351,41 @@ fn cost_table(net: &Network, result: &polis::core::NetworkSynthesis) {
     );
 }
 
-fn synth(args: &Args) -> Result<(), String> {
-    let parse_start = std::time::Instant::now();
-    let net = load_network(args)?;
-    let parse_wall = parse_start.elapsed();
-    let opts = options(args)?;
-    let jobs = match args.flag("jobs") {
-        Some(j) => j
-            .parse::<usize>()
-            .ok()
-            .filter(|&j| j >= 1)
-            .ok_or_else(|| format!("--jobs takes a positive integer, got `{j}`"))?,
-        None => 1,
-    };
-
-    let mut trace = SynthTrace::new();
-    trace.push(StageRecord {
-        stage: "parse",
-        machine: None,
-        wall: parse_wall,
-        counters: vec![(
-            "modules".to_owned(),
-            MetricValue::Int(net.cfsms().len() as u64),
-        )],
-    });
-    let (result, synth_trace) =
-        match synthesize_network_staged(&net, &opts, &RtosConfig::default(), jobs) {
-            Ok(r) => r,
+fn synth(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), String> {
+    let result =
+        match synthesize_network_staged(net, &opts.synth, &RtosConfig::default(), opts.jobs) {
+            Ok((result, synth_trace)) => {
+                trace.extend(synth_trace);
+                result
+            }
             Err(failure) => {
-                // Flush the partial trace before reporting the abort, so
-                // an interrupted run still leaves its instrumentation.
                 trace.extend(failure.trace);
-                if let Some(trace_path) = args.flag("trace") {
-                    std::fs::write(trace_path, trace.to_json())
-                        .map_err(|e| format!("cannot write `{trace_path}`: {e}"))?;
-                    eprintln!("polis: wrote partial trace to {trace_path}");
-                }
-                return Err(failure.error.to_string());
+                return Err(abort(opts, &trace, failure.error));
             }
         };
-    trace.extend(synth_trace);
 
-    let out_dir = PathBuf::from(args.flag("o").unwrap_or("."));
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| format!("cannot create `{}`: {e}", out_dir.display()))?;
+    std::fs::create_dir_all(&opts.out_dir)
+        .map_err(|e| format!("cannot create `{}`: {e}", opts.out_dir.display()))?;
     let write = |name: &str, content: &str| -> Result<(), String> {
-        let p = out_dir.join(name);
+        let p = opts.out_dir.join(name);
         std::fs::write(&p, content).map_err(|e| format!("cannot write `{}`: {e}", p.display()))?;
         println!("wrote {}", p.display());
         Ok(())
     };
-    write("polis_rtos.h", &emit_network_header(&net))?;
+    write("polis_rtos.h", &emit_network_header(net))?;
     write("rtos.c", &result.rtos_c)?;
     for (m, r) in net.cfsms().iter().zip(&result.machines) {
         write(&format!("{}.c", m.name()), &r.c_code)?;
     }
-    if let Some(trace_path) = args.flag("trace") {
-        std::fs::write(trace_path, trace.to_json())
-            .map_err(|e| format!("cannot write `{trace_path}`: {e}"))?;
-        println!("wrote {trace_path}");
+    if let Some(path) = write_trace(opts, &trace)? {
+        println!("wrote {path}");
     }
     println!();
-    cost_table(&net, &result);
+    cost_table(net, &result);
     if let Some(report) = &result.verify {
         println!();
         print!("{}", report.render());
-        if opts.verify_refine_estimates {
+        if opts.synth.verify_refine_estimates {
             for (m, r) in net.cfsms().iter().zip(&result.machines) {
                 if let Some(reach) = r.max_cycles_reach_aware {
                     println!(
@@ -358,21 +401,32 @@ fn synth(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn verify_cmd(args: &Args) -> Result<(), String> {
-    let (_, spec) = load_spec(args)?;
-    let net = &spec.network;
-    let vopts = verify_options(args)?;
-    if !args.has("props") {
-        let report = verify_network(net, &vopts).map_err(|e| e.to_string())?;
-        print!("{}", report.render());
-        println!(
-            "verification took {:?} ({} iterations)",
-            report.stats.wall, report.stats.iterations
-        );
-        return Ok(());
+/// Runs the verify stage alone (no calibration) and writes the trace:
+/// the parse record, then the `verify` record.
+fn verified(
+    net: &Network,
+    props: Option<&[Property]>,
+    opts: &Options,
+    mut trace: SynthTrace,
+) -> Result<polis::core::Verified, String> {
+    let mut ctx = SynthCtx::uncalibrated(&opts.synth);
+    let result = verify_staged(&mut ctx, net, props);
+    trace.extend(ctx.into_trace());
+    let v = result.map_err(|error| abort(opts, &trace, error))?;
+    if let Some(path) = write_trace(opts, &trace)? {
+        println!("wrote {path}");
     }
-    let (report, props) =
-        verify_with_props(net, &spec.properties, &vopts).map_err(|e| e.to_string())?;
+    Ok(v)
+}
+
+fn verify_cmd(
+    net: &Network,
+    props: &[Property],
+    opts: &Options,
+    trace: SynthTrace,
+) -> Result<(), String> {
+    let v = verified(net, opts.props.then_some(props), opts, trace)?;
+    let report = &v.report;
     print!("{}", report.render());
     if let Some(trace) = report.deadlock.as_ref().and_then(|w| w.trace.as_ref()) {
         println!("deadlock trace ({} steps):", trace.len());
@@ -384,35 +438,34 @@ fn verify_cmd(args: &Args) -> Result<(), String> {
         "verification took {:?} ({} iterations)",
         report.stats.wall, report.stats.iterations
     );
-    print!("{}", props.render(net));
+    if let Some(props) = &v.props {
+        print!("{}", props.render(net));
+    }
     Ok(())
 }
 
-fn prop_cmd(args: &Args) -> Result<(), String> {
-    let (path, spec) = load_spec(args)?;
-    let net = &spec.network;
+fn prop_cmd(path: &str, spec: &Spec, opts: &Options, trace: SynthTrace) -> Result<(), String> {
     if spec.properties.is_empty() {
         return Err(format!("`{path}` declares no properties block"));
     }
-    let vopts = verify_options(args)?;
-    let (report, props) =
-        verify_with_props(net, &spec.properties, &vopts).map_err(|e| e.to_string())?;
+    let net = &spec.network;
+    let v = verified(net, Some(&spec.properties), opts, trace)?;
+    let props = v.props.expect("a suite was checked");
     print!("{}", props.render(net));
     println!(
         "checked {} properties in {:?} ({} reachable-set iterations, {} rings, {} preimage nodes)",
         props.checked,
-        report.stats.wall + props.wall,
-        report.stats.iterations,
+        v.report.stats.wall + props.wall,
+        v.report.stats.iterations,
         props.rings_stored,
         props.preimage_nodes
     );
     Ok(())
 }
 
-fn estimate_cmd(args: &Args) -> Result<(), String> {
-    let net = load_network(args)?;
-    let opts = options(args)?;
-    let result = synthesize_network(&net, &opts, &RtosConfig::default());
+fn estimate_cmd(net: &Network, opts: &Options) -> Result<(), String> {
+    let (result, _) = synthesize_network_staged(net, &opts.synth, &RtosConfig::default(), 1)
+        .map_err(|failure| failure.error.to_string())?;
     println!(
         "{:<14} {:>8} {:>8} {:>7} | {:>9} {:>9} {:>7}",
         "module", "est[B]", "meas[B]", "err%", "est[cyc]", "meas[cyc]", "err%"
@@ -461,24 +514,10 @@ fn parse_stimuli(path: &str) -> Result<Vec<Stimulus>, String> {
     Ok(out)
 }
 
-fn sim(args: &Args) -> Result<(), String> {
-    let net = load_network(args)?;
-    let stim_path = args.flag("stim").ok_or("sim requires --stim <file>")?;
+fn sim(net: &Network, opts: &Options) -> Result<(), String> {
+    let stim_path = opts.stim.as_deref().ok_or("sim requires --stim <file>")?;
     let stim = parse_stimuli(stim_path)?;
-    let mut config = RtosConfig::default();
-    if let Some(target) = args.flag("target") {
-        config.profile = parse_target(target)?;
-    }
-    if let Some(policy) = args.flag("policy") {
-        config.policy = match policy {
-            "rr" => SchedulingPolicy::RoundRobin,
-            "prio" => SchedulingPolicy::StaticPriority {
-                priorities: (0..net.cfsms().len() as u32).collect(),
-            },
-            other => return Err(format!("unknown policy `{other}`")),
-        };
-    }
-    let mut sim = Simulator::build(&net, config);
+    let mut sim = Simulator::build(net, opts.rtos.clone());
     sim.run(&stim);
     for t in sim.trace() {
         match t.value {
@@ -494,22 +533,12 @@ fn sim(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn fmt(args: &Args) -> Result<(), String> {
-    let (_, spec) = load_spec(args)?;
-    print!("{}", emit_spec_source(&spec.network, &spec.properties));
-    Ok(())
-}
-
-fn dot(args: &Args) -> Result<(), String> {
-    let net = load_network(args)?;
-    let opts = options(args)?;
+fn dot(net: &Network, opts: &Options) -> Result<(), String> {
     for m in net.cfsms() {
-        if let Some(only) = args.flag("module") {
-            if m.name() != only {
-                continue;
-            }
+        if opts.module.as_deref().is_some_and(|only| m.name() != only) {
+            continue;
         }
-        let r = polis::core::synthesize(m, &opts);
+        let r = polis::core::synthesize(m, &opts.synth);
         println!("{}", r.graph.to_dot());
     }
     Ok(())

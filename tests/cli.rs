@@ -394,3 +394,94 @@ fn style_and_target_flags_change_output() {
         .unwrap();
     assert!(!bad.status.success());
 }
+
+#[test]
+fn unknown_flags_are_rejected_on_every_subcommand() {
+    let dir = tmpdir("unknown_flag");
+    let spec = write(&dir, "pp.pol", &format!("{SPEC}\n{PROPS}"));
+    for command in ["synth", "estimate", "sim", "verify", "prop", "dot", "fmt"] {
+        let out = bin().args([command, &spec, "--bogus"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{command} accepted --bogus");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown flag `--bogus`"),
+            "{command}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn value_flags_need_a_value_and_commands_reject_flags_they_do_not_read() {
+    let dir = tmpdir("flag_table");
+    let spec = write(&dir, "pp.pol", SPEC);
+    let trailing = bin()
+        .args(["verify", &spec, "--node-budget"])
+        .output()
+        .unwrap();
+    assert_eq!(trailing.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&trailing.stderr).contains("--node-budget"));
+
+    for args in [
+        ["verify", spec.as_str(), "--jobs", "2"].as_slice(),
+        ["estimate", spec.as_str(), "--verify"].as_slice(),
+    ] {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("does not take"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn verify_trace_holds_parse_then_verify_stage() {
+    let dir = tmpdir("verify_trace");
+    let spec = write(&dir, "ppp.pol", &format!("{SPEC}\n{PROPS}"));
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args(["verify", &spec, "--props", "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&trace).unwrap();
+    let parse = json.find("\"stage\": \"parse\"").expect("parse stage");
+    let verify = json.find("\"stage\": \"verify\"").expect("verify stage");
+    assert!(parse < verify, "{json}");
+    for counter in ["iterations", "reached_states", "properties_checked"] {
+        assert!(
+            json[verify..].contains(&format!("\"{counter}\":")),
+            "missing {counter}: {json}"
+        );
+    }
+
+    // A budget abort still flushes the partial trace, ending in the
+    // aborted verify stage.
+    let partial = dir.join("partial.json");
+    let out = bin()
+        .args(["prop", &spec, "--node-budget", "2", "--trace"])
+        .arg(&partial)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("wrote partial trace"), "{stderr}");
+    let json = std::fs::read_to_string(&partial).unwrap();
+    assert!(json.contains("\"stage\": \"verify\""), "{json}");
+}
+
+#[test]
+fn readme_lists_exactly_the_usage_text() {
+    let out = bin().arg("help").output().unwrap();
+    assert!(out.status.success());
+    let usage = String::from_utf8_lossy(&out.stdout);
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
+    assert!(
+        readme.contains(usage.trim_end()),
+        "README.md is missing the current `polis help` text:\n{usage}"
+    );
+}

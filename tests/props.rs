@@ -5,7 +5,7 @@
 //! property's expression.
 
 use polis::cfsm::Network;
-use polis::core::{random, verify_properties_staged, workloads, SynthesisOptions};
+use polis::core::{random, verify_staged, workloads, SynthCtx, SynthesisOptions};
 use polis::lang::{parse_properties, parse_spec, PropExpr, PropKind, Property, Span};
 use polis::verify::{verify_with_props, CexTrace, PropReport, VerifyOptions};
 
@@ -117,16 +117,19 @@ fn staged_prop_checking_records_counters() {
     let net = workloads::seat_belt();
     let suite = workloads::property_suite(net.name());
     let props = parse_properties(&net, suite).unwrap();
-    let (report, pr, trace) =
-        verify_properties_staged(&net, &props, &SynthesisOptions::default()).unwrap();
+    let opts = SynthesisOptions::default();
+    let mut ctx = SynthCtx::uncalibrated(&opts);
+    let verified = verify_staged(&mut ctx, &net, Some(&props)).unwrap();
+    let pr = verified.props.expect("a suite was checked");
     assert_eq!(pr.checked, 3);
     assert_eq!(pr.violations, 1);
-    assert!(report.stats.reached_states.is_some());
+    assert!(verified.report.stats.reached_states.is_some());
+    let trace = ctx.into_trace();
     let stage = trace
         .records()
         .iter()
-        .find(|r| r.stage == "prop")
-        .expect("a `prop` stage record");
+        .find(|r| r.stage == "verify")
+        .expect("a `verify` stage record");
     let count = |name: &str| {
         stage
             .counters

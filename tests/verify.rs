@@ -202,7 +202,7 @@ fn token_ring() -> Network {
 fn reach_invariant_tightens_worker_bound_on_token_ring() {
     let net = token_ring();
     let opts = SynthesisOptions {
-        verify: true,
+        verify: Some(VerifyOptions::default()),
         verify_refine_estimates: true,
         ..SynthesisOptions::default()
     };
@@ -229,7 +229,7 @@ fn reach_invariant_tightens_worker_bound_on_token_ring() {
 #[test]
 fn reach_invariant_never_loosens_any_example_bound() {
     let opts = SynthesisOptions {
-        verify: true,
+        verify: Some(VerifyOptions::default()),
         verify_refine_estimates: true,
         ..SynthesisOptions::default()
     };
@@ -267,8 +267,10 @@ fn reach_invariant_never_loosens_any_example_bound() {
 fn budget_overflow_preserves_partial_trace() {
     let net = workloads::dashboard();
     let opts = SynthesisOptions {
-        verify: true,
-        verify_node_budget: 8,
+        verify: Some(VerifyOptions {
+            node_budget: 8,
+            ..VerifyOptions::default()
+        }),
         ..SynthesisOptions::default()
     };
     let failure = synthesize_network_staged(&net, &opts, &RtosConfig::default(), 2)
