@@ -55,16 +55,13 @@
 //! * per-variable **open-addressing unique tables** (power-of-two capacity,
 //!   linear probing, splitmix64-mixed keys, tombstone-free backward-shift
 //!   deletion) for hash-consing;
-//! * a **direct-mapped lossy operation cache** shared by ITE and the
-//!   cofactor/quantification memos, plus a second dedicated cache for
-//!   [`Bdd::and_exists`]; both invalidated in O(1) by bumping a
-//!   generation counter (no rehash on reorder);
+//! * a **direct-mapped lossy operation cache** shared by ITE, the
+//!   cofactor/quantification memos, `constrain` and `rename`, plus a second
+//!   dedicated cache for [`Bdd::and_exists`]; both invalidated in O(1) by
+//!   bumping a generation counter (no rehash on reorder). Each operator
+//!   memoizes in exactly one of these caches and nowhere else;
 //! * a reusable **stamp buffer** for traversals (`size`, `support`, `gc`)
 //!   so marking needs no per-call set allocation;
-//! * a unified **slot-memo layer** ([`SlotMemo`]): a generation-stamped
-//!   per-node-slot memo shared by `rename`, `and_exists` and `constrain`,
-//!   probed before the persistent caches — two array reads instead of a
-//!   hash, O(1) to reset per top-level call;
 //! * **reference-count node reclamation** during sifting, so adjacent level
 //!   swaps recycle dead slots through the free-list instead of growing the
 //!   arena monotonically.
@@ -420,12 +417,6 @@ const OP_ANDEX: u32 = 8;
 /// and the interned substitution map (see [`Bdd::rename`]).
 const OP_RENAME: u32 = 9;
 
-/// At most this many distinct substitution maps are interned for the
-/// cross-call rename cache; later maps fall back to per-call memoization
-/// only. Relational-image workloads use one fixed map per machine, far
-/// below the cap.
-const RENAME_MAP_CAP: usize = 64;
-
 #[derive(Debug, Clone, Copy)]
 struct OpSlot {
     op: u32,
@@ -440,10 +431,10 @@ struct OpSlot {
 const OP_CACHE_MIN: usize = 1 << 8;
 const OP_CACHE_MAX: usize = 1 << 20;
 
-/// CUDD-style direct-mapped operation cache shared by ITE and the
-/// cofactor/quantification memos. Collisions overwrite (lossy), so capacity
-/// is bounded; a generation counter invalidates every entry in O(1) when the
-/// variable order changes.
+/// CUDD-style direct-mapped operation cache shared by ITE, the
+/// cofactor/quantification memos, `constrain` and `rename`. Collisions
+/// overwrite (lossy), so capacity is bounded; a generation counter
+/// invalidates every entry in O(1) when the variable order changes.
 #[derive(Debug, Clone)]
 struct OpCache {
     slots: Vec<OpSlot>,
@@ -612,71 +603,6 @@ impl Marks {
     }
 }
 
-/// The unified slot-memo layer: a generation-stamped memo slot per node
-/// index, shared (as three independent instances) by [`Bdd::rename`],
-/// [`Bdd::and_exists`] and [`Bdd::constrain`]. Each pass is O(1) to begin
-/// and probes are a couple of dense array reads instead of a hash lookup.
-///
-/// The slot index is the recursion operand's arena index, which always
-/// precedes `begin`'s bound (recursion operands are cofactors of the
-/// original inputs, never freshly built results). Up to three extra key
-/// operands (`k1..k3`, unused ones pinned to [`EMPTY`]) disambiguate
-/// entries that share a slot; a slot holds one entry, so colliding keys
-/// simply overwrite — lossy is fine, the persistent [`OpCache`] layer
-/// backs every user of this memo.
-#[derive(Debug, Clone, Default)]
-struct SlotMemo {
-    stamp: Vec<u32>,
-    k1: Vec<NodeRef>,
-    k2: Vec<NodeRef>,
-    k3: Vec<NodeRef>,
-    val: Vec<NodeRef>,
-    gen: u32,
-}
-
-impl SlotMemo {
-    /// Begins a fresh pass able to memoize node indices `< n`.
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.k1.resize(n, EMPTY);
-            self.k2.resize(n, EMPTY);
-            self.k3.resize(n, EMPTY);
-            self.val.resize(n, NodeRef::FALSE);
-        }
-        if self.gen == u32::MAX {
-            self.gen = 1;
-            for s in &mut self.stamp {
-                *s = 0;
-            }
-        } else {
-            self.gen += 1;
-        }
-    }
-
-    #[inline]
-    fn get(&self, slot: usize, a: NodeRef, b: NodeRef, c: NodeRef) -> Option<NodeRef> {
-        if self.stamp[slot] == self.gen
-            && self.k1[slot] == a
-            && self.k2[slot] == b
-            && self.k3[slot] == c
-        {
-            Some(self.val[slot])
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, slot: usize, a: NodeRef, b: NodeRef, c: NodeRef, r: NodeRef) {
-        self.stamp[slot] = self.gen;
-        self.k1[slot] = a;
-        self.k2[slot] = b;
-        self.k3[slot] = c;
-        self.val[slot] = r;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Manager
 // ---------------------------------------------------------------------------
@@ -707,7 +633,8 @@ pub struct Bdd {
     level_of_var: Vec<u32>,
     /// Human-readable variable names (debugging / DOT output).
     var_names: Vec<String>,
-    /// Shared ITE + cofactor/quantification operation cache.
+    /// Shared ITE + cofactor/quantification/constrain/rename operation
+    /// cache.
     cache: OpCache,
     /// Dedicated AndExists (relational-product) cache: three live node
     /// operands per key, so sharing slots with binary ops would evict the
@@ -716,15 +643,10 @@ pub struct Bdd {
     /// Scratch visited-set shared by `size`/`support`/`gc` (interior
     /// mutability so `&self` traversals stay `&self`).
     marks: RefCell<Marks>,
-    /// Unified slot-memo layer, one instance per recursive operator that
-    /// owns a top-level entry point (they can nest through `exists_cube`
-    /// etc., so they cannot share one buffer).
-    rename_memo: SlotMemo,
-    andex_memo: SlotMemo,
-    constrain_memo: SlotMemo,
-    /// Interned substitution maps (source-sorted pairs); a map's index is
-    /// the token that keys its cross-call entries in the shared cache.
-    rename_maps: Vec<Vec<(u32, u32)>>,
+    /// Interned substitution maps (source-sorted pairs) to the token that
+    /// keys their `rename` entries in the shared cache (tokens are dense,
+    /// in first-use order).
+    rename_maps: HashMap<Vec<(u32, u32)>, u32>,
     /// Per-node reference counts (rc column, indexed by arena index); only
     /// maintained while `rc_active`.
     rc: Vec<u32>,
@@ -737,9 +659,10 @@ pub struct Bdd {
     cache_lookups: u64,
     /// Operation-cache hits in `ite`.
     cache_hits: u64,
-    /// Memo probes by `restrict`/`cofactors`/`exists`/`forall`.
+    /// Shared-cache probes by `restrict`/`cofactors`/`exists`/`forall`,
+    /// the cube quantifiers and `constrain` (not `ite` or `rename`).
     memo_lookups: u64,
-    /// Memo hits by the same.
+    /// Shared-cache hits by the same.
     memo_hits: u64,
     /// Adjacent-level swaps performed (by `swap_levels`, hence by sifting).
     swap_count: u64,
@@ -749,9 +672,9 @@ pub struct Bdd {
     peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`/`cofactors` traversals.
     op_visits: u64,
-    /// Slot-memo + dedicated-cache probes by `and_exists`.
+    /// Dedicated-cache probes by `and_exists`.
     andex_lookups: u64,
-    /// Slot-memo + dedicated-cache hits by `and_exists`.
+    /// Dedicated-cache hits by `and_exists`.
     andex_hits: u64,
     /// Top-level `exists_cube`/`forall_cube` invocations.
     cube_quant_calls: u64,
@@ -779,9 +702,10 @@ pub struct BddStats {
     pub unique_probes: u64,
     /// Valid cache entries overwritten by a colliding key (lossy cache).
     pub cache_evictions: u64,
-    /// Memo probes by `restrict`/`cofactors`/`exists`/`forall`.
+    /// Shared-cache probes by `restrict`/`cofactors`/`exists`/`forall`,
+    /// the cube quantifiers and `constrain` (not `ite` or `rename`).
     pub memo_lookups: u64,
-    /// Memo hits by the same.
+    /// Shared-cache hits by the same.
     pub memo_hits: u64,
     /// Nodes returned to the free-list by `gc` or sifting reclamation.
     pub reclaimed_nodes: u64,
@@ -789,9 +713,9 @@ pub struct BddStats {
     pub peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`/`cofactors` traversals.
     pub op_visits: u64,
-    /// Slot-memo + dedicated-cache probes by `and_exists`.
+    /// Dedicated-cache probes by `and_exists`.
     pub andex_lookups: u64,
-    /// Slot-memo + dedicated-cache hits by `and_exists`.
+    /// Dedicated-cache hits by `and_exists`.
     pub andex_hits: u64,
     /// Top-level `exists_cube`/`forall_cube` invocations.
     pub cube_quant_calls: u64,
@@ -808,7 +732,7 @@ impl BddStats {
         }
     }
 
-    /// Hit rate of the AndExists memo layers in `[0, 1]`; zero when no
+    /// Hit rate of the dedicated AndExists cache in `[0, 1]`; zero when no
     /// lookups have happened.
     pub fn andex_hit_rate(&self) -> f64 {
         if self.andex_lookups == 0 {
@@ -889,10 +813,7 @@ impl Bdd {
             cache: OpCache::new(),
             andex: OpCache::new(),
             marks: RefCell::new(Marks::default()),
-            rename_memo: SlotMemo::default(),
-            andex_memo: SlotMemo::default(),
-            constrain_memo: SlotMemo::default(),
-            rename_maps: Vec::new(),
+            rename_maps: HashMap::new(),
             rc: Vec::new(),
             rc_active: false,
             mk_calls: 0,
@@ -1566,8 +1487,7 @@ impl Bdd {
     /// This is the image-computation workhorse: the intermediate conjunct of
     /// a frontier with a transition-relation part is typically far larger
     /// than either operand or the result, and this operator never builds it.
-    /// Results are memoized per call in the unified slot-memo layer and
-    /// across calls in a dedicated cache (see [`BddStats`]'s
+    /// Results are memoized in a dedicated cache (see [`BddStats`]'s
     /// `andex_lookups`/`andex_hits`) so relational products do not evict the
     /// ITE working set. `cube` must be a positive cube.
     ///
@@ -1584,20 +1504,10 @@ impl Bdd {
         if f.is_true() {
             return self.exists_cube(g, cube);
         }
-        let mut memo = std::mem::take(&mut self.andex_memo);
-        memo.begin(self.var_col.len());
-        let r = self.and_exists_rec(f, g, cube, &mut memo);
-        self.andex_memo = memo;
-        r
+        self.and_exists_rec(f, g, cube)
     }
 
-    fn and_exists_rec(
-        &mut self,
-        f: NodeRef,
-        g: NodeRef,
-        cube: NodeRef,
-        memo: &mut SlotMemo,
-    ) -> NodeRef {
+    fn and_exists_rec(&mut self, f: NodeRef, g: NodeRef, cube: NodeRef) -> NodeRef {
         if f.is_false() || g.is_false() || f == g.complement() {
             return NodeRef::FALSE;
         }
@@ -1624,17 +1534,9 @@ impl Bdd {
             debug_assert!(cube.is_true(), "cube must not be the zero function");
             return self.and(f, g);
         }
-        // Slot memo first (two dense reads), dedicated cache second. The
-        // slot is f's arena index; k3 carries f itself so a complemented f
-        // cannot alias its regular twin in the same slot.
         self.andex_lookups += 1;
-        if let Some(r) = memo.get(f.idx(), g, cube, f) {
-            self.andex_hits += 1;
-            return r;
-        }
         if let Some(r) = self.andex.lookup(OP_ANDEX, f, g, cube) {
             self.andex_hits += 1;
-            memo.insert(f.idx(), g, cube, f, r);
             return r;
         }
         self.op_visits += 1;
@@ -1643,20 +1545,19 @@ impl Bdd {
         let (g0, g1) = self.cofactors_at(g, v);
         let r = if self.level_of_node(cube) == top {
             let rest = self.hi_col[cube.idx()];
-            let t = self.and_exists_rec(f1, g1, rest, memo);
+            let t = self.and_exists_rec(f1, g1, rest);
             if t.is_true() {
                 NodeRef::TRUE
             } else {
-                let e = self.and_exists_rec(f0, g0, rest, memo);
+                let e = self.and_exists_rec(f0, g0, rest);
                 self.or(t, e)
             }
         } else {
-            let t = self.and_exists_rec(f1, g1, cube, memo);
-            let e = self.and_exists_rec(f0, g0, cube, memo);
+            let t = self.and_exists_rec(f1, g1, cube);
+            let e = self.and_exists_rec(f0, g0, cube);
             self.mk(v, e, t)
         };
         self.andex.insert(OP_ANDEX, f, g, cube, r);
-        memo.insert(f.idx(), g, cube, f, r);
         r
     }
 
@@ -1672,14 +1573,10 @@ impl Bdd {
         if c.is_false() {
             return NodeRef::FALSE;
         }
-        let mut memo = std::mem::take(&mut self.constrain_memo);
-        memo.begin(self.var_col.len());
-        let r = self.constrain_rec(f, c, &mut memo);
-        self.constrain_memo = memo;
-        r
+        self.constrain_rec(f, c)
     }
 
-    fn constrain_rec(&mut self, f: NodeRef, c: NodeRef, memo: &mut SlotMemo) -> NodeRef {
+    fn constrain_rec(&mut self, f: NodeRef, c: NodeRef) -> NodeRef {
         if c.is_true() || f.is_terminal() {
             return f;
         }
@@ -1701,32 +1598,25 @@ impl Bdd {
         // *generalized* cofactor).
         if c0.is_false() {
             let (_, f1) = self.cofactors_at(fr, v);
-            let r = self.constrain_rec(f1, c1, memo);
+            let r = self.constrain_rec(f1, c1);
             return r.xor_parity(p);
         }
         if c1.is_false() {
             let (f0, _) = self.cofactors_at(fr, v);
-            let r = self.constrain_rec(f0, c0, memo);
+            let r = self.constrain_rec(f0, c0);
             return r.xor_parity(p);
         }
-        // Slot memo first, shared persistent cache second.
         self.memo_lookups += 1;
-        if let Some(r) = memo.get(fr.idx(), c, EMPTY, EMPTY) {
-            self.memo_hits += 1;
-            return r.xor_parity(p);
-        }
         if let Some(r) = self.cache.lookup(OP_CONSTRAIN, fr, c, EMPTY) {
             self.memo_hits += 1;
-            memo.insert(fr.idx(), c, EMPTY, EMPTY, r);
             return r.xor_parity(p);
         }
         self.op_visits += 1;
         let (f0, f1) = self.cofactors_at(fr, v);
-        let t = self.constrain_rec(f1, c1, memo);
-        let e = self.constrain_rec(f0, c0, memo);
+        let t = self.constrain_rec(f1, c1);
+        let e = self.constrain_rec(f0, c0);
         let r = self.mk(v, e, t);
         self.cache.insert(OP_CONSTRAIN, fr, c, EMPTY, r);
-        memo.insert(fr.idx(), c, EMPTY, EMPTY, r);
         r.xor_parity(p)
     }
 
@@ -1740,14 +1630,14 @@ impl Bdd {
     /// Simultaneous variable renaming: rewrites `f` with every source
     /// variable of `pairs` replaced by its target variable.
     ///
-    /// The substitution is performed bottom-up through [`Bdd::ite`], so it
-    /// is correct for any variable order — targets need not occupy the
-    /// levels of their sources. Sources must be distinct, and no target may
-    /// also appear as a source or in the support of `f` (that would capture
-    /// the renamed occurrences); the relational-image use — mapping
-    /// next-state variables onto their quantified-out current-state rails —
-    /// satisfies both by construction. Debug builds assert the
-    /// source/target sets are disjoint.
+    /// The substitution is rebuilt bottom-up in one recursion and is
+    /// correct for any variable order — targets need not occupy the levels
+    /// of their sources. Sources must be distinct, and no target may also
+    /// appear as a source or in the support of `f` (that would capture the
+    /// renamed occurrences); the relational-image use — mapping next-state
+    /// variables onto their quantified-out current-state rails — satisfies
+    /// both by construction. Debug builds assert the source/target sets are
+    /// disjoint.
     pub fn rename(&mut self, f: NodeRef, pairs: &[(Var, Var)]) -> NodeRef {
         let pairs: Vec<(Var, Var)> = pairs.iter().copied().filter(|&(s, t)| s != t).collect();
         if pairs.is_empty() || f.is_terminal() {
@@ -1770,121 +1660,50 @@ impl Bdd {
         for &(s, t) in &pairs {
             map[s.0 as usize] = t.0;
         }
-        // Cross-call caching: intern the (source-sorted) map and use its
-        // index as a token keying shared-cache entries, so subgraphs
-        // shared between successive images skip the whole rebuild. The
-        // cache's generation bump on gc/sifting invalidates these entries
-        // along with everything else.
+        // Intern the (source-sorted) map and use its id as a token keying
+        // shared-cache entries, so subgraphs shared between successive
+        // images skip the whole rebuild. Sifting's generation bump
+        // invalidates these entries along with everything else; gc keeps
+        // those whose nodes survive.
         let mut sorted = pairs.clone();
         sorted.sort_unstable_by_key(|&(s, _)| s.0);
         let sorted: Vec<(u32, u32)> = sorted.into_iter().map(|(s, t)| (s.0, t.0)).collect();
-        let token = match self.rename_maps.iter().position(|m| *m == sorted) {
-            Some(i) => Some(i as u32),
-            None if self.rename_maps.len() < RENAME_MAP_CAP => {
-                self.rename_maps.push(sorted);
-                Some(self.rename_maps.len() as u32 - 1)
-            }
-            None => None,
-        };
-        let mut memo = std::mem::take(&mut self.rename_memo);
-        memo.begin(self.var_col.len());
-        // Optimistic order-preserving rebuild: when the substitution keeps
-        // every rebuilt node strictly above its children (checked locally,
-        // which is exactly the ordered-BDD invariant), the renamed BDD has
-        // `f`'s shape and plain `mk` per node suffices — no `ite`. The
-        // relational-image rename (next-state rails onto their
-        // quantified-out current-state neighbours) is order-preserving by
-        // construction, and group-constrained sifting keeps it so. On a
-        // violation the rebuild bails out to the general `ite`-based path;
-        // memo entries from the partial attempt are correct renamed
-        // subfunctions, so the fallback reuses them.
-        let r = match self.rename_mono_rec(f, &map, token, &mut memo) {
-            Some(r) => r,
-            None => self.rename_rec(f, &map, token, &mut memo),
-        };
-        self.rename_memo = memo;
-        r
+        let next = self.rename_maps.len() as u32;
+        let token = NodeRef(*self.rename_maps.entry(sorted).or_insert(next));
+        self.rename_rec(f, &map, token)
     }
 
-    /// Order-preserving rename: rebuilds `f` bottom-up substituting the
-    /// variable labels directly. Returns `None` as soon as a substituted
-    /// node would not sit strictly above its rebuilt children — the local
-    /// ordered-BDD invariant whose node-wise validity makes the
-    /// shape-preserving rebuild correct. Renaming commutes with complement,
-    /// so the memo lives on the regular node and the operand's complement
-    /// bit transfers to the result.
-    fn rename_mono_rec(
-        &mut self,
-        f: NodeRef,
-        map: &[u32],
-        token: Option<u32>,
-        memo: &mut SlotMemo,
-    ) -> Option<NodeRef> {
-        if f.is_terminal() {
-            return Some(f);
-        }
-        let p = f.parity();
-        let fr = f.regular();
-        if let Some(r) = memo.get(fr.idx(), EMPTY, EMPTY, EMPTY) {
-            return Some(r.xor_parity(p));
-        }
-        if let Some(tok) = token {
-            if let Some(r) = self.cache.lookup(OP_RENAME, fr, EMPTY, NodeRef(tok)) {
-                memo.insert(fr.idx(), EMPTY, EMPTY, EMPTY, r);
-                return Some(r.xor_parity(p));
-            }
-        }
-        let i = fr.idx();
-        let (var, lo_raw, hi_raw) = (self.var_col[i], self.lo_col[i], self.hi_col[i]);
-        let lo = self.rename_mono_rec(lo_raw, map, token, memo)?;
-        let hi = self.rename_mono_rec(hi_raw, map, token, memo)?;
-        let v = map[var as usize];
-        let vl = self.level_of_var[v as usize];
-        for child in [lo, hi] {
-            if !child.is_terminal() && self.level_of_var[self.var_col[child.idx()] as usize] <= vl {
-                return None;
-            }
-        }
-        let r = self.mk(v, lo, hi);
-        memo.insert(fr.idx(), EMPTY, EMPTY, EMPTY, r);
-        if let Some(tok) = token {
-            self.cache.insert(OP_RENAME, fr, EMPTY, NodeRef(tok), r);
-        }
-        Some(r.xor_parity(p))
-    }
-
-    fn rename_rec(
-        &mut self,
-        f: NodeRef,
-        map: &[u32],
-        token: Option<u32>,
-        memo: &mut SlotMemo,
-    ) -> NodeRef {
+    /// Rebuilds `f` under `map`, memoized in the shared cache on the regular
+    /// node and the map's `token`; renaming commutes with complement, so the
+    /// operand's complement bit transfers to the result. A node whose new
+    /// variable still sits strictly above both renamed children keeps its
+    /// shape and is built with a plain `mk` — the relational-image rename
+    /// always takes this path, since group-constrained sifting keeps each
+    /// next-state rail beside its current-state twin. Any other node is
+    /// rebuilt as `ite(v, hi, lo)`, which yields the same canonical node
+    /// whenever both forms apply.
+    fn rename_rec(&mut self, f: NodeRef, map: &[u32], token: NodeRef) -> NodeRef {
         if f.is_terminal() {
             return f;
         }
         let p = f.parity();
         let fr = f.regular();
-        if let Some(r) = memo.get(fr.idx(), EMPTY, EMPTY, EMPTY) {
+        if let Some(r) = self.cache.lookup(OP_RENAME, fr, EMPTY, token) {
             return r.xor_parity(p);
-        }
-        if let Some(tok) = token {
-            if let Some(r) = self.cache.lookup(OP_RENAME, fr, EMPTY, NodeRef(tok)) {
-                memo.insert(fr.idx(), EMPTY, EMPTY, EMPTY, r);
-                return r.xor_parity(p);
-            }
         }
         let i = fr.idx();
         let (var, lo_raw, hi_raw) = (self.var_col[i], self.lo_col[i], self.hi_col[i]);
-        let lo = self.rename_rec(lo_raw, map, token, memo);
-        let hi = self.rename_rec(hi_raw, map, token, memo);
+        let lo = self.rename_rec(lo_raw, map, token);
+        let hi = self.rename_rec(hi_raw, map, token);
         let v = map[var as usize];
-        let vf = self.var(Var(v));
-        let r = self.ite(vf, hi, lo);
-        memo.insert(fr.idx(), EMPTY, EMPTY, EMPTY, r);
-        if let Some(tok) = token {
-            self.cache.insert(OP_RENAME, fr, EMPTY, NodeRef(tok), r);
-        }
+        let vl = self.level_of_var[v as usize];
+        let r = if vl < self.level_of_node(lo) && vl < self.level_of_node(hi) {
+            self.mk(v, lo, hi)
+        } else {
+            let vf = self.var(Var(v));
+            self.ite(vf, hi, lo)
+        };
+        self.cache.insert(OP_RENAME, fr, EMPTY, token, r);
         r.xor_parity(p)
     }
 

@@ -210,8 +210,8 @@ fn order_preserving_rename_matches_the_substitution_oracle() {
 
 #[test]
 fn order_reversing_rename_matches_the_substitution_oracle() {
-    // Targets assigned in reverse, breaking level monotonicity, so the
-    // rebuild bails out to the general `ite`-based path.
+    // Targets assigned in reverse, breaking level monotonicity, so rebuilt
+    // nodes take the general `ite` branch.
     for &nvars in &VAR_COUNTS {
         for case in 0..CASES {
             let (mut bdd, vars, f, _, _) = setup(nvars, case);
@@ -225,6 +225,84 @@ fn order_reversing_rename_matches_the_substitution_oracle() {
             let expect = rename_oracle(&mut bdd, f, &pairs);
             assert_eq!(renamed, expect, "nvars={nvars} case={case}");
         }
+    }
+}
+
+#[test]
+fn rename_through_many_maps_matches_the_oracle_and_is_memoized() {
+    // Every substitution map is interned, however many one manager sees:
+    // 80 distinct maps from 4 sources into 12 fresh targets. An immediate
+    // repeat hits the root's cache entry and builds nothing; each result
+    // is then checked against the oracle.
+    let (mut bdd, vars, f, g, _) = setup(4, 3);
+    let targets: Vec<Var> = (0..12).map(|i| bdd.new_var(format!("t{i}"))).collect();
+    let mut rng = Rng::new(0x5eed_0a11);
+    let mut maps: Vec<Vec<(Var, Var)>> = Vec::new();
+    while maps.len() < 80 {
+        let mut pool = targets.clone();
+        let pairs: Vec<(Var, Var)> = vars
+            .iter()
+            .map(|&s| (s, pool.swap_remove(rng.usize(0..pool.len()))))
+            .collect();
+        if !maps.contains(&pairs) {
+            maps.push(pairs);
+        }
+    }
+    for (m, pairs) in maps.iter().enumerate() {
+        for h in [f, g] {
+            let renamed = bdd.rename(h, pairs);
+            let mk_calls = bdd.mk_calls();
+            assert_eq!(bdd.rename(h, pairs), renamed, "map {m} repeated");
+            assert_eq!(bdd.mk_calls(), mk_calls, "map {m} not memoized");
+            let expect = rename_oracle(&mut bdd, h, pairs);
+            assert_eq!(renamed, expect, "map {m}");
+        }
+    }
+}
+
+#[test]
+fn mixed_order_rename_takes_both_branches_in_one_recursion() {
+    // x0→y0 and x1→y1 keep their relative order; x2→y3 and x3→y2 swap, so
+    // the x0/x1 nodes are rebuilt with `mk` and the x2 nodes need `ite`.
+    let mut bdd = Bdd::new();
+    let x: Vec<Var> = (0..4).map(|i| bdd.new_var(format!("x{i}"))).collect();
+    let y: Vec<Var> = (0..4).map(|i| bdd.new_var(format!("y{i}"))).collect();
+    let (x0, x1, x2, x3) = (bdd.var(x[0]), bdd.var(x[1]), bdd.var(x[2]), bdd.var(x[3]));
+    let a = bdd.and(x0, x1);
+    let nx3 = bdd.not(x3);
+    let b = bdd.and(x2, nx3);
+    let f = bdd.or(a, b);
+    let preserving = [(x[0], y[0]), (x[1], y[1]), (x[2], y[2]), (x[3], y[3])];
+    let mixed = [(x[0], y[0]), (x[1], y[1]), (x[2], y[3]), (x[3], y[2])];
+
+    // Only the `ite` branch probes the ITE cache.
+    let before = bdd.stats().cache_lookups;
+    let renamed = bdd.rename(f, &preserving);
+    assert_eq!(
+        bdd.stats().cache_lookups,
+        before,
+        "order-preserving map used ite"
+    );
+    let expect = rename_oracle(&mut bdd, f, &preserving);
+    assert_eq!(renamed, expect);
+
+    let before = bdd.stats().cache_lookups;
+    let renamed = bdd.rename(f, &mixed);
+    assert!(
+        bdd.stats().cache_lookups > before,
+        "mixed map never used ite"
+    );
+    let expect = rename_oracle(&mut bdd, f, &mixed);
+    assert_eq!(renamed, expect);
+    assert_eq!(bdd.node_var(renamed), Some(y[0]));
+
+    // The same map over random functions of all four sources.
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xa11ce ^ case);
+        let h = gen_fn(&mut rng, &mut bdd, &x, 4);
+        let renamed = bdd.rename(h, &mixed);
+        let expect = rename_oracle(&mut bdd, h, &mixed);
+        assert_eq!(renamed, expect, "case={case}");
     }
 }
 

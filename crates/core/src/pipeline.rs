@@ -351,6 +351,10 @@ fn stage_verify(
     ctx.count("constrain_calls", stats.constrain_calls);
     ctx.count("constrain_reduced_nodes", stats.constrain_reduced_nodes);
     ctx.count("mid_reach_reorders", stats.mid_reach_reorders);
+    ctx.count("collections", stats.mid_reach_collections);
+    for (phase, time) in stats.phases.named() {
+        ctx.ratio(&format!("phase_{phase}_ms"), time.as_secs_f64() * 1e3);
+    }
     let incompats = if ctx.opts.verify_refine_estimates {
         (0..net.cfsms().len())
             .map(|i| v.presence_incompats(i))
@@ -395,8 +399,10 @@ fn stage_verify(
 /// presence incompatibilities `--refine` feeds back into the estimates,
 /// and, when `props` is given, the property verdicts with decoded
 /// traces (onion rings are stored only then). Records the traversal
-/// counters, plus the property counters when a suite runs. Never reads
-/// cost parameters, so `ctx` may be [`SynthCtx::uncalibrated`].
+/// counters, the mid-traversal collections and one `phase_<name>_ms`
+/// time per fixpoint phase, plus the property counters when a suite
+/// runs. Never reads cost parameters, so `ctx` may be
+/// [`SynthCtx::uncalibrated`].
 ///
 /// # Errors
 ///

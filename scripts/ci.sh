@@ -86,4 +86,7 @@ check_props examples/specs/dashboard.pol \
 echo "==> verify bench smoke (sanity thresholds + deterministic regression gate)"
 ./target/release/verify --smoke --check --gate BENCH_verify.json --out /tmp/bench_verify_smoke.json
 
+echo "==> benchmark self-test (pinned verdicts, relay-chain closed form, trace replay)"
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI OK"

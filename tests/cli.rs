@@ -451,7 +451,13 @@ fn verify_trace_holds_parse_then_verify_stage() {
     let parse = json.find("\"stage\": \"parse\"").expect("parse stage");
     let verify = json.find("\"stage\": \"verify\"").expect("verify stage");
     assert!(parse < verify, "{json}");
-    for counter in ["iterations", "reached_states", "properties_checked"] {
+    for counter in [
+        "iterations",
+        "reached_states",
+        "collections",
+        "phase_union_ms",
+        "properties_checked",
+    ] {
         assert!(
             json[verify..].contains(&format!("\"{counter}\":")),
             "missing {counter}: {json}"
