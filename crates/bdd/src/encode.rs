@@ -75,18 +75,17 @@ impl MvVar {
     pub fn eq_const(&self, bdd: &mut Bdd, value: u64) -> NodeRef {
         assert!(value < self.domain, "value {value} outside domain");
         let w = self.width();
-        let lits: Vec<NodeRef> = (0..w)
-            .map(|k| {
-                let bit = value >> (w - 1 - k) & 1 == 1;
-                let v = self.bits[k];
-                if bit {
-                    bdd.var(v)
-                } else {
-                    bdd.nvar(v)
-                }
-            })
+        let mut lits: Vec<(Var, bool)> = (0..w)
+            .map(|k| (self.bits[k], value >> (w - 1 - k) & 1 == 1))
             .collect();
-        bdd.and_all(lits)
+        // Deepest bit first, as `Bdd::cube` does: each literal then lands
+        // above the partial cube, so every `and` is O(1) instead of a
+        // re-walk of the bits conjoined so far.
+        lits.sort_by_key(|&(v, _)| std::cmp::Reverse(bdd.level(v)));
+        lits.into_iter().fold(NodeRef::TRUE, |cube, (v, bit)| {
+            let lit = if bit { bdd.var(v) } else { bdd.nvar(v) };
+            bdd.and(lit, cube)
+        })
     }
 
     /// The predicate `self == other` (bitwise equality; both variables must
@@ -174,6 +173,37 @@ mod tests {
             let cube = b.pick_cube(f).unwrap();
             let assign = |var: Var| cube.iter().any(|&(cv, val)| cv == var && val);
             assert_eq!(mv.decode(assign), v);
+        }
+    }
+
+    #[test]
+    fn eq_const_equals_the_literal_conjunction() {
+        for width in 1..=6u32 {
+            let mut b = Bdd::new();
+            // A leading variable, so the bits do not start at level 0.
+            b.new_var("pad");
+            let mv = MvVar::new(&mut b, "s", 1 << width);
+            assert_eq!(mv.width(), width as usize);
+            for value in 0..1u64 << width {
+                let lits: Vec<NodeRef> = mv
+                    .bits()
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &v)| {
+                        if value >> (width as usize - 1 - k) & 1 == 1 {
+                            b.var(v)
+                        } else {
+                            b.nvar(v)
+                        }
+                    })
+                    .collect();
+                let want = b.and_all(lits);
+                assert_eq!(
+                    mv.eq_const(&mut b, value),
+                    want,
+                    "width {width}, value {value}"
+                );
+            }
         }
     }
 

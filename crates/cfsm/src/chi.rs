@@ -25,6 +25,12 @@
 //! don't-care flexibility of Section III-B2. `χ` is therefore in general an
 //! incompletely specified function; the s-graph builder resolves don't
 //! cares by emitting no assignment (the "cheapest option" in the paper).
+//!
+//! Each term of `χ` is `cond ∧ cube`: the transition's input-side
+//! condition and its output cube. Outputs are declared after inputs, so
+//! the cube is built bottom-up first (see `output_cube`) and conjoined
+//! onto the condition in one `and`, which walks the condition once per
+//! transition instead of once per output literal.
 
 use crate::machine::{Cfsm, Guard};
 use polis_bdd::encode::MvVar;
@@ -244,29 +250,19 @@ impl ReactiveFn {
             if cond.is_false() {
                 continue;
             }
-            let mut term = rf.bdd.and(cond, consume_pos);
-            for (ai, &av) in action_vars.iter().enumerate() {
-                let lit = if t.actions.contains(&ai) {
-                    rf.bdd.var(av)
-                } else {
-                    rf.bdd.nvar(av)
-                };
-                term = rf.bdd.and(term, lit);
-            }
-            if let Some(mv) = &next_ctrl {
-                let eq = mv.eq_const(&mut rf.bdd, t.to as u64);
-                term = rf.bdd.and(term, eq);
-            }
+            let next = match &next_ctrl {
+                Some(mv) => mv.eq_const(&mut rf.bdd, t.to as u64),
+                None => NodeRef::TRUE,
+            };
+            let cube = output_cube(&mut rf.bdd, consume_pos, &action_vars, &t.actions, next);
+            let term = rf.bdd.and(cond, cube);
             chi = rf.bdd.or(chi, term);
         }
         // Default: nothing fired, nothing emitted, next state unconstrained
         // (don't care — the implementation keeps the state by not writing).
-        let mut dflt = rf.bdd.not(fired);
-        dflt = rf.bdd.and(dflt, consume_neg);
-        for &av in &action_vars {
-            let lit = rf.bdd.nvar(av);
-            dflt = rf.bdd.and(dflt, lit);
-        }
+        let quiet = output_cube(&mut rf.bdd, consume_neg, &action_vars, &[], NodeRef::TRUE);
+        let not_fired = rf.bdd.not(fired);
+        let dflt = rf.bdd.and(not_fired, quiet);
         chi = rf.bdd.or(chi, dflt);
 
         rf.chi = chi;
@@ -415,6 +411,32 @@ impl ReactiveFn {
         let roots = [self.chi];
         self.bdd.sift(&roots, &config)
     }
+}
+
+/// The output cube `consume ∧ actions ∧ next` of one χ term, where
+/// `taken` lists the actions taken (every other action is negated) and
+/// `next` is the next-state cube.
+///
+/// While χ is built the outputs sit below the inputs in declaration
+/// order (consume, actions, next state), so conjoining deepest-first
+/// adds one node per literal above the partial cube.
+fn output_cube(
+    bdd: &mut Bdd,
+    consume: NodeRef,
+    actions: &[polis_bdd::Var],
+    taken: &[usize],
+    next: NodeRef,
+) -> NodeRef {
+    let mut cube = next;
+    for (ai, &av) in actions.iter().enumerate().rev() {
+        let lit = if taken.contains(&ai) {
+            bdd.var(av)
+        } else {
+            bdd.nvar(av)
+        };
+        cube = bdd.and(lit, cube);
+    }
+    bdd.and(consume, cube)
 }
 
 fn guard_to_bdd(

@@ -1,0 +1,161 @@
+//! `ReactiveFn::build` against a reference χ built the plain way: every
+//! conjunction literal by literal, in declaration order, in the same
+//! manager. Both build the same function, so a canonical BDD gives the
+//! same handle; any difference is a change in the function χ encodes.
+
+use polis_bdd::{Bdd, NodeRef, Var};
+use polis_cfsm::compose::compose;
+use polis_cfsm::{Cfsm, Guard, ReactiveFn, RfVarKind};
+use polis_core::random::{random_cfsm, RandomSpec, Rng};
+use polis_core::workloads;
+use polis_lang::parse_spec;
+
+/// The bits of the first reactive-function variable of `kind`.
+fn bits(rf: &ReactiveFn, kind: RfVarKind) -> Option<Vec<Var>> {
+    rf.inputs()
+        .iter()
+        .chain(rf.outputs())
+        .find(|v| v.kind == kind)
+        .map(|v| v.bits.clone())
+}
+
+/// `value` on MSB-first `bits`, conjoined one literal at a time from the
+/// most significant bit down.
+fn code(bdd: &mut Bdd, bits: &[Var], value: usize) -> NodeRef {
+    let w = bits.len();
+    let lits: Vec<NodeRef> = (0..w)
+        .map(|k| {
+            if value >> (w - 1 - k) & 1 == 1 {
+                bdd.var(bits[k])
+            } else {
+                bdd.nvar(bits[k])
+            }
+        })
+        .collect();
+    bdd.and_all(lits)
+}
+
+fn guard(rf: &mut ReactiveFn, g: &Guard) -> NodeRef {
+    match g {
+        Guard::True => NodeRef::TRUE,
+        Guard::False => NodeRef::FALSE,
+        Guard::Present(i) => {
+            let v = bits(rf, RfVarKind::Present { input: *i }).expect("present flag")[0];
+            rf.bdd_mut().var(v)
+        }
+        Guard::Test(i) => {
+            let v = bits(rf, RfVarKind::Test { test: *i }).expect("test variable")[0];
+            rf.bdd_mut().var(v)
+        }
+        Guard::Not(x) => {
+            let fx = guard(rf, x);
+            rf.bdd_mut().not(fx)
+        }
+        Guard::And(a, b) => {
+            let (fa, fb) = (guard(rf, a), guard(rf, b));
+            rf.bdd_mut().and(fa, fb)
+        }
+        Guard::Or(a, b) => {
+            let (fa, fb) = (guard(rf, a), guard(rf, b));
+            rf.bdd_mut().or(fa, fb)
+        }
+    }
+}
+
+/// χ of `m`, each term conjoined onto its condition one output literal at
+/// a time: consume, each action, then the next-state code.
+fn reference_chi(rf: &mut ReactiveFn, m: &Cfsm) -> NodeRef {
+    let ctrl = bits(rf, RfVarKind::Ctrl);
+    let next_ctrl = bits(rf, RfVarKind::NextCtrl);
+    let consume = bits(rf, RfVarKind::Consume).expect("consume variable")[0];
+    let actions: Vec<Var> = (0..m.actions().len())
+        .map(|action| bits(rf, RfVarKind::Action { action }).expect("action variable")[0])
+        .collect();
+
+    let mut conds = Vec::new();
+    let mut taken = vec![NodeRef::FALSE; m.states().len()];
+    for t in m.transitions() {
+        let in_state = match &ctrl {
+            Some(b) => code(rf.bdd_mut(), b, t.from),
+            None => NodeRef::TRUE,
+        };
+        let g = guard(rf, &t.guard);
+        let bdd = rf.bdd_mut();
+        let raw = bdd.and(in_state, g);
+        let not_taken = bdd.not(taken[t.from]);
+        conds.push(bdd.and(raw, not_taken));
+        taken[t.from] = bdd.or(taken[t.from], raw);
+    }
+
+    let bdd = rf.bdd_mut();
+    let fired = bdd.or_all(conds.iter().copied());
+    let mut chi = NodeRef::FALSE;
+    for (t, &cond) in m.transitions().iter().zip(&conds) {
+        let lit = bdd.var(consume);
+        let mut term = bdd.and(cond, lit);
+        for (ai, &av) in actions.iter().enumerate() {
+            let lit = if t.actions.contains(&ai) {
+                bdd.var(av)
+            } else {
+                bdd.nvar(av)
+            };
+            term = bdd.and(term, lit);
+        }
+        if let Some(b) = &next_ctrl {
+            let eq = code(bdd, b, t.to);
+            term = bdd.and(term, eq);
+        }
+        chi = bdd.or(chi, term);
+    }
+    let mut dflt = bdd.not(fired);
+    let lit = bdd.nvar(consume);
+    dflt = bdd.and(dflt, lit);
+    for &av in &actions {
+        let lit = bdd.nvar(av);
+        dflt = bdd.and(dflt, lit);
+    }
+    bdd.or(chi, dflt)
+}
+
+fn assert_same_chi(m: &Cfsm, what: &str) {
+    let mut rf = ReactiveFn::build(m);
+    let want = reference_chi(&mut rf, m);
+    assert_eq!(rf.chi(), want, "{what}: χ of `{}` differs", m.name());
+}
+
+#[test]
+fn example_specs_and_products_match_the_reference() {
+    for spec in ["simple", "seat_belt", "shock_absorber", "dashboard"] {
+        let path = format!(
+            "{}/../../examples/specs/{spec}.pol",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let net = parse_spec(spec, &src).expect("example specs parse").network;
+        for m in net.cfsms() {
+            assert_same_chi(m, spec);
+        }
+    }
+    for net in [workloads::dashboard(), workloads::shock_absorber()] {
+        let product = compose(&net).expect("the example networks compose");
+        assert_same_chi(&product, "product");
+    }
+}
+
+#[test]
+fn random_machines_match_the_reference() {
+    let mut rng = Rng::new(0x00c4_1b17);
+    for i in 0..240 {
+        let spec = RandomSpec {
+            states: rng.usize(1..7),
+            pure_inputs: rng.usize(1..4),
+            valued_inputs: rng.usize(0..3),
+            outputs: rng.usize(1..4),
+            vars: rng.usize(0..3),
+            transitions: rng.usize(1..16),
+        };
+        let seed = rng.next_u64();
+        let m = random_cfsm("rnd", &spec, seed);
+        assert_same_chi(&m, &format!("machine {i} (seed {seed:#x}, {spec:?})"));
+    }
+}

@@ -282,11 +282,11 @@ impl Parser {
             if *self.peek() == Tok::Colon {
                 self.bump();
                 let ty = self.ty()?;
-                env.valued_outputs.insert(name.clone());
                 b.output_valued(name.clone(), ty);
             } else {
                 b.output_pure(name.clone());
             }
+            env.outputs.insert(name);
             if *self.peek() == Tok::Comma {
                 self.bump();
             } else {
@@ -296,7 +296,7 @@ impl Parser {
         self.expect(Tok::Semi)
     }
 
-    fn var_decl(&mut self, b: &mut CfsmBuilder, _env: &mut ModuleEnv) -> Result<(), ParseError> {
+    fn var_decl(&mut self, b: &mut CfsmBuilder, env: &mut ModuleEnv) -> Result<(), ParseError> {
         self.expect(Tok::Var)?;
         let name = self.ident()?;
         self.expect(Tok::Colon)?;
@@ -304,6 +304,7 @@ impl Parser {
         self.expect(Tok::Assign)?;
         let init = self.int()?;
         self.expect(Tok::Semi)?;
+        env.vars.insert(name.clone());
         b.state_var(name, ty, Value::Int(init));
         Ok(())
     }
@@ -357,12 +358,23 @@ impl Parser {
         if *self.peek() == Tok::Semi {
             self.bump();
         }
+        // Resolve every target before the builder sees one: it panics on
+        // an undeclared name, and only here is the source position known.
+        for a in &actions {
+            let (declared, what) = match a.kind {
+                ActionKind::EmitPure | ActionKind::EmitValued(_) => (&env.outputs, "output"),
+                ActionKind::Assign(_) => (&env.vars, "state variable"),
+            };
+            if !declared.contains(&a.target) {
+                return Err(spanned(a.span, format!("unknown {what} `{}`", a.target)));
+            }
+        }
         let mut tb = b.transition(from, to).when(guard);
         for a in actions {
-            tb = match a {
-                ParsedAction::EmitPure(sig) => tb.emit(&sig),
-                ParsedAction::EmitValued(sig, e) => tb.emit_value(&sig, e),
-                ParsedAction::Assign(var, e) => tb.assign(&var, e),
+            tb = match a.kind {
+                ActionKind::EmitPure => tb.emit(&a.target),
+                ActionKind::EmitValued(e) => tb.emit_value(&a.target, e),
+                ActionKind::Assign(e) => tb.assign(&a.target, e),
             };
         }
         tb.done();
@@ -436,30 +448,33 @@ impl Parser {
     }
 
     fn action(&mut self, env: &mut ModuleEnv) -> Result<ParsedAction, ParseError> {
-        match self.peek().clone() {
+        let emit = match self.peek() {
             Tok::Emit => {
                 self.bump();
-                let sig = self.ident()?;
-                let action = if *self.peek() == Tok::LParen {
-                    self.bump();
-                    let e = self.expr(env)?;
-                    self.expect(Tok::RParen)?;
-                    ParsedAction::EmitValued(sig, e)
-                } else {
-                    ParsedAction::EmitPure(sig)
-                };
-                self.expect(Tok::Semi)?;
-                Ok(action)
+                true
             }
-            Tok::Ident(var) => {
-                self.bump();
-                self.expect(Tok::Assign)?;
-                let e = self.expr(env)?;
-                self.expect(Tok::Semi)?;
-                Ok(ParsedAction::Assign(var, e))
-            }
-            other => Err(self.error(format!("expected an action, found {other}"))),
-        }
+            Tok::Ident(_) => false,
+            other => return Err(self.error(format!("expected an action, found {other}"))),
+        };
+        let (line, col) = self.here();
+        let target = self.ident()?;
+        let kind = if !emit {
+            self.expect(Tok::Assign)?;
+            ActionKind::Assign(self.expr(env)?)
+        } else if *self.peek() == Tok::LParen {
+            self.bump();
+            let e = self.expr(env)?;
+            self.expect(Tok::RParen)?;
+            ActionKind::EmitValued(e)
+        } else {
+            ActionKind::EmitPure
+        };
+        self.expect(Tok::Semi)?;
+        Ok(ParsedAction {
+            target,
+            span: Span { line, col },
+            kind,
+        })
     }
 
     /// expr := cmp; cmp := sum (relop sum)?; sum := term ((+|-) term)*;
@@ -777,17 +792,28 @@ fn resolve_expr(net: &Network, e: RawExpr) -> Result<PropExpr, ParseError> {
     }
 }
 
-enum ParsedAction {
-    EmitPure(String),
-    EmitValued(String, Expr),
-    Assign(String, Expr),
+/// An action as written, its target not yet resolved against the
+/// module's declarations.
+struct ParsedAction {
+    /// The emitted output or the assigned state variable.
+    target: String,
+    /// Where `target` is written.
+    span: Span,
+    kind: ActionKind,
+}
+
+enum ActionKind {
+    EmitPure,
+    EmitValued(Expr),
+    Assign(Expr),
 }
 
 #[derive(Default)]
 struct ModuleEnv {
     inputs: Vec<String>,
     valued_inputs: std::collections::BTreeSet<String>,
-    valued_outputs: std::collections::BTreeSet<String>,
+    outputs: std::collections::BTreeSet<String>,
+    vars: std::collections::BTreeSet<String>,
     states: HashMap<String, StateId>,
     tests: HashMap<Expr, TestId>,
 }

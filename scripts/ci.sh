@@ -30,6 +30,19 @@ for spec in examples/specs/*.pol; do
     || { echo "FAIL: $spec synthesis output differs between --jobs 1 and --jobs 4"; exit 1; }
 done
 
+echo "==> paper harnesses: every shape-check verdict matches scripts/harness_verdicts.txt"
+# A verdict that flips either way fails, including the VIOLATED lines of
+# the open Table III / granularity regression (ROADMAP.md, first item).
+verdicts=/tmp/polis_ci_harness_verdicts.txt
+: >"$verdicts"
+for bin in table1 table2 table3 granularity schedulability shock_absorber \
+  ablation_buffering ablation_collapse falsepath; do
+  ./target/release/"$bin" >"/tmp/polis_ci_harness_$bin.txt"
+  sed -nE "/HOLDS|VIOLATED/s/^[[:space:]]*/$bin: /p" "/tmp/polis_ci_harness_$bin.txt" >>"$verdicts"
+done
+grep -v '^#' scripts/harness_verdicts.txt | diff - "$verdicts" \
+  || { echo "FAIL: harness verdicts differ from scripts/harness_verdicts.txt"; exit 1; }
+
 echo "==> symbolic verification of the example networks"
 for spec in examples/specs/*.pol; do
   echo "--- polis verify $spec"

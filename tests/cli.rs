@@ -395,6 +395,39 @@ fn style_and_target_flags_change_output() {
     assert!(!bad.status.success());
 }
 
+/// An action naming an undeclared output or state variable is a spanned
+/// parse error on every command that reads a spec, never a panic.
+#[test]
+fn undeclared_action_targets_are_spanned_errors() {
+    let dir = tmpdir("action_target");
+    let simple = std::fs::read_to_string("examples/specs/simple.pol").unwrap();
+    for (from, to, target, message) in [
+        ("emit y;", "emit z;", "z;", "unknown output `z`"),
+        (
+            "{ a := 0;",
+            "{ b := 0;",
+            "b :=",
+            "unknown state variable `b`",
+        ),
+    ] {
+        assert!(simple.contains(from), "simple.pol has no `{from}`");
+        let src = simple.replacen(from, to, 1);
+        let spec = write(&dir, "bad.pol", &src);
+        let at = src.find(to).unwrap() + to.find(target).unwrap();
+        let line = src[..at].matches('\n').count() + 1;
+        let col = at - src[..at].rfind('\n').map_or(0, |nl| nl + 1) + 1;
+        let want = format!("{line}:{col}: {message}");
+        // The spec fails to parse, so `synth` writes nothing.
+        for command in ["verify", "synth", "fmt"] {
+            let out = bin().args([command, &spec]).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} `{to}`: {stderr}");
+            assert!(stderr.contains(&want), "{command} `{to}`: {stderr}");
+            assert!(!stderr.contains("panicked"), "{command} `{to}`: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn unknown_flags_are_rejected_on_every_subcommand() {
     let dir = tmpdir("unknown_flag");

@@ -1,0 +1,109 @@
+//! Golden digests of the generated C: every machine's C followed by the
+//! RTOS C, for the four example specs and the two composed products, on
+//! both target profiles.
+//!
+//! A change to χ construction, sifting, the s-graph builder or the code
+//! generator that keeps the generated C byte-identical leaves these
+//! digests alone. A digest that moves means the emitted code changed,
+//! which must be deliberate and explained where the digest is updated.
+
+use polis::cfsm::compose::compose;
+use polis::cfsm::Network;
+use polis::core::{synthesize_network_staged, workloads, SynthesisOptions};
+use polis::lang::parse_spec;
+use polis::rtos::RtosConfig;
+use polis::vm::Profile;
+
+/// FNV-1a, 64-bit: a fixed, platform-independent digest.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The network a subject names: an example spec or a composed product.
+fn subject(name: &str) -> Network {
+    match name {
+        "dashboard_product" => single(workloads::dashboard()),
+        "shock_absorber_product" => single(workloads::shock_absorber()),
+        spec => {
+            let path = format!("{}/examples/specs/{spec}.pol", env!("CARGO_MANIFEST_DIR"));
+            let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            parse_spec(spec, &src).expect("example specs parse").network
+        }
+    }
+}
+
+fn single(net: Network) -> Network {
+    let product = compose(&net).expect("the example networks compose");
+    Network::new(product.name().to_owned(), vec![product]).expect("a single machine is a network")
+}
+
+/// Digest of the C `polis synth` writes for `net` on `profile`.
+fn c_digest(net: &Network, profile: Profile) -> u64 {
+    let opts = SynthesisOptions {
+        profile,
+        ..SynthesisOptions::default()
+    };
+    let rtos = RtosConfig {
+        profile,
+        ..RtosConfig::default()
+    };
+    let (syn, _) = synthesize_network_staged(net, &opts, &rtos, 1).expect("subjects synthesize");
+    let mut all = String::new();
+    for m in &syn.machines {
+        all.push_str(&m.c_code);
+    }
+    all.push_str(&syn.rtos_c);
+    fnv1a64(all.as_bytes())
+}
+
+/// (subject, profile, digest of machine C + RTOS C).
+///
+/// The profile sets object-code costs, not the C, so each subject has
+/// one digest on both profiles; a profile leaking into the C would split
+/// them.
+///
+/// The `dashboard_product` digests pin the composed dashboard as it is
+/// emitted today, which is the code behind the open Table III regression
+/// (see ROADMAP.md). They will change deliberately when that is fixed.
+const GOLDEN: [(&str, Profile, u64); 12] = [
+    ("simple", Profile::Mcu8, 0xf0c2_3466_3f58_6c3f),
+    ("simple", Profile::Risc32, 0xf0c2_3466_3f58_6c3f),
+    ("seat_belt", Profile::Mcu8, 0xd450_700f_377f_0417),
+    ("seat_belt", Profile::Risc32, 0xd450_700f_377f_0417),
+    ("shock_absorber", Profile::Mcu8, 0xf8ee_7005_13b4_f885),
+    ("shock_absorber", Profile::Risc32, 0xf8ee_7005_13b4_f885),
+    ("dashboard", Profile::Mcu8, 0x8488_b454_3b1e_0eb2),
+    ("dashboard", Profile::Risc32, 0x8488_b454_3b1e_0eb2),
+    ("dashboard_product", Profile::Mcu8, 0x95bc_1d7a_be6f_ad7b),
+    ("dashboard_product", Profile::Risc32, 0x95bc_1d7a_be6f_ad7b),
+    (
+        "shock_absorber_product",
+        Profile::Mcu8,
+        0x73d6_47af_7987_9961,
+    ),
+    (
+        "shock_absorber_product",
+        Profile::Risc32,
+        0x73d6_47af_7987_9961,
+    ),
+];
+
+#[test]
+fn generated_c_matches_golden_digests() {
+    let mut wrong = Vec::new();
+    for (name, profile, want) in GOLDEN {
+        let got = c_digest(&subject(name), profile);
+        if got != want {
+            wrong.push(format!(
+                "{name} {profile:?}: got {got:#018x}, want {want:#018x}"
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "generated C changed:\n{}",
+        wrong.join("\n")
+    );
+}
