@@ -389,6 +389,36 @@ impl UniqueTable {
         }
     }
 
+    /// Moves every entry whose `(lo, hi)` satisfies `take` into `taken` as
+    /// `(node, lo, hi)` and rehashes the rest at the same capacity, using
+    /// `kept` as scratch. One pass over the slots replaces a
+    /// probe-and-shift [`UniqueTable::remove`] per taken entry.
+    fn drain_where(
+        &mut self,
+        mut take: impl FnMut(NodeRef, NodeRef) -> bool,
+        taken: &mut Vec<(NodeRef, NodeRef, NodeRef)>,
+        kept: &mut Vec<UniqueSlot>,
+    ) {
+        if self.len == 0 {
+            return;
+        }
+        kept.clear();
+        for s in &mut self.slots {
+            if s.node != EMPTY {
+                if take(s.lo, s.hi) {
+                    taken.push((s.node, s.lo, s.hi));
+                } else {
+                    kept.push(*s);
+                }
+                *s = VACANT;
+            }
+        }
+        self.len = 0;
+        for &s in kept.iter() {
+            self.insert_rehash(s);
+        }
+    }
+
     /// Iterates live entries as `(lo, hi, node)` in slot order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeRef, NodeRef, NodeRef)> + '_ {
         self.slots
@@ -653,6 +683,12 @@ pub struct Bdd {
     /// Whether sifting-time reference counting (and with it immediate dead
     /// node reclamation in `swap_levels`) is on.
     rc_active: bool,
+    /// Reused work stack of `rc_release` cascades.
+    release_stack: Vec<NodeRef>,
+    /// Reused `swap_levels` buffers: the x-nodes that interact with y, as
+    /// `(node, lo, hi)`, and the x-table entries kept while draining.
+    interacting: Vec<(NodeRef, NodeRef, NodeRef)>,
+    kept: Vec<UniqueSlot>,
     /// Total `mk` calls; a rough work counter exposed for benchmarks.
     mk_calls: u64,
     /// Operation-cache probes in `ite` (excluding terminal short-circuits).
@@ -666,6 +702,8 @@ pub struct Bdd {
     memo_hits: u64,
     /// Adjacent-level swaps performed (by `swap_levels`, hence by sifting).
     swap_count: u64,
+    /// x-nodes rebuilt by those swaps (the ones that depend on y).
+    swap_rewrites: u64,
     /// Nodes returned to the free-list by `gc` or by sifting reclamation.
     reclaimed_nodes: u64,
     /// High-water mark of allocated (live) nodes.
@@ -692,6 +730,9 @@ pub struct BddStats {
     pub cache_hits: u64,
     /// Adjacent-level swaps performed by reordering.
     pub swap_count: u64,
+    /// Nodes rebuilt by those swaps: the upper variable's nodes that depend
+    /// on the lower one. Independent of table layout.
+    pub swap_rewrites: u64,
     /// Live entries across the per-variable unique tables.
     pub unique_entries: u64,
     /// Valid entries currently in the operation cache.
@@ -760,6 +801,7 @@ impl BddStats {
             cache_lookups: self.cache_lookups + other.cache_lookups,
             cache_hits: self.cache_hits + other.cache_hits,
             swap_count: self.swap_count + other.swap_count,
+            swap_rewrites: self.swap_rewrites + other.swap_rewrites,
             unique_entries: self.unique_entries + other.unique_entries,
             cache_entries: self.cache_entries + other.cache_entries,
             unique_lookups: self.unique_lookups + other.unique_lookups,
@@ -816,12 +858,16 @@ impl Bdd {
             rename_maps: HashMap::new(),
             rc: Vec::new(),
             rc_active: false,
+            release_stack: Vec::new(),
+            interacting: Vec::new(),
+            kept: Vec::new(),
             mk_calls: 0,
             cache_lookups: 0,
             cache_hits: 0,
             memo_lookups: 0,
             memo_hits: 0,
             swap_count: 0,
+            swap_rewrites: 0,
             reclaimed_nodes: 0,
             peak_live_nodes: 0,
             op_visits: 0,
@@ -883,6 +929,7 @@ impl Bdd {
             cache_lookups: self.cache_lookups,
             cache_hits: self.cache_hits,
             swap_count: self.swap_count,
+            swap_rewrites: self.swap_rewrites,
             unique_entries: self.unique.iter().map(|t| t.len() as u64).sum(),
             cache_entries: self.cache.len as u64,
             unique_lookups: self.unique.iter().map(|t| t.lookups).sum(),
@@ -1051,33 +1098,41 @@ impl Bdd {
         self.rc[i] += 1;
     }
 
+    /// Drops one reference to `n` and returns the remaining count.
+    #[inline]
+    fn rc_dec(&mut self, n: NodeRef) -> u32 {
+        let c = &mut self.rc[n.idx()];
+        debug_assert!(*c > 0, "rc underflow");
+        *c -= 1;
+        *c
+    }
+
     /// Drops one reference to `n`; nodes whose count reaches zero are
     /// unlinked from their unique table, put on the free-list, and release
-    /// their children in turn. Only called while `rc_active`.
+    /// their children in turn. Only called while `rc_active`. Most calls
+    /// leave the count above zero and return before touching the stack.
     fn rc_release(&mut self, n: NodeRef) {
-        if n.is_terminal() {
+        if n.is_terminal() || self.rc_dec(n) > 0 {
             return;
         }
-        let mut stack = vec![n];
+        let mut stack = std::mem::take(&mut self.release_stack);
+        stack.push(n);
+        // Every node on the stack has just dropped to zero references.
         while let Some(m) = stack.pop() {
             let i = m.idx();
-            debug_assert!(self.rc[i] > 0, "rc underflow");
-            self.rc[i] -= 1;
-            if self.rc[i] == 0 {
-                // Read the node out before free_push overwrites the lo slot
-                // with the free-list thread.
-                let (var, lo, hi) = (self.var_col[i], self.lo_col[i], self.hi_col[i]);
-                self.unique[var as usize].remove(lo, hi);
-                self.free_push(i);
-                self.reclaimed_nodes += 1;
-                if !lo.is_terminal() {
-                    stack.push(lo);
-                }
-                if !hi.is_terminal() {
-                    stack.push(hi);
+            // Read the node out before free_push overwrites the lo slot
+            // with the free-list thread.
+            let (var, lo, hi) = (self.var_col[i], self.lo_col[i], self.hi_col[i]);
+            self.unique[var as usize].remove(lo, hi);
+            self.free_push(i);
+            self.reclaimed_nodes += 1;
+            for c in [lo, hi] {
+                if !c.is_terminal() && self.rc_dec(c) == 0 {
+                    stack.push(c);
                 }
             }
         }
+        self.release_stack = stack;
     }
 
     /// If-then-else: `ite(f, g, h) = f·g + !f·h`. All other Boolean
@@ -2070,6 +2125,26 @@ impl Bdd {
         &mut self.unique[var as usize]
     }
 
+    /// Takes the nodes of `x` that have a `y`-labelled child out of `x`'s
+    /// unique table, as `(node, lo, hi)` in a reused buffer that the caller
+    /// hands back with [`Bdd::return_interacting`].
+    pub(crate) fn drain_interacting(&mut self, x: u32, y: u32) -> Vec<(NodeRef, NodeRef, NodeRef)> {
+        let mut out = std::mem::take(&mut self.interacting);
+        out.clear();
+        let var_col = &self.var_col;
+        self.unique[x as usize].drain_where(
+            |lo, hi| var_col[lo.idx()] == y || var_col[hi.idx()] == y,
+            &mut out,
+            &mut self.kept,
+        );
+        self.swap_rewrites += out.len() as u64;
+        out
+    }
+
+    pub(crate) fn return_interacting(&mut self, buf: Vec<(NodeRef, NodeRef, NodeRef)>) {
+        self.interacting = buf;
+    }
+
     pub(crate) fn make_inner(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
         self.mk_raw(var, lo, hi)
     }
@@ -2517,6 +2592,28 @@ mod tests {
             );
         }
         assert_eq!(t.len(), n as usize);
+    }
+
+    #[test]
+    fn unique_table_drain_takes_matches_and_keeps_the_rest_findable() {
+        let mut t = UniqueTable::new();
+        let n = 512u32;
+        for i in 0..n {
+            t.insert(NodeRef(i), NodeRef(i + 1), NodeRef(1000 + i));
+        }
+        let (mut taken, mut kept) = (Vec::new(), Vec::new());
+        t.drain_where(|lo, _| lo.0 % 3 == 0, &mut taken, &mut kept);
+        taken.sort();
+        let want: Vec<_> = (0..n)
+            .filter(|i| i % 3 == 0)
+            .map(|i| (NodeRef(1000 + i), NodeRef(i), NodeRef(i + 1)))
+            .collect();
+        assert_eq!(taken, want);
+        assert_eq!(t.len(), n as usize - want.len());
+        for i in 0..n {
+            let got = t.get(NodeRef(i), NodeRef(i + 1));
+            assert_eq!(got, (i % 3 != 0).then_some(NodeRef(1000 + i)), "key {i}");
+        }
     }
 
     #[test]

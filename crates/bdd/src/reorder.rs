@@ -71,21 +71,13 @@ impl Bdd {
         let x = self.var_at(level).0;
         let y = self.var_at(level + 1).0;
 
-        // Collect the x-nodes that depend on y; they must be rewritten.
-        // Children of x-nodes are below level `level`, and only x-nodes are
-        // rewritten, so collecting (lo, hi) up front is safe.
-        let interacting: Vec<(NodeRef, NodeRef, NodeRef)> = self
-            .unique_table(x)
-            .iter()
-            .filter(|&(lo, hi, _)| self.node(lo).0 == y || self.node(hi).0 == y)
-            .map(|(lo, hi, n)| (n, lo, hi))
-            .collect();
-        for &(_, lo, hi) in &interacting {
-            self.unique_table_mut(x).remove(lo, hi);
-        }
+        // Take the x-nodes that depend on y out of x's table; they must be
+        // rewritten. Children of x-nodes are below level `level`, and only
+        // x-nodes are rewritten, so collecting (lo, hi) up front is safe.
+        let interacting = self.drain_interacting(x, y);
 
         let reclaim = self.rc_is_active();
-        for (n, lo, hi) in interacting {
+        for &(n, lo, hi) in &interacting {
             // Cofactors of the function at `n` over (x, y):
             // n = x ? hi : lo, so f_{x=a, y=b} = (a ? hi : lo)|_{y=b}.
             // The lo edge may carry the complement bit; push its parity onto
@@ -125,6 +117,7 @@ impl Bdd {
             let prev = self.unique_table_mut(y).insert(new_lo, new_hi, n);
             debug_assert!(prev.is_none(), "swap produced a duplicate y-node");
         }
+        self.return_interacting(interacting);
 
         self.set_level(x, level as u32 + 1);
         self.set_level(y, level as u32);

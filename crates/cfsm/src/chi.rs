@@ -122,6 +122,9 @@ pub struct ReactiveFn {
     inputs: Vec<RfVar>,
     outputs: Vec<RfVar>,
     loc: HashMap<polis_bdd::Var, VarLoc>,
+    /// The input support of each output, once [`ReactiveFn::output_supports`]
+    /// has computed it.
+    supports: Option<Vec<Vec<polis_bdd::Var>>>,
 }
 
 impl ReactiveFn {
@@ -217,6 +220,7 @@ impl ReactiveFn {
             inputs,
             outputs,
             loc: HashMap::new(),
+            supports: None,
         };
 
         let mut conds: Vec<NodeRef> = Vec::with_capacity(cfsm.num_transitions());
@@ -330,37 +334,108 @@ impl ReactiveFn {
     }
 
     /// For each output variable, the set of *input* variables in its
-    /// support: the inputs on which the (partially specified) output
-    /// function essentially depends.
+    /// support, in declaration order: the inputs on which the (partially
+    /// specified) output function `∃(O∖o). χ` essentially depends.
+    ///
+    /// A support belongs to the function, not to the variable order, so it
+    /// is computed once, on the first call, and returned by every later
+    /// call and reused by every sift.
+    ///
+    /// # Panics
+    ///
+    /// On the first call, panics if an output variable sits above an input
+    /// variable. Sifting under [`OrderScheme::OutputsAfterSupport`] makes
+    /// such orders, and it computes the supports before it starts.
     pub fn output_supports(&mut self) -> Vec<Vec<polis_bdd::Var>> {
+        if self.supports.is_none() {
+            self.supports = Some(self.compute_supports());
+        }
+        self.supports.clone().expect("supports were just computed")
+    }
+
+    /// With every input above every output, `∃(O∖o)` leaves the input part
+    /// of χ alone and only replaces each output-part subgraph hanging from
+    /// it (a *leaf*) by its own quantified form. So per output, one pass
+    /// over the input part, children first, labels each node with a
+    /// hash-consed id of its quantified function, and an input variable is
+    /// in the support iff one of its nodes keeps two different child ids.
+    fn compute_supports(&mut self) -> Vec<Vec<polis_bdd::Var>> {
+        let n_in: usize = self.inputs.iter().map(|v| v.bits.len()).sum();
+        assert!(
+            self.inputs
+                .iter()
+                .flat_map(|v| &v.bits)
+                .all(|&b| self.bdd.level(b) < n_in),
+            "output supports are first computed with every input above every output"
+        );
+        let bdd = &self.bdd;
+        let input_var = |n: NodeRef| bdd.node_var(n).filter(|&v| bdd.level(v) < n_in);
+
+        // The input part of χ, children first, over signed handles: a node
+        // reached through a complement edge is a different function, and
+        // so is its leaf below.
+        let mut items: Vec<PartItem> = Vec::new();
+        let mut index: HashMap<NodeRef, u32> = HashMap::new();
+        let mut stack = vec![(self.chi, false)];
+        while let Some((n, children_done)) = stack.pop() {
+            if children_done {
+                let item = match input_var(n) {
+                    Some(v) => PartItem::Node(v, index[&bdd.lo(n)], index[&bdd.hi(n)]),
+                    None => PartItem::Leaf(n),
+                };
+                index.insert(n, items.len() as u32);
+                items.push(item);
+            } else if !index.contains_key(&n) {
+                stack.push((n, true));
+                if input_var(n).is_some() {
+                    stack.push((bdd.hi(n), false));
+                    stack.push((bdd.lo(n), false));
+                }
+            }
+        }
+
         let all_output_bits: Vec<polis_bdd::Var> = self
             .outputs
             .iter()
             .flat_map(|o| o.bits.iter().copied())
             .collect();
+        let mut ids: Vec<u32> = Vec::with_capacity(items.len());
+        let mut intern: HashMap<PartItem, u32> = HashMap::new();
+        let mut in_support = vec![false; self.bdd.num_vars()];
         let mut out = Vec::with_capacity(self.outputs.len());
-        for oi in 0..self.outputs.len() {
-            let own: Vec<polis_bdd::Var> = self.outputs[oi].bits.clone();
-            let others = all_output_bits.iter().copied().filter(|b| !own.contains(b));
+        for o in &self.outputs {
+            let others = all_output_bits
+                .iter()
+                .copied()
+                .filter(|b| !o.bits.contains(b));
             let others_cube = self.bdd.cube(others);
-            let h = self.bdd.exists_cube(self.chi, others_cube);
-            let sup: Vec<polis_bdd::Var> = self
-                .bdd
-                .support(h)
-                .into_iter()
-                .filter(|v| {
-                    matches!(
-                        self.loc.get(v),
-                        Some(VarLoc {
-                            side: Side::Input,
-                            ..
-                        })
-                    )
-                })
+            ids.clear();
+            intern.clear();
+            in_support.fill(false);
+            for item in &items {
+                let key = match *item {
+                    PartItem::Leaf(f) => PartItem::Leaf(self.bdd.exists_cube(f, others_cube)),
+                    PartItem::Node(v, lo, hi) => {
+                        let (lo, hi) = (ids[lo as usize], ids[hi as usize]);
+                        if lo == hi {
+                            ids.push(lo);
+                            continue;
+                        }
+                        in_support[v.index()] = true;
+                        PartItem::Node(v, lo, hi)
+                    }
+                };
+                let next = intern.len() as u32;
+                ids.push(*intern.entry(key).or_insert(next));
+            }
+            let sup = in_support
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s)
+                .map(|(v, _)| polis_bdd::Var(v as u32))
                 .collect();
             out.push(sup);
         }
-        self.bdd.gc(&[self.chi]);
         out
     }
 
@@ -411,6 +486,17 @@ impl ReactiveFn {
         let roots = [self.chi];
         self.bdd.sift(&roots, &config)
     }
+}
+
+/// One entry of χ's input part (see `ReactiveFn::compute_supports`).
+/// The same shape, with ids in place of item indices and quantified leaves,
+/// is the hash-consing key of the quantified part.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum PartItem {
+    /// An output-part subgraph (or terminal) hanging from the input part.
+    Leaf(NodeRef),
+    /// An input node: its variable and the item indices of its children.
+    Node(polis_bdd::Var, u32, u32),
 }
 
 /// The output cube `consume ∧ actions ∧ next` of one χ term, where
@@ -640,6 +726,15 @@ mod tests {
                 assert!(sups[oi].contains(&tq), "{}", o.name);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "every input above every output")]
+    fn supports_need_inputs_above_outputs_on_first_use() {
+        let mut rf = ReactiveFn::build(&simple());
+        // Swap the last input (test_a_eq_c) with the first output (consume).
+        rf.bdd_mut().swap_levels(1);
+        rf.output_supports();
     }
 
     #[test]

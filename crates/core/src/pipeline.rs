@@ -196,12 +196,13 @@ fn stage_chi(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<ReactiveFn, SynthErr
 
 fn stage_sift(ctx: &mut SynthCtx<'_>, mut rf: ReactiveFn) -> Result<ReactiveFn, SynthError> {
     let nodes_before = rf.size() as u64;
-    let swaps_before = rf.bdd().stats().swap_count;
+    let before = rf.bdd().stats();
     rf.sift_with_passes(ctx.opts.scheme, ctx.opts.sift_passes);
     let st = rf.bdd().stats();
     ctx.count("bdd_nodes_before", nodes_before);
     ctx.count("bdd_nodes_after", rf.size() as u64);
-    ctx.count("swaps", st.swap_count - swaps_before);
+    ctx.count("swaps", st.swap_count - before.swap_count);
+    ctx.count("swap_rewrites", st.swap_rewrites - before.swap_rewrites);
     ctx.count("cache_lookups", st.cache_lookups);
     ctx.ratio("cache_hit_rate", st.hit_rate());
     ctx.count("reclaimed_nodes", st.reclaimed_nodes);

@@ -343,6 +343,15 @@ fn synth_jobs_is_deterministic_and_trace_is_written() {
     }
     assert!(trace.contains("\"machine\": \"pinger\""));
     assert!(trace.contains("\"wall_us\":"));
+    // The sift record counts adjacent swaps and the nodes they rebuilt:
+    // pinger's χ has 4 nodes, and one sifting pass makes 4 swaps that
+    // rebuild 8 nodes.
+    let at = trace
+        .find("\"stage\": \"sift\",\n      \"machine\": \"pinger\"")
+        .expect("a sift record for pinger");
+    let sift = &trace[at..at + trace[at..].find("}").expect("closing brace")];
+    assert!(sift.contains("\"swaps\": 4,"), "{sift}");
+    assert!(sift.contains("\"swap_rewrites\": 8,"), "{sift}");
 
     // A bad jobs value is rejected.
     let bad = bin()
