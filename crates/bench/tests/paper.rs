@@ -1,0 +1,113 @@
+//! The `paper` command line: flag rejection, harness reports, and the
+//! `verify --gate` comparison against an edited copy of the committed
+//! `BENCH_verify.json`.
+
+use std::path::Path;
+use std::process::{Command, Output};
+
+fn paper(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(args)
+        .output()
+        .expect("paper runs")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn bad_command_lines_exit_nonzero_with_usage() {
+    for args in [
+        &[][..],
+        &["nosuch"],
+        &["table1", "--bogus"],
+        &["kernel", "--smok", "--chek"],
+        &["table1", "--smoke"],
+        &["check", "--out", "verdicts.json"],
+        &["kernel", "--gate", "BENCH_verify.json"],
+        &["verify", "--smoke", "--check", "--gate"],
+        &["verify", "--out", "--smoke"],
+        &["table1", "extra"],
+    ] {
+        let out = paper(args);
+        assert!(!out.status.success(), "paper {args:?} must fail");
+        assert!(
+            stderr(&out).contains("usage: paper"),
+            "paper {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(out.stdout.is_empty(), "paper {args:?} ran anyway");
+    }
+}
+
+#[test]
+fn harness_subcommand_prints_its_report() {
+    let out = paper(&["table1"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.starts_with("Table I: estimated vs measured cost"));
+    assert!(text.contains("shape check (paper: estimates track measurement closely): HOLDS"));
+}
+
+fn committed() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_verify.json");
+    std::fs::read_to_string(path).expect("committed BENCH_verify.json")
+}
+
+/// Runs `paper verify --smoke --gate` against `gate` written to a file.
+fn gate_against(tag: &str, gate: &str) -> Output {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let gate_file = dir.join(format!("gate_{tag}.json"));
+    std::fs::write(&gate_file, gate).unwrap();
+    let out_file = dir.join(format!("bench_verify_{tag}.json"));
+    paper(&[
+        "verify",
+        "--smoke",
+        "--gate",
+        gate_file.to_str().unwrap(),
+        "--out",
+        out_file.to_str().unwrap(),
+    ])
+}
+
+#[test]
+fn gate_passes_on_the_committed_file() {
+    let out = gate_against("committed", &committed());
+    assert!(out.status.success(), "{}", stderr(&out));
+}
+
+#[test]
+fn gate_fails_when_a_gated_field_is_missing() {
+    let edited: String = committed()
+        .lines()
+        .filter(|l| !l.contains("\"deadlock\""))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let out = gate_against("no_deadlock", &edited);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    for case in ["seatbelt", "shock_absorber", "dashboard", "relay_chain_12"] {
+        assert!(
+            err.contains(&format!("{case}: committed case has no `deadlock`")),
+            "{err}"
+        );
+    }
+}
+
+#[test]
+fn gate_fails_when_one_case_changes_its_iterations() {
+    let text = committed();
+    let current = text.find("\"current\"").unwrap();
+    let edited = text[..current].to_owned()
+        + &text[current..].replacen("\"iterations\": 9,", "\"iterations\": 10,", 1);
+    assert_ne!(edited, text);
+    let out = gate_against("iterations", &edited);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(
+        err.contains("seatbelt: iterations 9 differs from committed 10"),
+        "{err}"
+    );
+    assert_eq!(err.matches("bench check FAILED").count(), 1, "{err}");
+}

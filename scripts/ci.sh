@@ -18,7 +18,7 @@ echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
 echo "==> kernel bench smoke (regression thresholds + 4-byte NodeRef / 12-byte node gate)"
-./target/release/kernel --smoke --check --out /tmp/bench_bdd_kernel_smoke.json
+./target/release/paper kernel --smoke --check --out /tmp/bench_bdd_kernel_smoke.json
 
 echo "==> generated C is byte-identical across --jobs values on every example spec"
 rm -rf /tmp/polis_ci_synth
@@ -45,15 +45,7 @@ done
 echo "==> paper harnesses: every shape-check verdict matches scripts/harness_verdicts.txt"
 # A verdict that flips either way fails, including the VIOLATED lines of
 # the open Table III / granularity regression (ROADMAP.md, first item).
-verdicts=/tmp/polis_ci_harness_verdicts.txt
-: >"$verdicts"
-for bin in table1 table2 table3 granularity schedulability shock_absorber \
-  ablation_buffering ablation_collapse falsepath; do
-  ./target/release/"$bin" >"/tmp/polis_ci_harness_$bin.txt"
-  sed -nE "/HOLDS|VIOLATED/s/^[[:space:]]*/$bin: /p" "/tmp/polis_ci_harness_$bin.txt" >>"$verdicts"
-done
-grep -v '^#' scripts/harness_verdicts.txt | diff - "$verdicts" \
-  || { echo "FAIL: harness verdicts differ from scripts/harness_verdicts.txt"; exit 1; }
+./target/release/paper check
 
 echo "==> symbolic verification of the example networks"
 for spec in examples/specs/*.pol; do
@@ -109,7 +101,7 @@ check_props examples/specs/dashboard.pol \
   "assert never (speedo.wticks && odometer.wticks): VIOLATED"
 
 echo "==> verify bench smoke (sanity thresholds + deterministic regression gate)"
-./target/release/verify --smoke --check --gate BENCH_verify.json --out /tmp/bench_verify_smoke.json
+./target/release/paper verify --smoke --check --gate BENCH_verify.json --out /tmp/bench_verify_smoke.json
 
 echo "==> benchmark self-test (pinned verdicts, relay-chain closed form, trace replay)"
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
