@@ -21,7 +21,11 @@
 //!   single-pass cube quantification ([`Bdd::exists_cube`],
 //!   [`Bdd::forall_cube`]), combined conjoin-and-quantify
 //!   ([`Bdd::and_exists`], with its own dedicated cache), the generalized
-//!   cofactor ([`Bdd::constrain`]) and set difference ([`Bdd::and_not`]);
+//!   cofactor ([`Bdd::constrain`]) and set difference ([`Bdd::and_not`]),
+//!   plus one fused recursion per image step that never builds the
+//!   throwaway intermediate: the set image ([`Bdd::exists_set`]), the
+//!   renamed relational product ([`Bdd::and_exists_rename`]) and the
+//!   union minus a reached set ([`Bdd::or_and_not`]);
 //! * mark-and-sweep garbage collection ([`Bdd::gc`]);
 //! * in-place adjacent level swap and constrained sifting
 //!   ([`Bdd::sift`], see the [`reorder`] module);
@@ -56,8 +60,10 @@
 //!   linear probing, splitmix64-mixed keys, tombstone-free backward-shift
 //!   deletion) for hash-consing;
 //! * a **direct-mapped lossy operation cache** shared by ITE, the
-//!   cofactor/quantification memos, `constrain` and `rename`, plus a second
-//!   dedicated cache for [`Bdd::and_exists`]; both invalidated in O(1) by
+//!   cofactor/quantification memos, `constrain`, `rename`, `exists_set`
+//!   and `or_and_not`, plus a second dedicated cache for the relational
+//!   products ([`Bdd::and_exists`], [`Bdd::and_exists_rename`]); both
+//!   invalidated in O(1) by
 //!   bumping a generation counter (no rehash on reorder). Each operator
 //!   memoizes in exactly one of these caches and nowhere else;
 //! * a reusable **stamp buffer** for traversals (`size`, `support`, `gc`)
@@ -446,6 +452,15 @@ const OP_ANDEX: u32 = 8;
 /// Cross-call rename memo entries in the shared cache; keyed by the node
 /// and the interned substitution map (see [`Bdd::rename`]).
 const OP_RENAME: u32 = 9;
+/// [`Bdd::exists_set`] entries in the shared cache.
+const OP_EXISTS_SET: u32 = 10;
+/// [`Bdd::or_and_not`] entries in the shared cache.
+const OP_OR_AND_NOT: u32 = 11;
+/// Renamed relational products ([`Bdd::and_exists_rename`]) in the
+/// dedicated AndExists cache key as `OP_ANDEX_RENAME + token` of their
+/// interned rename map, so they never alias a plain `OP_ANDEX` entry or
+/// a product under another map. Every other op code is below it.
+const OP_ANDEX_RENAME: u32 = 16;
 
 #[derive(Debug, Clone, Copy)]
 struct OpSlot {
@@ -461,10 +476,11 @@ struct OpSlot {
 const OP_CACHE_MIN: usize = 1 << 8;
 const OP_CACHE_MAX: usize = 1 << 20;
 
-/// CUDD-style direct-mapped operation cache shared by ITE, the
-/// cofactor/quantification memos, `constrain` and `rename`. Collisions
-/// overwrite (lossy), so capacity is bounded; a generation counter
-/// invalidates every entry in O(1) when the variable order changes.
+/// CUDD-style direct-mapped operation cache: one instance is shared by
+/// ITE, the cofactor/quantification memos, `constrain`, `rename`,
+/// `exists_set` and `or_and_not`, another serves the relational products.
+/// Collisions overwrite (lossy), so capacity is bounded; a generation
+/// counter invalidates every entry in O(1) when the variable order changes.
 #[derive(Debug, Clone)]
 struct OpCache {
     slots: Vec<OpSlot>,
@@ -663,8 +679,8 @@ pub struct Bdd {
     level_of_var: Vec<u32>,
     /// Human-readable variable names (debugging / DOT output).
     var_names: Vec<String>,
-    /// Shared ITE + cofactor/quantification/constrain/rename operation
-    /// cache.
+    /// Shared ITE + cofactor/quantification/constrain/rename/exists_set/
+    /// or_and_not operation cache.
     cache: OpCache,
     /// Dedicated AndExists (relational-product) cache: three live node
     /// operands per key, so sharing slots with binary ops would evict the
@@ -696,7 +712,8 @@ pub struct Bdd {
     /// Operation-cache hits in `ite`.
     cache_hits: u64,
     /// Shared-cache probes by `restrict`/`cofactors`/`exists`/`forall`,
-    /// the cube quantifiers and `constrain` (not `ite` or `rename`).
+    /// the cube quantifiers, `exists_set`, `or_and_not` and `constrain`
+    /// (not `ite` or `rename`).
     memo_lookups: u64,
     /// Shared-cache hits by the same.
     memo_hits: u64,
@@ -710,11 +727,11 @@ pub struct Bdd {
     peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`/`cofactors` traversals.
     op_visits: u64,
-    /// Dedicated-cache probes by `and_exists`.
+    /// Dedicated-cache probes by `and_exists`/`and_exists_rename`.
     andex_lookups: u64,
-    /// Dedicated-cache hits by `and_exists`.
+    /// Dedicated-cache hits by `and_exists`/`and_exists_rename`.
     andex_hits: u64,
-    /// Top-level `exists_cube`/`forall_cube` invocations.
+    /// Top-level `exists_cube`/`forall_cube`/`exists_set` invocations.
     cube_quant_calls: u64,
 }
 
@@ -744,7 +761,8 @@ pub struct BddStats {
     /// Valid cache entries overwritten by a colliding key (lossy cache).
     pub cache_evictions: u64,
     /// Shared-cache probes by `restrict`/`cofactors`/`exists`/`forall`,
-    /// the cube quantifiers and `constrain` (not `ite` or `rename`).
+    /// the cube quantifiers, `exists_set`, `or_and_not` and `constrain`
+    /// (not `ite` or `rename`).
     pub memo_lookups: u64,
     /// Shared-cache hits by the same.
     pub memo_hits: u64,
@@ -754,11 +772,11 @@ pub struct BddStats {
     pub peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`/`cofactors` traversals.
     pub op_visits: u64,
-    /// Dedicated-cache probes by `and_exists`.
+    /// Dedicated-cache probes by `and_exists`/`and_exists_rename`.
     pub andex_lookups: u64,
-    /// Dedicated-cache hits by `and_exists`.
+    /// Dedicated-cache hits by `and_exists`/`and_exists_rename`.
     pub andex_hits: u64,
-    /// Top-level `exists_cube`/`forall_cube` invocations.
+    /// Top-level `exists_cube`/`forall_cube`/`exists_set` invocations.
     pub cube_quant_calls: u64,
 }
 
@@ -1536,6 +1554,61 @@ impl Bdd {
         r
     }
 
+    /// The set image `(∃ cube. f) ∧ cube` in one recursion: every cube
+    /// variable is quantified out of `f` and then fixed to 1, without
+    /// materializing the quantified intermediate. This is the environment
+    /// image of reachability (deliver an input: whatever the consumer
+    /// flags were, they are now set).
+    ///
+    /// At a cube level the result node is `(v, 0, t ∨ e)` over the
+    /// cofactor results, elsewhere `f`'s own node over the recursed
+    /// children. `cube` must be a positive cube. Memoized in the shared
+    /// cache on the full handle of `f` (quantification does not commute
+    /// with the conjunction, so there is no complement duality to
+    /// exploit); counts one [`BddStats`] `cube_quant_calls` per call like
+    /// [`Bdd::exists_cube`].
+    pub fn exists_set(&mut self, f: NodeRef, cube: NodeRef) -> NodeRef {
+        self.cube_quant_calls += 1;
+        self.exists_set_rec(f, cube)
+    }
+
+    fn exists_set_rec(&mut self, f: NodeRef, cube: NodeRef) -> NodeRef {
+        if cube.is_true() || f.is_false() {
+            return f;
+        }
+        if f.is_true() {
+            return cube;
+        }
+        self.memo_lookups += 1;
+        if let Some(r) = self.cache.lookup(OP_EXISTS_SET, f, cube, EMPTY) {
+            self.memo_hits += 1;
+            return r;
+        }
+        self.op_visits += 1;
+        let r = if self.level_of_node(cube) <= self.level_of_node(f) {
+            debug_assert!(self.lo_col[cube.idx()].is_false(), "not a positive cube");
+            let (v, rest) = (self.var_col[cube.idx()], self.hi_col[cube.idx()]);
+            let (f0, f1) = self.cofactors_at(f, v);
+            let t = self.exists_set_rec(f1, rest);
+            // `t == rest` means `∃ rest. f1` is 1, which absorbs `e`.
+            let q = if t == rest || f0 == f1 {
+                t
+            } else {
+                let e = self.exists_set_rec(f0, rest);
+                self.or(t, e)
+            };
+            self.mk(v, NodeRef::FALSE, q)
+        } else {
+            let v = self.var_col[f.idx()];
+            let (f0, f1) = self.cofactors_at(f, v);
+            let t = self.exists_set_rec(f1, cube);
+            let e = self.exists_set_rec(f0, cube);
+            self.mk(v, e, t)
+        };
+        self.cache.insert(OP_EXISTS_SET, f, cube, EMPTY, r);
+        r
+    }
+
     /// The relational product `∃ cube. f ∧ g` in one recursion, without ever
     /// materializing the conjunction `f ∧ g` (CUDD's `bddAndAbstract`).
     ///
@@ -1616,6 +1689,90 @@ impl Bdd {
         r
     }
 
+    /// The renamed relational product `rename(∃ cube. f ∧ g, pairs)` in one
+    /// recursion: the image step of reachability, whose next-state rail
+    /// is mapped back onto the current one, without materializing the
+    /// quantified product on the wrong rail.
+    ///
+    /// A quantified level ors its cofactor results as in
+    /// [`Bdd::and_exists`]; any other node is rebuilt on its renamed
+    /// variable exactly as [`Bdd::rename`] does (plain `mk` when the
+    /// target sits above both children, `ite` otherwise), so the result is
+    /// correct under any variable order. Where the cube runs out the rest
+    /// is `f ∧ g` renamed. `pairs` obey [`Bdd::rename`]'s preconditions,
+    /// and no target may survive the quantification (the image quantifies
+    /// every current-state variable it renames onto). Memoized in the
+    /// dedicated AndExists cache under the interned map's token, so plain
+    /// and renamed products never alias.
+    pub fn and_exists_rename(
+        &mut self,
+        f: NodeRef,
+        g: NodeRef,
+        cube: NodeRef,
+        pairs: &[(Var, Var)],
+    ) -> NodeRef {
+        match self.rename_map(pairs) {
+            Some((map, token)) => self.and_exists_rename_rec(f, g, cube, &map, token),
+            None => self.and_exists(f, g, cube),
+        }
+    }
+
+    fn and_exists_rename_rec(
+        &mut self,
+        f: NodeRef,
+        g: NodeRef,
+        cube: NodeRef,
+        map: &[u32],
+        token: NodeRef,
+    ) -> NodeRef {
+        if f.is_false() || g.is_false() || f == g.complement() {
+            return NodeRef::FALSE;
+        }
+        if f.is_true() || g.is_true() || f == g {
+            let h = if f.is_true() { g } else { f };
+            let q = self.quant_cube_rec(h, cube, true);
+            return self.rename_rec(q, map, token);
+        }
+        let (f, g) = if f.0 <= g.0 { (f, g) } else { (g, f) };
+        let top = self.level_of_node(f).min(self.level_of_node(g));
+        let mut cube = cube;
+        while !cube.is_terminal() && self.level_of_node(cube) < top {
+            debug_assert!(self.lo_col[cube.idx()].is_false(), "not a positive cube");
+            cube = self.hi_col[cube.idx()];
+        }
+        if cube.is_terminal() {
+            debug_assert!(cube.is_true(), "cube must not be the zero function");
+            let a = self.and(f, g);
+            return self.rename_rec(a, map, token);
+        }
+        let op = OP_ANDEX_RENAME + token.0;
+        self.andex_lookups += 1;
+        if let Some(r) = self.andex.lookup(op, f, g, cube) {
+            self.andex_hits += 1;
+            return r;
+        }
+        self.op_visits += 1;
+        let v = self.var_at_level[top as usize];
+        let (f0, f1) = self.cofactors_at(f, v);
+        let (g0, g1) = self.cofactors_at(g, v);
+        let r = if self.level_of_node(cube) == top {
+            let rest = self.hi_col[cube.idx()];
+            let t = self.and_exists_rename_rec(f1, g1, rest, map, token);
+            if t.is_true() {
+                NodeRef::TRUE
+            } else {
+                let e = self.and_exists_rename_rec(f0, g0, rest, map, token);
+                self.or(t, e)
+            }
+        } else {
+            let t = self.and_exists_rename_rec(f1, g1, cube, map, token);
+            let e = self.and_exists_rename_rec(f0, g0, cube, map, token);
+            self.renamed_node(map[v as usize], e, t)
+        };
+        self.andex.insert(op, f, g, cube, r);
+        r
+    }
+
     /// The generalized cofactor (Coudert/Madre `constrain`): a function that
     /// agrees with `f` everywhere `c` holds and is free to simplify outside
     /// `c`, i.e. `constrain(f, c) ∧ c == f ∧ c`.
@@ -1682,6 +1839,50 @@ impl Bdd {
         self.ite(g, NodeRef::FALSE, f)
     }
 
+    /// `(a ∨ b) ∧ ¬r` in one recursion, without materializing `a ∨ b`:
+    /// the first level of reachability's image union, where two images
+    /// (mostly states already reached) merge and drop the reached set
+    /// `r` at once. Memoized in the shared cache with `a`/`b` ordered by
+    /// key; degenerate operands fall back to `or` or [`Bdd::and_not`].
+    pub fn or_and_not(&mut self, a: NodeRef, b: NodeRef, r: NodeRef) -> NodeRef {
+        if r.is_true() {
+            return NodeRef::FALSE;
+        }
+        if r.is_false() {
+            return self.or(a, b);
+        }
+        let nr = r.complement();
+        if a.is_true() || b.is_true() || a == b.complement() || a == nr || b == nr {
+            return nr;
+        }
+        if a.is_false() || a == r {
+            return self.and_not(b, r);
+        }
+        if b.is_false() || b == r || a == b {
+            return self.and_not(a, r);
+        }
+        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
+        self.memo_lookups += 1;
+        if let Some(res) = self.cache.lookup(OP_OR_AND_NOT, a, b, r) {
+            self.memo_hits += 1;
+            return res;
+        }
+        self.op_visits += 1;
+        let top = self
+            .level_of_node(a)
+            .min(self.level_of_node(b))
+            .min(self.level_of_node(r));
+        let v = self.var_at_level[top as usize];
+        let (a0, a1) = self.cofactors_at(a, v);
+        let (b0, b1) = self.cofactors_at(b, v);
+        let (r0, r1) = self.cofactors_at(r, v);
+        let t = self.or_and_not(a1, b1, r1);
+        let e = self.or_and_not(a0, b0, r0);
+        let res = self.mk(v, e, t);
+        self.cache.insert(OP_OR_AND_NOT, a, b, r, res);
+        res
+    }
+
     /// Simultaneous variable renaming: rewrites `f` with every source
     /// variable of `pairs` replaced by its target variable.
     ///
@@ -1694,9 +1895,22 @@ impl Bdd {
     /// both by construction. Debug builds assert the source/target sets are
     /// disjoint.
     pub fn rename(&mut self, f: NodeRef, pairs: &[(Var, Var)]) -> NodeRef {
-        let pairs: Vec<(Var, Var)> = pairs.iter().copied().filter(|&(s, t)| s != t).collect();
-        if pairs.is_empty() || f.is_terminal() {
+        if f.is_terminal() {
             return f;
+        }
+        match self.rename_map(pairs) {
+            Some((map, token)) => self.rename_rec(f, &map, token),
+            None => f,
+        }
+    }
+
+    /// The variable map of `pairs` (identity off the sources) and the
+    /// token of its interned form, or `None` when every pair is an
+    /// identity.
+    fn rename_map(&mut self, pairs: &[(Var, Var)]) -> Option<(Vec<u32>, NodeRef)> {
+        let pairs: Vec<(Var, Var)> = pairs.iter().copied().filter(|&(s, t)| s != t).collect();
+        if pairs.is_empty() {
+            return None;
         }
         debug_assert!(
             pairs
@@ -1725,7 +1939,7 @@ impl Bdd {
         let sorted: Vec<(u32, u32)> = sorted.into_iter().map(|(s, t)| (s.0, t.0)).collect();
         let next = self.rename_maps.len() as u32;
         let token = NodeRef(*self.rename_maps.entry(sorted).or_insert(next));
-        self.rename_rec(f, &map, token)
+        Some((map, token))
     }
 
     /// Rebuilds `f` under `map`, memoized in the shared cache on the regular
@@ -1750,16 +1964,21 @@ impl Bdd {
         let (var, lo_raw, hi_raw) = (self.var_col[i], self.lo_col[i], self.hi_col[i]);
         let lo = self.rename_rec(lo_raw, map, token);
         let hi = self.rename_rec(hi_raw, map, token);
-        let v = map[var as usize];
+        let r = self.renamed_node(map[var as usize], lo, hi);
+        self.cache.insert(OP_RENAME, fr, EMPTY, token, r);
+        r.xor_parity(p)
+    }
+
+    /// The node `(v, lo, hi)` for children already renamed: a plain `mk`
+    /// when `v` sits strictly above both, else `ite(v, hi, lo)`.
+    fn renamed_node(&mut self, v: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
         let vl = self.level_of_var[v as usize];
-        let r = if vl < self.level_of_node(lo) && vl < self.level_of_node(hi) {
+        if vl < self.level_of_node(lo) && vl < self.level_of_node(hi) {
             self.mk(v, lo, hi)
         } else {
             let vf = self.var(Var(v));
             self.ite(vf, hi, lo)
-        };
-        self.cache.insert(OP_RENAME, fr, EMPTY, token, r);
-        r.xor_parity(p)
+        }
     }
 
     /// The set of variables `f` essentially depends on, sorted by current
@@ -1811,24 +2030,57 @@ impl Bdd {
     /// Number of satisfying assignments of `f` over all declared variables,
     /// or `None` if the count overflows `u128`.
     pub fn checked_sat_count(&self, f: NodeRef) -> Option<u128> {
-        let nvars = self.num_vars() as u32;
-        let mut memo: HashMap<NodeRef, u128> = HashMap::new();
-        let below_root = self.sat_count_rec(f, &mut memo)?;
-        // Scale by the variables above f's top level.
-        let top = if f.is_terminal() {
-            nvars
-        } else {
-            self.level_of_node(f)
-        };
-        shl_checked(below_root, top)
+        let all: Vec<Var> = (0..self.num_vars() as u32).map(Var).collect();
+        self.checked_sat_count_over(f, &all)
     }
 
-    /// Counts assignments over the variables strictly below (and including)
-    /// the node's level; `None` on overflow. Memoized on the full handle
-    /// (complement bit included): a node and its complement count different
-    /// functions.
-    fn sat_count_rec(&self, f: NodeRef, memo: &mut HashMap<NodeRef, u128>) -> Option<u128> {
-        let nvars = self.num_vars() as u32;
+    /// Number of satisfying assignments of `f` over the variables `vars`
+    /// alone, or `None` if the count overflows `u128`. Variables outside
+    /// `vars` are not counted at all, so a set over a few state variables
+    /// in a manager with many auxiliary ones counts exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` depends on a variable outside `vars`.
+    pub fn checked_sat_count_over(&self, f: NodeRef, vars: &[Var]) -> Option<u128> {
+        // `rank[l]`: counted variables at levels above `l`; the terminal
+        // level ranks below all of them.
+        let nvars = self.num_vars();
+        let mut counted = vec![false; nvars];
+        for &v in vars {
+            counted[self.level(v)] = true;
+        }
+        let mut rank = Vec::with_capacity(nvars + 1);
+        let mut above = 0u32;
+        for &c in &counted {
+            rank.push(above);
+            above += u32::from(c);
+        }
+        rank.push(above);
+        let mut memo: HashMap<NodeRef, u128> = HashMap::new();
+        let below_root = self.sat_count_rec(f, &rank, &mut memo)?;
+        shl_checked(below_root, rank[self.sat_level(f)])
+    }
+
+    /// The level of `f`'s node, with terminals at `num_vars()`.
+    fn sat_level(&self, f: NodeRef) -> usize {
+        if f.is_terminal() {
+            self.num_vars()
+        } else {
+            self.level_of_node(f) as usize
+        }
+    }
+
+    /// Counts assignments over the counted variables at and below the
+    /// node's level (`rank` as in [`Bdd::checked_sat_count_over`]); `None`
+    /// on overflow. Memoized on the full handle (complement bit included):
+    /// a node and its complement count different functions.
+    fn sat_count_rec(
+        &self,
+        f: NodeRef,
+        rank: &[u32],
+        memo: &mut HashMap<NodeRef, u128>,
+    ) -> Option<u128> {
         if f.is_false() {
             return Some(0);
         }
@@ -1838,23 +2090,18 @@ impl Bdd {
         if let Some(&c) = memo.get(&f) {
             return Some(c);
         }
-        let i = f.idx();
-        let p = f.parity();
-        let level = self.level_of_var[self.var_col[i] as usize];
-        let lo = self.lo_col[i].xor_parity(p);
-        let hi = self.hi_col[i].xor_parity(p);
-        let clevel = |child: NodeRef| {
-            if child.is_terminal() {
-                nvars
-            } else {
-                self.level_of_node(child)
-            }
-        };
-        let lc = self.sat_count_rec(lo, memo)?;
-        let hc = self.sat_count_rec(hi, memo)?;
-        let wlo = shl_checked(lc, clevel(lo) - level - 1)?;
-        let whi = shl_checked(hc, clevel(hi) - level - 1)?;
-        let c = wlo.checked_add(whi)?;
+        let level = self.level_of_node(f) as usize;
+        assert!(
+            rank[level + 1] > rank[level],
+            "sat count over a set that misses a support variable"
+        );
+        let (lo, hi) = (self.lo(f), self.hi(f));
+        let mut c = 0u128;
+        for child in [lo, hi] {
+            let n = self.sat_count_rec(child, rank, memo)?;
+            let skipped = rank[self.sat_level(child)] - rank[level] - 1;
+            c = c.checked_add(shl_checked(n, skipped)?)?;
+        }
         memo.insert(f, c);
         Some(c)
     }
@@ -2496,6 +2743,42 @@ mod tests {
         let nfx = b.not(fx);
         let taut = b.or(fx, nfx);
         assert_eq!(b.checked_sat_count(taut), None);
+    }
+
+    #[test]
+    fn sat_count_over_a_variable_subset_ignores_the_rest() {
+        // 200 variables, of which the counted set is every fourth one:
+        // the full count of `v0 ∨ v8` overflows, the subset count is exact
+        // even with the counted variables interleaved with uncounted ones.
+        let mut b = Bdd::new();
+        let vars: Vec<Var> = (0..200).map(|i| b.new_var(format!("v{i}"))).collect();
+        let counted: Vec<Var> = vars.iter().copied().step_by(4).collect();
+        let (f0, f8) = (b.var(vars[0]), b.var(vars[8]));
+        let f = b.or(f0, f8);
+        assert_eq!(b.checked_sat_count(f), None);
+        assert_eq!(b.checked_sat_count_over(f, &counted), Some(3 << 48));
+        let nf = b.not(f);
+        assert_eq!(b.checked_sat_count_over(nf, &counted), Some(1 << 48));
+        assert_eq!(
+            b.checked_sat_count_over(NodeRef::TRUE, &counted),
+            Some(1 << 50)
+        );
+        assert_eq!(b.checked_sat_count_over(NodeRef::FALSE, &counted), Some(0));
+        // Over every variable it is the ordinary count.
+        let (mut b, x, y, _) = setup3();
+        let (fx, fy) = (b.var(x), b.var(y));
+        let g = b.xor(fx, fy);
+        let all = b.order();
+        assert_eq!(b.checked_sat_count_over(g, &all), b.checked_sat_count(g));
+    }
+
+    #[test]
+    #[should_panic(expected = "misses a support variable")]
+    fn sat_count_over_a_set_missing_a_support_variable_panics() {
+        let (mut b, x, y, _) = setup3();
+        let (fx, fy) = (b.var(x), b.var(y));
+        let f = b.and(fx, fy);
+        b.checked_sat_count_over(f, &[x]);
     }
 
     #[test]

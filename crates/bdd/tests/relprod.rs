@@ -1,9 +1,12 @@
 //! Property-style tests for the relational-product kernel: `and_exists`,
 //! `exists_cube`/`forall_cube`, `constrain`, and `and_not` against their
-//! defining identities, over deterministically seeded random function
-//! pairs at several variable counts (offline-safe, no external
-//! property-testing framework).
+//! defining identities, and the fused image steps (`exists_set`,
+//! `and_exists_rename`, `or_and_not`) against their unfused
+//! compositions, over deterministically seeded random function pairs at
+//! several variable counts (offline-safe, no external property-testing
+//! framework).
 
+use polis_bdd::reorder::SiftConfig;
 use polis_bdd::{Bdd, NodeRef, Var};
 use polis_core::random::Rng;
 
@@ -319,9 +322,191 @@ fn kernel_counters_advance() {
     if !f.is_terminal() && !g.is_terminal() && f != g {
         assert!(after.andex_lookups > before.andex_lookups);
     }
+    let before_set = bdd.stats().cube_quant_calls;
+    let _ = bdd.exists_set(f, c);
+    assert_eq!(bdd.stats().cube_quant_calls, before_set + 1);
     let merged = before.merged(&after);
     assert_eq!(
         merged.cube_quant_calls,
         before.cube_quant_calls + after.cube_quant_calls
     );
+}
+
+/// Moves the manager off the identity order: sift `roots` to convergence,
+/// then swap a few seeded adjacent levels. Handles stay valid and keep
+/// their functions; every cache entry is invalidated.
+fn scramble(bdd: &mut Bdd, roots: &[NodeRef], seed: u64) {
+    let identity: Vec<Var> = (0..bdd.num_vars() as u32).map(Var).collect();
+    bdd.sift(roots, &SiftConfig::to_convergence());
+    let mut rng = Rng::new(seed ^ 0x51f7);
+    for _ in 0..3 {
+        bdd.swap_levels(rng.usize(0..bdd.num_vars() - 1));
+    }
+    if bdd.order() == identity {
+        bdd.swap_levels(0);
+    }
+    assert_ne!(bdd.order(), identity, "scramble left the identity order");
+}
+
+/// Runs `fused` twice around a collection that keeps `roots` and the
+/// first result, so the repeat goes through the cache entries the
+/// collection retained, and checks both results against `expect`.
+fn twice_around_gc(
+    bdd: &mut Bdd,
+    roots: &[NodeRef],
+    expect: NodeRef,
+    mut fused: impl FnMut(&mut Bdd) -> NodeRef,
+    what: &str,
+) {
+    let first = fused(bdd);
+    assert_eq!(first, expect, "{what}");
+    let mut keep = roots.to_vec();
+    keep.extend([first, expect]);
+    bdd.gc(&keep);
+    assert_eq!(fused(bdd), first, "{what}: repeat after gc");
+}
+
+#[test]
+fn exists_set_equals_exists_cube_then_and() {
+    for &nvars in &VAR_COUNTS {
+        for case in 0..CASES {
+            let (mut bdd, _, f, g, subset) = setup(nvars, case);
+            let c = bdd.cube(subset.iter().copied());
+            if case % 2 == 1 {
+                scramble(&mut bdd, &[f, g, c], case);
+            }
+            let (nf, ng) = (bdd.not(f), bdd.not(g));
+            for (k, h) in [f, nf, g, ng].into_iter().enumerate() {
+                let q = bdd.exists_cube(h, c);
+                let expect = bdd.and(q, c);
+                let what = format!("nvars={nvars} case={case} operand={k}");
+                twice_around_gc(&mut bdd, &[f, g, c], expect, |b| b.exists_set(h, c), &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn or_and_not_equals_or_then_and_not() {
+    for &nvars in &VAR_COUNTS {
+        for case in 0..CASES {
+            let (mut bdd, vars, f, g, _) = setup(nvars, case);
+            let mut rng = Rng::new(0x0a4d ^ case.wrapping_mul(0x9e37) ^ nvars as u64);
+            let r = gen_fn(&mut rng, &mut bdd, &vars, 2 + (case % 4) as usize);
+            if case % 2 == 1 {
+                scramble(&mut bdd, &[f, g, r], case);
+            }
+            let (nf, ng, nr) = (bdd.not(f), bdd.not(g), bdd.not(r));
+            // Complemented operands and the degenerate shapes the
+            // terminal rules catch (equal, complementary, r among a/b).
+            let triples = [
+                (f, g, r),
+                (g, f, r),
+                (nf, g, r),
+                (f, ng, nr),
+                (nf, ng, nr),
+                (f, f, r),
+                (f, nf, r),
+                (f, r, g),
+                (f, g, nf),
+                (r, g, r),
+            ];
+            for (k, (a, b, c)) in triples.into_iter().enumerate() {
+                let union = bdd.or(a, b);
+                let expect = bdd.and_not(union, c);
+                let what = format!("nvars={nvars} case={case} triple={k}");
+                twice_around_gc(
+                    &mut bdd,
+                    &[f, g, r],
+                    expect,
+                    |m| m.or_and_not(a, b, c),
+                    &what,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn and_exists_rename_equals_and_exists_then_rename() {
+    // The image shape: a current rail x and a next rail y interleaved,
+    // functions over both, every x quantified (with a random part of y),
+    // and y renamed onto x. Odd cases scramble the order first, so some
+    // renamed nodes no longer sit above their children and take `ite`.
+    for &nvars in &VAR_COUNTS {
+        for case in 0..CASES {
+            let mut rng = Rng::new(0x7a11 ^ (nvars as u64) << 32 ^ case.wrapping_mul(0x9e37));
+            let mut bdd = Bdd::new();
+            let mut x = Vec::new();
+            let mut y = Vec::new();
+            for i in 0..nvars {
+                x.push(bdd.new_var(format!("x{i}")));
+                y.push(bdd.new_var(format!("y{i}")));
+            }
+            let both: Vec<Var> = x.iter().chain(&y).copied().collect();
+            let depth = 2 + (case % 4) as usize;
+            let f = gen_fn(&mut rng, &mut bdd, &both, depth);
+            let g = gen_fn(&mut rng, &mut bdd, &both, depth);
+            let quantified: Vec<Var> = x
+                .iter()
+                .copied()
+                .chain(y.iter().copied().filter(|_| rng.chance(0.3)))
+                .collect();
+            let c = bdd.cube(quantified);
+            let pairs: Vec<(Var, Var)> = y.iter().copied().zip(x.iter().copied()).collect();
+            if case % 2 == 1 {
+                scramble(&mut bdd, &[f, g, c], case);
+            }
+            let (nf, ng) = (bdd.not(f), bdd.not(g));
+            for (k, (a, b)) in [(f, g), (nf, g), (f, ng), (nf, ng), (f, f)]
+                .into_iter()
+                .enumerate()
+            {
+                let product = bdd.and_exists(a, b, c);
+                let expect = rename_oracle(&mut bdd, product, &pairs);
+                assert_eq!(bdd.rename(product, &pairs), expect);
+                let what = format!("nvars={nvars} case={case} operands={k}");
+                twice_around_gc(
+                    &mut bdd,
+                    &[f, g, c],
+                    expect,
+                    |m| m.and_exists_rename(a, b, c, &pairs),
+                    &what,
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn and_exists_rename_under_an_order_reversing_map_matches_the_oracle() {
+    // Fresh targets assigned in reverse order, so rebuilt nodes take the
+    // `ite` fallback; the renamed and the plain product of the same
+    // operands share the dedicated cache without aliasing.
+    for &nvars in &VAR_COUNTS {
+        for case in 0..CASES {
+            let (mut bdd, vars, f, g, subset) = setup(nvars, case);
+            let targets: Vec<Var> = (0..nvars).map(|i| bdd.new_var(format!("y{i}"))).collect();
+            let pairs: Vec<(Var, Var)> = vars
+                .iter()
+                .copied()
+                .zip(targets.iter().rev().copied())
+                .collect();
+            let c = bdd.cube(subset.iter().copied());
+            if case % 2 == 1 {
+                scramble(&mut bdd, &[f, g, c], case);
+            }
+            let product = bdd.and_exists(f, g, c);
+            let expect = rename_oracle(&mut bdd, product, &pairs);
+            let what = format!("nvars={nvars} case={case}");
+            twice_around_gc(
+                &mut bdd,
+                &[f, g, c, product],
+                expect,
+                |m| m.and_exists_rename(f, g, c, &pairs),
+                &what,
+            );
+            assert_eq!(bdd.and_exists(f, g, c), product, "{what}: plain product");
+        }
+    }
 }

@@ -20,8 +20,8 @@
 //! than 5%. A gated field missing from a committed case fails the gate.
 //!
 //! Each case also prints and records the fixpoint's wall time per phase
-//! (`phase_<name>_ms` columns: env images, relational products, rename,
-//! union, frontier, GC, sift).
+//! (`phase_<name>_ms` columns: env images, relational products with the
+//! rename onto the current rail, union, frontier, GC, sift).
 
 use crate::{named, speedups, write_json, BenchOptions};
 use polis_cfsm::Network;
@@ -200,12 +200,17 @@ fn gate_failures(run: &[Json], reference: &Json, against: &str) -> Vec<String> {
 /// Runs the bench, prints per-case lines and writes the results (default
 /// `BENCH_verify.json`). Returns the `--check` and `--gate` failures.
 pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
-    // The fused relational product plus mid-reach reordering keeps the
-    // n=16 chain inside the default 2^22 node budget; the pre-kernel
-    // traversal could not finish it. The smoke set keeps n=12, the
-    // smallest chain that collects mid-reach, so the gate covers a GC.
+    // The fused image steps keep the n=16 and n=20 chains well inside
+    // the default 2^22 node budget; the pre-kernel traversal could not
+    // finish n=16. The smoke set stops at n=12, the largest chain that
+    // stays well under a second; n=16 and n=20 are the full run's chains
+    // that collect mid-reach.
     let smoke = opts.smoke;
-    let chain_sizes: &[usize] = if smoke { &[4, 8, 12] } else { &[4, 8, 12, 16] };
+    let chain_sizes: &[usize] = if smoke {
+        &[4, 8, 12]
+    } else {
+        &[4, 8, 12, 16, 20]
+    };
 
     let mut results = Vec::new();
     for (name, net) in [

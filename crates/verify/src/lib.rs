@@ -186,12 +186,12 @@ pub struct VerifyStats {
 /// only: no verdict, count or report line depends on it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Environment-delivery images (`exists_cube` then `and`).
+    /// Environment-delivery images (`exists_set`).
     pub env: Duration,
-    /// The two `and_exists` relational products of each reaction image.
+    /// The two relational products of each reaction image, the second
+    /// renamed onto the current-state rail as it is built
+    /// (`and_exists`, then `and_exists_rename`).
     pub products: Duration,
-    /// Renaming reaction images from the next-state rail to the current.
-    pub rename: Duration,
     /// The balanced image union, including the subtraction of the
     /// reached set.
     pub union: Duration,
@@ -205,11 +205,10 @@ pub struct PhaseTimes {
 
 impl PhaseTimes {
     /// `(name, time)` for every phase, in fixpoint order.
-    pub fn named(&self) -> [(&'static str, Duration); 7] {
+    pub fn named(&self) -> [(&'static str, Duration); 6] {
         [
             ("env", self.env),
             ("products", self.products),
-            ("rename", self.rename),
             ("union", self.union),
             ("frontier", self.frontier),
             ("gc", self.gc),

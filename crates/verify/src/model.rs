@@ -81,8 +81,8 @@ impl MachineVars {
 pub(crate) struct EnvStep {
     /// Positive cube over every consumer's current flag for the signal,
     /// precomputed at model build. One BDD serves both roles of the
-    /// image: the quantification set handed to `exists_cube` and the
-    /// set-literal conjunction applied with a single `and` afterwards.
+    /// image, the quantification set and the set-literal conjunction,
+    /// in one `exists_set` call.
     pub cube: NodeRef,
 }
 

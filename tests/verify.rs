@@ -8,9 +8,13 @@ use polis::core::random::{random_network, RandomSpec, Rng};
 use polis::core::{synthesize_network_staged, workloads, SynthError, SynthesisOptions};
 use polis::estimate::Incompat;
 use polis::expr::{Expr, Type, Value};
+use polis::lang::{parse_spec, PropExpr, PropKind, Property, Span};
 use polis::rtos::{RtosConfig, Simulator, Stimulus};
 use polis::sgraph::{build, EvalError, SgEnv};
-use polis::verify::{verify_network, Verifier, VerifyError, VerifyOptions};
+use polis::verify::{
+    verify_network, verify_with_props, DeadTransition, LostEvent, PropReport, Verifier,
+    VerifyError, VerifyOptions, VerifyReport,
+};
 use std::collections::HashMap;
 
 fn example_networks() -> Vec<Network> {
@@ -259,6 +263,36 @@ fn reach_invariant_never_loosens_any_example_bound() {
 }
 
 // ---------------------------------------------------------------------
+// Reached-state counts range over the state variables only, however
+// many auxiliary (next-state, test, action) variables the model has.
+// ---------------------------------------------------------------------
+
+#[test]
+fn reached_states_are_counted_over_the_state_variables_only() {
+    // Two buffered inputs and one transition emitting 130 outputs: 2
+    // state bits against 132 auxiliary variables (the two next-state
+    // flags and one per action), so counting over every variable would
+    // give 4 · 2^132, past u128.
+    let mut b = Cfsm::builder("fanout");
+    b.input_pure("go");
+    b.input_pure("idle");
+    let outs: Vec<String> = (0..130).map(|k| format!("o{k}")).collect();
+    for o in &outs {
+        b.output_pure(o);
+    }
+    let s = b.ctrl_state("s");
+    let mut t = b.transition(s, s).when_present("go");
+    for o in &outs {
+        t = t.emit(o);
+    }
+    t.done();
+    let net = Network::new("fanout", vec![b.build().unwrap()]).unwrap();
+    let report = verify_network(&net, &VerifyOptions::default()).unwrap();
+    assert_eq!(report.stats.reached_states, Some(4));
+    assert!(report.render().contains(" 4 reachable states"));
+}
+
+// ---------------------------------------------------------------------
 // Satellite (f): node-budget overflow aborts with a structured error
 // and the partial trace intact.
 // ---------------------------------------------------------------------
@@ -297,6 +331,121 @@ fn budget_overflow_preserves_partial_trace() {
         );
     }
     assert!(records.iter().any(|r| r.stage == "verify"));
+}
+
+// ---------------------------------------------------------------------
+// Node-budget sweep: every budget from 8 nodes up past the unbudgeted
+// peak either reproduces the unbudgeted verdicts exactly or aborts with
+// `NodeBudgetExceeded` — never a panic, never a different answer.
+// ---------------------------------------------------------------------
+
+/// Everything a budget may not change: the traversal shape, the reached
+/// states, the three checks (a deadlock by its witness state) and the
+/// property verdicts.
+type Verdicts = (
+    (u64, u64, Option<u128>),
+    Vec<LostEvent>,
+    Vec<DeadTransition>,
+    Option<Vec<String>>,
+    Vec<bool>,
+);
+
+fn verdicts(report: &VerifyReport, props: &PropReport) -> Verdicts {
+    let s = &report.stats;
+    (
+        (s.iterations, s.image_steps, s.reached_states),
+        report.lost_events.clone(),
+        report.dead_transitions.clone(),
+        report.deadlock.as_ref().map(|d| d.description.clone()),
+        props.results.iter().map(|r| r.holds).collect(),
+    )
+}
+
+/// Ad-hoc properties for a network without a suite: each machine's last
+/// state is reachable, its first input is never pending.
+fn probe_properties(net: &Network) -> Vec<Property> {
+    let span = Span { line: 1, col: 1 };
+    let mut props = Vec::new();
+    for (machine, m) in net.cfsms().iter().enumerate() {
+        let state = m.states().len() - 1;
+        let expr = PropExpr::AtState {
+            machine,
+            state,
+            span,
+        };
+        props.push(Property {
+            kind: PropKind::Reachable,
+            expr,
+            span,
+        });
+        if !m.inputs().is_empty() {
+            let expr = PropExpr::Pending {
+                machine,
+                input: 0,
+                span,
+            };
+            props.push(Property {
+                kind: PropKind::Never,
+                expr,
+                span,
+            });
+        }
+    }
+    props
+}
+
+#[test]
+fn node_budget_sweep_reproduces_verdicts_or_aborts() {
+    let mut cases = Vec::new();
+    for name in ["simple", "seat_belt", "shock_absorber", "dashboard"] {
+        let path = format!("examples/specs/{name}.pol");
+        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let spec = parse_spec(name, &src).unwrap_or_else(|e| panic!("{path}: {e}"));
+        cases.push((spec.network, spec.properties));
+    }
+    let relay = random_network(6, &RandomSpec::default(), 0x9e3779b97f4a7c15 ^ 6);
+    let relay_props = probe_properties(&relay);
+    cases.push((relay, relay_props));
+
+    for (net, props) in &cases {
+        let name = net.name();
+        let (report, prop_report) =
+            verify_with_props(net, props, &VerifyOptions::default()).unwrap();
+        let expect = verdicts(&report, &prop_report);
+        let peak = report.stats.peak_live_nodes as usize;
+        let (mut completed_below_peak, mut aborted) = (false, false);
+        let mut budget = 8;
+        loop {
+            let opts = VerifyOptions {
+                node_budget: budget,
+                ..VerifyOptions::default()
+            };
+            match verify_with_props(net, props, &opts) {
+                Ok((r, p)) => {
+                    assert_eq!(verdicts(&r, &p), expect, "{name}: budget {budget}");
+                    completed_below_peak |= budget < peak;
+                }
+                Err(VerifyError::NodeBudgetExceeded {
+                    budget: b,
+                    allocated,
+                    ..
+                }) => {
+                    assert_eq!(b, budget, "{name}");
+                    assert!(allocated > budget, "{name}: budget {budget}");
+                    aborted = true;
+                }
+            }
+            if budget > peak {
+                break;
+            }
+            budget *= 2;
+        }
+        assert!(aborted, "{name}: an 8-node budget must abort");
+        assert!(
+            completed_below_peak,
+            "{name}: no budget below the peak {peak} completed"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
