@@ -25,7 +25,9 @@
 //!   plus one fused recursion per image step that never builds the
 //!   throwaway intermediate: the set image ([`Bdd::exists_set`]), the
 //!   renamed relational product ([`Bdd::and_exists_rename`]) and the
-//!   union minus a reached set ([`Bdd::or_and_not`]);
+//!   union minus a reached set ([`Bdd::or_and_not`]), and level-wise
+//!   access ([`Bdd::node_level`], [`Bdd::cofactors_at_level`],
+//!   [`Bdd::node_at_level`]) for recursions written outside the kernel;
 //! * mark-and-sweep garbage collection ([`Bdd::gc`]);
 //! * in-place adjacent level swap and constrained sifting
 //!   ([`Bdd::sift`], see the [`reorder`] module);
@@ -156,6 +158,14 @@ impl NodeRef {
     /// `true` if this is the false constant.
     pub fn is_false(self) -> bool {
         self == NodeRef::FALSE
+    }
+
+    /// The handle as a dense index (`2 × arena index + complement bit`),
+    /// distinct for a function and its complement: a key for side tables
+    /// indexed by handle.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
     }
 
     /// The arena index (shared by a handle and its complement).
@@ -1001,6 +1011,42 @@ impl Bdd {
     pub fn hi(&self, n: NodeRef) -> NodeRef {
         assert!(!n.is_terminal(), "terminals have no children");
         self.hi_col[n.idx()].xor_parity(n.parity())
+    }
+
+    /// The level of `n`'s top variable; terminals sit below every
+    /// variable, at `num_vars()`.
+    #[inline]
+    pub fn node_level(&self, n: NodeRef) -> usize {
+        match self.level_of_node(n) {
+            TERMINAL_LEVEL => self.num_vars(),
+            level => level as usize,
+        }
+    }
+
+    /// Both cofactors of `n` on the variable at `level`: `(lo, hi)` if `n`
+    /// splits there, else `(n, n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` lies below `n`'s top.
+    #[inline]
+    pub fn cofactors_at_level(&self, n: NodeRef, level: usize) -> (NodeRef, NodeRef) {
+        assert!(level <= self.node_level(n), "level below the node's top");
+        self.cofactors_at(n, self.var_at_level[level])
+    }
+
+    /// The function `if v then hi else lo` for the variable `v` at
+    /// `level`: one `mk`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both children's tops lie below `level`.
+    pub fn node_at_level(&mut self, level: usize, lo: NodeRef, hi: NodeRef) -> NodeRef {
+        assert!(
+            level < self.node_level(lo) && level < self.node_level(hi),
+            "children must lie below the level"
+        );
+        self.mk(self.var_at_level[level], lo, hi)
     }
 
     /// The constant function for `value`.
@@ -2647,6 +2693,33 @@ mod tests {
                 assert_eq!((c0, c1), (r0, r1), "cofactors vs restrict at {v}");
             }
         }
+    }
+
+    #[test]
+    fn level_primitives_split_and_rebuild_a_function() {
+        let (mut b, x, y, z) = setup3();
+        let (fx, fy, fz) = (b.var(x), b.var(y), b.var(z));
+        let t = b.and(fy, fz);
+        let f = b.xor(fx, t);
+        assert_eq!(b.node_level(NodeRef::TRUE), 3);
+        for root in [f, b.not(f), t] {
+            let level = b.node_level(root);
+            let v = b.var_at(level);
+            assert_eq!(b.cofactors_at_level(root, level), b.cofactors(root, v));
+            // `t` sits below `x`, so it cofactors to itself there.
+            assert_eq!(b.cofactors_at_level(root, 0), b.cofactors(root, x));
+            let (lo, hi) = b.cofactors_at_level(root, level);
+            assert_eq!(b.node_at_level(level, lo, hi), root);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "children must lie below the level")]
+    fn node_at_level_rejects_a_child_at_or_above_the_level() {
+        let (mut b, x, y, _) = setup3();
+        let (fx, fy) = (b.var(x), b.var(y));
+        let level = b.level(y);
+        b.node_at_level(level, fx, fy);
     }
 
     #[test]

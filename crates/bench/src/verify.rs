@@ -19,9 +19,11 @@
 //! must match exactly and `peak_live_nodes` must not regress by more
 //! than 5%. A gated field missing from a committed case fails the gate.
 //!
-//! Each case also prints and records the fixpoint's wall time per phase
-//! (`phase_<name>_ms` columns: env images, relational products with the
-//! rename onto the current rail, union, frontier, GC, sift).
+//! Each case also prints and records the image descent's work counters
+//! (`descent_nodes`, `env_applications`, `react_applications`) and the
+//! fixpoint's wall time per phase (`phase_<name>_ms` columns: the image
+//! descent — env images, relational products with the rename onto the
+//! current rail and their union, interleaved — then frontier, GC, sift).
 
 use crate::{named, speedups, write_json, BenchOptions};
 use polis_cfsm::Network;
@@ -59,6 +61,9 @@ impl CaseResult {
             ("buffers", Json::num(r.buffers)),
             ("iterations", Json::num(s.iterations)),
             ("image_steps", Json::num(s.image_steps)),
+            ("descent_nodes", Json::num(s.descent_nodes)),
+            ("env_applications", Json::num(s.env_applications)),
+            ("react_applications", Json::num(s.react_applications)),
             ("reached_states", reached),
             ("reached_nodes", Json::num(s.reached_nodes)),
             ("peak_frontier_nodes", Json::num(s.peak_frontier_nodes)),
@@ -200,11 +205,11 @@ fn gate_failures(run: &[Json], reference: &Json, against: &str) -> Vec<String> {
 /// Runs the bench, prints per-case lines and writes the results (default
 /// `BENCH_verify.json`). Returns the `--check` and `--gate` failures.
 pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
-    // The fused image steps keep the n=16 and n=20 chains well inside
-    // the default 2^22 node budget; the pre-kernel traversal could not
+    // The image descent keeps the n=16 and n=20 chains well inside the
+    // default 2^22 node budget; the pre-kernel traversal could not
     // finish n=16. The smoke set stops at n=12, the largest chain that
-    // stays well under a second; n=16 and n=20 are the full run's chains
-    // that collect mid-reach.
+    // stays well under a second; n=20 is the full run's chain that
+    // collects mid-reach.
     let smoke = opts.smoke;
     let chain_sizes: &[usize] = if smoke {
         &[4, 8, 12]
@@ -247,6 +252,10 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
             s.constrain_reduced_nodes,
             s.mid_reach_reorders,
             s.mid_reach_collections,
+        );
+        println!(
+            "{:<18} nodes {:>8}  env applications {:>6}  react applications {:>6}",
+            "  descent", s.descent_nodes, s.env_applications, s.react_applications,
         );
         let phases = s.phases.named();
         println!(

@@ -121,7 +121,8 @@ pub struct ReactiveFn {
     chi: NodeRef,
     inputs: Vec<RfVar>,
     outputs: Vec<RfVar>,
-    loc: HashMap<polis_bdd::Var, VarLoc>,
+    /// Location of each variable, indexed by [`polis_bdd::Var::index`].
+    loc: Vec<Option<VarLoc>>,
     /// The input support of each output, once [`ReactiveFn::output_supports`]
     /// has computed it.
     supports: Option<Vec<Vec<polis_bdd::Var>>>,
@@ -219,7 +220,7 @@ impl ReactiveFn {
             chi: NodeRef::FALSE,
             inputs,
             outputs,
-            loc: HashMap::new(),
+            loc: Vec::new(),
             supports: None,
         };
 
@@ -276,18 +277,15 @@ impl ReactiveFn {
     }
 
     fn rebuild_loc(&mut self) {
-        self.loc.clear();
+        self.loc = vec![None; self.bdd.num_vars()];
         for (side, list) in [(Side::Input, &self.inputs), (Side::Output, &self.outputs)] {
             for (vi, rv) in list.iter().enumerate() {
                 for (bi, &b) in rv.bits.iter().enumerate() {
-                    self.loc.insert(
-                        b,
-                        VarLoc {
-                            side,
-                            var: vi,
-                            bit: bi,
-                        },
-                    );
+                    self.loc[b.index()] = Some(VarLoc {
+                        side,
+                        var: vi,
+                        bit: bi,
+                    });
                 }
             }
         }
@@ -325,7 +323,7 @@ impl ReactiveFn {
 
     /// Locates a BDD variable within the input/output lists.
     pub fn locate(&self, v: polis_bdd::Var) -> Option<VarLoc> {
-        self.loc.get(&v).copied()
+        self.loc.get(v.index()).copied().flatten()
     }
 
     /// Current BDD size of `χ`.
@@ -374,18 +372,26 @@ impl ReactiveFn {
         // The input part of χ, children first, over signed handles: a node
         // reached through a complement edge is a different function, and
         // so is its leaf below.
+        // `index[h]` is the item of handle `h` (`u32::MAX` = not listed
+        // yet), grown on demand.
         let mut items: Vec<PartItem> = Vec::new();
-        let mut index: HashMap<NodeRef, u32> = HashMap::new();
+        let mut index: Vec<u32> = Vec::new();
+        let listed = |index: &[u32], n: NodeRef| index.get(n.index()).copied().unwrap_or(u32::MAX);
         let mut stack = vec![(self.chi, false)];
         while let Some((n, children_done)) = stack.pop() {
             if children_done {
                 let item = match input_var(n) {
-                    Some(v) => PartItem::Node(v, index[&bdd.lo(n)], index[&bdd.hi(n)]),
+                    Some(v) => {
+                        PartItem::Node(v, index[bdd.lo(n).index()], index[bdd.hi(n).index()])
+                    }
                     None => PartItem::Leaf(n),
                 };
-                index.insert(n, items.len() as u32);
+                if index.len() <= n.index() {
+                    index.resize(n.index() + 1, u32::MAX);
+                }
+                index[n.index()] = items.len() as u32;
                 items.push(item);
-            } else if !index.contains_key(&n) {
+            } else if listed(&index, n) == u32::MAX {
                 stack.push((n, true));
                 if input_var(n).is_some() {
                     stack.push((bdd.hi(n), false));

@@ -340,6 +340,9 @@ fn stage_verify(
     let stats = v.stats();
     ctx.count("iterations", stats.iterations);
     ctx.count("image_steps", stats.image_steps);
+    ctx.count("descent_nodes", stats.descent_nodes);
+    ctx.count("env_applications", stats.env_applications);
+    ctx.count("react_applications", stats.react_applications);
     ctx.count("peak_frontier_nodes", stats.peak_frontier_nodes);
     ctx.count("reached_nodes", stats.reached_nodes);
     if let Some(states) = stats.reached_states {
@@ -400,7 +403,8 @@ fn stage_verify(
 /// presence incompatibilities `--refine` feeds back into the estimates,
 /// and, when `props` is given, the property verdicts with decoded
 /// traces (onion rings are stored only then). Records the traversal
-/// counters, the mid-traversal collections and one `phase_<name>_ms`
+/// counters (the image descent's among them), the mid-traversal
+/// collections and one `phase_<name>_ms`
 /// time per fixpoint phase, plus the property counters when a suite
 /// runs. Never reads cost parameters, so `ctx` may be
 /// [`SynthCtx::uncalibrated`].

@@ -76,7 +76,9 @@ use trace::TraceRings;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyOptions {
     /// Maximum number of allocated BDD nodes the traversal may keep
-    /// live; exceeded after reclamation ⇒
+    /// live. Checked once per fixpoint iteration, after its image
+    /// descent and frontier update (the arena may overshoot inside the
+    /// descent); exceeded after reclamation ⇒
     /// [`VerifyError::NodeBudgetExceeded`].
     pub node_budget: usize,
     /// Allocated-node level above which the manager is sifted between
@@ -118,7 +120,9 @@ pub enum VerifyError {
         budget: usize,
         /// Live nodes at the point of failure.
         allocated: usize,
-        /// Image steps completed before the abort.
+        /// Image steps completed before the abort: the partition count
+        /// times the iterations whose descent finished, since the budget
+        /// is checked once per iteration.
         image_steps: u64,
     },
 }
@@ -146,8 +150,17 @@ impl Error for VerifyError {}
 pub struct VerifyStats {
     /// Breadth-first iterations to the fixpoint.
     pub iterations: u64,
-    /// Individual partition images computed.
+    /// Partition images taken: the partition count per iteration. The
+    /// image descent assembles them without building any one in full.
     pub image_steps: u64,
+    /// Memo entries the image descent computed (one per distinct
+    /// frontier node, reached node and first pending partition) over
+    /// the whole traversal.
+    pub descent_nodes: u64,
+    /// Environment-delivery images applied inside the descent.
+    pub env_applications: u64,
+    /// Machine-reaction images applied inside the descent.
+    pub react_applications: u64,
     /// Frontier BDD size after each iteration.
     pub frontier_sizes: Vec<u64>,
     /// Largest frontier BDD.
@@ -186,15 +199,10 @@ pub struct VerifyStats {
 /// only: no verdict, count or report line depends on it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Environment-delivery images (`exists_set`).
-    pub env: Duration,
-    /// The two relational products of each reaction image, the second
-    /// renamed onto the current-state rail as it is built
-    /// (`and_exists`, then `and_exists_rename`).
-    pub products: Duration,
-    /// The balanced image union, including the subtraction of the
-    /// reached set.
-    pub union: Duration,
+    /// The image descent: environment images, relational products with
+    /// the rename onto the current rail, and their union minus the
+    /// reached set, interleaved in one recursion.
+    pub image: Duration,
     /// Reached-set update, `constrain` minimization and frontier sizes.
     pub frontier: Duration,
     /// Mid-traversal garbage collections.
@@ -205,11 +213,9 @@ pub struct PhaseTimes {
 
 impl PhaseTimes {
     /// `(name, time)` for every phase, in fixpoint order.
-    pub fn named(&self) -> [(&'static str, Duration); 6] {
+    pub fn named(&self) -> [(&'static str, Duration); 4] {
         [
-            ("env", self.env),
-            ("products", self.products),
-            ("union", self.union),
+            ("image", self.image),
             ("frontier", self.frontier),
             ("gc", self.gc),
             ("sift", self.sift),

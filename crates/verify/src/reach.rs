@@ -2,26 +2,44 @@
 //!
 //! Classic BFS image computation: `Reached₀ = Frontier₀ = Init`, then
 //! repeatedly `New = ⋃ Image(step, Frontier) ∖ Reached` over the
-//! partitioned relation until the frontier empties. The union is a
-//! balanced OR tree whose first level already subtracts `Reached`
-//! (`(img₂ₖ ∨ img₂ₖ₊₁) ∖ Reached`), so the upper levels only merge
-//! genuinely new states instead of large, mostly-reached images; its
-//! root is the exact new-state set. Each image applies the
-//! early-quantification schedule pre-computed in the step (tests right
-//! after `χ`, actions right after the buffer updates, the consumed
-//! current-state block last) as fused relational products
-//! ([`Bdd::and_exists`]): the conjunct of the frontier with a relation
-//! part is quantified on the fly and never materialized.
+//! partitioned relation until the frontier empties. Each iteration
+//! computes `New` in one memoized descent over (frontier, reached)
+//! instead of one full image per partition plus a union over them:
 //!
-//! Every image step is one fused kernel recursion that never
-//! materializes its throwaway intermediate: the environment image is
-//! [`Bdd::exists_set`], the reaction's second product is built on the
-//! current rail by [`Bdd::and_exists_rename`], and the union's first
-//! level is [`Bdd::or_and_not`].
+//! * a partition's *footprint* is every variable its relation, its
+//!   quantification cubes or its rename map mention, and its *top* is
+//!   the highest level in the footprint;
+//! * above its top a partition neither reads nor writes the split
+//!   variable, so its image of `mk(v, lo, hi)` is `mk(v, img(lo),
+//!   img(hi))`;
+//! * at each (frontier node, reached node) pair the descent applies the
+//!   partitions whose top it has reached, ORs their images minus the
+//!   cofactored reached set, and rebuilds the node over the descent into
+//!   both cofactors for every partition whose top lies deeper.
 //!
-//! Every phase of an iteration (environment images, relational
-//! products, union, frontier, GC, sift) adds its wall time to
-//! [`VerifyStats::phases`].
+//! The root is `⋃ imgs ∖ reached`, the same function (hence the same
+//! canonical handle) as a union of full images minus the reached set,
+//! so onion rings, iterations, reached states and verdicts do not depend
+//! on how the image is assembled. The part of the frontier above a
+//! partition's top is rebuilt once for all partitions instead of once
+//! each, and the full images are never alive together. The descent's
+//! memo outlives the iteration, since successive frontiers and reached
+//! sets share most of their subgraphs; every collection and reorder
+//! drops it.
+//!
+//! Each partition application is a fused kernel recursion: the
+//! environment image is [`Bdd::exists_set`], the reaction image follows
+//! the early-quantification schedule pre-computed in the step (tests
+//! right after `χ`, actions right after the buffer updates, the consumed
+//! current-state block last) as [`Bdd::and_exists`] then
+//! [`Bdd::and_exists_rename`], and the results merge with
+//! [`Bdd::or_and_not`].
+//!
+//! Every phase of an iteration (image descent, frontier, GC, sift) adds
+//! its wall time to [`VerifyStats::phases`]; the descent's work is
+//! counted in [`VerifyStats::descent_nodes`],
+//! [`VerifyStats::env_applications`] and
+//! [`VerifyStats::react_applications`].
 //!
 //! Two further reductions keep the working set small:
 //!
@@ -33,18 +51,22 @@
 //! * when live nodes outgrow [`VerifyOptions::reorder_threshold`], the
 //!   manager is sifted between iterations under the model's group
 //!   constraints (flag cur/next rails and ctrl cur+next blocks stay
-//!   contiguous).
+//!   contiguous), and every partition's top is re-derived from the new
+//!   order.
 //!
-//! The arena is bounded by [`VerifyOptions::node_budget`]: after every
-//! image the allocation level is checked, dead nodes are reclaimed
-//! against the persistent roots, and if the live set alone exceeds the
-//! budget the traversal aborts with
-//! [`VerifyError::NodeBudgetExceeded`] instead of growing without bound.
+//! The arena is bounded by [`VerifyOptions::node_budget`]: once per
+//! iteration, after the descent and the frontier update, the allocation
+//! level is checked, dead nodes are reclaimed against the persistent
+//! roots, and if the live set alone exceeds the budget the traversal
+//! aborts with [`VerifyError::NodeBudgetExceeded`] instead of growing
+//! without bound. The descent's memo holds intermediates no root
+//! reaches, so no collection runs inside it.
 
-use crate::model::{NetworkModel, ReactStep};
+use crate::model::{EnvStep, NetworkModel, ReactStep};
 use crate::trace::TraceRings;
 use crate::{VerifyError, VerifyOptions, VerifyStats};
-use polis_bdd::{Bdd, NodeRef};
+use polis_bdd::{Bdd, NodeRef, Var};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// One machine-reaction image as a chain of two relational products
@@ -57,6 +79,156 @@ use std::time::Instant;
 fn react_image(bdd: &mut Bdd, step: &ReactStep, from: NodeRef) -> NodeRef {
     let a = bdd.and_exists(from, step.chi_fire, step.tests_cube);
     bdd.and_exists_rename(a, step.update_clear, step.acts_cur_cube, &step.rename)
+}
+
+/// One partition of the transition relation.
+#[derive(Clone, Copy)]
+enum Step<'m> {
+    /// The environment delivers a primary input.
+    Env(&'m EnvStep),
+    /// A machine reacts.
+    React(&'m ReactStep),
+}
+
+/// A partition with the variables it touches.
+struct Part<'m> {
+    step: Step<'m>,
+    /// Every variable the step's relation, quantification cubes or rename
+    /// map mention, sorted and deduplicated.
+    footprint: Vec<Var>,
+    /// The highest level in `footprint` under the current order
+    /// (`num_vars()` for an empty footprint).
+    top: usize,
+}
+
+/// The image descent over the partitioned relation, run once per
+/// iteration.
+struct Descent<'m> {
+    /// Every partition, in ascending top order.
+    parts: Vec<Part<'m>>,
+    /// `(frontier node, reached node, first pending partition)` → the
+    /// union of the pending partitions' images minus the reached node.
+    /// An entry depends only on its key, the partitions and the order,
+    /// so it serves every later iteration too: successive frontiers and
+    /// reached sets share most of their subgraphs. Neither keys nor
+    /// values are rooted, so every collection and every reorder clears
+    /// it ([`Descent::forget`]).
+    memo: HashMap<(NodeRef, NodeRef, usize), NodeRef>,
+    env_applications: u64,
+    react_applications: u64,
+}
+
+impl<'m> Descent<'m> {
+    /// The partitions `steps` with their footprints, topped under `bdd`'s
+    /// current order (a stable sort, so equal tops keep `steps`' order).
+    fn new(bdd: &Bdd, steps: impl IntoIterator<Item = Step<'m>>) -> Descent<'m> {
+        let part = |step| {
+            let (roots, rename): (&[NodeRef], &[(Var, Var)]) = match step {
+                Step::Env(s) => (std::slice::from_ref(&s.cube), &[]),
+                Step::React(s) => (
+                    &[s.chi_fire, s.update_clear, s.tests_cube, s.acts_cur_cube],
+                    &s.rename,
+                ),
+            };
+            let mut footprint: Vec<Var> = roots.iter().flat_map(|&f| bdd.support(f)).collect();
+            footprint.extend(rename.iter().flat_map(|&(s, t)| [s, t]));
+            footprint.sort_unstable();
+            footprint.dedup();
+            Part {
+                step,
+                footprint,
+                top: 0,
+            }
+        };
+        let mut descent = Descent {
+            parts: steps.into_iter().map(part).collect(),
+            memo: HashMap::new(),
+            env_applications: 0,
+            react_applications: 0,
+        };
+        descent.retop(bdd);
+        descent
+    }
+
+    /// Re-derives every partition's top from `bdd`'s current order and
+    /// re-sorts the partitions by it. Must follow every reorder: with a
+    /// stale top the descent would split on a footprint variable.
+    fn retop(&mut self, bdd: &Bdd) {
+        self.forget();
+        for part in &mut self.parts {
+            part.top = part
+                .footprint
+                .iter()
+                .map(|&v| bdd.level(v))
+                .min()
+                .unwrap_or(bdd.num_vars());
+        }
+        self.parts.sort_by_key(|part| part.top);
+    }
+
+    /// Drops the memo; must follow every collection, which may free and
+    /// then reuse the nodes of its keys and values.
+    fn forget(&mut self) {
+        self.memo.clear();
+    }
+
+    /// `⋃ img(frontier) ∖ reached` over every partition, adding this
+    /// descent's counters to `stats`.
+    fn image(
+        &mut self,
+        bdd: &mut Bdd,
+        frontier: NodeRef,
+        reached: NodeRef,
+        stats: &mut VerifyStats,
+    ) -> NodeRef {
+        let memoized = self.memo.len();
+        let new = self.descend(bdd, frontier, reached, 0);
+        stats.image_steps += self.parts.len() as u64;
+        stats.descent_nodes += (self.memo.len() - memoized) as u64;
+        stats.env_applications += std::mem::take(&mut self.env_applications);
+        stats.react_applications += std::mem::take(&mut self.react_applications);
+        new
+    }
+
+    /// The union of the images of `n` under partitions `k..`, minus `r`.
+    /// Every partition before `k` has been applied above, and `n` and `r`
+    /// sit below the last split.
+    fn descend(&mut self, bdd: &mut Bdd, n: NodeRef, r: NodeRef, k: usize) -> NodeRef {
+        if n.is_false() || r.is_true() || k == self.parts.len() {
+            return NodeRef::FALSE;
+        }
+        if let Some(&new) = self.memo.get(&(n, r, k)) {
+            return new;
+        }
+        let level = bdd.node_level(n).min(bdd.node_level(r));
+        // Partitions whose top lies at or above this level are applied
+        // here; the rest never touch the variable at `level`.
+        let deeper = k + self.parts[k..].partition_point(|part| part.top <= level);
+        let mut new = NodeRef::FALSE;
+        for i in k..deeper {
+            let img = match self.parts[i].step {
+                Step::Env(step) => {
+                    self.env_applications += 1;
+                    bdd.exists_set(n, step.cube)
+                }
+                Step::React(step) => {
+                    self.react_applications += 1;
+                    react_image(bdd, step, n)
+                }
+            };
+            new = bdd.or_and_not(new, img, r);
+        }
+        if deeper < self.parts.len() {
+            let (n0, n1) = bdd.cofactors_at_level(n, level);
+            let (r0, r1) = bdd.cofactors_at_level(r, level);
+            let hi = self.descend(bdd, n1, r1, deeper);
+            let lo = self.descend(bdd, n0, r0, deeper);
+            let split = bdd.node_at_level(level, lo, hi);
+            new = bdd.or(new, split);
+        }
+        self.memo.insert((n, r, k), new);
+        new
+    }
 }
 
 /// Collections never fire while the arena is below this level, so small
@@ -83,7 +255,7 @@ const GC_REGROW: usize = 4;
 ///
 /// `rings` are the stored trace onion (shed first when the live set alone
 /// busts the budget — traces degrade before the traversal aborts).
-#[allow(clippy::too_many_arguments)] // three distinct root classes + the sheddable rings
+/// Returns whether it collected, which frees every node no root reaches.
 fn enforce_budget(
     bdd: &mut Bdd,
     opts: &VerifyOptions,
@@ -91,17 +263,15 @@ fn enforce_budget(
     gc_trigger: &mut usize,
     persistent: &[NodeRef],
     live: &[NodeRef],
-    working: &[NodeRef],
     rings: &mut Option<TraceRings>,
-) -> Result<(), VerifyError> {
+) -> Result<bool, VerifyError> {
     let allocated = bdd.allocated_nodes();
     if allocated <= *gc_trigger && allocated <= opts.node_budget {
-        return Ok(());
+        return Ok(false);
     }
     let start = Instant::now();
     let mut roots = persistent.to_vec();
     roots.extend_from_slice(live);
-    roots.extend_from_slice(working);
     if let Some(r) = rings {
         roots.extend_from_slice(r.roots());
     }
@@ -115,7 +285,6 @@ fn enforce_budget(
         *rings = None;
         let mut roots = persistent.to_vec();
         roots.extend_from_slice(live);
-        roots.extend_from_slice(working);
         bdd.gc(&roots);
         stats.mid_reach_collections += 1;
         live_now = bdd.allocated_nodes();
@@ -129,7 +298,7 @@ fn enforce_budget(
         });
     }
     *gc_trigger = (live_now * GC_REGROW).max(GC_FLOOR);
-    Ok(())
+    Ok(true)
 }
 
 /// Runs the traversal to a fixpoint, filling `stats`, and returns the
@@ -154,6 +323,9 @@ pub(crate) fn fixpoint(
         rings: vec![model.init],
         complete: true,
     });
+    let bdd = &mut model.bdd;
+    let steps = model.env_steps.iter().map(Step::Env);
+    let mut descent = Descent::new(bdd, steps.chain(model.react_steps.iter().map(Step::React)));
     // Re-armed after every sift: the next reorder fires only once the
     // arena doubles past the post-sift level, so a traversal that simply
     // *stays* large after one reorder does not sift again on every
@@ -162,80 +334,9 @@ pub(crate) fn fixpoint(
     let mut gc_trigger = GC_FLOOR;
     while !frontier.is_false() {
         stats.iterations += 1;
-        let mut imgs: Vec<NodeRef> =
-            Vec::with_capacity(model.env_steps.len() + model.react_steps.len());
-        for step in &model.env_steps {
-            // Deliver the input: quantify the consumer flags and set them
-            // again, one current-rail recursion with no renaming.
-            let start = Instant::now();
-            let img = model.bdd.exists_set(frontier, step.cube);
-            stats.phases.env += start.elapsed();
-            imgs.push(img);
-            stats.image_steps += 1;
-            enforce_budget(
-                &mut model.bdd,
-                opts,
-                stats,
-                &mut gc_trigger,
-                &persistent,
-                &[reached, frontier],
-                &imgs,
-                &mut rings,
-            )?;
-        }
-        for step in &model.react_steps {
-            let start = Instant::now();
-            let img = react_image(&mut model.bdd, step, frontier);
-            stats.phases.products += start.elapsed();
-            imgs.push(img);
-            stats.image_steps += 1;
-            enforce_budget(
-                &mut model.bdd,
-                opts,
-                stats,
-                &mut gc_trigger,
-                &persistent,
-                &[reached, frontier],
-                &imgs,
-                &mut rings,
-            )?;
-        }
-        // Balanced union instead of a left fold: adjacent partitions
-        // share machine locality, and the tree never drags one big
-        // accumulator across every remaining image. Each image is mostly
-        // states already reached, so the first level subtracts `reached`
-        // right away (`(img₂ₖ ∨ img₂ₖ₊₁) ∖ reached` in one fused
-        // recursion, an odd last image alone) and the upper levels merge
-        // only new states. The root is `raw = ⋃ imgs ∖ reached`, the
-        // same function (hence the same canonical handle) as subtracting
-        // after the full union.
-        let mut first_level = true;
-        while first_level || imgs.len() > 1 {
-            let start = Instant::now();
-            let mut next = Vec::with_capacity(imgs.len().div_ceil(2));
-            for pair in imgs.chunks(2) {
-                next.push(match (pair, first_level) {
-                    (&[a, b], true) => model.bdd.or_and_not(a, b, reached),
-                    (&[a, b], false) => model.bdd.or(a, b),
-                    (_, true) => model.bdd.and_not(pair[0], reached),
-                    (_, false) => pair[0],
-                });
-            }
-            first_level = false;
-            imgs = next;
-            stats.phases.union += start.elapsed();
-            enforce_budget(
-                &mut model.bdd,
-                opts,
-                stats,
-                &mut gc_trigger,
-                &persistent,
-                &[reached, frontier],
-                &imgs,
-                &mut rings,
-            )?;
-        }
-        let raw = imgs.pop().unwrap_or(NodeRef::FALSE);
+        let start = Instant::now();
+        let raw = descent.image(bdd, frontier, reached, stats);
+        stats.phases.image += start.elapsed();
         if let Some(r) = &mut rings {
             // `raw` is exactly the states first reached this iteration —
             // the next onion ring. Past the cap the prefix stays valid
@@ -251,27 +352,28 @@ pub(crate) fn fixpoint(
         // it against the pre-update complement to let it shrink into the
         // don't-care space (reached sets stay bit-identical).
         let start = Instant::now();
-        let unseen = model.bdd.not(reached);
-        reached = model.bdd.or(reached, raw);
-        frontier = model.bdd.constrain(raw, unseen);
+        let unseen = bdd.not(reached);
+        reached = bdd.or(reached, raw);
+        frontier = bdd.constrain(raw, unseen);
         stats.constrain_calls += 1;
-        let raw_size = model.bdd.size(&[raw]) as u64;
-        let fsize = model.bdd.size(&[frontier]) as u64;
+        let raw_size = bdd.size(&[raw]) as u64;
+        let fsize = bdd.size(&[frontier]) as u64;
         stats.constrain_reduced_nodes += raw_size.saturating_sub(fsize);
         stats.frontier_sizes.push(fsize);
         stats.peak_frontier_nodes = stats.peak_frontier_nodes.max(fsize);
         stats.phases.frontier += start.elapsed();
-        enforce_budget(
-            &mut model.bdd,
+        if enforce_budget(
+            bdd,
             opts,
             stats,
             &mut gc_trigger,
             &persistent,
             &[reached, frontier],
-            &[],
             &mut rings,
-        )?;
-        if model.bdd.allocated_nodes() > next_reorder {
+        )? {
+            descent.forget();
+        }
+        if bdd.allocated_nodes() > next_reorder {
             let mut roots = persistent.clone();
             roots.push(reached);
             roots.push(frontier);
@@ -279,18 +381,19 @@ pub(crate) fn fixpoint(
                 roots.extend_from_slice(r.roots());
             }
             let start = Instant::now();
-            model.bdd.sift(&roots, &sift_cfg);
+            bdd.sift(&roots, &sift_cfg);
+            descent.retop(bdd);
             stats.phases.sift += start.elapsed();
             stats.mid_reach_reorders += 1;
-            next_reorder = (model.bdd.allocated_nodes() * 2).max(opts.reorder_threshold);
+            next_reorder = (bdd.allocated_nodes() * 2).max(opts.reorder_threshold);
         }
     }
-    let delta = diff_stats(&base, &model.bdd.stats());
+    let delta = diff_stats(&base, &bdd.stats());
     stats.andex_lookups = delta.0;
     stats.andex_hits = delta.1;
     stats.cube_quant_calls = delta.2;
-    stats.reached_nodes = model.bdd.size(&[reached]) as u64;
-    stats.peak_live_nodes = model.bdd.stats().peak_live_nodes;
+    stats.reached_nodes = bdd.size(&[reached]) as u64;
+    stats.peak_live_nodes = bdd.stats().peak_live_nodes;
     stats.reached_states = count_states(model, reached);
     Ok((reached, rings))
 }
@@ -320,12 +423,14 @@ mod tests {
     use polis_cfsm::Network;
     use polis_core::random::{random_network, RandomSpec};
 
-    /// The traversal before any image step was fused: environment images
-    /// as `exists_cube` then `and`, reaction images as `and_exists` then
-    /// `rename`, and the full union before `raw = new ∖ reached`. Kept
-    /// only as an independent oracle for [`fixpoint`] and its three fused
-    /// kernel operations. `keep` are extra GC roots, so handles of an
-    /// earlier run on the same manager stay valid for comparison.
+    /// The traversal before the image descent and before any image step
+    /// was fused: one full image per partition, environment images as
+    /// `exists_cube` then `and`, reaction images as `and_exists` then
+    /// `rename`, a balanced OR tree over them, and `raw = new ∖ reached`
+    /// last. Kept only as an independent oracle for [`fixpoint`]'s
+    /// descent and its three fused kernel operations. `keep` are extra GC
+    /// roots, so handles of an earlier run on the same manager stay valid
+    /// for comparison.
     fn reference_fixpoint(
         model: &mut NetworkModel,
         opts: &VerifyOptions,
@@ -366,14 +471,14 @@ mod tests {
                     });
                 }
                 imgs = next;
+                let roots = [&live[..], &imgs].concat();
                 enforce_budget(
                     &mut model.bdd,
                     opts,
                     &mut stats,
                     &mut gc_trigger,
                     &persistent,
-                    &live,
-                    &imgs,
+                    &roots,
                     &mut rings,
                 )?;
             }
@@ -397,7 +502,6 @@ mod tests {
                 &mut gc_trigger,
                 &persistent,
                 &live,
-                &[],
                 &mut rings,
             )?;
         }
@@ -408,9 +512,15 @@ mod tests {
     /// Runs [`fixpoint`] under `opts` and then the reference at the
     /// default budget on one manager, and asserts they agree ring by
     /// ring, count by count and verdict by verdict. Returns the
-    /// collections the fused run made, or `None` when it aborted or shed
+    /// collections the descent run made, or `None` when it aborted or shed
     /// its rings under `opts.node_budget`.
     fn agrees_with_reference(net: &Network, opts: &VerifyOptions) -> Option<u64> {
+        descent_stats_if_agreeing(net, opts).map(|s| s.mid_reach_collections)
+    }
+
+    /// [`agrees_with_reference`], returning all of the descent run's
+    /// stats.
+    fn descent_stats_if_agreeing(net: &Network, opts: &VerifyOptions) -> Option<VerifyStats> {
         let mut model = NetworkModel::build(net);
         let mut stats = VerifyStats::default();
         let (reached, rings) = fixpoint(&mut model, opts, &mut stats).ok()?;
@@ -456,7 +566,7 @@ mod tests {
         };
         let new_verdicts = verdicts(reached, &rings);
         assert_eq!(new_verdicts, verdicts(ref_reached, &ref_rings), "{name}");
-        Some(stats.mid_reach_collections)
+        Some(stats)
     }
 
     /// The example networks plus seeded relay networks of 3–8 machines.
@@ -485,9 +595,9 @@ mod tests {
 
     #[test]
     fn fused_fixpoint_matches_the_unfused_reference_under_collections() {
-        // Budgets below the unconstrained peak make every over-budget
-        // check of the fused run collect, including those between image
-        // steps and union levels; at least one such budget must complete.
+        // Budgets below the unconstrained peak make the descent run's
+        // once-per-iteration check collect; at least one such budget
+        // must complete.
         for net in oracle_networks() {
             let opts = VerifyOptions {
                 trace_rings: true,
@@ -522,6 +632,53 @@ mod tests {
                 "{}: no budget below peak {peak} completed with fused-run collections",
                 net.name()
             );
+        }
+    }
+
+    #[test]
+    fn descent_matches_the_reference_under_mid_reach_sifting() {
+        // A threshold of one node sifts after the first iteration and
+        // again whenever the arena doubles, so the descent must re-derive
+        // every partition's top from each new order.
+        let opts = VerifyOptions {
+            trace_rings: true,
+            reorder_threshold: 1,
+            ..VerifyOptions::default()
+        };
+        for net in oracle_networks() {
+            let stats = descent_stats_if_agreeing(&net, &opts)
+                .unwrap_or_else(|| panic!("{}: must complete with rings", net.name()));
+            assert!(stats.mid_reach_reorders > 0, "{}: no sift", net.name());
+        }
+    }
+
+    #[test]
+    fn descent_does_not_depend_on_partition_order() {
+        // The reference's rings, re-derived one by one by a descent over
+        // the reversed partition list: env steps now come after the
+        // reactions, so equal tops apply in the opposite order too.
+        let opts = VerifyOptions {
+            trace_rings: true,
+            ..VerifyOptions::default()
+        };
+        for net in oracle_networks() {
+            let name = net.name();
+            let mut model = NetworkModel::build(&net);
+            let (_, rings, _) = reference_fixpoint(&mut model, &opts, &[]).unwrap();
+            let rings = rings.expect("the reference keeps its rings").rings;
+            let env = model.env_steps.iter().map(Step::Env);
+            let steps: Vec<Step> = env
+                .chain(model.react_steps.iter().map(Step::React))
+                .collect();
+            let mut descent = Descent::new(&model.bdd, steps.into_iter().rev());
+            let mut stats = VerifyStats::default();
+            let mut reached = NodeRef::FALSE;
+            for (i, pair) in rings.windows(2).enumerate() {
+                reached = model.bdd.or(reached, pair[0]);
+                let new = descent.image(&mut model.bdd, pair[0], reached, &mut stats);
+                assert_eq!(new, pair[1], "{name}: ring {}", i + 1);
+            }
+            assert!(rings.last().is_some_and(|r| r.is_false()), "{name}");
         }
     }
 }

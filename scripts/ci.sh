@@ -53,14 +53,14 @@ for spec in examples/specs/*.pol; do
   ./target/release/polis verify "$spec"
 done
 
-echo "==> verify --trace writes a verify stage; unknown flags are rejected"
+echo "==> verify --trace writes a verify stage with the descent counter; unknown flags are rejected"
 for spec in examples/specs/*.pol; do
   name="$(basename "$spec" .pol)"
   trace="/tmp/polis_ci_verify_$name.json"
   rm -f "$trace"
   ./target/release/polis verify "$spec" --props --trace "$trace" >/dev/null
-  grep -qF '"stage": "verify"' "$trace" \
-    || { echo "FAIL: $trace has no verify stage"; exit 1; }
+  grep -A 8 -F '"stage": "verify"' "$trace" | grep -qF '"descent_nodes":' \
+    || { echo "FAIL: $trace has no verify stage with \"descent_nodes\""; exit 1; }
   if ./target/release/polis verify "$spec" --no-such-flag >/dev/null 2>&1; then
     echo "FAIL: polis verify $spec accepted --no-such-flag"; exit 1
   fi

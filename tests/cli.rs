@@ -497,13 +497,21 @@ fn verify_trace_holds_parse_then_verify_stage() {
         "iterations",
         "reached_states",
         "collections",
-        "phase_union_ms",
+        "descent_nodes",
+        "env_applications",
+        "react_applications",
+        "phase_image_ms",
         "properties_checked",
     ] {
         assert!(
             json[verify..].contains(&format!("\"{counter}\":")),
             "missing {counter}: {json}"
         );
+    }
+    // The image descent interleaves env images, products and union, so
+    // they have no phases of their own.
+    for gone in ["phase_env_ms", "phase_products_ms", "phase_union_ms"] {
+        assert!(!json.contains(gone), "stale {gone}: {json}");
     }
 
     // A budget abort still flushes the partial trace, ending in the
