@@ -179,7 +179,8 @@ fn exists_is_or_of_cofactors() {
         let expr = case_expr(case);
         let vi = (case as usize).wrapping_mul(7) % NVARS;
         let (mut bdd, vars, f) = setup(&expr);
-        let e = bdd.exists(f, vars[vi]);
+        let c = bdd.cube([vars[vi]]);
+        let e = bdd.exists_cube(f, c);
         for bits in 0..1u32 << NVARS {
             let assign = |v: Var| {
                 let i = vars.iter().position(|&x| x == v).unwrap();
@@ -234,7 +235,8 @@ fn forall_is_and_of_cofactors() {
         let expr = case_expr(case);
         let vi = (case as usize).wrapping_mul(11) % NVARS;
         let (mut bdd, vars, f) = setup(&expr);
-        let a = bdd.forall(f, vars[vi]);
+        let c = bdd.cube([vars[vi]]);
+        let a = bdd.forall_cube(f, c);
         for bits in 0..1u32 << NVARS {
             let assign = |v: Var| {
                 let i = vars.iter().position(|&x| x == v).unwrap();

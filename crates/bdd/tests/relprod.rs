@@ -78,6 +78,20 @@ fn cube_is_the_conjunction_of_its_literals() {
     }
 }
 
+/// `∃v. f` by Shannon expansion: `f|v=0 ∨ f|v=1`.
+fn exists_by_expansion(bdd: &mut Bdd, f: NodeRef, v: Var) -> NodeRef {
+    let f0 = bdd.restrict(f, v, false);
+    let f1 = bdd.restrict(f, v, true);
+    bdd.or(f0, f1)
+}
+
+/// `∀v. f` by Shannon expansion: `f|v=0 ∧ f|v=1`.
+fn forall_by_expansion(bdd: &mut Bdd, f: NodeRef, v: Var) -> NodeRef {
+    let f0 = bdd.restrict(f, v, false);
+    let f1 = bdd.restrict(f, v, true);
+    bdd.and(f0, f1)
+}
+
 #[test]
 fn exists_cube_matches_per_variable_exists() {
     for &nvars in &VAR_COUNTS {
@@ -85,7 +99,9 @@ fn exists_cube_matches_per_variable_exists() {
             let (mut bdd, _, f, _, subset) = setup(nvars, case);
             let c = bdd.cube(subset.iter().copied());
             let single = bdd.exists_cube(f, c);
-            let folded = subset.iter().fold(f, |acc, &v| bdd.exists(acc, v));
+            let folded = subset
+                .iter()
+                .fold(f, |acc, &v| exists_by_expansion(&mut bdd, acc, v));
             assert_eq!(single, folded, "nvars={nvars} case={case}");
         }
     }
@@ -98,7 +114,9 @@ fn forall_cube_matches_per_variable_forall() {
             let (mut bdd, _, f, _, subset) = setup(nvars, case);
             let c = bdd.cube(subset.iter().copied());
             let single = bdd.forall_cube(f, c);
-            let folded = subset.iter().fold(f, |acc, &v| bdd.forall(acc, v));
+            let folded = subset
+                .iter()
+                .fold(f, |acc, &v| forall_by_expansion(&mut bdd, acc, v));
             assert_eq!(single, folded, "nvars={nvars} case={case}");
         }
     }
@@ -171,7 +189,9 @@ fn exists_cube_over_an_iterator_built_cube_matches_folded_exists() {
     let (mut bdd, _, f, _, subset) = setup(6, 7);
     let c = bdd.cube(subset.iter().chain(subset.iter()).copied());
     let single = bdd.exists_cube(f, c);
-    let folded = subset.iter().fold(f, |acc, &v| bdd.exists(acc, v));
+    let folded = subset
+        .iter()
+        .fold(f, |acc, &v| exists_by_expansion(&mut bdd, acc, v));
     assert_eq!(single, folded);
 }
 

@@ -7,20 +7,17 @@
 
 use crate::verdict;
 use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
-use polis_estimate::calibrate;
 use polis_sgraph::BufferPolicy;
-use polis_vm::Profile;
 
 pub fn report() -> Vec<String> {
     let mut out = Vec::new();
-    let params = calibrate(Profile::Mcu8);
     let all = SynthesisOptions::default();
     let min = SynthesisOptions {
         buffering: BufferPolicy::Minimal,
         ..SynthesisOptions::default()
     };
-    let mut all_ctx = SynthCtx::new(&all, &params);
-    let mut min_ctx = SynthCtx::new(&min, &params);
+    let mut all_ctx = SynthCtx::new(&all);
+    let mut min_ctx = SynthCtx::new(&min);
 
     out.push("Ablation: entry-copy buffering (Mcu8)\n".to_owned());
     out.push(format!(

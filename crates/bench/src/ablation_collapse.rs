@@ -7,19 +7,16 @@
 
 use crate::verdict;
 use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
-use polis_estimate::calibrate;
-use polis_vm::Profile;
 
 pub fn report() -> Vec<String> {
     let mut out = Vec::new();
-    let params = calibrate(Profile::Mcu8);
     let plain = SynthesisOptions::default();
     let collapsed = SynthesisOptions {
         collapse: true,
         ..SynthesisOptions::default()
     };
-    let mut plain_ctx = SynthCtx::new(&plain, &params);
-    let mut collapsed_ctx = SynthCtx::new(&collapsed, &params);
+    let mut plain_ctx = SynthCtx::new(&plain);
+    let mut collapsed_ctx = SynthCtx::new(&collapsed);
 
     out.push("Ablation: TEST-node collapsing (Mcu8)\n".to_owned());
     out.push(format!(

@@ -6,17 +6,17 @@
 //! no arguments it prints the usage, rendered from [`FLAGS`].
 
 use polis_bench::{check_verdicts, kernel, verify, BenchOptions, HARNESSES};
+use polis_core::args::{usage_line, Args, Flag};
 use std::process::ExitCode;
 
-/// One flag: its name, the value it takes as shown in the usage text
-/// (`None` for a switch), and the subcommands that read it (every other
-/// subcommand rejects it).
+/// Every flag of every subcommand: [`Args::parse`] checks command lines
+/// against this table, and the usage text is rendered from it.
 #[rustfmt::skip]
-const FLAGS: &[(&str, Option<&str>, &[&str])] = &[
-    ("--smoke", None,         &["kernel", "verify"]),
-    ("--check", None,         &["kernel", "verify"]),
-    ("--gate",  Some("FILE"), &["verify"]),
-    ("--out",   Some("FILE"), &["kernel", "verify"]),
+const FLAGS: &[Flag] = &[
+    Flag("--smoke", None,         &["kernel", "verify"]),
+    Flag("--check", None,         &["kernel", "verify"]),
+    Flag("--gate",  Some("FILE"), &["verify"]),
+    Flag("--out",   Some("FILE"), &["kernel", "verify"]),
 ];
 
 fn main() -> ExitCode {
@@ -56,43 +56,22 @@ fn run(args: Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// The subcommand and its options. An unknown subcommand or flag, a flag
-/// the subcommand does not read, and a value flag without a value are
-/// errors.
-fn parse(args: Vec<String>) -> Result<(&'static str, BenchOptions), String> {
-    let mut args = args.into_iter();
-    let name = args.next().ok_or("missing subcommand")?;
-    let command = HARNESSES
+/// The subcommand and its options, checked by [`Args::parse`]; no
+/// subcommand takes a positional argument.
+fn parse(raw: Vec<String>) -> Result<(&'static str, BenchOptions), String> {
+    let commands: Vec<&'static str> = HARNESSES
         .iter()
         .map(|(harness, _)| *harness)
         .chain(["check", "kernel", "verify"])
-        .find(|&c| c == name)
-        .ok_or_else(|| format!("unknown subcommand `{name}`"))?;
-    let mut opts = BenchOptions::default();
-    while let Some(arg) = args.next() {
-        let &(flag, shown, readers) = FLAGS
-            .iter()
-            .find(|f| f.0 == arg)
-            .ok_or_else(|| format!("unknown flag `{arg}`"))?;
-        if !readers.contains(&command) {
-            return Err(format!("`{command}` does not take `{flag}`"));
-        }
-        let value = match shown {
-            Some(what) => Some(
-                args.next()
-                    .filter(|v| !v.starts_with('-'))
-                    .ok_or_else(|| format!("`{flag}` takes a value: {what}"))?,
-            ),
-            None => None,
-        };
-        match flag {
-            "--smoke" => opts.smoke = true,
-            "--check" => opts.check = true,
-            "--gate" => opts.gate = value,
-            _ => opts.out = value,
-        }
-    }
-    Ok((command, opts))
+        .collect();
+    let args = Args::parse(raw, &commands, &[], FLAGS)?;
+    let opts = BenchOptions {
+        smoke: args.has("--smoke"),
+        check: args.has("--check"),
+        gate: args.value("--gate").map(str::to_owned),
+        out: args.value("--out").map(str::to_owned),
+    };
+    Ok((args.command, opts))
 }
 
 /// The usage text, rendered from [`HARNESSES`] and [`FLAGS`].
@@ -100,13 +79,12 @@ fn usage() -> String {
     let harnesses: Vec<&str> = HARNESSES.iter().map(|(name, _)| *name).collect();
     let mut text = format!("usage: paper <{}|check>", harnesses.join("|"));
     for command in ["kernel", "verify"] {
-        text += &format!("\n       paper {command}");
-        for (flag, shown, _) in FLAGS.iter().filter(|f| f.2.contains(&command)) {
-            text += &format!(
-                " [{flag}{}]",
-                shown.map_or(String::new(), |v| format!(" {v}"))
-            );
-        }
+        text.push('\n');
+        text.push_str(&usage_line(
+            &format!("       paper {command}"),
+            command,
+            FLAGS,
+        ));
     }
     text
 }

@@ -12,7 +12,6 @@
 use crate::{checks, dashboard_stimulus};
 use polis_cfsm::{compose, Network};
 use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
-use polis_estimate::calibrate;
 use polis_rtos::{RtosConfig, Simulator};
 
 pub fn report() -> Vec<String> {
@@ -23,8 +22,7 @@ pub fn report() -> Vec<String> {
         profile: polis_vm::Profile::Risc32,
         ..SynthesisOptions::default()
     };
-    let params = calibrate(opts.profile);
-    let mut ctx = SynthCtx::new(&opts, &params);
+    let mut ctx = SynthCtx::new(&opts);
     let rtos = RtosConfig {
         profile: opts.profile,
         ..RtosConfig::default()

@@ -112,8 +112,9 @@ fn sift_stress(pairs: usize) -> CaseResult {
     }
 }
 
-/// Repeated cofactoring/quantification over one shared function — the
-/// s-graph-extraction access pattern the persistent memo caches serve.
+/// Repeated restriction and one-variable cube quantification over one
+/// shared function — the s-graph-extraction access pattern the persistent
+/// memo caches serve.
 fn quant_stress(nvars: usize, rounds: usize) -> CaseResult {
     let start = Instant::now();
     let mut b = Bdd::new();
@@ -129,12 +130,13 @@ fn quant_stress(nvars: usize, rounds: usize) -> CaseResult {
         let t = b.or(ac, cd);
         f = b.xor(f, t);
     }
+    let cubes: Vec<_> = vars.iter().map(|&v| b.cube([v])).collect();
     let mut acc = NodeRef::FALSE;
     for _ in 0..rounds {
-        for &v in &vars {
-            let e = b.exists(f, v);
+        for (&v, &cube) in vars.iter().zip(&cubes) {
+            let e = b.exists_cube(f, cube);
             let r0 = b.restrict(f, v, false);
-            let u = b.forall(f, v);
+            let u = b.forall_cube(f, cube);
             let x = b.xor(e, r0);
             let y = b.xor(x, u);
             acc = b.xor(acc, y);
@@ -157,6 +159,9 @@ fn quant_stress(nvars: usize, rounds: usize) -> CaseResult {
 /// times (median of 3) are from the same container the current numbers
 /// are recorded on. The old kernel's "peak live nodes" column is its
 /// final allocated-node count — it never reclaimed, so that IS the peak.
+/// The `quant_stress` baseline quantified with the single-variable
+/// `exists`/`forall` the kernel has since dropped; the current row runs
+/// `exists_cube`/`forall_cube` over one-variable cubes instead.
 const BASELINE: &str = r#"[
   { "name": "seatbelt_nosift", "wall_ms": 0.134, "peak_live_nodes": 53, "ite_hit_rate": 0.1937 },
   { "name": "seatbelt_sift", "wall_ms": 1.422, "peak_live_nodes": 494, "ite_hit_rate": 0.1889 },

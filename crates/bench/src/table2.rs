@@ -16,12 +16,10 @@
 use crate::checks;
 use polis_cfsm::OrderScheme;
 use polis_core::{synthesize_cfsm, workloads, ImplStyle, SynthCtx, SynthesisOptions};
-use polis_estimate::calibrate;
 
 pub fn report() -> Vec<String> {
     let mut out = Vec::new();
     let net = workloads::dashboard();
-    let params = calibrate(polis_vm::Profile::Mcu8);
 
     // Columns: naive, after-inputs, after-support, two-level.
     let sifted = |scheme| SynthesisOptions {
@@ -38,7 +36,7 @@ pub fn report() -> Vec<String> {
         sifted(OrderScheme::OutputsAfterSupport),
         two_level,
     ];
-    let mut ctxs = variants.each_ref().map(|opts| SynthCtx::new(opts, &params));
+    let mut ctxs = variants.each_ref().map(SynthCtx::new);
     out.push("Table II: code size (bytes, Mcu8) under different orderings\n".to_owned());
     out.push(format!(
         "| {:<10} | {:>8} | {:>12} | {:>13} | {:>9} |",

@@ -17,7 +17,6 @@
 use crate::{checks, dashboard_stimulus};
 use polis_cfsm::{compose, Network, OrderScheme, ReactiveFn};
 use polis_core::{synthesize_cfsm, workloads, SynthCtx, SynthesisOptions};
-use polis_estimate::calibrate;
 use polis_rtos::{RtosConfig, Simulator};
 use polis_sgraph::ite_chain;
 use polis_vm::Profile;
@@ -27,12 +26,11 @@ pub fn report() -> Vec<String> {
     let mut out = Vec::new();
     let net = workloads::dashboard();
     let stim = dashboard_stimulus(3_000);
-    let params = calibrate(Profile::Risc32);
     let opts = SynthesisOptions {
         profile: Profile::Risc32,
         ..SynthesisOptions::default()
     };
-    let mut ctx = SynthCtx::new(&opts, &params);
+    let mut ctx = SynthCtx::new(&opts);
     let rtos = RtosConfig {
         profile: Profile::Risc32,
         ..RtosConfig::default()

@@ -33,6 +33,7 @@
 //! assert_eq!(opts.style, ImplStyle::DecisionGraph);
 //! ```
 
+pub mod args;
 pub mod pipeline;
 pub mod random;
 pub mod trace;
@@ -45,7 +46,7 @@ pub use pipeline::{
 pub use trace::{MetricValue, StageRecord, SynthTrace};
 
 use polis_cfsm::{Cfsm, OrderScheme};
-use polis_estimate::{calibrate, Estimate};
+use polis_estimate::Estimate;
 use polis_sgraph::{BufferPolicy, SGraph};
 use polis_verify::VerifyOptions;
 use polis_vm::{ObjectCode, Profile, VmProgram};
@@ -147,12 +148,10 @@ pub struct CfsmSynthesis {
     pub synthesis_time: Duration,
 }
 
-/// Runs the single-CFSM pipeline under a freshly calibrated target. To
-/// share one calibration across many machines, build one [`SynthCtx`]
-/// and call [`synthesize_cfsm`].
+/// Runs the single-CFSM pipeline. To synthesize many machines under one
+/// trace, build one [`SynthCtx`] and call [`synthesize_cfsm`].
 pub fn synthesize(cfsm: &Cfsm, opts: &SynthesisOptions) -> CfsmSynthesis {
-    let params = calibrate(opts.profile);
-    let mut ctx = SynthCtx::new(opts, &params);
+    let mut ctx = SynthCtx::new(opts);
     synthesize_cfsm(&mut ctx, cfsm).expect("validated CFSMs synthesize")
 }
 

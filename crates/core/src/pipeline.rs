@@ -14,7 +14,7 @@
 //! in network (input) order, so parallel output is byte-identical to the
 //! sequential run. [`verify_staged`] is the one network verification
 //! stage: the synthesis driver runs it after the machines, and
-//! verify-only callers run it alone under an uncalibrated context.
+//! verify-only callers run it alone.
 
 use crate::trace::{MetricValue, StageRecord, SynthTrace};
 use crate::{
@@ -24,8 +24,7 @@ use crate::{
 use polis_cfsm::{Cfsm, Network, ReactiveFn};
 use polis_codegen::{emit_c, measure_c, two_level_sgraph, CodegenOptions};
 use polis_estimate::{
-    calibrate, derive_incompatibilities, estimate, max_cycles_false_path_aware, CostParams,
-    Estimate, Incompat,
+    calibrate, derive_incompatibilities, estimate, max_cycles_false_path_aware, Estimate, Incompat,
 };
 use polis_lang::Property;
 use polis_rtos::{emit_rtos_c, RtosConfig};
@@ -88,42 +87,21 @@ impl std::error::Error for SynthFailure {
 pub struct SynthCtx<'a> {
     /// Pipeline configuration.
     pub opts: &'a SynthesisOptions,
-    params: Option<&'a CostParams>,
     machine: Option<String>,
     trace: SynthTrace,
     open: Vec<(String, MetricValue)>,
 }
 
 impl<'a> SynthCtx<'a> {
-    /// Creates a context with an empty trace and pre-calibrated target
-    /// cost parameters.
-    pub fn new(opts: &'a SynthesisOptions, params: &'a CostParams) -> SynthCtx<'a> {
-        SynthCtx {
-            params: Some(params),
-            ..SynthCtx::uncalibrated(opts)
-        }
-    }
-
-    /// Creates a context without cost parameters, for runs of stages
-    /// that never estimate (a verify-only run skips `calibrate`).
-    pub fn uncalibrated(opts: &'a SynthesisOptions) -> SynthCtx<'a> {
+    /// Creates a context with an empty trace. The stages that need
+    /// target cost parameters calibrate `opts.profile` themselves.
+    pub fn new(opts: &'a SynthesisOptions) -> SynthCtx<'a> {
         SynthCtx {
             opts,
-            params: None,
             machine: None,
             trace: SynthTrace::new(),
             open: Vec::new(),
         }
-    }
-
-    /// The target cost parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics under a context made by [`SynthCtx::uncalibrated`].
-    pub fn params(&self) -> &'a CostParams {
-        self.params
-            .expect("cost estimation needs a SynthCtx made by SynthCtx::new")
     }
 
     /// Attributes subsequent stage records to `name` (a CFSM), or to the
@@ -285,10 +263,11 @@ fn stage_estimate(
     ctx: &mut SynthCtx<'_>,
     (cfsm, graph): (&Cfsm, &SGraph),
 ) -> Result<(Estimate, Option<u64>), SynthError> {
-    let est = estimate(cfsm, graph, ctx.params(), ctx.opts.buffering);
+    let params = calibrate(ctx.opts.profile);
+    let est = estimate(cfsm, graph, &params, ctx.opts.buffering);
     let incompats = derive_incompatibilities(cfsm);
     let false_path_aware = (!incompats.is_empty())
-        .then(|| max_cycles_false_path_aware(cfsm, graph, ctx.params(), &incompats));
+        .then(|| max_cycles_false_path_aware(cfsm, graph, &params, &incompats));
     ctx.count("est_size_bytes", est.size_bytes);
     ctx.count("est_min_cycles", est.min_cycles);
     ctx.count("est_max_cycles", est.max_cycles);
@@ -406,8 +385,7 @@ fn stage_verify(
 /// counters (the image descent's among them), the mid-traversal
 /// collections and one `phase_<name>_ms`
 /// time per fixpoint phase, plus the property counters when a suite
-/// runs. Never reads cost parameters, so `ctx` may be
-/// [`SynthCtx::uncalibrated`].
+/// runs.
 ///
 /// # Errors
 ///
@@ -426,6 +404,7 @@ fn stage_refine(
     ctx: &mut SynthCtx<'_>,
     (net, machines, reach_incompats): (&Network, &mut [CfsmSynthesis], &[Vec<Incompat>]),
 ) -> Result<(), SynthError> {
+    let params = calibrate(ctx.opts.profile);
     let mut refined = 0u64;
     let mut tightened = 0u64;
     for (i, m) in net.cfsms().iter().enumerate() {
@@ -438,7 +417,7 @@ fn stage_refine(
         if merged.is_empty() {
             continue;
         }
-        let bound = max_cycles_false_path_aware(m, &machines[i].graph, ctx.params(), &merged);
+        let bound = max_cycles_false_path_aware(m, &machines[i].graph, &params, &merged);
         // Never looser than the derived-only bound (or the plain
         // estimate when no derived bound exists).
         let baseline = machines[i]
@@ -541,7 +520,7 @@ pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthe
 ///
 /// Each worker owns the BDD managers of the machines it claims (one
 /// manager per [`ReactiveFn`]); nothing is shared between workers except
-/// the read-only network, options, and cost parameters. Results and
+/// the read-only network and options. Results and
 /// per-machine traces are merged in network order, so the returned
 /// [`NetworkSynthesis`] — including every byte of generated C — is
 /// identical for every `jobs` value. Only wall-clock timings vary.
@@ -558,7 +537,6 @@ pub fn synthesize_network_staged(
     rtos: &RtosConfig,
     jobs: usize,
 ) -> Result<(NetworkSynthesis, SynthTrace), SynthFailure> {
-    let params = calibrate(opts.profile);
     let cfsms = net.cfsms();
     let n = cfsms.len();
     let jobs = jobs.clamp(1, n.max(1));
@@ -566,7 +544,7 @@ pub fn synthesize_network_staged(
 
     type Slot = (Result<CfsmSynthesis, SynthError>, SynthTrace);
     let run_one = |i: usize| -> Slot {
-        let mut ctx = SynthCtx::new(opts, &params);
+        let mut ctx = SynthCtx::new(opts);
         let r = synthesize_cfsm(&mut ctx, &cfsms[i]);
         (r, ctx.into_trace())
     };
@@ -619,7 +597,7 @@ pub fn synthesize_network_staged(
     }
     let synthesis_time = start.elapsed();
 
-    let mut net_ctx = SynthCtx::new(opts, &params);
+    let mut net_ctx = SynthCtx::new(opts);
     let network = network_stages(&mut net_ctx, net, rtos, &mut machines);
     trace.extend(net_ctx.into_trace());
     let (verify_report, rtos_c) = match network {

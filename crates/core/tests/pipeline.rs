@@ -7,13 +7,11 @@ use polis_core::{
     synthesize_cfsm, synthesize_network_staged, workloads, MetricValue, SynthCtx, SynthTrace,
     SynthesisOptions,
 };
-use polis_estimate::calibrate;
 use polis_rtos::RtosConfig;
 
 /// One machine through the staged per-CFSM chain, returning its trace.
 fn cfsm_trace(cfsm: &Cfsm, opts: &SynthesisOptions) -> SynthTrace {
-    let params = calibrate(opts.profile);
-    let mut ctx = SynthCtx::new(opts, &params);
+    let mut ctx = SynthCtx::new(opts);
     synthesize_cfsm(&mut ctx, cfsm).unwrap();
     ctx.into_trace()
 }

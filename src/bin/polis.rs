@@ -8,6 +8,7 @@
 
 use polis::cfsm::Network;
 use polis::codegen::emit_network_header;
+use polis::core::args::{usage_line, Args, Flag};
 use polis::core::{
     synthesize_network_staged, verify_staged, ImplStyle, MetricValue, StageRecord, SynthCtx,
     SynthError, SynthTrace, SynthesisOptions,
@@ -33,14 +34,8 @@ fn main() -> ExitCode {
 /// The subcommands, in usage order. Each takes one `<spec>` argument.
 const COMMANDS: [&str; 7] = ["synth", "estimate", "sim", "verify", "prop", "dot", "fmt"];
 
-/// One command-line flag: how it is typed, the value it takes as shown
-/// in the usage text (`None` for a switch), and the commands that read
-/// it (every other command rejects it).
-struct Flag(&'static str, Option<&'static str>, &'static [&'static str]);
-
-/// Every flag of every command. The parser rejects flags not listed
-/// here, flags the command does not read, and value flags given no
-/// value; the usage text is rendered from this table.
+/// Every flag of every command: [`Args::parse`] checks command lines
+/// against this table, and the usage text is rendered from it.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
     Flag("-o",                  Some("DIR"), &["synth"]),
@@ -62,91 +57,16 @@ const FLAGS: &[Flag] = &[
     Flag("--module",            Some("NAME"), &["dot"]),
 ];
 
-/// A parsed command line: the command, its spec path, and its flags.
-struct Cli {
-    command: &'static str,
-    spec: String,
-    flags: Vec<(&'static str, Option<String>)>,
-}
-
-impl Cli {
-    fn parse(raw: Vec<String>) -> Result<Cli, String> {
-        let mut args = raw.into_iter();
-        let name = args.next().ok_or_else(usage)?;
-        let command = COMMANDS
-            .into_iter()
-            .find(|&c| c == name)
-            .ok_or_else(|| format!("unknown command `{name}`\n{}", usage()))?;
-        let mut spec = None;
-        let mut flags = Vec::new();
-        while let Some(arg) = args.next() {
-            if !arg.starts_with('-') {
-                if spec.is_some() {
-                    return Err(format!("unexpected argument `{arg}`"));
-                }
-                spec = Some(arg);
-                continue;
-            }
-            let Flag(name, shown, commands) = FLAGS
-                .iter()
-                .find(|f| f.0 == arg)
-                .ok_or_else(|| format!("unknown flag `{arg}`\n{}", usage()))?;
-            if !commands.contains(&command) {
-                return Err(format!("`{command}` does not take `{arg}`"));
-            }
-            let value = match shown {
-                Some(what) => Some(
-                    args.next()
-                        .filter(|v| !v.starts_with('-'))
-                        .ok_or_else(|| format!("`{arg}` takes a value: {what}"))?,
-                ),
-                None => None,
-            };
-            flags.push((*name, value));
-        }
-        let spec = spec.ok_or_else(|| format!("missing <spec> argument\n{}", usage()))?;
-        Ok(Cli {
-            command,
-            spec,
-            flags,
-        })
-    }
-
-    fn value(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| *n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| *n == name)
-    }
-}
-
 /// The usage text, one line group per command, rendered from [`FLAGS`].
 fn usage() -> String {
     let mut out = String::from("usage:");
     for command in COMMANDS {
-        let mut line = format!("\n  polis {command} <spec>");
-        let mut width = line.len() - 1;
-        for Flag(name, shown, commands) in FLAGS {
-            if !commands.contains(&command) {
-                continue;
-            }
-            let item = match shown {
-                Some(v) => format!("[{name} {v}]"),
-                None => format!("[{name}]"),
-            };
-            if width + 1 + item.len() > 78 {
-                line.push_str("\n     ");
-                width = 5;
-            }
-            line.push(' ');
-            line.push_str(&item);
-            width += 1 + item.len();
-        }
-        out.push_str(&line);
+        out.push('\n');
+        out.push_str(&usage_line(
+            &format!("  polis {command} <spec>"),
+            command,
+            FLAGS,
+        ));
     }
     out
 }
@@ -156,8 +76,10 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         println!("{}", usage());
         return Ok(());
     }
-    let cli = Cli::parse(raw)?;
-    let (spec, trace) = load(&cli.spec)?;
+    let cli =
+        Args::parse(raw, &COMMANDS, &["<spec>"], FLAGS).map_err(|e| format!("{e}\n{}", usage()))?;
+    let path = &cli.positional[0];
+    let (spec, trace) = load(path)?;
     let opts = Options::read(&cli, &spec.network)?;
     let net = &spec.network;
     match cli.command {
@@ -165,7 +87,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         "estimate" => estimate_cmd(net, &opts),
         "sim" => sim(net, &opts),
         "verify" => verify_cmd(net, &spec.properties, &opts, trace),
-        "prop" => prop_cmd(&cli.spec, &spec, &opts, trace),
+        "prop" => prop_cmd(path, &spec, &opts, trace),
         "dot" => dot(net, &opts),
         "fmt" => {
             print!("{}", emit_spec_source(net, &spec.properties));
@@ -199,7 +121,7 @@ fn load(path: &str) -> Result<(Spec, SynthTrace), String> {
 }
 
 /// What the flags configure. Every flag is read here and nowhere else;
-/// flags a command does not read were rejected by [`Cli::parse`] and
+/// flags a command does not read were rejected by [`Args::parse`] and
 /// leave their defaults.
 struct Options {
     synth: SynthesisOptions,
@@ -213,7 +135,7 @@ struct Options {
 }
 
 impl Options {
-    fn read(cli: &Cli, net: &Network) -> Result<Options, String> {
+    fn read(cli: &Args, net: &Network) -> Result<Options, String> {
         let positive = |flag: &str| -> Result<Option<usize>, String> {
             cli.value(flag)
                 .map(|raw| {
@@ -409,7 +331,7 @@ fn verified(
     opts: &Options,
     mut trace: SynthTrace,
 ) -> Result<polis::core::Verified, String> {
-    let mut ctx = SynthCtx::uncalibrated(&opts.synth);
+    let mut ctx = SynthCtx::new(&opts.synth);
     let result = verify_staged(&mut ctx, net, props);
     trace.extend(ctx.into_trace());
     let v = result.map_err(|error| abort(opts, &trace, error))?;

@@ -118,7 +118,7 @@ fn staged_prop_checking_records_counters() {
     let suite = workloads::property_suite(net.name());
     let props = parse_properties(&net, suite).unwrap();
     let opts = SynthesisOptions::default();
-    let mut ctx = SynthCtx::uncalibrated(&opts);
+    let mut ctx = SynthCtx::new(&opts);
     let verified = verify_staged(&mut ctx, &net, Some(&props)).unwrap();
     let pr = verified.props.expect("a suite was checked");
     assert_eq!(pr.checked, 3);
