@@ -24,7 +24,7 @@
 use crate::machine::{Action, Cfsm, CfsmError, Guard, Transition};
 use crate::network::{Network, NetworkError};
 use crate::signal::value_var_name;
-use polis_expr::{Expr, Value};
+use polis_expr::{Expr, Type, Value};
 use std::collections::{BTreeMap, HashMap};
 
 /// Hard cap on generated product transitions; composition fails with
@@ -111,19 +111,38 @@ pub fn compose(net: &Network) -> Result<Cfsm, ComposeError> {
 pub fn compose_named(net: &Network, name: &str) -> Result<Cfsm, ComposeError> {
     let topo = net.topo_order().ok_or(NetworkError::CyclicCommunication)?;
     let machines = net.cfsms();
+    // Sorted, so membership is a binary search.
     let internal: Vec<String> = net.internal_signals();
-    let is_internal = |sig: &str| internal.iter().any(|s| s == sig);
 
     // External input signals, deduplicated, with declared types.
-    let mut ext_inputs: BTreeMap<String, Option<polis_expr::Type>> = BTreeMap::new();
+    let mut ext_inputs: BTreeMap<String, Option<Type>> = BTreeMap::new();
     for m in machines {
         for s in m.inputs() {
-            if !is_internal(s.name()) {
+            if !is_internal(&internal, s.name()) {
                 ext_inputs.insert(s.name().to_owned(), s.value_type());
             }
         }
     }
     let ext_input_names: Vec<String> = ext_inputs.keys().cloned().collect();
+
+    // The type of every variable a product expression can read: renamed
+    // member state variables, external input values and internal buffers.
+    let mut var_types: HashMap<String, Type> = HashMap::new();
+    for m in machines {
+        for v in m.state_vars() {
+            var_types.insert(format!("{}__{}", m.name(), v.name), v.ty);
+        }
+    }
+    for (sig, ty) in &ext_inputs {
+        if let Some(ty) = ty {
+            var_types.insert(value_var_name(sig), *ty);
+        }
+    }
+    for sig in &internal {
+        if let Some(ty) = internal_type(net, sig) {
+            var_types.insert(buf_var_name(sig), ty);
+        }
+    }
 
     // Variable renaming: member state var `v` of machine `m` -> `m__v`.
     let rename = |m: &Cfsm, e: &Expr| -> Expr {
@@ -156,6 +175,8 @@ pub fn compose_named(net: &Network, name: &str) -> Result<Cfsm, ComposeError> {
             net,
             topo: &topo,
             tuple: &tuple,
+            internal: &internal,
+            var_types: &var_types,
             ext_input_names: &ext_input_names,
             rename: &rename,
             tests: &mut tests,
@@ -218,9 +239,7 @@ pub fn compose_named(net: &Network, name: &str) -> Result<Cfsm, ComposeError> {
     }
     // Buffer variables for valued internal signals (one-place buffers).
     for sig in &internal {
-        let d = net.driver_of(sig).expect("driver");
-        let s = &machines[d].outputs()[machines[d].output_index(sig).unwrap()];
-        if let Some(ty) = s.value_type() {
+        if let Some(ty) = internal_type(net, sig) {
             b.state_var(buf_var_name(sig), ty, Value::Int(0));
         }
     }
@@ -292,6 +311,17 @@ fn buf_var_name(sig: &str) -> String {
     format!("{sig}__buf")
 }
 
+/// Membership in the sorted list [`Network::internal_signals`] returns.
+fn is_internal(internal: &[String], sig: &str) -> bool {
+    internal.binary_search_by(|s| s.as_str().cmp(sig)).is_ok()
+}
+
+/// The value type of internal signal `sig`, as its driver declares it.
+fn internal_type(net: &Network, sig: &str) -> Option<Type> {
+    let m = &net.cfsms()[net.driver_of(sig).expect("driver")];
+    m.outputs()[m.output_index(sig).expect("driver output")].value_type()
+}
+
 /// One member-choice combination under construction.
 #[derive(Debug, Default, Clone)]
 struct Combo {
@@ -307,6 +337,10 @@ struct ComboCtx<'a> {
     net: &'a Network,
     topo: &'a [usize],
     tuple: &'a [usize],
+    /// [`Network::internal_signals`], computed once per composition.
+    internal: &'a [String],
+    /// Types of the variables product expressions read (see [`compose_named`]).
+    var_types: &'a HashMap<String, Type>,
     ext_input_names: &'a [String],
     rename: &'a dyn Fn(&Cfsm, &Expr) -> Expr,
     tests: &'a mut Vec<(String, Expr)>,
@@ -357,7 +391,7 @@ fn enumerate(ctx: &mut ComboCtx<'_>, pos: usize, combo: Combo) {
                         signal: sig.clone(),
                         value: val.clone(),
                     });
-                    if ctx.net.internal_signals().contains(&sig) {
+                    if is_internal(ctx.internal, &sig) {
                         if let Some(v) = &val {
                             c.actions.push(PAction::Assign {
                                 var: buf_var_name(&sig),
@@ -401,7 +435,7 @@ fn translate_guard(ctx: &mut ComboCtx<'_>, m: &Cfsm, g: &Guard, combo: &Combo) -
         Guard::False => Guard::False,
         Guard::Present(i) => {
             let sig = m.inputs()[*i].name();
-            if ctx.net.internal_signals().contains(&sig.to_owned()) {
+            if is_internal(ctx.internal, sig) {
                 if combo.emitted.contains_key(sig) {
                     Guard::True
                 } else {
@@ -440,25 +474,28 @@ fn translate_guard(ctx: &mut ComboCtx<'_>, m: &Cfsm, g: &Guard, combo: &Combo) -
 
 /// Replaces references to internal valued signals (`sig_value`) by the
 /// emitter's value expression (same-tick emission) or the buffer variable
-/// (sampled from an earlier tick). Same-tick values are wrapped in an
-/// explicit modular coercion, because a real emission clamps the value to
-/// the signal's type before the receiver sees it.
+/// (sampled from an earlier tick). A real emission clamps the value to the
+/// signal's type before the receiver sees it, so a same-tick value is
+/// wrapped in an explicit modular coercion unless its interval over the
+/// product's variable types already lies inside that type.
 fn substitute_internal_values(ctx: &ComboCtx<'_>, m: &Cfsm, e: &Expr, combo: &Combo) -> Expr {
     let mut out = e.clone();
     for s in m.inputs() {
-        if !s.is_valued() {
+        let Some(ty) = s.value_type() else {
             continue;
-        }
+        };
         let sig = s.name();
-        if !ctx.net.internal_signals().contains(&sig.to_owned()) {
+        if !is_internal(ctx.internal, sig) {
             continue;
         }
+        let fits = |e: &Expr| {
+            e.interval(&|n| ctx.var_types.get(n).copied())
+                .is_some_and(|(lo, hi)| lo >= ty.min_value() && hi <= ty.max_value())
+        };
         let vv = value_var_name(sig);
         let replacement = match combo.emitted.get(sig) {
-            Some(Some(expr)) => coerce_expr(
-                expr.clone(),
-                s.value_type().expect("valued signal has a type"),
-            ),
+            Some(Some(expr)) if fits(expr) => expr.clone(),
+            Some(Some(expr)) => coerce_expr(expr.clone(), ty),
             _ => Expr::var(buf_var_name(sig)),
         };
         out = out.substitute(&vv, &replacement);
@@ -469,10 +506,10 @@ fn substitute_internal_values(ctx: &ComboCtx<'_>, m: &Cfsm, e: &Expr, combo: &Co
 /// Builds an expression computing [`polis_expr::Type::clamp`] of `e` from
 /// the safe modular operators (`((e % D) + D) % D`, shifted for signed
 /// types), so inlined same-tick values wrap exactly like real emissions.
-fn coerce_expr(e: Expr, ty: polis_expr::Type) -> Expr {
+fn coerce_expr(e: Expr, ty: Type) -> Expr {
     match ty {
-        polis_expr::Type::Bool => e,
-        polis_expr::Type::Int { bits, signed } => {
+        Type::Bool => e,
+        Type::Int { bits, signed } => {
             let d = 1i64 << bits;
             let positive_mod = |x: Expr| x.rem(Expr::int(d)).add(Expr::int(d)).rem(Expr::int(d));
             if signed {
@@ -521,7 +558,7 @@ fn map_guard_tests(g: &Guard, ids: &[crate::machine::TestId]) -> Guard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polis_expr::{MapEnv, Type};
+    use polis_expr::MapEnv;
     use std::collections::BTreeSet;
 
     fn relay(name: &str, input: &str, output: &str) -> Cfsm {
@@ -622,6 +659,74 @@ mod tests {
             got.sort();
             assert_eq!(got, want, "x={x}");
         }
+    }
+
+    /// `counter` emits `x(step)` from a u8 `cnt` that starts at 250;
+    /// `widen` forwards the same tick's `?x` on a u16 output, where an
+    /// unwrapped value would show.
+    fn counter_into_widen(step: Expr) -> Network {
+        let mut b1 = Cfsm::builder("counter");
+        b1.input_pure("go");
+        b1.output_valued("x", Type::uint(8));
+        b1.state_var("cnt", Type::uint(8), Value::Int(250));
+        let s = b1.ctrl_state("s");
+        b1.transition(s, s)
+            .when_present("go")
+            .emit_value("x", step)
+            .assign("cnt", Expr::var("cnt").add(Expr::int(1)))
+            .done();
+        let counter = b1.build().unwrap();
+
+        let mut b2 = Cfsm::builder("widen");
+        b2.input_valued("x", Type::uint(8));
+        b2.output_valued("wide", Type::uint(16));
+        let s = b2.ctrl_state("s");
+        b2.transition(s, s)
+            .when_present("x")
+            .emit_value("wide", Expr::var("x_value"))
+            .done();
+        let widen = b2.build().unwrap();
+        Network::new("wrap", vec![counter, widen]).unwrap()
+    }
+
+    /// Whether any product emission still carries a modular coercion.
+    fn has_coercion(p: &Cfsm) -> bool {
+        p.actions().iter().any(|a| match a {
+            Action::Emit { value: Some(e), .. } => e.to_c().contains('%'),
+            _ => false,
+        })
+    }
+
+    #[test]
+    fn overflowing_same_tick_value_keeps_its_coercion_and_wraps() {
+        let net = counter_into_widen(Expr::var("cnt").add(Expr::int(1)));
+        let p = compose(&net).unwrap();
+        assert!(has_coercion(&p), "cnt + 1 can reach 256 and must wrap");
+
+        let go: BTreeSet<String> = ["go".to_string()].into();
+        let mut ref_states: Vec<crate::CfsmState> =
+            net.cfsms().iter().map(|m| m.initial_state()).collect();
+        let mut st = p.initial_state();
+        let mut wides = Vec::new();
+        for tick in 0..8 {
+            let want = sync_tick_reference(&net, &go, &MapEnv::new(), &mut ref_states);
+            let r = p.react(&go, &MapEnv::new(), &st).unwrap();
+            st = r.next;
+            let mut got: Vec<String> = r.emissions.iter().map(|e| e.signal.clone()).collect();
+            got.sort();
+            assert_eq!(got, want, "tick {tick}");
+            let wide = r.emissions.iter().find(|e| e.signal == "wide").unwrap();
+            wides.push(wide.value.unwrap().as_int().unwrap());
+        }
+        // The network's u8 buffer wraps 255 -> 0; the product must as well.
+        assert_eq!(wides, [251, 252, 253, 254, 255, 0, 1, 2]);
+    }
+
+    #[test]
+    fn same_tick_value_proven_in_range_is_inlined_bare() {
+        let net = counter_into_widen(Expr::var("cnt").div(Expr::int(2)));
+        let p = compose(&net).unwrap();
+        assert!(!has_coercion(&p), "cnt / 2 lies in [0, 127]");
     }
 
     #[test]

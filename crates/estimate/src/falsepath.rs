@@ -120,8 +120,7 @@ fn as_interval_test(cfsm: &Cfsm, e: &Expr) -> Option<(String, IntervalTest)> {
         (Expr::Const(Value::Int(c)), Expr::Var(v)) => (v.clone(), *c, flip(*op)?),
         _ => return None,
     };
-    let ty = var_type(cfsm, &var)?;
-    let (var_lo, var_hi) = (ty.min_value(), ty.max_value());
+    let (var_lo, var_hi) = Expr::var(&var).interval(&|n| var_type(cfsm, n))?;
     let (lo, hi) = match op {
         BinOp::Lt => (var_lo, c - 1),
         BinOp::Le => (var_lo, c),

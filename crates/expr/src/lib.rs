@@ -82,14 +82,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// `true` for operators whose result is a boolean.
-    pub fn is_relational(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
     /// `true` for operators defined on booleans.
     pub fn is_logical(self) -> bool {
         matches!(self, BinOp::And | BinOp::Or | BinOp::Xor)
@@ -331,25 +323,59 @@ impl Expr {
         }
     }
 
-    /// Number of AST nodes; a rough complexity measure used by the cost
-    /// estimator for user-provided data-path expressions.
-    pub fn node_count(&self) -> usize {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => 1,
-            Expr::Unary(_, a) => 1 + a.node_count(),
-            Expr::Binary(_, a, b) => 1 + a.node_count() + b.node_count(),
-            Expr::Ite(c, t, e) => 1 + c.node_count() + t.node_count() + e.node_count(),
+    /// The range `[lo, hi]` of values this integer expression can take when
+    /// every variable holds a value of the type `ty_of` gives it.
+    ///
+    /// Models constants, variables, negation, `+ - *`, `/` by a strictly
+    /// positive divisor, `min`/`max` and `ite` (the union of both branches;
+    /// the condition is not used). Returns `None` for any other operator,
+    /// an untyped variable, or a bound that overflows 64 bits — exactly
+    /// where [`Expr::eval`] might wrap. Each modelled operator is monotone
+    /// in each operand, so its extremes lie at the operands' corners.
+    /// Booleans count as 0 and 1, the range of [`Type::Bool`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use polis_expr::{Expr, Type};
+    /// let e = Expr::var("w").mul(Expr::int(3));
+    /// assert_eq!(e.interval(&|_| Some(Type::uint(8))), Some((0, 765)));
+    /// assert_eq!(Expr::var("w").rem(Expr::int(3)).interval(&|_| Some(Type::uint(8))), None);
+    /// ```
+    pub fn interval(&self, ty_of: &impl Fn(&str) -> Option<Type>) -> Option<(i64, i64)> {
+        fn corners(
+            a: (i64, i64),
+            b: (i64, i64),
+            f: fn(i64, i64) -> Option<i64>,
+        ) -> Option<(i64, i64)> {
+            let c = [f(a.0, b.0)?, f(a.0, b.1)?, f(a.1, b.0)?, f(a.1, b.1)?];
+            Some((*c.iter().min()?, *c.iter().max()?))
         }
-    }
-
-    /// Number of operator applications (operations the target must execute);
-    /// constants and variable reads are not counted.
-    pub fn op_count(&self) -> usize {
         match self {
-            Expr::Const(_) | Expr::Var(_) => 0,
-            Expr::Unary(_, a) => 1 + a.op_count(),
-            Expr::Binary(_, a, b) => 1 + a.op_count() + b.op_count(),
-            Expr::Ite(c, t, e) => 1 + c.op_count() + t.op_count() + e.op_count(),
+            Expr::Const(Value::Int(c)) => Some((*c, *c)),
+            Expr::Const(Value::Bool(b)) => Some((i64::from(*b), i64::from(*b))),
+            Expr::Var(n) => ty_of(n).map(|t| (t.min_value(), t.max_value())),
+            Expr::Unary(UnOp::Neg, a) => {
+                let (lo, hi) = a.interval(ty_of)?;
+                Some((hi.checked_neg()?, lo.checked_neg()?))
+            }
+            Expr::Unary(UnOp::Not, _) => None,
+            Expr::Binary(op, a, b) => {
+                let (a, b) = (a.interval(ty_of)?, b.interval(ty_of)?);
+                match op {
+                    BinOp::Add => Some((a.0.checked_add(b.0)?, a.1.checked_add(b.1)?)),
+                    BinOp::Sub => Some((a.0.checked_sub(b.1)?, a.1.checked_sub(b.0)?)),
+                    BinOp::Mul => corners(a, b, i64::checked_mul),
+                    BinOp::Div if b.0 > 0 => corners(a, b, i64::checked_div),
+                    BinOp::Min => Some((a.0.min(b.0), a.1.min(b.1))),
+                    BinOp::Max => Some((a.0.max(b.0), a.1.max(b.1))),
+                    _ => None,
+                }
+            }
+            Expr::Ite(_, t, e) => {
+                let (t, e) = (t.interval(ty_of)?, e.interval(ty_of)?);
+                Some((t.0.min(e.0), t.1.max(e.1)))
+            }
         }
     }
 }
@@ -368,8 +394,6 @@ mod tests {
     fn builder_roundtrip() {
         let e = Expr::var("x").add(Expr::int(1)).eq(Expr::var("y"));
         assert_eq!(e.support(), vec!["x".to_string(), "y".to_string()]);
-        assert_eq!(e.node_count(), 5);
-        assert_eq!(e.op_count(), 2);
     }
 
     #[test]
@@ -393,9 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn relational_and_logical_classification() {
-        assert!(BinOp::Eq.is_relational());
-        assert!(!BinOp::Add.is_relational());
+    fn logical_classification() {
         assert!(BinOp::And.is_logical());
         assert!(!BinOp::Lt.is_logical());
     }

@@ -15,7 +15,7 @@ use std::fmt;
 /// ```
 /// use polis_expr::Type;
 /// let t = Type::uint(4);
-/// assert_eq!(t.domain_size(), 16);
+/// assert_eq!((t.min_value(), t.max_value()), (0, 15));
 /// assert_eq!(t.clamp(17), 1); // wraps modulo 2^4
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -53,23 +53,6 @@ impl Type {
     pub fn int(bits: u8) -> Type {
         assert!((1..=32).contains(&bits), "integer width must be 1..=32");
         Type::Int { bits, signed: true }
-    }
-
-    /// Number of distinct values of this type.
-    pub fn domain_size(self) -> u64 {
-        match self {
-            Type::Bool => 2,
-            Type::Int { bits, .. } => 1u64 << bits,
-        }
-    }
-
-    /// Number of bits needed to encode one value of this type in a BDD
-    /// (`1` for booleans, `bits` for integers).
-    pub fn encoded_bits(self) -> u8 {
-        match self {
-            Type::Bool => 1,
-            Type::Int { bits, .. } => bits,
-        }
     }
 
     /// Smallest representable value.
@@ -122,8 +105,9 @@ impl Type {
         }
     }
 
-    /// Encodes a value of this type into an unsigned bit pattern of
-    /// [`Type::encoded_bits`] bits (two's complement for signed types).
+    /// Encodes a value of this type into an unsigned bit pattern one bit
+    /// wide for booleans and `bits` wide for integers (two's complement for
+    /// signed types).
     pub fn encode(self, v: i64) -> u64 {
         let clamped = self.clamp(v);
         match self {
@@ -245,14 +229,6 @@ impl Value {
         }
     }
 
-    /// The default (reset) value of a type: `false` or `0`.
-    pub fn default_of(ty: Type) -> Value {
-        match ty {
-            Type::Bool => Value::Bool(false),
-            Type::Int { .. } => Value::Int(0),
-        }
-    }
-
     /// Wraps the value to `ty`'s range; booleans pass through unchanged when
     /// `ty` is boolean, integers are clamped modularly.
     pub fn coerce(self, ty: Type) -> Value {
@@ -264,7 +240,7 @@ impl Value {
         }
     }
 
-    /// Encodes the value as a bit pattern of `ty.encoded_bits()` bits.
+    /// Encodes the value as a bit pattern of `ty` (see [`Type::encode`]).
     pub fn encode(self, ty: Type) -> u64 {
         match self.coerce(ty) {
             Value::Bool(b) => u64::from(b),
@@ -393,13 +369,6 @@ mod tests {
         assert_eq!(Value::Int(2).coerce(Type::Bool), Value::Bool(true));
         assert_eq!(Value::Bool(true).coerce(Type::uint(8)), Value::Int(1));
         assert_eq!(Value::Int(300).coerce(Type::uint(8)), Value::Int(44));
-    }
-
-    #[test]
-    fn domain_sizes() {
-        assert_eq!(Type::Bool.domain_size(), 2);
-        assert_eq!(Type::uint(3).domain_size(), 8);
-        assert_eq!(Type::int(3).domain_size(), 8);
     }
 
     #[test]

@@ -46,8 +46,7 @@ for spec in examples/specs/*.pol; do
 done
 
 echo "==> paper harnesses: every shape-check verdict matches scripts/harness_verdicts.txt"
-# A verdict that flips either way fails, including the VIOLATED lines of
-# the open Table III / granularity regression (ROADMAP.md, first item).
+# A verdict that flips either way fails.
 ./target/release/paper check
 
 echo "==> symbolic verification of the example networks"
