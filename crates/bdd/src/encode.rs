@@ -88,27 +88,6 @@ impl MvVar {
         })
     }
 
-    /// The predicate `self == other` (bitwise equality; both variables must
-    /// have the same width).
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatch.
-    pub fn eq_var(&self, bdd: &mut Bdd, other: &MvVar) -> NodeRef {
-        assert_eq!(self.width(), other.width(), "width mismatch");
-        let eqs: Vec<NodeRef> = self
-            .bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(&a, &b)| {
-                let fa = bdd.var(a);
-                let fb = bdd.var(b);
-                bdd.iff(fa, fb)
-            })
-            .collect();
-        bdd.and_all(eqs)
-    }
-
     /// The characteristic function of `{ v in domain | pred(v) }`.
     pub fn such_that(&self, bdd: &mut Bdd, pred: impl Fn(u64) -> bool) -> NodeRef {
         let cubes: Vec<NodeRef> = (0..self.domain)
@@ -116,16 +95,6 @@ impl MvVar {
             .map(|v| self.eq_const(bdd, v))
             .collect();
         bdd.or_all(cubes)
-    }
-
-    /// The constraint that the encoded value is inside the domain (always
-    /// true for power-of-two domains).
-    pub fn in_domain(&self, bdd: &mut Bdd) -> NodeRef {
-        if self.domain.is_power_of_two() {
-            NodeRef::TRUE
-        } else {
-            self.such_that(bdd, |_| true)
-        }
     }
 
     /// Decodes an assignment (a predicate on bits) into the encoded value.
@@ -208,24 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn eq_var_counts_diagonal() {
-        let mut b = Bdd::new();
-        let s = MvVar::new(&mut b, "s", 4);
-        let t = MvVar::new(&mut b, "t", 4);
-        let f = s.eq_var(&mut b, &t);
-        assert_eq!(b.sat_count(f), 4); // 4 equal pairs over 16 assignments
-    }
-
-    #[test]
-    fn such_that_and_in_domain() {
+    fn such_that_counts_matching_codes() {
         let mut b = Bdd::new();
         let s = MvVar::new(&mut b, "s", 3); // 2 bits, one invalid code
         let even = s.such_that(&mut b, |v| v % 2 == 0);
         assert_eq!(b.sat_count(even), 2); // 0 and 2
-        let dom = s.in_domain(&mut b);
-        assert_eq!(b.sat_count(dom), 3);
-        let p2 = MvVar::new(&mut b, "t", 4);
-        assert!(p2.in_domain(&mut b).is_true());
     }
 
     #[test]

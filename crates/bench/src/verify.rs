@@ -30,7 +30,7 @@ use polis_cfsm::Network;
 use polis_core::random::{random_network, RandomSpec};
 use polis_core::trace::Json;
 use polis_core::workloads;
-use polis_lang::parse_properties;
+use polis_lang::Property;
 use polis_verify::{verify_with_props, PropReport, Verifier, VerifyOptions, VerifyReport};
 use std::time::Instant;
 
@@ -132,7 +132,9 @@ const GATED: [&str; 6] = [
     "deadlock",
 ];
 
-fn run_case(name: &str, net: &Network) -> CaseResult {
+/// Verifies `net`, then checks `props` in a second pass unless the suite
+/// is empty (the relay chains have none).
+fn run_case(name: &str, net: &Network, props: &[Property]) -> CaseResult {
     let start = Instant::now();
     let mut v = Verifier::run(net, &VerifyOptions::default())
         .unwrap_or_else(|e| panic!("{name}: verification failed: {e}"));
@@ -140,11 +142,8 @@ fn run_case(name: &str, net: &Network) -> CaseResult {
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     // The property pass is a separate run with ring storage on, so the
     // measurement above keeps the reachability-only memory/timing profile.
-    let suite = workloads::property_suite(net.name());
-    let prop = (!suite.is_empty()).then(|| {
-        let props = parse_properties(net, suite)
-            .unwrap_or_else(|e| panic!("{name}: bad property suite: {e}"));
-        let (_, pr) = verify_with_props(net, &props, &VerifyOptions::default())
+    let prop = (!props.is_empty()).then(|| {
+        let (_, pr) = verify_with_props(net, props, &VerifyOptions::default())
             .unwrap_or_else(|e| panic!("{name}: property pass failed: {e}"));
         pr
     });
@@ -218,17 +217,18 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
     };
 
     let mut results = Vec::new();
-    for (name, net) in [
-        ("seatbelt", workloads::seat_belt()),
-        ("shock_absorber", workloads::shock_absorber()),
-        ("dashboard", workloads::dashboard()),
+    for (name, spec) in [
+        ("seatbelt", "seat_belt"),
+        ("shock_absorber", "shock_absorber"),
+        ("dashboard", "dashboard"),
     ] {
-        results.push(run_case(name, &net));
+        let spec = workloads::spec(spec);
+        results.push(run_case(name, &spec.network, &spec.properties));
     }
     let spec = RandomSpec::default();
     for &n in chain_sizes {
         let net = random_network(n, &spec, 0x9e3779b97f4a7c15 ^ n as u64);
-        results.push(run_case(&format!("relay_chain_{n}"), &net));
+        results.push(run_case(&format!("relay_chain_{n}"), &net, &[]));
     }
 
     for r in &results {

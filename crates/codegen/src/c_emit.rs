@@ -1,7 +1,7 @@
 //! The s-graph → C translator (Section III-B4).
 
 use polis_cfsm::{value_var_name, Action, Cfsm, Network};
-use polis_expr::{CStyle, Expr};
+use polis_expr::{CStyle, Expr, Type};
 use polis_sgraph::{
     analysis, AssignLabel, BufferPolicy, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel,
 };
@@ -355,14 +355,17 @@ impl CEmitter<'_> {
                 signal,
                 value: Some(e),
             } => {
-                let sig = self.cfsm.outputs()[*signal].name();
-                let v = self.expr(e);
-                let _ = writeln!(self.out, "{prefix}POLIS_EMIT_VALUE({sig}, {v});");
+                let sig = &self.cfsm.outputs()[*signal];
+                let ty = sig
+                    .value_type()
+                    .expect("valued emission of a valued signal");
+                let v = wrap_to(ty, self.expr(e));
+                let _ = writeln!(self.out, "{prefix}POLIS_EMIT_VALUE({}, {v});", sig.name());
             }
             Action::Assign { var, value } => {
-                let name = &self.cfsm.state_vars()[*var].name;
-                let v = self.expr(value);
-                let _ = writeln!(self.out, "{prefix}st->{name} = {v};");
+                let var = &self.cfsm.state_vars()[*var];
+                let v = wrap_to(var.ty, self.expr(value));
+                let _ = writeln!(self.out, "{prefix}st->{} = {v};", var.name);
             }
         }
     }
@@ -395,11 +398,33 @@ impl CEmitter<'_> {
     }
 }
 
+/// The C for storing `v` into a slot of type `ty` with the model's wrap
+/// ([`Type::clamp`]). 8-, 16- and 32-bit integers fill their C type and
+/// wrap as stored; a narrower unsigned type is masked, a narrower signed
+/// type sign-extended, and a `bool` tested against zero. `v` is an
+/// operand as [`Expr::to_c`] renders it: an atom or parenthesized.
+fn wrap_to(ty: Type, v: String) -> String {
+    match ty {
+        Type::Int {
+            bits: 8 | 16 | 32, ..
+        } => v,
+        Type::Int {
+            bits,
+            signed: false,
+        } => format!("({v} & {:#x})", (1u64 << bits) - 1),
+        Type::Int { bits, signed: true } => {
+            let sign = 1u64 << (bits - 1);
+            format!("((({v} & {:#x}) ^ {sign:#x}) - {sign:#x})", 2 * sign - 1)
+        }
+        Type::Bool => format!("({v} != 0)"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use polis_cfsm::ReactiveFn;
-    use polis_expr::{Type, Value};
+    use polis_expr::Value;
     use polis_sgraph::{build, ite_chain};
 
     fn simple() -> Cfsm {
@@ -457,6 +482,42 @@ mod tests {
         assert!(c.contains("POLIS_VALUE(c)"));
         // the a := a + 1 action
         assert!(c.contains("+ 1"), "{c}");
+    }
+
+    #[test]
+    fn narrow_types_wrap_as_the_model_does() {
+        let mut b = Cfsm::builder("nibbles");
+        b.input_pure("go");
+        b.output_valued("o", Type::int(4));
+        b.state_var("n", Type::uint(4), Value::Int(0));
+        b.state_var("d", Type::int(4), Value::Int(0));
+        b.state_var("f", Type::Bool, Value::Int(0));
+        let s = b.ctrl_state("s");
+        b.transition(s, s)
+            .when_present("go")
+            .assign("n", Expr::var("n").add(Expr::int(1)))
+            .assign("d", Expr::var("d").sub(Expr::int(1)))
+            .assign("f", Expr::var("n"))
+            .emit_value("o", Expr::var("d").sub(Expr::int(1)))
+            .done();
+        let m = b.build().unwrap();
+        let g = build(&ReactiveFn::build(&m)).unwrap();
+        let c = emit_c(&m, &g, &CodegenOptions::default());
+        assert!(c.contains("st->n = ((n + 1) & 0xf);"), "{c}");
+        assert!(
+            c.contains("st->d = ((((d - 1) & 0xf) ^ 0x8) - 0x8);"),
+            "{c}"
+        );
+        assert!(c.contains("st->f = (n != 0);"), "{c}");
+        assert!(
+            c.contains("POLIS_EMIT_VALUE(o, ((((d - 1) & 0xf) ^ 0x8) - 0x8));"),
+            "{c}"
+        );
+        // The emitted formulas compute `Type::clamp` on every value.
+        for v in -300i64..300 {
+            assert_eq!(v & 0xf, Type::uint(4).clamp(v), "{v}");
+            assert_eq!(((v & 0xf) ^ 0x8) - 0x8, Type::int(4).clamp(v), "{v}");
+        }
     }
 
     #[test]

@@ -10,41 +10,32 @@ use polis_lang::parse_network;
 use polis_sgraph::{build, ite_chain, BufferPolicy, SGraph};
 use std::collections::BTreeSet;
 
+/// Every machine of the four example specs, the files the core workloads
+/// read (codegen cannot depend on polis-core, which depends on it).
 fn workload_machines() -> Vec<Cfsm> {
-    // Inline copies of the core workloads (codegen cannot depend on
-    // polis-core without a cycle) plus a couple of stress shapes.
-    let dashboard = r#"
-        module counter {
-            input pulse, window;
-            output ticks : u8;
-            var cnt : u8 := 0;
-            state counting, saturated;
-            from counting to counting when window do { emit ticks(cnt); cnt := 0; }
-            from counting to saturated when pulse && [cnt >= 200] ;
-            from counting to counting when pulse do { cnt := cnt + 1; }
-            from saturated to counting when window do { emit ticks(cnt); cnt := 0; }
-        }
-        module scaler {
-            input ticks : u8;
-            output level : u16;
-            state s;
-            from s to s when ticks do { emit level(?ticks * 3 + 1); }
-        }
-        module gate {
-            input level : u16, enable;
-            output high, low;
-            var thr : u16 := 50;
-            state armed, idle;
-            from idle to armed when enable;
-            from armed to idle when enable;
-            from armed to armed when level && [?level >= thr] do { emit high; }
-            from armed to armed when level do { emit low; }
-        }
-    "#;
-    parse_network("w", dashboard)
-        .expect("workload parses")
-        .cfsms()
-        .to_vec()
+    [
+        ("simple", include_str!("../../../examples/specs/simple.pol")),
+        (
+            "seat_belt",
+            include_str!("../../../examples/specs/seat_belt.pol"),
+        ),
+        (
+            "shock_absorber",
+            include_str!("../../../examples/specs/shock_absorber.pol"),
+        ),
+        (
+            "dashboard",
+            include_str!("../../../examples/specs/dashboard.pol"),
+        ),
+    ]
+    .iter()
+    .flat_map(|(name, src)| {
+        parse_network(name, src)
+            .expect("example specs parse")
+            .cfsms()
+            .to_vec()
+    })
+    .collect()
 }
 
 fn graphs_for(m: &Cfsm) -> Vec<(String, SGraph)> {
@@ -141,13 +132,13 @@ fn generated_c_is_structurally_sound_everywhere() {
 
 #[test]
 fn switch_threshold_changes_dispatch_form() {
-    // gate has 2 states; with a low threshold the CtrlSwitch may emit a
+    // frc has 2 states; with a low threshold the CtrlSwitch may emit a
     // `switch`, with a high threshold an `if` chain.
     let machines = workload_machines();
-    let gate = machines.iter().find(|m| m.name() == "gate").unwrap();
-    let g = two_level_sgraph(gate);
+    let frc = machines.iter().find(|m| m.name() == "frc").unwrap();
+    let g = two_level_sgraph(frc);
     let low = emit_c(
-        gate,
+        frc,
         &g,
         &CodegenOptions {
             switch_threshold: 2,
@@ -155,7 +146,7 @@ fn switch_threshold_changes_dispatch_form() {
         },
     );
     let high = emit_c(
-        gate,
+        frc,
         &g,
         &CodegenOptions {
             switch_threshold: 99,
@@ -165,6 +156,6 @@ fn switch_threshold_changes_dispatch_form() {
     assert!(low.contains("switch (ctrl)"), "{low}");
     assert!(!high.contains("switch (ctrl)"), "{high}");
     assert!(high.contains("if (ctrl == 1)"), "{high}");
-    check_c("gate/switch-low", &low);
-    check_c("gate/switch-high", &high);
+    check_c("frc/switch-low", &low);
+    check_c("frc/switch-high", &high);
 }

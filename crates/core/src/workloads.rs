@@ -11,300 +11,64 @@
 //!   after the key turns with the belt off, sound the alarm;
 //! * [`simple`] — the paper's Fig. 1 module.
 //!
-//! All are written in the [`polis_lang`] textual format, so the front end
-//! is exercised on every path through the evaluation.
+//! Each is read from its `examples/specs/<name>.pol` file, the one copy
+//! of the spec and its property suite that the CLI, the harnesses and the
+//! tests all share; the front end runs on every path through the
+//! evaluation.
 
 use polis_cfsm::{Cfsm, Network};
-use polis_lang::{parse_module, parse_network};
+use polis_lang::{parse_spec, Spec};
+
+/// The example specs by name: the committed `examples/specs/<name>.pol`
+/// sources, each a network plus its property suite.
+pub const EXAMPLES: [(&str, &str); 4] = [
+    ("simple", include_str!("../../../examples/specs/simple.pol")),
+    (
+        "seat_belt",
+        include_str!("../../../examples/specs/seat_belt.pol"),
+    ),
+    (
+        "shock_absorber",
+        include_str!("../../../examples/specs/shock_absorber.pol"),
+    ),
+    (
+        "dashboard",
+        include_str!("../../../examples/specs/dashboard.pol"),
+    ),
+];
+
+/// Parses the example spec `name` (one of [`EXAMPLES`]): its network,
+/// named `name`, and its property suite.
+///
+/// # Panics
+///
+/// Panics if `name` is not an example or its source does not parse.
+pub fn spec(name: &str) -> Spec {
+    let (_, src) = EXAMPLES
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no example spec `{name}`"));
+    parse_spec(name, src).unwrap_or_else(|e| panic!("examples/specs/{name}.pol: {e}"))
+}
 
 /// The paper's Fig. 1 `simple` module.
 pub fn simple() -> Cfsm {
-    parse_module(
-        r#"
-        // Fig. 1: await c; if a == ?c then { a := 0; emit y } else a := a+1
-        module simple {
-            input c : u8;
-            output y;
-            var a : u8 := 0;
-            state awaiting;
-            from awaiting to awaiting when c && [a == ?c] do { a := 0; emit y; }
-            from awaiting to awaiting when c && ![a == ?c] do { a := a + 1; }
-        }
-        "#,
-    )
-    .expect("fig. 1 module parses")
+    spec("simple").network.cfsms()[0].clone()
 }
 
 /// The dashboard controller subset (Table I/II/III workload).
-///
-/// Chain: wheel/engine pulse counters windowed by a timebase, speed and
-/// RPM conversion, odometer accumulation, fuel-level filtering, and two
-/// PWM duty generators for the gauges.
 pub fn dashboard() -> Network {
-    parse_network(
-        "dashboard",
-        r#"
-        // Wheel pulse counter: counts sensor pulses per timebase window,
-        // saturating into a distinct control state near the counter cap.
-        module frc {
-            input wheel_pulse, timebase;
-            output wticks : u8;
-            var cnt : u8 := 0;
-            state counting, saturated;
-            from counting to counting when timebase do { emit wticks(cnt); cnt := 0; }
-            from counting to saturated when wheel_pulse && [cnt >= 200] ;
-            from counting to counting when wheel_pulse do { cnt := cnt + 1; }
-            from saturated to counting when timebase do { emit wticks(cnt); cnt := 0; }
-        }
-
-        // Engine pulse counter: same structure on the engine sensor.
-        module rpc {
-            input eng_pulse, timebase;
-            output eticks : u8;
-            var cnt : u8 := 0;
-            state counting, saturated;
-            from counting to counting when timebase do { emit eticks(cnt); cnt := 0; }
-            from counting to saturated when eng_pulse && [cnt >= 200] ;
-            from counting to counting when eng_pulse do { cnt := cnt + 1; }
-            from saturated to counting when timebase do { emit eticks(cnt); cnt := 0; }
-        }
-
-        // Speedometer conversion: ticks-per-window to km/h.
-        module speedo {
-            input wticks : u8;
-            output speed : u16;
-            state s;
-            from s to s when wticks do { emit speed(?wticks * 3); }
-        }
-
-        // Tachometer conversion: ticks-per-window to RPM/100.
-        module tach {
-            input eticks : u8;
-            output rpm : u16;
-            state s;
-            from s to s when eticks do { emit rpm(?eticks * 6); }
-        }
-
-        // Odometer: accumulate wheel ticks, pulse every 100 tick-units.
-        module odometer {
-            input wticks : u8;
-            output odo_pulse;
-            var acc : u16 := 0;
-            state s;
-            from s to s when wticks && [acc + ?wticks >= 100]
-                do { acc := acc + ?wticks - 100; emit odo_pulse; }
-            from s to s when wticks do { acc := acc + ?wticks; }
-        }
-
-        // Fuel gauge: exponential smoothing of the sensor, low warning.
-        // (CFSM actions read pre-reaction state, so the emission recomputes
-        // the filtered value rather than naming the assigned variable.)
-        module fuel {
-            input fuel_sample : u8;
-            output fuel_level : u8, low_fuel;
-            var level : u8 := 128;
-            state s;
-            from s to s when fuel_sample && [(level * 3 + ?fuel_sample) / 4 < 20]
-                do { level := (level * 3 + ?fuel_sample) / 4;
-                     emit fuel_level((level * 3 + ?fuel_sample) / 4); emit low_fuel; }
-            from s to s when fuel_sample
-                do { level := (level * 3 + ?fuel_sample) / 4;
-                     emit fuel_level((level * 3 + ?fuel_sample) / 4); }
-        }
-
-        // PWM duty generator for the speed gauge.
-        module pwm_speed {
-            input speed : u16;
-            output duty_speed : u8;
-            state s;
-            from s to s when speed do { emit duty_speed(min(?speed / 2, 99)); }
-        }
-
-        // PWM duty generator for the fuel gauge.
-        module pwm_fuel {
-            input fuel_level : u8;
-            output duty_fuel : u8;
-            state s;
-            from s to s when fuel_level do { emit duty_fuel(min(?fuel_level / 3, 99)); }
-        }
-        "#,
-    )
-    .expect("dashboard network parses")
+    spec("dashboard").network
 }
 
 /// The shock absorber controller (Section V-B workload).
-///
-/// Acquisition and filtering of a body-acceleration sensor, road-roughness
-/// estimation over windows, damper mode selection by speed and roughness,
-/// the valve actuator driver, and a watchdog.
 pub fn shock_absorber() -> Network {
-    parse_network(
-        "shock_absorber",
-        r#"
-        // Acceleration acquisition: 3/4 exponential filter per sample.
-        module acq {
-            input acc_sample : i8;
-            output acc_f : i8;
-            var f : i8 := 0;
-            state s;
-            from s to s when acc_sample
-                do { f := (f * 3 + ?acc_sample) / 4; emit acc_f(f); }
-        }
-
-        // Road roughness: count filtered-acceleration excursions per window.
-        module road {
-            input acc_f : i8, window;
-            output roughness : u8;
-            var bumps : u8 := 0;
-            state s;
-            from s to s when window do { emit roughness(bumps); bumps := 0; }
-            from s to s when acc_f && [?acc_f > 12] do { bumps := bumps + 1; }
-            from s to s when acc_f && [?acc_f < -12] do { bumps := bumps + 1; }
-        }
-
-        // Speed conditioning: hold the last sample, classify into bands.
-        module speed_est {
-            input speed_sample : u8;
-            output spd_band : u8;
-            var v : u8 := 0;
-            state s;
-            from s to s when speed_sample && [?speed_sample >= 90]
-                do { v := ?speed_sample; emit spd_band(2); }
-            from s to s when speed_sample && [?speed_sample >= 40]
-                do { v := ?speed_sample; emit spd_band(1); }
-            from s to s when speed_sample
-                do { v := ?speed_sample; emit spd_band(0); }
-        }
-
-        // Damper mode logic: comfort / normal / sport.
-        module mode {
-            input roughness : u8, spd_band : u8;
-            output mode_cmd : u8;
-            var rough : u8 := 0;
-            state comfort, normal, sport;
-            from comfort to sport when spd_band && [?spd_band >= 2]
-                do { emit mode_cmd(2); }
-            from comfort to normal when roughness && [?roughness >= 4]
-                do { rough := ?roughness; emit mode_cmd(1); }
-            from comfort to comfort when roughness
-                do { rough := ?roughness; }
-            from normal to sport when spd_band && [?spd_band >= 2]
-                do { emit mode_cmd(2); }
-            from normal to comfort when roughness && [?roughness < 2]
-                do { rough := ?roughness; emit mode_cmd(0); }
-            from normal to normal when roughness
-                do { rough := ?roughness; }
-            from sport to normal when spd_band && [?spd_band < 2]
-                do { emit mode_cmd(1); }
-        }
-
-        // Valve driver: duty per mode, refreshed on the PWM timer.
-        module act {
-            input mode_cmd : u8, pwm_tick;
-            output valve : u8;
-            var duty : u8 := 30;
-            state s;
-            from s to s when mode_cmd && [?mode_cmd >= 2] do { duty := 90; }
-            from s to s when mode_cmd && [?mode_cmd == 1] do { duty := 60; }
-            from s to s when mode_cmd do { duty := 30; }
-            from s to s when pwm_tick do { emit valve(duty); }
-        }
-
-        // Watchdog: alarm if a whole supervision window passes without
-        // valve activity.
-        module watchdog {
-            input valve : u8, wd_tick;
-            output wd_alarm;
-            state fed, starving;
-            from fed to fed when valve;
-            from fed to starving when wd_tick;
-            from starving to fed when valve;
-            from starving to fed when wd_tick do { emit wd_alarm; }
-        }
-        "#,
-    )
-    .expect("shock absorber network parses")
+    spec("shock_absorber").network
 }
 
-/// The seat-belt alarm (classic POLIS tutorial example): after the key
-/// turns on, unless the belt is fastened within five timer ticks, sound
-/// the alarm; key-off or fastening resets.
+/// The seat-belt alarm (classic POLIS tutorial example).
 pub fn seat_belt() -> Network {
-    parse_network(
-        "seat_belt",
-        r#"
-        module belt_control {
-            input key_on, key_off, belt_on, tick;
-            output alarm_on, alarm_off;
-            var t : u8 := 0;
-            state off, waiting, alarm;
-            from off to waiting when key_on do { t := 0; }
-            from waiting to off when key_off;
-            from waiting to off when belt_on;
-            from waiting to alarm when tick && [t >= 4] do { emit alarm_on; }
-            from waiting to waiting when tick do { t := t + 1; }
-            from alarm to off when belt_on do { emit alarm_off; }
-            from alarm to off when key_off do { emit alarm_off; }
-        }
-        "#,
-    )
-    .expect("seat belt network parses")
-}
-
-/// The property suite shipped with each example workload, in `.pol`
-/// `properties` syntax. Each suite has at least one `assert never` and
-/// one `assert reachable`; the expected verdicts are pinned by the
-/// `props` integration tests and gated by `scripts/ci.sh`. Deliberately
-/// not all-green — the violated assertions exercise the counterexample
-/// trace decoder on every run. Unknown names get an empty suite.
-pub fn property_suite(name: &str) -> &'static str {
-    match name {
-        // `simple` is a single-state machine, so the interesting atoms
-        // are event presences. A delivered `c` violates the second
-        // assertion immediately (shortest possible counterexample).
-        "simple" => {
-            "properties {
-    assert reachable simple.c;
-    assert never simple@awaiting && simple.c;
-}
-"
-        }
-        // The alarm state is genuinely reachable; control states are
-        // exclusive; and nothing stops the driver fastening the belt
-        // while the alarm is already sounding (violated, with a trace
-        // through key_on and five ticks).
-        "seat_belt" => {
-            "properties {
-    assert reachable belt_control@alarm;
-    assert never belt_control@off && belt_control@waiting;
-    assert never belt_control@alarm && belt_control.belt_on;
-}
-"
-        }
-        // Sport mode is reachable at speed; mode states are exclusive;
-        // the watchdog can starve while a PWM tick is pending at the
-        // actuator (violated — deliveries are independent of reactions).
-        "shock_absorber" => {
-            "properties {
-    assert reachable mode@sport;
-    assert never mode@comfort && mode@sport;
-    assert never watchdog@starving && act.pwm_tick;
-}
-"
-        }
-        // Both pulse counters can saturate together; counter states are
-        // exclusive; and one timebase reaction of `frc` emits `wticks`
-        // into the speedometer and odometer buffers at once (violated).
-        "dashboard" => {
-            "properties {
-    assert reachable frc@saturated && rpc@saturated;
-    assert never frc@counting && frc@saturated;
-    assert never speedo.wticks && odometer.wticks;
-}
-"
-        }
-        _ => "",
-    }
+    spec("seat_belt").network
 }
 
 #[cfg(test)]

@@ -8,7 +8,6 @@ use polis_cfsm::compose::compose;
 use polis_cfsm::{Cfsm, Guard, ReactiveFn, RfVarKind};
 use polis_core::random::{random_cfsm, RandomSpec, Rng};
 use polis_core::workloads;
-use polis_lang::parse_spec;
 
 /// The bits of the first reactive-function variable of `kind`.
 fn bits(rf: &ReactiveFn, kind: RfVarKind) -> Option<Vec<Var>> {
@@ -125,13 +124,8 @@ fn assert_same_chi(m: &Cfsm, what: &str) {
 
 #[test]
 fn example_specs_and_products_match_the_reference() {
-    for spec in ["simple", "seat_belt", "shock_absorber", "dashboard"] {
-        let path = format!(
-            "{}/../../examples/specs/{spec}.pol",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let net = parse_spec(spec, &src).expect("example specs parse").network;
+    for (spec, _) in workloads::EXAMPLES {
+        let net = workloads::spec(spec).network;
         for m in net.cfsms() {
             assert_same_chi(m, spec);
         }

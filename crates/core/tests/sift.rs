@@ -13,18 +13,12 @@ use polis_cfsm::compose::compose;
 use polis_cfsm::{Cfsm, OrderScheme, ReactiveFn, RfVarKind, Side};
 use polis_core::random::{random_cfsm, RandomSpec, Rng};
 use polis_core::workloads;
-use polis_lang::parse_spec;
 
 /// Every machine of the four example specs, then both composed products.
 fn example_subjects() -> Vec<(String, Cfsm)> {
     let mut out = Vec::new();
-    for spec in ["simple", "seat_belt", "shock_absorber", "dashboard"] {
-        let path = format!(
-            "{}/../../examples/specs/{spec}.pol",
-            env!("CARGO_MANIFEST_DIR")
-        );
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let net = parse_spec(spec, &src).expect("example specs parse").network;
+    for (spec, _) in workloads::EXAMPLES {
+        let net = workloads::spec(spec).network;
         for m in net.cfsms() {
             out.push((format!("{spec}/{}", m.name()), m.clone()));
         }

@@ -123,13 +123,8 @@ fn guard_atom_source(m: &Cfsm, g: &Guard) -> String {
 /// value variables back to the `?signal` notation.
 fn expr_source(m: &Cfsm, e: &Expr) -> String {
     match e {
-        Expr::Const(Value::Int(v)) => {
-            if *v < 0 {
-                format!("(0 - {})", -v)
-            } else {
-                v.to_string()
-            }
-        }
+        Expr::Const(Value::Int(v)) if *v < 0 => format!("({v})"),
+        Expr::Const(Value::Int(v)) => v.to_string(),
         Expr::Const(Value::Bool(b)) => u8::from(*b).to_string(),
         Expr::Var(name) => {
             for sig in m.inputs() {
@@ -139,7 +134,7 @@ fn expr_source(m: &Cfsm, e: &Expr) -> String {
             }
             name.clone()
         }
-        Expr::Unary(UnOp::Neg, a) => format!("(0 - {})", expr_source(m, a)),
+        Expr::Unary(UnOp::Neg, a) => format!("(-{})", expr_source(m, a)),
         Expr::Unary(UnOp::Not, a) => format!("({} == 0)", expr_source(m, a)),
         Expr::Binary(op, a, b) => {
             let (x, y) = (expr_source(m, a), expr_source(m, b));
@@ -210,5 +205,23 @@ mod tests {
         let emitted = emit_source(&m);
         let m2 = parse_module(&emitted).unwrap_or_else(|e| panic!("{e}\n{emitted}"));
         assert_eq!(m2.state_vars()[0].init, Value::Int(-3));
+    }
+
+    #[test]
+    fn unary_minus_prints_as_unary_minus() {
+        let src = r#"
+            module neg {
+                input x : i8;
+                output o : i8;
+                var d : i8 := 3;
+                state s;
+                from s to s when x && [?x < -12] do { emit o(-d); }
+            }
+        "#;
+        let m = parse_module(src).unwrap();
+        let emitted = emit_source(&m);
+        let m2 = parse_module(&emitted).unwrap_or_else(|e| panic!("{e}\n{emitted}"));
+        assert_eq!(m2.tests()[0].expr, m.tests()[0].expr, "{emitted}");
+        assert_eq!(m2.actions(), m.actions(), "{emitted}");
     }
 }

@@ -91,16 +91,6 @@ impl Cond {
             Cond::Or(a, b) => a.eval(present, test, ctrl) || b.eval(present, test, ctrl),
         }
     }
-
-    /// Number of atom occurrences (a size measure for cost estimation).
-    pub fn atom_count(&self) -> usize {
-        match self {
-            Cond::Const(_) => 0,
-            Cond::Present(_) | Cond::Test(_) | Cond::CtrlBit { .. } => 1,
-            Cond::Not(a) => a.atom_count(),
-            Cond::And(a, b) | Cond::Or(a, b) => a.atom_count() + b.atom_count(),
-        }
-    }
 }
 
 impl fmt::Display for Cond {
@@ -161,12 +151,5 @@ mod tests {
         assert!(eval_with(&c, &[false], &[false], 0b10));
         // absent, ctrl=01 -> false (bit 0 is the MSB)
         assert!(!eval_with(&c, &[false], &[false], 0b01));
-    }
-
-    #[test]
-    fn atom_count_counts_occurrences() {
-        let c = Cond::Present(0).and(Cond::Present(0)).or(Cond::Test(3));
-        assert_eq!(c.atom_count(), 3);
-        assert_eq!(Cond::Const(true).atom_count(), 0);
     }
 }

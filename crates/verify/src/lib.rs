@@ -287,11 +287,6 @@ impl VerifyReport {
             .any(|e| e.consumer == consumer && e.possible)
     }
 
-    /// Whether any buffer at all can lose an event.
-    pub fn any_lost_possible(&self) -> bool {
-        self.lost_events.iter().any(|e| e.possible)
-    }
-
     /// Human-readable multi-line summary (the `polis verify` output).
     pub fn render(&self) -> String {
         let mut out = String::new();

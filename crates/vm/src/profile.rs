@@ -33,11 +33,10 @@ pub struct InstCost {
     pub taken_extra: u32,
 }
 
-/// Assembled object code: per-instruction encodings and addresses.
+/// Assembled object code: per-instruction encodings.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectCode {
     costs: Vec<InstCost>,
-    addrs: Vec<u32>,
     total_bytes: u32,
     profile: Profile,
 }
@@ -51,11 +50,6 @@ impl ObjectCode {
     /// Cost of instruction `i`.
     pub fn cost(&self, i: usize) -> InstCost {
         self.costs[i]
-    }
-
-    /// Address of instruction `i`.
-    pub fn addr(&self, i: usize) -> u32 {
-        self.addrs[i]
     }
 
     /// The profile this code was assembled for.
@@ -117,7 +111,6 @@ pub fn assemble(prog: &VmProgram, profile: Profile) -> ObjectCode {
             let total_bytes = at;
             return ObjectCode {
                 costs,
-                addrs,
                 total_bytes,
                 profile,
             };
@@ -267,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn layout_is_monotone() {
+    fn size_is_the_sum_of_instruction_costs() {
         let p = program(vec![
             Inst::Detect(0),
             Inst::Branch {
@@ -279,9 +272,6 @@ mod tests {
             Inst::Return,
         ]);
         let o = assemble(&p, Profile::Mcu8);
-        for i in 1..o.len() {
-            assert!(o.addr(i) > o.addr(i - 1));
-        }
         assert_eq!(
             o.size_bytes(),
             (0..o.len()).map(|i| o.cost(i).bytes).sum::<u32>()

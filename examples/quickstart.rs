@@ -1,5 +1,6 @@
-//! Quickstart: the paper's Fig. 1 `simple` module, from source text to
-//! synthesized C, object code, and cost estimates.
+//! Quickstart: the paper's Fig. 1 `simple` module, from its source text
+//! (`examples/specs/simple.pol`) to synthesized C, object code, and cost
+//! estimates.
 //!
 //! Run with `cargo run --example quickstart`.
 
@@ -12,18 +13,7 @@ use polis::sgraph::build;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The reactive behaviour of Fig. 1: await c; if a == ?c then
     // { a := 0; emit y } else a := a + 1.
-    let simple = parse_module(
-        r#"
-        module simple {
-            input c : u8;
-            output y;
-            var a : u8 := 0;
-            state awaiting;
-            from awaiting to awaiting when c && [a == ?c] do { a := 0; emit y; }
-            from awaiting to awaiting when c && ![a == ?c] do { a := a + 1; }
-        }
-        "#,
-    )?;
+    let simple = parse_module(include_str!("specs/simple.pol"))?;
 
     // Step 1: the characteristic function χ of the reactive function, as a
     // BDD, with the variable order optimized by constrained sifting.

@@ -20,6 +20,12 @@ cargo build --release --workspace
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> cargo examples run to completion"
+for example in quickstart dashboard seatbelt shock_absorber; do
+  cargo run -q --release --example "$example" >/dev/null \
+    || { echo "FAIL: cargo example $example exited non-zero"; exit 1; }
+done
+
 echo "==> kernel bench smoke (regression thresholds + 4-byte NodeRef / 12-byte node gate)"
 ./target/release/paper kernel --smoke --check --out /tmp/bench_bdd_kernel_smoke.json
 

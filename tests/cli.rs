@@ -413,8 +413,8 @@ fn undeclared_action_targets_are_spanned_errors() {
     for (from, to, target, message) in [
         ("emit y;", "emit z;", "z;", "unknown output `z`"),
         (
-            "{ a := 0;",
-            "{ b := 0;",
+            "do { a := 0;",
+            "do { b := 0;",
             "b :=",
             "unknown state variable `b`",
         ),

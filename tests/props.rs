@@ -6,15 +6,15 @@
 
 use polis::cfsm::Network;
 use polis::core::{random, verify_staged, workloads, SynthCtx, SynthesisOptions};
-use polis::lang::{parse_properties, parse_spec, PropExpr, PropKind, Property, Span};
+use polis::lang::{PropExpr, PropKind, Property, Span};
 use polis::verify::{verify_with_props, CexTrace, PropReport, VerifyOptions};
 
-/// Checks a workload's shipped suite and returns the report.
-fn check(net: &Network) -> (Vec<Property>, PropReport) {
-    let suite = workloads::property_suite(net.name());
-    let props = parse_properties(net, suite).expect("shipped suite resolves");
-    let (_, pr) = verify_with_props(net, &props, &VerifyOptions::default()).unwrap();
-    (props, pr)
+/// Checks an example spec's suite and returns its network, suite and report.
+fn check(name: &str) -> (Network, Vec<Property>, PropReport) {
+    let spec = workloads::spec(name);
+    let (_, pr) =
+        verify_with_props(&spec.network, &spec.properties, &VerifyOptions::default()).unwrap();
+    (spec.network, spec.properties, pr)
 }
 
 /// The conformance oracle: the trace replays cleanly and its final state
@@ -61,8 +61,7 @@ fn verdicts(pr: &PropReport) -> Vec<bool> {
 
 #[test]
 fn simple_suite_verdicts_and_traces() {
-    let net = Network::new("simple", vec![workloads::simple()]).unwrap();
-    let (props, pr) = check(&net);
+    let (net, props, pr) = check("simple");
     // reachable simple.c; never simple@awaiting && simple.c
     assert_eq!(verdicts(&pr), vec![true, false]);
     assert_report_sound(&net, &props, &pr);
@@ -72,8 +71,7 @@ fn simple_suite_verdicts_and_traces() {
 
 #[test]
 fn seat_belt_suite_verdicts_and_traces() {
-    let net = workloads::seat_belt();
-    let (props, pr) = check(&net);
+    let (net, props, pr) = check("seat_belt");
     // reachable alarm; never off && waiting; never alarm && belt_on
     assert_eq!(verdicts(&pr), vec![true, true, false]);
     assert_report_sound(&net, &props, &pr);
@@ -89,8 +87,7 @@ fn seat_belt_suite_verdicts_and_traces() {
 
 #[test]
 fn shock_absorber_suite_verdicts_and_traces() {
-    let net = workloads::shock_absorber();
-    let (props, pr) = check(&net);
+    let (net, props, pr) = check("shock_absorber");
     // reachable sport; never comfort && sport; never starving && pwm_tick
     assert_eq!(verdicts(&pr), vec![true, true, false]);
     assert_report_sound(&net, &props, &pr);
@@ -98,8 +95,7 @@ fn shock_absorber_suite_verdicts_and_traces() {
 
 #[test]
 fn dashboard_suite_verdicts_and_traces() {
-    let net = workloads::dashboard();
-    let (props, pr) = check(&net);
+    let (net, props, pr) = check("dashboard");
     // reachable both saturated; never counting && saturated;
     // never wticks pending at speedo and odometer together
     assert_eq!(verdicts(&pr), vec![true, true, false]);
@@ -114,9 +110,8 @@ fn dashboard_suite_verdicts_and_traces() {
 
 #[test]
 fn staged_prop_checking_records_counters() {
-    let net = workloads::seat_belt();
-    let suite = workloads::property_suite(net.name());
-    let props = parse_properties(&net, suite).unwrap();
+    let spec = workloads::spec("seat_belt");
+    let (net, props) = (spec.network, spec.properties);
     let opts = SynthesisOptions::default();
     let mut ctx = SynthCtx::new(&opts);
     let verified = verify_staged(&mut ctx, &net, Some(&props)).unwrap();
@@ -142,41 +137,6 @@ fn staged_prop_checking_records_counters() {
     let _ = count("violations");
     let _ = count("max_trace_len");
     let _ = count("preimage_nodes");
-}
-
-#[test]
-fn spec_files_round_trip_through_parse_spec() {
-    // The committed `.pol` files are generated by `examples/export_specs`
-    // and must agree with the in-tree workloads *including* the property
-    // suites — parse, verify, and compare verdict-for-verdict.
-    for (name, net) in [
-        (
-            "simple",
-            Network::new("simple", vec![workloads::simple()]).unwrap(),
-        ),
-        ("dashboard", workloads::dashboard()),
-        ("shock_absorber", workloads::shock_absorber()),
-        ("seat_belt", workloads::seat_belt()),
-    ] {
-        let path = format!("examples/specs/{name}.pol");
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let spec = parse_spec(name, &src).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert_eq!(
-            polis::lang::emit_network_source(&spec.network),
-            polis::lang::emit_network_source(&net),
-            "{path} diverged from the workload"
-        );
-        let canonical = parse_properties(&net, workloads::property_suite(name)).unwrap();
-        assert_eq!(
-            spec.properties.len(),
-            canonical.len(),
-            "{path} property count"
-        );
-        for (a, b) in spec.properties.iter().zip(&canonical) {
-            assert_eq!(a.kind, b.kind);
-            assert_eq!(a.render(&net), b.render(&net), "{path}");
-        }
-    }
 }
 
 #[test]

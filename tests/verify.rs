@@ -8,7 +8,7 @@ use polis::core::random::{random_network, RandomSpec, Rng};
 use polis::core::{synthesize_network_staged, workloads, SynthError, SynthesisOptions};
 use polis::estimate::Incompat;
 use polis::expr::{Expr, Type, Value};
-use polis::lang::{parse_spec, PropExpr, PropKind, Property, Span};
+use polis::lang::{PropExpr, PropKind, Property, Span};
 use polis::rtos::{RtosConfig, Simulator, Stimulus};
 use polis::sgraph::{build, EvalError, SgEnv};
 use polis::verify::{
@@ -18,12 +18,9 @@ use polis::verify::{
 use std::collections::HashMap;
 
 fn example_networks() -> Vec<Network> {
-    vec![
-        Network::new("simple", vec![workloads::simple()]).unwrap(),
-        workloads::dashboard(),
-        workloads::shock_absorber(),
-        workloads::seat_belt(),
-    ]
+    ["simple", "dashboard", "shock_absorber", "seat_belt"]
+        .map(|name| workloads::spec(name).network)
+        .into()
 }
 
 // ---------------------------------------------------------------------
@@ -397,10 +394,8 @@ fn probe_properties(net: &Network) -> Vec<Property> {
 #[test]
 fn node_budget_sweep_reproduces_verdicts_or_aborts() {
     let mut cases = Vec::new();
-    for name in ["simple", "seat_belt", "shock_absorber", "dashboard"] {
-        let path = format!("examples/specs/{name}.pol");
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let spec = parse_spec(name, &src).unwrap_or_else(|e| panic!("{path}: {e}"));
+    for (name, _) in workloads::EXAMPLES {
+        let spec = workloads::spec(name);
         cases.push((spec.network, spec.properties));
     }
     let relay = random_network(6, &RandomSpec::default(), 0x9e3779b97f4a7c15 ^ 6);
