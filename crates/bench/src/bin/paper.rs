@@ -1,11 +1,12 @@
 //! `paper`: the paper's evaluation, one subcommand per job. `paper
 //! <harness>` prints one table or experiment report, `paper check` reruns
 //! every harness and compares its verdicts with
-//! `scripts/harness_verdicts.txt`, and `paper kernel` / `paper verify` run
-//! the benches behind `BENCH_bdd_kernel.json` / `BENCH_verify.json`. With
-//! no arguments it prints the usage, rendered from [`FLAGS`].
+//! `scripts/harness_verdicts.txt`, and `paper kernel` / `paper verify` /
+//! `paper synth` run the benches behind `BENCH_bdd_kernel.json` /
+//! `BENCH_verify.json` / `BENCH_synth.json`. With no arguments it prints
+//! the usage, rendered from [`FLAGS`].
 
-use polis_bench::{check_verdicts, kernel, verify, BenchOptions, HARNESSES};
+use polis_bench::{check_verdicts, kernel, synth, verify, BenchOptions, HARNESSES};
 use polis_core::args::{usage_line, Args, Flag};
 use std::process::ExitCode;
 
@@ -15,8 +16,8 @@ use std::process::ExitCode;
 const FLAGS: &[Flag] = &[
     Flag("--smoke", None,         &["kernel", "verify"]),
     Flag("--check", None,         &["kernel", "verify"]),
-    Flag("--gate",  Some("FILE"), &["verify"]),
-    Flag("--out",   Some("FILE"), &["kernel", "verify"]),
+    Flag("--gate",  Some("FILE"), &["verify", "synth"]),
+    Flag("--out",   Some("FILE"), &["kernel", "verify", "synth"]),
 ];
 
 fn main() -> ExitCode {
@@ -42,6 +43,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
             return Ok(());
         }
         "kernel" => kernel::run(&opts)?,
+        "synth" => synth::run(&opts)?,
         _ => verify::run(&opts)?,
     };
     for f in &failures {
@@ -62,7 +64,7 @@ fn parse(raw: Vec<String>) -> Result<(&'static str, BenchOptions), String> {
     let commands: Vec<&'static str> = HARNESSES
         .iter()
         .map(|(harness, _)| *harness)
-        .chain(["check", "kernel", "verify"])
+        .chain(["check", "kernel", "verify", "synth"])
         .collect();
     let args = Args::parse(raw, &commands, &[], FLAGS)?;
     let opts = BenchOptions {
@@ -78,7 +80,7 @@ fn parse(raw: Vec<String>) -> Result<(&'static str, BenchOptions), String> {
 fn usage() -> String {
     let harnesses: Vec<&str> = HARNESSES.iter().map(|(name, _)| *name).collect();
     let mut text = format!("usage: paper <{}|check>", harnesses.join("|"));
-    for command in ["kernel", "verify"] {
+    for command in ["kernel", "verify", "synth"] {
         text.push('\n');
         text.push_str(&usage_line(
             &format!("       paper {command}"),

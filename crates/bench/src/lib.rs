@@ -6,7 +6,8 @@
 //! comparison. [`check_verdicts`] reruns all of them and compares their
 //! shape-check verdicts with `scripts/harness_verdicts.txt`. [`kernel`]
 //! and [`verify`] are the BDD-kernel and reachability benches that write
-//! `BENCH_bdd_kernel.json` and `BENCH_verify.json`.
+//! `BENCH_bdd_kernel.json` and `BENCH_verify.json`; [`synth`] writes the
+//! generated-code metrics of `BENCH_synth.json`.
 
 mod ablation_buffering;
 mod ablation_collapse;
@@ -15,6 +16,7 @@ mod granularity;
 pub mod kernel;
 mod schedulability;
 mod shock_absorber;
+pub mod synth;
 mod table1;
 mod table2;
 mod table3;
@@ -83,7 +85,7 @@ pub fn check_verdicts() -> Result<usize, String> {
     }
 }
 
-/// The options `paper kernel` and `paper verify` take.
+/// The options `paper kernel`, `paper verify` and `paper synth` take.
 #[derive(Debug, Default)]
 pub struct BenchOptions {
     /// Shrink the synthetic cases so the bench finishes in well under a
@@ -93,7 +95,8 @@ pub struct BenchOptions {
     pub check: bool,
     /// Where to write the JSON results (default: the committed file).
     pub out: Option<String>,
-    /// A committed results file to gate this run against (`verify` only).
+    /// A committed results file to gate this run against (`verify` and
+    /// `synth`).
     pub gate: Option<String>,
 }
 

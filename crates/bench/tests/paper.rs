@@ -1,6 +1,6 @@
 //! The `paper` command line: flag rejection, harness reports, and the
-//! `verify --gate` comparison against an edited copy of the committed
-//! `BENCH_verify.json`.
+//! `verify --gate` and `synth --gate` comparisons against edited copies of
+//! the committed `BENCH_verify.json` and `BENCH_synth.json`.
 
 use polis_core::trace::Json;
 use std::path::Path;
@@ -27,6 +27,7 @@ fn bad_command_lines_exit_nonzero_with_usage() {
         &["table1", "--smoke"],
         &["check", "--out", "verdicts.json"],
         &["kernel", "--gate", "BENCH_verify.json"],
+        &["synth", "--smoke"],
         &["verify", "--smoke", "--check", "--gate"],
         &["verify", "--out", "--smoke"],
         &["table1", "extra"],
@@ -56,20 +57,20 @@ fn committed() -> String {
     std::fs::read_to_string(path).expect("committed BENCH_verify.json")
 }
 
-/// Runs `paper verify --smoke --gate` against `gate` written to a file.
-fn gate_against(tag: &str, gate: &str) -> Output {
+/// Runs `paper <bench...> --gate` against `gate` written to a file, with
+/// the results written next to it.
+fn gated(bench: &[&str], tag: &str, gate: &str) -> Output {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
     let gate_file = dir.join(format!("gate_{tag}.json"));
     std::fs::write(&gate_file, gate).unwrap();
-    let out_file = dir.join(format!("bench_verify_{tag}.json"));
-    paper(&[
-        "verify",
-        "--smoke",
-        "--gate",
-        gate_file.to_str().unwrap(),
-        "--out",
-        out_file.to_str().unwrap(),
-    ])
+    let out_file = dir.join(format!("bench_{tag}.json"));
+    let files = [gate_file.to_str().unwrap(), out_file.to_str().unwrap()];
+    paper(&[bench, &["--gate", files[0], "--out", files[1]]].concat())
+}
+
+/// Runs `paper verify --smoke --gate` against `gate` written to a file.
+fn gate_against(tag: &str, gate: &str) -> Output {
+    gated(&["verify", "--smoke"], tag, gate)
 }
 
 #[test]
@@ -124,4 +125,35 @@ fn gate_fails_when_one_case_changes_its_iterations() {
         "{err}"
     );
     assert_eq!(err.matches("bench check FAILED").count(), 1, "{err}");
+}
+
+#[test]
+fn synth_gate_fails_on_any_change_to_the_committed_numbers() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_synth.json");
+    let text = std::fs::read_to_string(path).expect("committed BENCH_synth.json");
+    let out = gated(&["synth"], "synth_committed", &text);
+    assert!(out.status.success(), "{}", stderr(&out));
+
+    // A smaller number fails as surely as a larger one.
+    let edited = text.replacen("\"mcu8_code_bytes\": 43,", "\"mcu8_code_bytes\": 42,", 1);
+    assert_ne!(edited, text);
+    let out = gated(&["synth"], "synth_smaller", &edited);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(
+        err.contains("simple/simple: mcu8_code_bytes 43 differs from committed 42"),
+        "{err}"
+    );
+    assert_eq!(err.matches("bench check FAILED").count(), 1, "{err}");
+
+    let edited = text.replacen("\"simple/simple\"", "\"simple/renamed\"", 1);
+    let err = stderr(&gated(&["synth"], "synth_renamed", &edited));
+    assert!(
+        err.contains("simple/simple: not in the committed file"),
+        "{err}"
+    );
+    assert!(
+        err.contains("simple/renamed: committed but not produced by this run"),
+        "{err}"
+    );
 }

@@ -163,7 +163,7 @@ pub fn compose_named(net: &Network, name: &str) -> Result<Cfsm, ComposeError> {
     tuples.push(init);
 
     let mut transitions: Vec<PTransition> = Vec::new();
-    let mut tests: Vec<(String, Expr)> = Vec::new();
+    let mut tests: Vec<Expr> = Vec::new();
     let mut test_index: HashMap<Expr, usize> = HashMap::new();
 
     let mut frontier = vec![0usize];
@@ -254,10 +254,18 @@ pub fn compose_named(net: &Network, name: &str) -> Result<Cfsm, ComposeError> {
             b.ctrl_state(label.join("*"))
         })
         .collect();
-    let test_ids: Vec<crate::machine::TestId> = tests
-        .iter()
-        .map(|(n, e)| b.test(n.clone(), e.clone()))
-        .collect();
+    // Only the tests some transition reads become product tests (a test
+    // interned inside a guard that later folded to `False` would be a dead
+    // χ variable), numbered in interning order.
+    let mut read = vec![false; tests.len()];
+    for pt in &transitions {
+        pt.guard.visit_atoms(&mut |_| {}, &mut |i| read[i] = true);
+    }
+    let mut test_ids: Vec<Option<crate::machine::TestId>> = vec![None; tests.len()];
+    let kept = tests.into_iter().enumerate().filter(|&(i, _)| read[i]);
+    for (n, (i, e)) in kept.enumerate() {
+        test_ids[i] = Some(b.test(format!("pt{n}"), e));
+    }
     for pt in transitions {
         let guard = map_guard_tests(&pt.guard, &test_ids);
         let mut tb = b
@@ -343,7 +351,7 @@ struct ComboCtx<'a> {
     var_types: &'a HashMap<String, Type>,
     ext_input_names: &'a [String],
     rename: &'a dyn Fn(&Cfsm, &Expr) -> Expr,
-    tests: &'a mut Vec<(String, Expr)>,
+    tests: &'a mut Vec<Expr>,
     test_index: &'a mut HashMap<Expr, usize>,
     out: &'a mut Vec<Combo>,
 }
@@ -453,11 +461,16 @@ fn translate_guard(ctx: &mut ComboCtx<'_>, m: &Cfsm, g: &Guard, combo: &Combo) -
         Guard::Test(i) => {
             let expr = (ctx.rename)(m, &m.tests()[*i].expr);
             let expr = substitute_internal_values(ctx, m, &expr, combo);
+            match expr.decide(&|n| ctx.var_types.get(n).copied()) {
+                Some(true) => return Guard::True,
+                Some(false) => return Guard::False,
+                None => {}
+            }
             let idx = match ctx.test_index.get(&expr) {
                 Some(&idx) => idx,
                 None => {
                     let idx = ctx.tests.len();
-                    ctx.tests.push((format!("pt{idx}"), expr.clone()));
+                    ctx.tests.push(expr.clone());
                     ctx.test_index.insert(expr, idx);
                     idx
                 }
@@ -545,9 +558,9 @@ fn simplify(g: Guard) -> Guard {
     }
 }
 
-fn map_guard_tests(g: &Guard, ids: &[crate::machine::TestId]) -> Guard {
+fn map_guard_tests(g: &Guard, ids: &[Option<crate::machine::TestId>]) -> Guard {
     match g {
-        Guard::Test(i) => Guard::Test(ids[*i].0),
+        Guard::Test(i) => Guard::Test(ids[*i].expect("a read test has an id").0),
         Guard::Not(x) => map_guard_tests(x, ids).not(),
         Guard::And(a, b) => map_guard_tests(a, ids).and(map_guard_tests(b, ids)),
         Guard::Or(a, b) => map_guard_tests(a, ids).or(map_guard_tests(b, ids)),
@@ -571,20 +584,21 @@ mod tests {
     }
 
     /// Synchronous-tick reference: run members in topo order, deliver
-    /// internal events within the tick, return all emissions.
+    /// internal events within the tick, return all emissions. Emitted
+    /// values are written into `vals`, where they stay for later ticks as
+    /// in a one-place buffer.
     fn sync_tick_reference(
         net: &Network,
         present_ext: &BTreeSet<String>,
-        values: &MapEnv,
+        vals: &mut MapEnv,
         states: &mut [crate::CfsmState],
     ) -> Vec<String> {
         let topo = net.topo_order().unwrap();
         let mut present: BTreeSet<String> = present_ext.clone();
-        let mut vals = values.clone();
         let mut emissions = Vec::new();
         for &mi in &topo {
             let m = &net.cfsms()[mi];
-            let r = m.react(&present, &vals, &states[mi]).unwrap();
+            let r = m.react(&present, vals, &states[mi]).unwrap();
             for e in &r.emissions {
                 emissions.push(e.signal.clone());
                 present.insert(e.signal.clone());
@@ -652,7 +666,7 @@ mod tests {
             let mut vals = MapEnv::new();
             vals.set("x_value", Value::Int(x));
 
-            let want = sync_tick_reference(&net, &present, &vals, &mut ref_states);
+            let want = sync_tick_reference(&net, &present, &mut vals.clone(), &mut ref_states);
             let r = p.react(&present, &vals, &p_state).unwrap();
             p_state = r.next;
             let mut got: Vec<String> = r.emissions.iter().map(|e| e.signal.clone()).collect();
@@ -709,7 +723,7 @@ mod tests {
         let mut st = p.initial_state();
         let mut wides = Vec::new();
         for tick in 0..8 {
-            let want = sync_tick_reference(&net, &go, &MapEnv::new(), &mut ref_states);
+            let want = sync_tick_reference(&net, &go, &mut MapEnv::new(), &mut ref_states);
             let r = p.react(&go, &MapEnv::new(), &st).unwrap();
             st = r.next;
             let mut got: Vec<String> = r.emissions.iter().map(|e| e.signal.clone()).collect();
@@ -727,6 +741,73 @@ mod tests {
         let net = counter_into_widen(Expr::var("cnt").div(Expr::int(2)));
         let p = compose(&net).unwrap();
         assert!(!has_coercion(&p), "cnt / 2 lies in [0, 127]");
+    }
+
+    #[test]
+    fn same_tick_constant_decides_its_consumers_test() {
+        // src emits x(2) on `go`; dst tests [?x >= 2] when x arrives, and
+        // also on `ask`, where it reads the buffered value of an earlier
+        // tick.
+        let mut b1 = Cfsm::builder("src");
+        b1.input_pure("go");
+        b1.output_valued("x", Type::uint(8));
+        let s = b1.ctrl_state("s");
+        b1.transition(s, s)
+            .when_present("go")
+            .emit_value("x", Expr::int(2))
+            .done();
+        let src = b1.build().unwrap();
+
+        let mut b2 = Cfsm::builder("dst");
+        b2.input_valued("x", Type::uint(8));
+        b2.input_pure("ask");
+        b2.output_pure("hi");
+        b2.output_pure("lo");
+        let s = b2.ctrl_state("s");
+        let ge2 = b2.test("ge2", Expr::var("x_value").ge(Expr::int(2)));
+        b2.transition(s, s)
+            .when_present("x")
+            .when_test(ge2)
+            .emit("hi")
+            .done();
+        b2.transition(s, s).when_present("x").emit("lo").done();
+        b2.transition(s, s)
+            .when_present("ask")
+            .when_test(ge2)
+            .emit("hi")
+            .done();
+        let dst = b2.build().unwrap();
+
+        let net = Network::new("konst", vec![src, dst]).unwrap();
+        let p = compose(&net).unwrap();
+        // `(2 >= 2)` is folded away; only the buffered test is left.
+        let tests: Vec<String> = p.tests().iter().map(|t| t.expr.to_c()).collect();
+        assert_eq!(tests, ["(x__buf >= 2)"]);
+        // `lo` needs x without [?x >= 2], which no tick can give.
+        let lo = p.output_index("lo").unwrap();
+        assert!(p.actions().iter().all(|a| !matches!(
+            a,
+            Action::Emit { signal, .. } if *signal == lo
+        )));
+
+        let mut ref_states: Vec<crate::CfsmState> =
+            net.cfsms().iter().map(|m| m.initial_state()).collect();
+        let mut st = p.initial_state();
+        // The product's buffer starts at 0.
+        let mut vals = MapEnv::new();
+        vals.set("x_value", Value::Int(0));
+        let mut trace = Vec::new();
+        for present in [&["ask"][..], &["go"], &["ask"], &["go", "ask"], &[]] {
+            let present: BTreeSet<String> = present.iter().map(|s| s.to_string()).collect();
+            let want = sync_tick_reference(&net, &present, &mut vals, &mut ref_states);
+            let r = p.react(&present, &MapEnv::new(), &st).unwrap();
+            st = r.next;
+            let mut got: Vec<String> = r.emissions.iter().map(|e| e.signal.clone()).collect();
+            got.sort();
+            assert_eq!(got, want, "tick {}", trace.len());
+            trace.push(got.join(" "));
+        }
+        assert_eq!(trace, ["", "hi x", "hi", "hi x", ""]);
     }
 
     #[test]

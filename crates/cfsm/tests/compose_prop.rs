@@ -1,9 +1,12 @@
 //! Property-style test: the synchronous product of a random acyclic
 //! pipeline is observationally equivalent to the tick-by-tick synchronous
 //! execution of the original network. Deterministically seeded, offline.
+//! Also checks the tests of the two example products: none is decided by
+//! its operand intervals, and each is read by some transition.
 
 use polis_cfsm::{compose, value_var_name, Cfsm, CfsmState, Network};
 use polis_core::random::Rng;
+use polis_core::workloads;
 use polis_expr::{Expr, MapEnv, Type, Value};
 use std::collections::BTreeSet;
 
@@ -12,16 +15,39 @@ use std::collections::BTreeSet;
 struct PipeSpec {
     stage1_states: usize,
     stage1_bump: bool,
+    stage1_emits: MidValue,
     stage2_threshold: i64,
     stage2_needs_ext: bool,
 }
 
+/// The value stage 1 emits on `mid`, which stage 2 compares with its
+/// threshold in the same tick.
+#[derive(Debug, Clone, Copy)]
+enum MidValue {
+    /// `?raw + n`: can overflow u4, so the product keeps its coercion and
+    /// the test stays open.
+    Sum,
+    /// `?raw / 2`, in [0, 7]: the product decides the test when the
+    /// threshold is 0 or above 7.
+    Half,
+    /// A constant: the product always decides the test.
+    Const(i64),
+}
+
 fn gen_spec(rng: &mut Rng) -> PipeSpec {
+    let (stage1_states, stage1_bump) = (rng.usize(1..3), rng.bool());
+    let (stage2_threshold, stage2_needs_ext) = (rng.i64(0..16), rng.bool());
+    let stage1_emits = match rng.usize(0..3) {
+        0 => MidValue::Sum,
+        1 => MidValue::Half,
+        _ => MidValue::Const(rng.i64(0..16)),
+    };
     PipeSpec {
-        stage1_states: rng.usize(1..3),
-        stage1_bump: rng.bool(),
-        stage2_threshold: rng.i64(0..16),
-        stage2_needs_ext: rng.bool(),
+        stage1_states,
+        stage1_bump,
+        stage1_emits,
+        stage2_threshold,
+        stage2_needs_ext,
     }
 }
 
@@ -34,12 +60,17 @@ fn instantiate(spec: &PipeSpec) -> Network {
     let states: Vec<_> = (0..spec.stage1_states)
         .map(|i| b.ctrl_state(format!("s{i}")))
         .collect();
+    let mid = match spec.stage1_emits {
+        MidValue::Sum => Expr::var("raw_value").add(Expr::var("n")),
+        MidValue::Half => Expr::var("raw_value").div(Expr::int(2)),
+        MidValue::Const(c) => Expr::int(c),
+    };
     for (i, &st) in states.iter().enumerate() {
         let next = states[(i + 1) % states.len()];
         let mut tb = b
             .transition(st, next)
             .when_present("raw")
-            .emit_value("mid", Expr::var("raw_value").add(Expr::var("n")));
+            .emit_value("mid", mid.clone());
         if spec.stage1_bump {
             tb = tb.assign("n", Expr::var("n").add(Expr::int(1)));
         }
@@ -148,5 +179,32 @@ fn product_state_count_bounded_by_tuple_product() {
         let bound: usize = net.cfsms().iter().map(|m| m.states().len()).product();
         assert!(product.states().len() <= bound, "case={case}");
         assert!(!product.states().is_empty(), "case={case}");
+    }
+}
+
+#[test]
+fn example_products_keep_only_open_tests_that_are_read() {
+    for net in [workloads::dashboard(), workloads::shock_absorber()] {
+        let p = compose::compose(&net).expect("the example networks compose");
+        let mut ty_of: Vec<(String, Type)> = p
+            .state_vars()
+            .iter()
+            .map(|v| (v.name.clone(), v.ty))
+            .collect();
+        for s in p.inputs() {
+            if let Some(ty) = s.value_type() {
+                ty_of.push((value_var_name(s.name()), ty));
+            }
+        }
+        let ty_of = |n: &str| ty_of.iter().find(|(v, _)| v == n).map(|&(_, t)| t);
+        let mut read = vec![false; p.tests().len()];
+        for t in p.transitions() {
+            t.guard.visit_atoms(&mut |_| {}, &mut |i| read[i] = true);
+        }
+        for (t, read) in p.tests().iter().zip(read) {
+            assert_eq!(t.expr.decide(&ty_of), None, "{}: {}", p.name(), t.expr);
+            assert!(read, "{}: no transition reads {}", p.name(), t.expr);
+        }
+        assert!(!p.tests().is_empty(), "{}", p.name());
     }
 }

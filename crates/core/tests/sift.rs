@@ -111,8 +111,8 @@ const SINGLE_PASS: &[(&str, u64, usize, u64)] = &[
     ("dashboard/fuel", 0x830e32e3b9c368f4, 9, 29),
     ("dashboard/pwm_speed", 0x756241e1be8c9396, 4, 4),
     ("dashboard/pwm_fuel", 0x756241e1be8c9396, 4, 4),
-    ("dashboard_product", 0xb34ea8672e928c64, 113, 1364),
-    ("shock_absorber_product", 0x8fd0228776b6ee14, 1516, 3416),
+    ("dashboard_product", 0x3546c06c42d7e905, 113, 1322),
+    ("shock_absorber_product", 0x622083652ecdd659, 700, 2131),
     ("random 0", 0x7bd564434cf35074, 66, 219),
     ("random 1", 0xffe99794025ff86d, 16, 52),
     ("random 2", 0x64f8def47bd7ead6, 94, 371),
@@ -169,11 +169,11 @@ const SINGLE_PASS: &[(&str, u64, usize, u64)] = &[
 const CONVERGED: &[(&str, u64, usize, u64)] = &[
     (
         "shock_absorber_product, converged",
-        0xebb036b51ac89064,
-        1414,
-        10367,
+        0x7f873f1e23633bc9,
+        665,
+        6120,
     ),
-    ("dashboard_product, converged", 0x8bbde37ba2b23814, 88, 5285),
+    ("dashboard_product, converged", 0x7750894b29a6a325, 88, 5097),
 ];
 
 /// The values `SINGLE_PASS`/`CONVERGED` pin for `m` sifted with `passes`.

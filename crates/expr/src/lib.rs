@@ -378,6 +378,81 @@ impl Expr {
             }
         }
     }
+
+    /// The truth value this condition has at *every* assignment where each
+    /// variable holds a value of the type `ty_of` gives it, if the
+    /// operands' [`Expr::interval`]s settle it.
+    ///
+    /// Decides `< <= > >= == !=` when every pair of values drawn from the
+    /// two operand intervals gives the same result — for `==`/`!=`, when the
+    /// intervals are disjoint or are the same single point — and combines
+    /// boolean constants, `!`, `&&` and `||` of decided parts (`&&` with
+    /// one operand decided false is false, `||` with one decided true is
+    /// true). Returns `None` everywhere else. Since `interval`
+    /// over-approximates [`Expr::eval`], a decided condition evaluates to
+    /// the answer at every such assignment.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use polis_expr::{Expr, Type};
+    /// let u8_ = |_: &str| Some(Type::uint(8));
+    /// assert_eq!(Expr::int(2).ge(Expr::int(2)).decide(&u8_), Some(true));
+    /// assert_eq!(Expr::var("w").lt(Expr::int(0)).decide(&u8_), Some(false));
+    /// assert_eq!(Expr::var("w").lt(Expr::int(9)).decide(&u8_), None);
+    /// ```
+    pub fn decide(&self, ty_of: &impl Fn(&str) -> Option<Type>) -> Option<bool> {
+        let (op, a, b) = match self {
+            Expr::Const(Value::Bool(v)) => return Some(*v),
+            Expr::Unary(UnOp::Not, a) => return a.decide(ty_of).map(|v| !v),
+            Expr::Binary(op, a, b) => (*op, a, b),
+            _ => return None,
+        };
+        match op {
+            BinOp::And => match (a.decide(ty_of), b.decide(ty_of)) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            },
+            BinOp::Or => match (a.decide(ty_of), b.decide(ty_of)) {
+                (Some(true), _) | (_, Some(true)) => Some(true),
+                (Some(false), Some(false)) => Some(false),
+                _ => None,
+            },
+            BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
+                let (a, b) = (a.interval(ty_of)?, b.interval(ty_of)?);
+                // `x < y` holds at every pair when x's top lies below y's
+                // bottom and at none when x's bottom reaches y's top; the
+                // other orders are this with the operands swapped or the
+                // answer negated.
+                let lt = |x: (i64, i64), y: (i64, i64)| {
+                    if x.1 < y.0 {
+                        Some(true)
+                    } else if x.0 >= y.1 {
+                        Some(false)
+                    } else {
+                        None
+                    }
+                };
+                let eq = if a.1 < b.0 || b.1 < a.0 {
+                    Some(false)
+                } else if a.0 == a.1 && b == a {
+                    Some(true)
+                } else {
+                    None
+                };
+                match op {
+                    BinOp::Lt => lt(a, b),
+                    BinOp::Ge => lt(a, b).map(|v| !v),
+                    BinOp::Gt => lt(b, a),
+                    BinOp::Le => lt(b, a).map(|v| !v),
+                    BinOp::Eq => eq,
+                    _ => eq.map(|v| !v),
+                }
+            }
+            _ => None,
+        }
+    }
 }
 
 impl fmt::Display for Expr {

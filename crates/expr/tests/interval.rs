@@ -1,6 +1,8 @@
-//! Seeded soundness test for [`Expr::interval`]: on random typed integer
-//! expressions, every value [`Expr::eval`] produces at a well-typed
-//! assignment lies inside the interval whenever the analysis returns one.
+//! Seeded soundness tests for [`Expr::interval`] and [`Expr::decide`]: on
+//! random typed integer expressions, every value [`Expr::eval`] produces at
+//! a well-typed assignment lies inside the interval whenever the analysis
+//! returns one, and every condition `decide` answers evaluates to that
+//! answer.
 
 use polis_core::random::Rng;
 use polis_expr::{Expr, MapEnv, Type, Value};
@@ -126,4 +128,95 @@ fn dashboard_emissions_are_bounded_tightly() {
         Expr::var("x").min(Expr::int(5)),
     );
     assert_eq!(e.interval(&i8_), Some((-128, 128)));
+}
+
+/// A random condition: a comparison of two random integer expressions, or
+/// `!`, `&&`, `||` and boolean constants over smaller conditions.
+fn gen_cond(rng: &mut Rng, vars: &[(&str, Type)], depth: usize) -> Expr {
+    if depth == 0 || rng.chance(0.6) {
+        let operand = |rng: &mut Rng| {
+            let depth = rng.usize(0..3);
+            gen_int(rng, vars, depth)
+        };
+        let (a, b) = (operand(rng), operand(rng));
+        return match rng.usize(0..6) {
+            0 => a.lt(b),
+            1 => a.le(b),
+            2 => a.gt(b),
+            3 => a.ge(b),
+            4 => a.eq(b),
+            _ => a.ne(b),
+        };
+    }
+    let sub = |rng: &mut Rng| gen_cond(rng, vars, depth - 1);
+    match rng.usize(0..7) {
+        0 | 1 => sub(rng).not(),
+        2 | 3 => sub(rng).and(sub(rng)),
+        4 | 5 => sub(rng).or(sub(rng)),
+        _ => Expr::bool(rng.bool()),
+    }
+}
+
+#[test]
+fn every_decided_condition_evaluates_to_its_answer() {
+    let vars = vars();
+    let ty_of = |n: &str| vars.iter().find(|(v, _)| *v == n).map(|&(_, t)| t);
+    let mut rng = Rng::new(0xdec1_de5e);
+    let (mut decided, total) = ([0usize; 2], 4_000);
+    for case in 0..total {
+        let depth = rng.usize(0..4);
+        let e = gen_cond(&mut rng, &vars, depth);
+        let Some(answer) = e.decide(&ty_of) else {
+            continue;
+        };
+        decided[usize::from(answer)] += 1;
+        for k in 0..24 {
+            let env = assignment(&mut rng, &vars, k % 2 == 0);
+            let v = e.eval(&env).unwrap().as_bool().unwrap();
+            assert_eq!(v, answer, "case {case}: {e} at {env:?}");
+        }
+    }
+    // Both answers must come up often, or the check above is idle.
+    assert!(
+        decided.iter().all(|&n| n * 10 > total),
+        "decided false/true: {decided:?} of {total}"
+    );
+}
+
+#[test]
+fn comparisons_are_decided_exactly_when_the_intervals_settle_them() {
+    let ty_of = |n: &str| match n {
+        "u4" => Some(Type::uint(4)),
+        "s4" => Some(Type::int(4)),
+        _ => None,
+    };
+    let (u4, s4) = (|| Expr::var("u4"), || Expr::var("s4"));
+    // u4 is [0, 15]: touching bounds decide `<=`/`>=` but not `<`/`>`.
+    assert_eq!(u4().le(Expr::int(15)).decide(&ty_of), Some(true));
+    assert_eq!(u4().lt(Expr::int(15)).decide(&ty_of), None);
+    assert_eq!(u4().ge(Expr::int(0)).decide(&ty_of), Some(true));
+    assert_eq!(u4().gt(Expr::int(0)).decide(&ty_of), None);
+    assert_eq!(u4().gt(Expr::int(15)).decide(&ty_of), Some(false));
+    assert_eq!(Expr::int(16).le(u4()).decide(&ty_of), Some(false));
+    // Equality: disjoint intervals, or one and the same point.
+    assert_eq!(s4().eq(Expr::int(-9)).decide(&ty_of), Some(false));
+    assert_eq!(s4().ne(Expr::int(8)).decide(&ty_of), Some(true));
+    assert_eq!(s4().eq(Expr::int(-8)).decide(&ty_of), None);
+    assert_eq!(Expr::int(3).eq(Expr::int(3)).decide(&ty_of), Some(true));
+    assert_eq!(Expr::int(3).ne(Expr::int(3)).decide(&ty_of), Some(false));
+    assert_eq!(u4().eq(u4()).decide(&ty_of), None);
+    // Connectives: one decided operand can settle `&&`/`||`.
+    let open = u4().lt(Expr::int(7));
+    let never = u4().lt(Expr::int(0));
+    assert_eq!(open.clone().and(never.clone()).decide(&ty_of), Some(false));
+    assert_eq!(
+        open.clone().or(never.clone().not()).decide(&ty_of),
+        Some(true)
+    );
+    assert_eq!(open.clone().or(never).decide(&ty_of), None);
+    assert_eq!(open.not().decide(&ty_of), None);
+    // No interval, no answer: `%`, untyped variables, non-conditions.
+    assert_eq!(u4().rem(Expr::int(3)).lt(Expr::int(9)).decide(&ty_of), None);
+    assert_eq!(Expr::var("w").lt(Expr::int(0)).decide(&ty_of), None);
+    assert_eq!(u4().add(Expr::int(1)).decide(&ty_of), None);
 }

@@ -545,7 +545,13 @@ impl Parser {
             }
             Tok::Minus => {
                 self.bump();
-                Ok(self.factor(env)?.neg())
+                // `-12` is the constant -12, not a negation of 12, so every
+                // consumer (vm, estimator, false-path analysis) sees one
+                // literal.
+                Ok(match self.factor(env)? {
+                    Expr::Const(Value::Int(v)) => Expr::int(v.wrapping_neg()),
+                    e => e.neg(),
+                })
             }
             Tok::Question => {
                 self.bump();
@@ -832,6 +838,7 @@ impl ModuleEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polis_cfsm::Action;
     use polis_expr::MapEnv;
     use std::collections::BTreeSet;
 
@@ -873,6 +880,21 @@ mod tests {
         let r = m.react(&present, &vals, &st).unwrap();
         assert_eq!(r.emissions.len(), 1);
         assert_eq!(r.emissions[0].signal, "y");
+    }
+
+    #[test]
+    fn minus_on_an_integer_literal_is_one_constant() {
+        let m = parse_module(
+            "module a { input x : i8; output o : i8; state s; \
+             from s to s when x && [?x < -12] do { emit o(-(3) - -?x); } }",
+        )
+        .unwrap();
+        assert_eq!(m.tests()[0].expr, Expr::var("x_value").lt(Expr::int(-12)));
+        let Action::Emit { value: Some(e), .. } = &m.actions()[0] else {
+            panic!("one valued emission");
+        };
+        // A negated variable stays a negation.
+        assert_eq!(*e, Expr::int(-3).sub(Expr::var("x_value").neg()));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The paper harnesses' shape-check verdicts, compared with
 //! `scripts/harness_verdicts.txt` by the same function as `paper check`:
 //! a verdict that flips either way fails. The deterministic numbers of
-//! Table III and the granularity sweep are pinned too, against the tables
-//! EXPERIMENTS.md publishes, so a cost regression fails by number.
+//! Table III, the granularity sweep and the Section V-B ROM/RAM table are
+//! pinned too, against the tables EXPERIMENTS.md publishes, so a cost
+//! regression fails by number.
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 
@@ -40,27 +41,31 @@ fn body<'a>(lines: impl Iterator<Item = &'a str>, keep: usize) -> Vec<Vec<String
         .collect()
 }
 
+/// The body rows of the first table in `lines`.
+fn first_table<'a>(lines: impl Iterator<Item = &'a str>, keep: usize) -> Vec<Vec<String>> {
+    let table = lines
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'));
+    body(table, keep)
+}
+
 /// The first table after the EXPERIMENTS.md heading starting `heading`.
 fn documented(heading: &str, keep: usize) -> Vec<Vec<String>> {
     let section = EXPERIMENTS
         .split("\n## ")
         .find(|s| s.starts_with(heading))
         .unwrap_or_else(|| panic!("EXPERIMENTS.md has no `## {heading}` section"));
-    let table = section
-        .lines()
-        .skip_while(|l| !l.starts_with('|'))
-        .take_while(|l| l.starts_with('|'));
-    body(table, keep)
+    first_table(section.lines(), keep)
 }
 
-/// The table the harness `name` prints.
+/// The first table the harness `name` prints.
 fn reported(name: &str, keep: usize) -> Vec<Vec<String>> {
     let (_, report) = polis_bench::HARNESSES
         .iter()
         .find(|(n, _)| *n == name)
         .expect("a paper harness");
     let items = report();
-    body(items.iter().flat_map(|item| item.lines()), keep)
+    first_table(items.iter().flat_map(|item| item.lines()), keep)
 }
 
 #[test]
@@ -77,4 +82,12 @@ fn granularity_numbers_match_experiments_md() {
     let got = reported("granularity", 4);
     assert_eq!(got, documented("Granularity sweep", 4));
     assert_eq!(got.len(), 4);
+}
+
+#[test]
+fn shock_absorber_numbers_match_experiments_md() {
+    // implementation, ROM[B], RAM[B].
+    let got = reported("shock_absorber", 3);
+    assert_eq!(got, documented("Section V-B", 3));
+    assert_eq!(got.len(), 3);
 }
