@@ -29,7 +29,9 @@
 //!   ([`Bdd::or_and_not`]), and level-wise
 //!   access ([`Bdd::node_level`], [`Bdd::cofactors_at_level`],
 //!   [`Bdd::node_at_level`]) for recursions written outside the kernel;
-//! * mark-and-sweep garbage collection ([`Bdd::gc`]);
+//! * mark-and-sweep garbage collection ([`Bdd::gc`]), and a
+//!   garbage-pressure trigger that runs it once the arena grows past a
+//!   mark ([`GcTrigger`]);
 //! * in-place adjacent level swap and constrained sifting
 //!   ([`Bdd::sift`], see the [`reorder`] module);
 //! * multi-bit encodings of bounded-integer variables ([`encode`]).
@@ -731,6 +733,8 @@ pub struct Bdd {
     swap_rewrites: u64,
     /// Nodes returned to the free-list by `gc` or by sifting reclamation.
     reclaimed_nodes: u64,
+    /// `gc` calls.
+    collections: u64,
     /// High-water mark of allocated (live) nodes.
     peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`, and cache misses of the
@@ -777,6 +781,8 @@ pub struct BddStats {
     pub memo_hits: u64,
     /// Nodes returned to the free-list by `gc` or sifting reclamation.
     pub reclaimed_nodes: u64,
+    /// Mark-and-sweep collections run ([`Bdd::gc`] calls).
+    pub collections: u64,
     /// High-water mark of allocated (live) nodes.
     pub peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`, and cache misses of the
@@ -839,6 +845,7 @@ impl BddStats {
             memo_lookups: self.memo_lookups + other.memo_lookups,
             memo_hits: self.memo_hits + other.memo_hits,
             reclaimed_nodes: self.reclaimed_nodes + other.reclaimed_nodes,
+            collections: self.collections + other.collections,
             peak_live_nodes: self.peak_live_nodes + other.peak_live_nodes,
             op_visits: self.op_visits + other.op_visits,
             andex_lookups: self.andex_lookups + other.andex_lookups,
@@ -898,6 +905,7 @@ impl Bdd {
             swap_count: 0,
             swap_rewrites: 0,
             reclaimed_nodes: 0,
+            collections: 0,
             peak_live_nodes: 0,
             op_visits: 0,
             andex_lookups: 0,
@@ -967,6 +975,7 @@ impl Bdd {
             memo_lookups: self.memo_lookups,
             memo_hits: self.memo_hits,
             reclaimed_nodes: self.reclaimed_nodes,
+            collections: self.collections,
             peak_live_nodes: self.peak_live_nodes,
             op_visits: self.op_visits,
             andex_lookups: self.andex_lookups,
@@ -2109,6 +2118,7 @@ impl Bdd {
             self.free_push(n.idx());
         }
         self.reclaimed_nodes += freed as u64;
+        self.collections += 1;
         // Collection moves no node, so a cache entry stays valid exactly
         // when everything it mentions survived. Freed slots are not reused
         // until a later `mk`, so the FREE_VAR test below is race-free.
@@ -2308,6 +2318,56 @@ impl Bdd {
 
     pub(crate) fn rc_is_active(&self) -> bool {
         self.rc_active
+    }
+}
+
+/// A garbage-pressure trigger: collects dead nodes once the arena has
+/// grown past a mark, so a long construction that drops most of what it
+/// builds does not keep its garbage until the end.
+///
+/// The mark starts at `floor`, so small managers never collect and keep
+/// their operation caches warm. After each collection it is re-armed at
+/// `regrow ×` the surviving live set, but never below `floor`, so a
+/// manager whose live set really is near the mark does not thrash
+/// collections that reclaim almost nothing. An optional ceiling
+/// ([`GcTrigger::capped_at`]) also fires whenever the arena exceeds it.
+/// Collection changes no function a surviving handle denotes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GcTrigger {
+    floor: usize,
+    regrow: usize,
+    ceiling: usize,
+    next: usize,
+}
+
+impl GcTrigger {
+    /// A trigger armed at `floor` that re-arms at `regrow ×` the live set.
+    pub const fn new(floor: usize, regrow: usize) -> GcTrigger {
+        GcTrigger {
+            floor,
+            regrow,
+            ceiling: usize::MAX,
+            next: floor,
+        }
+    }
+
+    /// The same trigger, also firing whenever the arena exceeds `ceiling`.
+    pub const fn capped_at(self, ceiling: usize) -> GcTrigger {
+        GcTrigger { ceiling, ..self }
+    }
+
+    /// Collects every node that `roots` do not reach if the arena has
+    /// grown past the mark (or the ceiling), then re-arms the mark.
+    /// Returns whether it collected. `roots` are only gathered when it
+    /// does, so a check below the mark costs one comparison.
+    pub fn collect(&mut self, bdd: &mut Bdd, roots: impl IntoIterator<Item = NodeRef>) -> bool {
+        if bdd.allocated_nodes() <= self.next.min(self.ceiling) {
+            return false;
+        }
+        let roots: Vec<NodeRef> = roots.into_iter().collect();
+        bdd.gc(&roots);
+        self.next = (bdd.allocated_nodes() * self.regrow).max(self.floor);
+        true
     }
 }
 
@@ -2722,6 +2782,31 @@ mod tests {
         let fy2 = b.var(y);
         let again = b.and(fx2, fy2);
         assert_eq!(again, keep);
+        b.check_canonical();
+    }
+
+    #[test]
+    fn gc_trigger_fires_past_its_mark_and_regrows_from_the_live_set() {
+        let (mut b, x, y, z) = setup3();
+        let (fx, fy, fz) = (b.var(x), b.var(y), b.var(z));
+        let keep = b.and(fx, fy);
+        let mut trigger = GcTrigger::new(b.allocated_nodes(), 2);
+        // At the mark: nothing happens, and the roots are never gathered.
+        assert!(!trigger.collect(&mut b, std::iter::from_fn(|| panic!("gathered"))));
+        let _garbage = b.xor(keep, fz);
+        let grown = b.allocated_nodes();
+        assert!(trigger.collect(&mut b, [keep]));
+        let live = b.allocated_nodes();
+        assert_eq!(live, b.size(&[keep]));
+        assert!(live < grown);
+        assert!(b.eval(keep, |v| v != z));
+        // Re-armed at max(2 × live, floor): growing to it does not fire.
+        assert_eq!(trigger.next, (2 * live).max(trigger.floor));
+        assert!(!trigger.collect(&mut b, [keep]));
+        // A ceiling below the arena fires regardless of the mark.
+        let mut capped = GcTrigger::new(usize::MAX, 2).capped_at(1);
+        assert!(capped.collect(&mut b, [keep]));
+        assert_eq!(b.allocated_nodes(), b.size(&[keep]));
         b.check_canonical();
     }
 

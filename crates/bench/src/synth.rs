@@ -1,7 +1,8 @@
 //! Generated-code bench: the paper's own metrics — code bytes, RAM and
 //! min/max reaction cycles, measured on the object code — for every
 //! machine of the four example specs and of the two composed products,
-//! on `Mcu8` and `Risc32`. Writes `BENCH_synth.json`.
+//! on `Mcu8` and `Risc32`, plus the peak live BDD nodes of building and
+//! sifting each machine's χ. Writes `BENCH_synth.json`.
 //!
 //! ```text
 //! cargo run --release -p polis-bench --bin paper -- synth [--gate FILE] [--out FILE]
@@ -16,7 +17,7 @@ use crate::{named, write_json, BenchOptions};
 use polis_cfsm::compose::compose;
 use polis_cfsm::Network;
 use polis_core::trace::Json;
-use polis_core::{synthesize_network_staged, workloads, SynthesisOptions};
+use polis_core::{synthesize_network_staged, workloads, MetricValue, SynthesisOptions};
 use polis_rtos::RtosConfig;
 use polis_vm::Profile;
 
@@ -41,7 +42,8 @@ fn subjects() -> Vec<(Option<&'static str>, Network)> {
 }
 
 /// One case per machine: its name, then code bytes, RAM and min/max
-/// cycles on each profile.
+/// cycles on each profile, then the BDD manager's peak live nodes over
+/// the `chi` and `sift` stages (the same on both profiles).
 fn cases() -> Vec<Json> {
     let mut cases = Vec::new();
     for (spec, net) in subjects() {
@@ -54,9 +56,8 @@ fn cases() -> Vec<Json> {
                 profile,
                 ..RtosConfig::default()
             };
-            let (syn, _) = synthesize_network_staged(&net, &opts, &rtos, 1)
-                .expect("the example networks synthesize");
-            syn.machines
+            synthesize_network_staged(&net, &opts, &rtos, 1)
+                .expect("the example networks synthesize")
         });
         for (mi, m) in net.cfsms().iter().enumerate() {
             let name = match spec {
@@ -64,8 +65,8 @@ fn cases() -> Vec<Json> {
                 None => m.name().to_owned(),
             };
             let mut fields = vec![("name".to_owned(), Json::Str(name))];
-            for ((_, prefix), machines) in PROFILES.iter().zip(&runs) {
-                let mm = &machines[mi].measured;
+            for ((_, prefix), (syn, _)) in PROFILES.iter().zip(&runs) {
+                let mm = &syn.machines[mi].measured;
                 fields.extend([
                     (format!("{prefix}_code_bytes"), Json::num(mm.size_bytes)),
                     (format!("{prefix}_ram_bytes"), Json::num(mm.ram_bytes)),
@@ -73,6 +74,18 @@ fn cases() -> Vec<Json> {
                     (format!("{prefix}_max_cycles"), Json::num(mm.max_cycles)),
                 ]);
             }
+            let peak = runs
+                .iter()
+                .flat_map(|(_, trace)| trace.records())
+                .filter(|r| r.machine.as_deref() == Some(m.name()))
+                .filter(|r| matches!(r.stage, "chi" | "sift"))
+                .filter_map(|r| match r.counter("peak_live_nodes") {
+                    Some(MetricValue::Int(n)) => Some(n),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or_default();
+            fields.push(("peak_live_nodes".to_owned(), Json::num(peak)));
             cases.push(Json::Obj(fields));
         }
     }
@@ -128,8 +141,8 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
     let cases = cases();
     let num = |c: &Json, f: &str| c.get(f).and_then(Json::as_num::<u64>).unwrap_or_default();
     println!(
-        "{:<28} {:>10} {:>9} {:>16} {:>10} {:>9} {:>16}",
-        "machine", "Mcu8 [B]", "RAM [B]", "cycles", "Risc32 [B]", "RAM [B]", "cycles"
+        "{:<28} {:>10} {:>9} {:>16} {:>10} {:>9} {:>16} {:>10}",
+        "machine", "Mcu8 [B]", "RAM [B]", "cycles", "Risc32 [B]", "RAM [B]", "cycles", "peak nodes"
     );
     for c in &cases {
         let cols = PROFILES.map(|(_, p)| {
@@ -145,7 +158,8 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
             )
         });
         let name = c.get("name").and_then(Json::as_str).unwrap_or_default();
-        println!("{name:<28} {}", cols.join(" "));
+        let peak = num(c, "peak_live_nodes");
+        println!("{name:<28} {} {peak:>10}", cols.join(" "));
     }
 
     let json = Json::obj([

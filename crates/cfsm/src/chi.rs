@@ -31,12 +31,27 @@
 //! the cube is built bottom-up first (see `output_cube`) and conjoined
 //! onto the condition in one `and`, which walks the condition once per
 //! transition instead of once per output literal.
+//!
+//! Every term replaces the partial disjunction, so a machine with many
+//! transitions builds mostly garbage. A [`GcTrigger`] collects it once
+//! the arena passes 4,096 nodes, re-armed at twice the live set; small
+//! machines never reach the floor and pay one comparison per term.
+//! Collection changes no function a root denotes, so χ is the same
+//! canonical handle either way.
 
 use crate::machine::{Cfsm, Guard};
 use polis_bdd::encode::MvVar;
 use polis_bdd::reorder::SiftConfig;
-use polis_bdd::{Bdd, NodeRef};
+use polis_bdd::{Bdd, GcTrigger, NodeRef};
 use std::collections::HashMap;
+
+/// χ construction never collects below this many arena nodes, so small
+/// machines (nearly all of them) pay one comparison per term.
+const CHI_GC_FLOOR: usize = 1 << 12;
+
+/// After a collection during χ construction, the next one is armed at
+/// this multiple of the live set.
+const CHI_GC_REGROW: usize = 2;
 
 /// Which side of the reactive function a variable belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -250,11 +265,17 @@ impl ReactiveFn {
             .map(|v| v.bits[0])
             .collect();
 
+        // Each term replaces the partial χ, so the dead partial
+        // disjunctions are collected under garbage pressure. The roots are
+        // the conditions still to come, `fired`, the consume literals and χ.
+        let mut trigger = GcTrigger::new(CHI_GC_FLOOR, CHI_GC_REGROW);
         let mut chi = NodeRef::FALSE;
-        for (t, &cond) in cfsm.transitions().iter().zip(&conds) {
+        for (i, (t, &cond)) in cfsm.transitions().iter().zip(&conds).enumerate() {
             if cond.is_false() {
                 continue;
             }
+            let roots = [fired, consume_pos, consume_neg, chi];
+            trigger.collect(&mut rf.bdd, conds[i..].iter().copied().chain(roots));
             let next = match &next_ctrl {
                 Some(mv) => mv.eq_const(&mut rf.bdd, t.to as u64),
                 None => NodeRef::TRUE,
@@ -265,6 +286,7 @@ impl ReactiveFn {
         }
         // Default: nothing fired, nothing emitted, next state unconstrained
         // (don't care — the implementation keeps the state by not writing).
+        trigger.collect(&mut rf.bdd, [fired, consume_pos, consume_neg, chi]);
         let quiet = output_cube(&mut rf.bdd, consume_neg, &action_vars, &[], NodeRef::TRUE);
         let not_fired = rf.bdd.not(fired);
         let dflt = rf.bdd.and(not_fired, quiet);

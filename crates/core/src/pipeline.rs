@@ -168,6 +168,7 @@ fn stage_chi(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<ReactiveFn, SynthErr
     ctx.ratio("cache_hit_rate", st.hit_rate());
     ctx.count("cache_evictions", st.cache_evictions);
     ctx.count("peak_live_nodes", st.peak_live_nodes);
+    ctx.count("collections", st.collections);
     ctx.ratio("unique_probe_len", st.avg_probe_len());
     Ok(rf)
 }

@@ -2,10 +2,13 @@
 //! conjunction literal by literal, in declaration order, in the same
 //! manager. Both build the same function, so a canonical BDD gives the
 //! same handle; any difference is a change in the function χ encodes.
+//! The same holds for machines large enough that `build` collects its
+//! garbage several times before χ is done, and the peak live nodes of
+//! building χ are pinned, so a lost collection shows.
 
 use polis_bdd::{Bdd, NodeRef, Var};
 use polis_cfsm::compose::compose;
-use polis_cfsm::{Cfsm, Guard, ReactiveFn, RfVarKind};
+use polis_cfsm::{Cfsm, Guard, Network, ReactiveFn, RfVarKind};
 use polis_core::random::{random_cfsm, RandomSpec, Rng};
 use polis_core::workloads;
 
@@ -117,8 +120,11 @@ fn reference_chi(rf: &mut ReactiveFn, m: &Cfsm) -> NodeRef {
 }
 
 fn assert_same_chi(m: &Cfsm, what: &str) {
-    let mut rf = ReactiveFn::build(m);
-    let want = reference_chi(&mut rf, m);
+    assert_same_chi_of(&mut ReactiveFn::build(m), m, what);
+}
+
+fn assert_same_chi_of(rf: &mut ReactiveFn, m: &Cfsm, what: &str) {
+    let want = reference_chi(rf, m);
     assert_eq!(rf.chi(), want, "{what}: χ of `{}` differs", m.name());
 }
 
@@ -152,4 +158,46 @@ fn random_machines_match_the_reference() {
         let m = random_cfsm("rnd", &spec, seed);
         assert_same_chi(&m, &format!("machine {i} (seed {seed:#x}, {spec:?})"));
     }
+}
+
+/// Seeded random machines large enough that building χ crosses the
+/// garbage-pressure floor and collects several times before it is done.
+fn collecting_machines() -> Vec<Cfsm> {
+    let mut rng = Rng::new(0x6c_c011);
+    (0..8)
+        .map(|_| {
+            let spec = RandomSpec {
+                states: rng.usize(8..14),
+                pure_inputs: rng.usize(6..9),
+                valued_inputs: rng.usize(3..5),
+                outputs: rng.usize(5..9),
+                vars: rng.usize(3..5),
+                transitions: rng.usize(60..100),
+            };
+            random_cfsm("big", &spec, rng.next_u64())
+        })
+        .collect()
+}
+
+#[test]
+fn machines_that_collect_while_building_match_the_reference() {
+    for (i, m) in collecting_machines().iter().enumerate() {
+        let mut rf = ReactiveFn::build(m);
+        // `build` ends with one collection against χ alone; the others
+        // ran while χ was being built.
+        let mid_build = rf.bdd().stats().collections - 1;
+        assert!(mid_build >= 3, "machine {i}: {mid_build} collections");
+        assert_same_chi_of(&mut rf, m, &format!("collecting machine {i}"));
+    }
+}
+
+#[test]
+fn chi_stage_peaks_are_pinned() {
+    let peak = |m: &Cfsm| ReactiveFn::build(m).bdd().stats().peak_live_nodes;
+    let product = |net: Network| compose(&net).expect("the example networks compose");
+    // Below the collection floor: nothing is collected before the end.
+    assert_eq!(peak(&product(workloads::dashboard())), 2174);
+    // 16,159 when the partial disjunctions were kept until the end.
+    assert_eq!(peak(&product(workloads::shock_absorber())), 6429);
+    assert_eq!(peak(&collecting_machines()[0]), 11704);
 }

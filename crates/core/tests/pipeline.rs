@@ -116,6 +116,9 @@ fn trace_records_every_stage_once_for_simple() {
     // consistent: the high-water mark bounds the live size on both stages.
     assert!(counter("chi", "peak_live_nodes") >= counter("chi", "bdd_nodes"));
     assert!(counter("sift", "peak_live_nodes") >= counter("sift", "bdd_nodes_after"));
+    // A machine this small stays below χ's collection floor: the only
+    // collection is the one that ends the build.
+    assert_eq!(counter("chi", "collections"), 1);
     // The s-graph is non-trivial and collapse kept it consistent.
     assert!(counter("sgraph", "reachable") > 2);
     assert!(counter("sgraph", "tests") > 0);

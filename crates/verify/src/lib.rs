@@ -120,6 +120,9 @@ pub enum VerifyError {
         budget: usize,
         /// Live nodes at the point of failure.
         allocated: usize,
+        /// The fixpoint iteration (counted from 1) whose budget check
+        /// failed.
+        iteration: u64,
         /// Image steps completed before the abort: the partition count
         /// times the iterations whose descent finished, since the budget
         /// is checked once per iteration.
@@ -133,11 +136,13 @@ impl fmt::Display for VerifyError {
             VerifyError::NodeBudgetExceeded {
                 budget,
                 allocated,
+                iteration,
                 image_steps,
             } => write!(
                 f,
                 "BDD node budget exceeded during reachability: \
-                 {allocated} live nodes > budget {budget} after {image_steps} image steps"
+                 {allocated} live nodes > budget {budget} in iteration {iteration} \
+                 after {image_steps} image steps"
             ),
         }
     }
@@ -186,7 +191,7 @@ pub struct VerifyStats {
     /// [`VerifyOptions::reorder_threshold`].
     pub mid_reach_reorders: u64,
     /// Garbage collections run mid-traversal: allocation crossed the
-    /// `GC_FLOOR`/`GC_REGROW` trigger or the node budget (see
+    /// garbage-pressure trigger's mark or the node budget (see
     /// `reach::enforce_budget`).
     pub mid_reach_collections: u64,
     /// Wall-clock time of model construction plus traversal.
@@ -693,11 +698,18 @@ mod tests {
             Ok(_) => panic!("expected a node-budget abort"),
         };
         let VerifyError::NodeBudgetExceeded {
-            budget, allocated, ..
+            budget,
+            allocated,
+            iteration,
+            ..
         } = err;
         assert_eq!(budget, 4);
         assert!(allocated > 4);
-        assert!(err.to_string().contains("node budget exceeded"));
+        // The model alone outgrows four nodes: the first check aborts.
+        assert_eq!(iteration, 1);
+        let shown = err.to_string();
+        assert!(shown.contains("node budget exceeded"), "{shown}");
+        assert!(shown.contains("in iteration 1 "), "{shown}");
     }
 
     #[test]

@@ -65,7 +65,7 @@
 use crate::model::{EnvStep, NetworkModel, ReactStep};
 use crate::trace::TraceRings;
 use crate::{VerifyError, VerifyOptions, VerifyStats};
-use polis_bdd::{Bdd, NodeRef, Var};
+use polis_bdd::{Bdd, GcTrigger, NodeRef, Var};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -231,25 +231,22 @@ impl<'m> Descent<'m> {
     }
 }
 
-/// Collections never fire while the arena is below this level, so small
-/// and mid-size models keep their op caches warm for the whole traversal
-/// (every seed example and the relay chains up to width 8 stay under it).
-const GC_FLOOR: usize = 1 << 18;
-
-/// After a collection the next one is armed at `GC_REGROW ×` the live
-/// size (but never below [`GC_FLOOR`]), so a traversal whose live set
-/// genuinely approaches the trigger does not thrash collections that
-/// can reclaim almost nothing.
-const GC_REGROW: usize = 4;
+/// The verifier's garbage-pressure trigger, capped at the node budget.
+/// Collections never fire below 2^18 nodes, so small and mid-size models
+/// keep their op caches warm for the whole traversal (every seed example
+/// and the relay chains up to width 8 stay under it); after one, the next
+/// is armed at 4× the live size.
+fn gc_trigger(opts: &VerifyOptions) -> GcTrigger {
+    GcTrigger::new(1 << 18, 4).capped_at(opts.node_budget)
+}
 
 /// Reclaims dead nodes and errors out if the live set still exceeds the
 /// budget. `persistent` are the model's fixed roots (relation, init,
 /// cubes, enabling conditions); `live` are the traversal's working roots.
 ///
-/// Besides the hard budget, a garbage-pressure policy bounds the peak
-/// arena: once allocation crosses the current trigger ([`GC_FLOOR`] to
-/// start, re-armed by [`GC_REGROW`] after each collection), the dead
-/// majority is collected immediately instead of lingering until the
+/// Besides the hard budget, the garbage-pressure `trigger` (see
+/// [`gc_trigger`]) bounds the peak arena: the dead majority is collected
+/// as soon as allocation crosses its mark instead of lingering until the
 /// budget (or the reorder threshold) is hit. Collection never changes any
 /// function a handle denotes, so reached sets and verdicts are untouched.
 ///
@@ -260,44 +257,37 @@ fn enforce_budget(
     bdd: &mut Bdd,
     opts: &VerifyOptions,
     stats: &mut VerifyStats,
-    gc_trigger: &mut usize,
+    trigger: &mut GcTrigger,
     persistent: &[NodeRef],
     live: &[NodeRef],
     rings: &mut Option<TraceRings>,
 ) -> Result<bool, VerifyError> {
-    let allocated = bdd.allocated_nodes();
-    if allocated <= *gc_trigger && allocated <= opts.node_budget {
+    let start = Instant::now();
+    let ring_roots = rings.as_ref().map_or(&[][..], TraceRings::roots);
+    let roots = persistent.iter().chain(live).chain(ring_roots).copied();
+    if !trigger.collect(bdd, roots) {
         return Ok(false);
     }
-    let start = Instant::now();
-    let mut roots = persistent.to_vec();
-    roots.extend_from_slice(live);
-    if let Some(r) = rings {
-        roots.extend_from_slice(r.roots());
-    }
-    bdd.gc(&roots);
     stats.mid_reach_collections += 1;
-    let mut live_now = bdd.allocated_nodes();
-    if live_now > opts.node_budget && rings.is_some() {
+    if bdd.allocated_nodes() > opts.node_budget && rings.is_some() {
         // Graceful degradation: the onion rings are diagnostic-only
         // state, so shed them (later property checks fall back to
-        // cube-only witnesses) before giving up on the traversal.
+        // cube-only witnesses) before giving up on the traversal. The
+        // arena is still past the ceiling, so the trigger collects again.
         *rings = None;
-        let mut roots = persistent.to_vec();
-        roots.extend_from_slice(live);
-        bdd.gc(&roots);
+        trigger.collect(bdd, persistent.iter().chain(live).copied());
         stats.mid_reach_collections += 1;
-        live_now = bdd.allocated_nodes();
     }
     stats.phases.gc += start.elapsed();
+    let live_now = bdd.allocated_nodes();
     if live_now > opts.node_budget {
         return Err(VerifyError::NodeBudgetExceeded {
             budget: opts.node_budget,
             allocated: live_now,
+            iteration: stats.iterations,
             image_steps: stats.image_steps,
         });
     }
-    *gc_trigger = (live_now * GC_REGROW).max(GC_FLOOR);
     Ok(true)
 }
 
@@ -331,7 +321,7 @@ pub(crate) fn fixpoint(
     // *stays* large after one reorder does not sift again on every
     // iteration.
     let mut next_reorder = opts.reorder_threshold;
-    let mut gc_trigger = GC_FLOOR;
+    let mut trigger = gc_trigger(opts);
     while !frontier.is_false() {
         stats.iterations += 1;
         let start = Instant::now();
@@ -366,7 +356,7 @@ pub(crate) fn fixpoint(
             bdd,
             opts,
             stats,
-            &mut gc_trigger,
+            &mut trigger,
             &persistent,
             &[reached, frontier],
             &mut rings,
@@ -438,7 +428,7 @@ mod tests {
     ) -> Result<(NodeRef, Option<TraceRings>, VerifyStats), VerifyError> {
         let persistent = model.persistent_roots();
         let mut stats = VerifyStats::default();
-        let mut gc_trigger = GC_FLOOR;
+        let mut trigger = gc_trigger(opts);
         let mut reached = model.init;
         let mut frontier = model.init;
         let mut rings = opts.trace_rings.then(|| TraceRings {
@@ -476,7 +466,7 @@ mod tests {
                     &mut model.bdd,
                     opts,
                     &mut stats,
-                    &mut gc_trigger,
+                    &mut trigger,
                     &persistent,
                     &roots,
                     &mut rings,
@@ -499,7 +489,7 @@ mod tests {
                 &mut model.bdd,
                 opts,
                 &mut stats,
-                &mut gc_trigger,
+                &mut trigger,
                 &persistent,
                 &live,
                 &mut rings,

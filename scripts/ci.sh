@@ -111,7 +111,7 @@ check_props examples/specs/dashboard.pol \
 echo "==> verify bench smoke (sanity thresholds + deterministic regression gate)"
 ./target/release/paper verify --smoke --check --gate BENCH_verify.json --out /tmp/bench_verify_smoke.json
 
-echo "==> generated-code gate: code bytes, RAM and cycles equal BENCH_synth.json (any change fails)"
+echo "==> generated-code gate: code bytes, RAM, cycles and peak live nodes equal BENCH_synth.json (any change fails)"
 ./target/release/paper synth --gate BENCH_synth.json --out /tmp/bench_synth.json
 
 echo "==> benchmark self-test (pinned verdicts, relay-chain closed form, trace replay)"

@@ -10,8 +10,8 @@ use polis::cfsm::Network;
 use polis::codegen::emit_network_header;
 use polis::core::args::{usage_line, Args, Flag};
 use polis::core::{
-    synthesize_network_staged, verify_staged, ImplStyle, MetricValue, StageRecord, SynthCtx,
-    SynthError, SynthTrace, SynthesisOptions,
+    synthesize_network_staged, verify_staged, ImplStyle, MetricValue, NetworkSynthesis,
+    StageRecord, SynthCtx, SynthError, SynthTrace, SynthesisOptions,
 };
 use polis::lang::{emit_spec_source, parse_spec, Property, Spec};
 use polis::rtos::{RtosConfig, SchedulingPolicy, Simulator, Stimulus};
@@ -45,7 +45,7 @@ const FLAGS: &[Flag] = &[
     Flag("--buffering",         Some("all|minimal"), &["synth", "estimate"]),
     Flag("--collapse",          None, &["synth", "estimate", "dot"]),
     Flag("--jobs",              Some("N"), &["synth"]),
-    Flag("--trace",             Some("FILE"), &["synth", "verify", "prop"]),
+    Flag("--trace",             Some("FILE"), &["synth", "estimate", "sim", "verify", "prop"]),
     Flag("--verify",            None, &["synth"]),
     Flag("--refine",            None, &["synth"]),
     Flag("--props",             None, &["verify"]),
@@ -84,8 +84,8 @@ fn run(raw: Vec<String>) -> Result<(), String> {
     let net = &spec.network;
     match cli.command {
         "synth" => synth(net, &opts, trace),
-        "estimate" => estimate_cmd(net, &opts),
-        "sim" => sim(net, &opts),
+        "estimate" => estimate_cmd(net, &opts, trace),
+        "sim" => sim(net, &opts, trace),
         "verify" => verify_cmd(net, &spec.properties, &opts, trace),
         "prop" => prop_cmd(path, &spec, &opts, trace),
         "dot" => dot(net, &opts),
@@ -252,7 +252,7 @@ fn abort(opts: &Options, trace: &SynthTrace, error: SynthError) -> String {
     error.to_string()
 }
 
-fn cost_table(net: &Network, result: &polis::core::NetworkSynthesis) {
+fn cost_table(net: &Network, result: &NetworkSynthesis) {
     println!(
         "{:<14} {:>8} {:>8} {:>10} {:>10}",
         "module", "ROM[B]", "RAM[B]", "min[cyc]", "max[cyc]"
@@ -273,18 +273,27 @@ fn cost_table(net: &Network, result: &polis::core::NetworkSynthesis) {
     );
 }
 
+/// Runs the staged synthesis pipeline and appends its stages to `trace`;
+/// an aborted run flushes the partial trace.
+fn synthesized(
+    net: &Network,
+    opts: &Options,
+    trace: &mut SynthTrace,
+) -> Result<NetworkSynthesis, String> {
+    match synthesize_network_staged(net, &opts.synth, &RtosConfig::default(), opts.jobs) {
+        Ok((result, synth_trace)) => {
+            trace.extend(synth_trace);
+            Ok(result)
+        }
+        Err(failure) => {
+            trace.extend(failure.trace);
+            Err(abort(opts, trace, failure.error))
+        }
+    }
+}
+
 fn synth(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), String> {
-    let result =
-        match synthesize_network_staged(net, &opts.synth, &RtosConfig::default(), opts.jobs) {
-            Ok((result, synth_trace)) => {
-                trace.extend(synth_trace);
-                result
-            }
-            Err(failure) => {
-                trace.extend(failure.trace);
-                return Err(abort(opts, &trace, failure.error));
-            }
-        };
+    let result = synthesized(net, opts, &mut trace)?;
 
     std::fs::create_dir_all(&opts.out_dir)
         .map_err(|e| format!("cannot create `{}`: {e}", opts.out_dir.display()))?;
@@ -385,9 +394,11 @@ fn prop_cmd(path: &str, spec: &Spec, opts: &Options, trace: SynthTrace) -> Resul
     Ok(())
 }
 
-fn estimate_cmd(net: &Network, opts: &Options) -> Result<(), String> {
-    let (result, _) = synthesize_network_staged(net, &opts.synth, &RtosConfig::default(), 1)
-        .map_err(|failure| failure.error.to_string())?;
+fn estimate_cmd(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), String> {
+    let result = synthesized(net, opts, &mut trace)?;
+    if let Some(path) = write_trace(opts, &trace)? {
+        println!("wrote {path}");
+    }
     println!(
         "{:<14} {:>8} {:>8} {:>7} | {:>9} {:>9} {:>7}",
         "module", "est[B]", "meas[B]", "err%", "est[cyc]", "meas[cyc]", "err%"
@@ -436,18 +447,34 @@ fn parse_stimuli(path: &str) -> Result<Vec<Stimulus>, String> {
     Ok(out)
 }
 
-fn sim(net: &Network, opts: &Options) -> Result<(), String> {
+fn sim(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), String> {
     let stim_path = opts.stim.as_deref().ok_or("sim requires --stim <file>")?;
     let stim = parse_stimuli(stim_path)?;
+    let start = std::time::Instant::now();
     let mut sim = Simulator::build(net, opts.rtos.clone());
     sim.run(&stim);
+    let s = sim.stats();
+    let count = |name: &str, n: u64| (name.to_owned(), MetricValue::Int(n));
+    trace.push(StageRecord {
+        stage: "sim",
+        machine: None,
+        wall: start.elapsed(),
+        counters: vec![
+            count("reactions", s.reactions.iter().sum()),
+            count("busy_cycles", s.busy_cycles),
+            count("rtos_cycles", s.rtos_cycles),
+            count("overwritten", s.overwritten.iter().sum()),
+        ],
+    });
+    if let Some(path) = write_trace(opts, &trace)? {
+        println!("wrote {path}");
+    }
     for t in sim.trace() {
         match t.value {
             Some(v) => println!("{:>10}  {:<16} = {:<6} (by {})", t.time, t.signal, v, t.by),
             None => println!("{:>10}  {:<16}          (by {})", t.time, t.signal, t.by),
         }
     }
-    let s = sim.stats();
     println!(
         "-- {} wall cycles, {} busy ({} in RTOS); reactions {:?}, overwritten {:?}",
         s.total_cycles, s.busy_cycles, s.rtos_cycles, s.reactions, s.overwritten

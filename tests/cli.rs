@@ -1,5 +1,6 @@
 //! End-to-end tests of the `polis` command-line tool.
 
+use polis::core::trace::Json;
 use std::path::Path;
 use std::process::Command;
 
@@ -527,6 +528,95 @@ fn verify_trace_holds_parse_then_verify_stage() {
     assert!(stderr.contains("wrote partial trace"), "{stderr}");
     let json = std::fs::read_to_string(&partial).unwrap();
     assert!(json.contains("\"stage\": \"verify\""), "{json}");
+}
+
+/// The stages of the JSON trace at `path`, as (stage, machine) pairs,
+/// with the parsed stage objects.
+fn trace_stages(path: &Path) -> Vec<(String, Option<String>, Json)> {
+    let text = std::fs::read_to_string(path).unwrap();
+    let json = Json::parse(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+    let stages = json.get("stages").and_then(Json::as_array).expect("stages");
+    stages
+        .iter()
+        .map(|s| {
+            let field = |k| s.get(k).and_then(Json::as_str).map(str::to_owned);
+            (
+                field("stage").expect("stage name"),
+                field("machine"),
+                s.clone(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn estimate_trace_holds_parse_then_the_synthesis_stages() {
+    let dir = tmpdir("estimate_trace");
+    let spec = write(&dir, "pp.pol", SPEC);
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args(["estimate", &spec, "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("err%"));
+    let stages = trace_stages(&trace);
+    assert_eq!(stages.first().map(|s| s.0.as_str()), Some("parse"));
+    assert_eq!(stages.last().map(|s| s.0.as_str()), Some("rtos"));
+    for machine in ["pinger", "ponger"] {
+        for stage in ["chi", "sift", "sgraph", "compile", "estimate", "measure"] {
+            assert!(
+                stages
+                    .iter()
+                    .any(|(s, m, _)| s == stage && m.as_deref() == Some(machine)),
+                "no {stage} stage for {machine}: {stages:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sim_trace_holds_parse_then_a_sim_stage() {
+    let dir = tmpdir("sim_trace");
+    let spec = write(&dir, "pp.pol", SPEC);
+    let stim = write(&dir, "stim.txt", "0 go\n1 go\n1000 go\n");
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args(["sim", &spec, "--stim", &stim, "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stages = trace_stages(&trace);
+    let names: Vec<&str> = stages.iter().map(|s| s.0.as_str()).collect();
+    assert_eq!(names, ["parse", "sim"]);
+    let counters = stages[1].2.get("counters").expect("sim counters");
+    let count = |name| {
+        counters
+            .get(name)
+            .and_then(Json::as_num::<u64>)
+            .unwrap_or_else(|| panic!("missing {name}"))
+    };
+    // The second `go` overwrites the first in `pinger`'s one-place
+    // buffer, so each machine reacts twice.
+    assert_eq!(count("reactions"), 4);
+    assert_eq!(count("overwritten"), 1);
+    let summary = format!(
+        "{} busy ({} in RTOS)",
+        count("busy_cycles"),
+        count("rtos_cycles")
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&summary), "{summary}: {stdout}");
 }
 
 #[test]

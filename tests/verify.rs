@@ -423,10 +423,16 @@ fn node_budget_sweep_reproduces_verdicts_or_aborts() {
                 Err(VerifyError::NodeBudgetExceeded {
                     budget: b,
                     allocated,
+                    iteration,
                     ..
                 }) => {
                     assert_eq!(b, budget, "{name}");
                     assert!(allocated > budget, "{name}: budget {budget}");
+                    assert!(
+                        (1..=report.stats.iterations).contains(&iteration),
+                        "{name}: budget {budget} aborted in iteration {iteration} of {}",
+                        report.stats.iterations
+                    );
                     aborted = true;
                 }
             }
