@@ -2088,6 +2088,13 @@ impl Bdd {
         count
     }
 
+    /// Restarts the high-water mark of allocated nodes at the current
+    /// allocation, so the next [`Bdd::stats`] reports the peak of the work
+    /// since this call (a pipeline stage's own peak).
+    pub fn reset_peak_live_nodes(&mut self) {
+        self.peak_live_nodes = self.allocated_nodes() as u64;
+    }
+
     /// Total allocated (live or dead) non-terminal nodes in the store.
     pub fn allocated_nodes(&self) -> usize {
         self.var_col.len() - 1 - self.free_len

@@ -194,37 +194,58 @@ impl Bdd {
 
     /// Moves one block through its feasible window and leaves it at the best
     /// position found.
+    ///
+    /// The block walks to the nearer end of its window first, then to the
+    /// far end, measuring after each single-position move, and comes back
+    /// to the smallest size. Ties resolve by position alone: `start` if it
+    /// is smallest, else the nearest smallest position below it (later in
+    /// the sequence), else the nearest one above it. So the block lands
+    /// where a walk down first, then up, keeping each strict improvement,
+    /// leaves it, with fewer swaps whenever it lands on the far side.
     fn sift_block(&mut self, layout: &mut BlockLayout, block: usize, mut best: usize) -> usize {
         let start = layout.position(block);
         let (lb, ub) = layout.feasible_window(block);
         debug_assert!((lb..=ub).contains(&start));
-        let mut best_pos = start;
-
-        // Walk down to the upper bound, then up to the lower bound,
-        // measuring after each single-position move.
-        let mut pos = start;
-        while pos < ub {
-            layout.swap_with_next(self, pos);
-            pos += 1;
-            let s = self.allocated_nodes();
-            if s < best {
-                best = s;
-                best_pos = pos;
-            }
+        if lb == ub {
+            return best;
         }
-        while pos > lb {
-            layout.swap_with_next(self, pos - 1);
-            pos -= 1;
-            let s = self.allocated_nodes();
-            if s < best {
-                best = s;
-                best_pos = pos;
+        // `(size, rank)` of a position: the smaller pair wins.
+        let rank = |pos: usize| match pos.cmp(&start) {
+            std::cmp::Ordering::Equal => (0, 0),
+            std::cmp::Ordering::Greater => (1, pos - start),
+            std::cmp::Ordering::Less => (2, start - pos),
+        };
+        let mut best_pos = start;
+        let mut pos = start;
+        let ends = if start - lb < ub - start {
+            [lb, ub]
+        } else {
+            [ub, lb]
+        };
+        for end in ends {
+            while pos != end {
+                if pos < end {
+                    layout.swap_with_next(self, pos);
+                    pos += 1;
+                } else {
+                    layout.swap_with_next(self, pos - 1);
+                    pos -= 1;
+                }
+                let s = self.allocated_nodes();
+                if (s, rank(pos)) < (best, rank(best_pos)) {
+                    best = s;
+                    best_pos = pos;
+                }
             }
         }
         // Return to the best position seen.
         while pos < best_pos {
             layout.swap_with_next(self, pos);
             pos += 1;
+        }
+        while pos > best_pos {
+            layout.swap_with_next(self, pos - 1);
+            pos -= 1;
         }
         best
     }

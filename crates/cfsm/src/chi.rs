@@ -26,16 +26,20 @@
 //! incompletely specified function; the s-graph builder resolves don't
 //! cares by emitting no assignment (the "cheapest option" in the paper).
 //!
-//! Each term of `χ` is `cond ∧ cube`: the transition's input-side
-//! condition and its output cube. Outputs are declared after inputs, so
-//! the cube is built bottom-up first (see `output_cube`) and conjoined
-//! onto the condition in one `and`, which walks the condition once per
-//! transition instead of once per output literal.
+//! `χ` is built as one priority chain, from the last transition to the
+//! first: starting from the quiet cube (nothing consumed or emitted, next
+//! state free), each transition wraps the chain as
+//! `ite(in_state ∧ guard, cube, chain)`, where `cube` is its output cube.
+//! `ite` gives the earlier transition priority, and guards of different
+//! source states are disjoint, so the chain is the disjunction of every
+//! priority-resolved condition conjoined with its cube, plus the quiet
+//! cube where nothing fires. Outputs are declared after inputs, so each
+//! cube is built bottom-up (see `output_cube`) before it enters the chain.
 //!
-//! Every term replaces the partial disjunction, so a machine with many
-//! transitions builds mostly garbage. A [`GcTrigger`] collects it once
-//! the arena passes 4,096 nodes, re-armed at twice the live set; small
-//! machines never reach the floor and pay one comparison per term.
+//! Every step replaces the chain, so a machine with many transitions
+//! builds mostly garbage. A [`GcTrigger`] collects it once the arena
+//! passes 4,096 nodes, re-armed at twice the live set; small machines
+//! never reach the floor and pay one comparison per transition.
 //! Collection changes no function a root denotes, so χ is the same
 //! canonical handle either way.
 
@@ -44,6 +48,7 @@ use polis_bdd::encode::MvVar;
 use polis_bdd::reorder::SiftConfig;
 use polis_bdd::{Bdd, GcTrigger, NodeRef};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// χ construction never collects below this many arena nodes, so small
 /// machines (nearly all of them) pay one comparison per term.
@@ -213,7 +218,6 @@ impl ReactiveFn {
             mv
         });
 
-        // -- transition conditions with per-state priority resolution --
         let present_var = |rf: &ReactiveFn, i: usize| {
             rf.inputs
                 .iter()
@@ -239,23 +243,7 @@ impl ReactiveFn {
             supports: None,
         };
 
-        let mut conds: Vec<NodeRef> = Vec::with_capacity(cfsm.num_transitions());
-        let mut taken_per_state: Vec<NodeRef> = vec![NodeRef::FALSE; cfsm.states().len()];
-        for t in cfsm.transitions() {
-            let in_state = match &ctrl {
-                Some(mv) => mv.eq_const(&mut rf.bdd, t.from as u64),
-                None => NodeRef::TRUE,
-            };
-            let guard = guard_to_bdd(&t.guard, &mut rf, &present_var, &test_var);
-            let raw = rf.bdd.and(in_state, guard);
-            let not_taken = rf.bdd.not(taken_per_state[t.from]);
-            let cond = rf.bdd.and(raw, not_taken);
-            taken_per_state[t.from] = rf.bdd.or(taken_per_state[t.from], raw);
-            conds.push(cond);
-        }
-        let fired = rf.bdd.or_all(conds.iter().copied());
-
-        // -- χ accumulation --
+        // -- χ as one priority ITE chain --
         let consume_pos = rf.bdd.var(consume);
         let consume_neg = rf.bdd.nvar(consume);
         let action_vars: Vec<polis_bdd::Var> = rf
@@ -265,32 +253,31 @@ impl ReactiveFn {
             .map(|v| v.bits[0])
             .collect();
 
-        // Each term replaces the partial χ, so the dead partial
-        // disjunctions are collected under garbage pressure. The roots are
-        // the conditions still to come, `fired`, the consume literals and χ.
+        // Innermost: nothing fired, nothing emitted, next state unconstrained
+        // (don't care — the implementation keeps the state by not writing).
+        // Each transition, last first, wraps the chain (see the module
+        // docs); dead chains are collected against the consume literals
+        // and the chain.
         let mut trigger = GcTrigger::new(CHI_GC_FLOOR, CHI_GC_REGROW);
-        let mut chi = NodeRef::FALSE;
-        for (i, (t, &cond)) in cfsm.transitions().iter().zip(&conds).enumerate() {
-            if cond.is_false() {
+        let mut chi = output_cube(&mut rf.bdd, consume_neg, &action_vars, &[], NodeRef::TRUE);
+        for t in cfsm.transitions().iter().rev() {
+            trigger.collect(&mut rf.bdd, [consume_pos, consume_neg, chi]);
+            let in_state = match &ctrl {
+                Some(mv) => mv.eq_const(&mut rf.bdd, t.from as u64),
+                None => NodeRef::TRUE,
+            };
+            let guard = guard_to_bdd(&t.guard, &mut rf, &present_var, &test_var);
+            let raw = rf.bdd.and(in_state, guard);
+            if raw.is_false() {
                 continue;
             }
-            let roots = [fired, consume_pos, consume_neg, chi];
-            trigger.collect(&mut rf.bdd, conds[i..].iter().copied().chain(roots));
             let next = match &next_ctrl {
                 Some(mv) => mv.eq_const(&mut rf.bdd, t.to as u64),
                 None => NodeRef::TRUE,
             };
             let cube = output_cube(&mut rf.bdd, consume_pos, &action_vars, &t.actions, next);
-            let term = rf.bdd.and(cond, cube);
-            chi = rf.bdd.or(chi, term);
+            chi = rf.bdd.ite(raw, cube, chi);
         }
-        // Default: nothing fired, nothing emitted, next state unconstrained
-        // (don't care — the implementation keeps the state by not writing).
-        trigger.collect(&mut rf.bdd, [fired, consume_pos, consume_neg, chi]);
-        let quiet = output_cube(&mut rf.bdd, consume_neg, &action_vars, &[], NodeRef::TRUE);
-        let not_fired = rf.bdd.not(fired);
-        let dflt = rf.bdd.and(not_fired, quiet);
-        chi = rf.bdd.or(chi, dflt);
 
         rf.chi = chi;
         rf.bdd.gc(&[chi]);
@@ -379,6 +366,11 @@ impl ReactiveFn {
     /// over the input part, children first, labels each node with a
     /// hash-consed id of its quantified function, and an input variable is
     /// in the support iff one of its nodes keeps two different child ids.
+    ///
+    /// A leaf quantified down to one single-bit output `o` is `0`, `o`,
+    /// `¬o` or `1`: which values of `o` it admits. One pass over the output
+    /// part ([`Admitted`]) finds those for every output bit at once, so
+    /// only the multi-bit next-state group quantifies its leaves.
     fn compute_supports(&mut self) -> Vec<Vec<polis_bdd::Var>> {
         let n_in: usize = self.inputs.iter().map(|v| v.bits.len()).sum();
         assert!(
@@ -427,22 +419,37 @@ impl ReactiveFn {
             .iter()
             .flat_map(|o| o.bits.iter().copied())
             .collect();
+        let leaves = items.iter().filter_map(|item| match *item {
+            PartItem::Leaf(f) => Some(f),
+            PartItem::Node(..) => None,
+        });
+        let admitted = Admitted::of(bdd, leaves, &all_output_bits);
         let mut ids: Vec<u32> = Vec::with_capacity(items.len());
-        let mut intern: HashMap<PartItem, u32> = HashMap::new();
+        let mut intern: HashMap<(u32, u32, u32), u32, BuildHasherDefault<MulHasher>> =
+            HashMap::default();
         let mut in_support = vec![false; self.bdd.num_vars()];
         let mut out = Vec::with_capacity(self.outputs.len());
+        let mut first_bit = 0;
         for o in &self.outputs {
-            let others = all_output_bits
-                .iter()
-                .copied()
-                .filter(|b| !o.bits.contains(b));
-            let others_cube = self.bdd.cube(others);
+            let bit = first_bit;
+            first_bit += o.bits.len();
+            // A multi-bit group quantifies each leaf to a canonical handle.
+            let others_cube = (o.bits.len() > 1).then(|| {
+                let others = all_output_bits
+                    .iter()
+                    .copied()
+                    .filter(|b| !o.bits.contains(b));
+                self.bdd.cube(others)
+            });
             ids.clear();
             intern.clear();
             in_support.fill(false);
             for item in &items {
                 let key = match *item {
-                    PartItem::Leaf(f) => PartItem::Leaf(self.bdd.exists_cube(f, others_cube)),
+                    PartItem::Leaf(f) => match others_cube {
+                        Some(cube) => (LEAF, self.bdd.exists_cube(f, cube).index() as u32, 0),
+                        None => (LEAF, admitted.values(f, bit), 0),
+                    },
                     PartItem::Node(v, lo, hi) => {
                         let (lo, hi) = (ids[lo as usize], ids[hi as usize]);
                         if lo == hi {
@@ -450,7 +457,7 @@ impl ReactiveFn {
                             continue;
                         }
                         in_support[v.index()] = true;
-                        PartItem::Node(v, lo, hi)
+                        (v.0, lo, hi)
                     }
                 };
                 let next = intern.len() as u32;
@@ -517,9 +524,7 @@ impl ReactiveFn {
 }
 
 /// One entry of χ's input part (see `ReactiveFn::compute_supports`).
-/// The same shape, with ids in place of item indices and quantified leaves,
-/// is the hash-consing key of the quantified part.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 enum PartItem {
     /// An output-part subgraph (or terminal) hanging from the input part.
     Leaf(NodeRef),
@@ -527,7 +532,133 @@ enum PartItem {
     Node(polis_bdd::Var, u32, u32),
 }
 
-/// The output cube `consume ∧ actions ∧ next` of one χ term, where
+/// The variable slot of a leaf's hash-consing key in
+/// `ReactiveFn::compute_supports` (no variable has this index); a node's
+/// key is `(variable, lo id, hi id)`.
+const LEAF: u32 = u32::MAX;
+
+/// For every handle of χ's output part, the output bits that some
+/// satisfying assignment sets to 0 and those that one sets to 1, found in
+/// one pass over the part, children first.
+///
+/// A node on output bit `k` admits `k = 0` iff its lo edge is not false
+/// and `k = 1` iff its hi edge is not false; every other bit takes the
+/// union of both children. Above a bit the subgraph skips, both children
+/// agree on it, so the union gives it the right value too.
+struct Admitted {
+    /// `u64` words per bitset.
+    words: usize,
+    /// `slot[h]`: the entry of handle `h` (`u32::MAX` = not seen).
+    slot: Vec<u32>,
+    /// Per entry, the "can be 0" bitset, then the "can be 1" bitset.
+    sets: Vec<u64>,
+}
+
+impl Admitted {
+    /// The admitted values below `roots`, which contain no input node;
+    /// bit `k` stands for `out_bits[k]`.
+    fn of(
+        bdd: &Bdd,
+        roots: impl Iterator<Item = NodeRef>,
+        out_bits: &[polis_bdd::Var],
+    ) -> Admitted {
+        let mut bit_of = vec![u32::MAX; bdd.num_vars()];
+        for (k, b) in out_bits.iter().enumerate() {
+            bit_of[b.index()] = k as u32;
+        }
+        let words = out_bits.len().div_ceil(64);
+        let mut a = Admitted {
+            words,
+            slot: Vec::new(),
+            sets: Vec::new(),
+        };
+        let mut stack = Vec::new();
+        for root in roots {
+            stack.push((root, false));
+            while let Some((n, children_done)) = stack.pop() {
+                if children_done {
+                    let e = a.sets.len();
+                    if n.is_terminal() {
+                        let fill = if n.is_true() { u64::MAX } else { 0 };
+                        a.sets.resize(e + 2 * words, fill);
+                    } else {
+                        let (lo, hi) = (bdd.lo(n), bdd.hi(n));
+                        let (le, he) = (a.entry(lo), a.entry(hi));
+                        for i in 0..2 * words {
+                            a.sets.push(a.sets[le + i] | a.sets[he + i]);
+                        }
+                        let var = bdd.node_var(n).expect("non-terminal");
+                        let k = bit_of[var.index()] as usize;
+                        let (w, mask) = (k / 64, 1u64 << (k % 64));
+                        for (set, admits) in
+                            [(e + w, !lo.is_false()), (e + words + w, !hi.is_false())]
+                        {
+                            if admits {
+                                a.sets[set] |= mask;
+                            } else {
+                                a.sets[set] &= !mask;
+                            }
+                        }
+                    }
+                    if a.slot.len() <= n.index() {
+                        a.slot.resize(n.index() + 1, u32::MAX);
+                    }
+                    a.slot[n.index()] = (e / (2 * words)) as u32;
+                } else if a.slot.get(n.index()).is_none_or(|&s| s == u32::MAX) {
+                    stack.push((n, true));
+                    if !n.is_terminal() {
+                        stack.push((bdd.hi(n), false));
+                        stack.push((bdd.lo(n), false));
+                    }
+                }
+            }
+        }
+        a
+    }
+
+    /// The first word of handle `f`'s entry in `sets`.
+    fn entry(&self, f: NodeRef) -> usize {
+        self.slot[f.index()] as usize * 2 * self.words
+    }
+
+    /// Which values of output bit `k` the function `f` admits: bit 0 set
+    /// iff `0` is admitted, bit 1 iff `1` is. This is `∃(O∖k). f` up to
+    /// naming: `0` is false, `3` is true, `1` and `2` are the literals.
+    fn values(&self, f: NodeRef, k: usize) -> u32 {
+        let e = self.entry(f);
+        let (w, mask) = (k / 64, 1u64 << (k % 64));
+        u32::from(self.sets[e + w] & mask != 0)
+            | u32::from(self.sets[e + self.words + w] & mask != 0) << 1
+    }
+}
+
+/// A multiplicative hasher for the small integer keys of the support
+/// interning in `ReactiveFn::compute_supports`, where it takes about a
+/// third off the time SipHash took.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The output cube `consume ∧ actions ∧ next` of one transition, where
 /// `taken` lists the actions taken (every other action is negated) and
 /// `next` is the next-state cube.
 ///

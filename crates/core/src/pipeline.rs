@@ -21,6 +21,7 @@ use crate::{
     CfsmSynthesis, ImplStyle, Measured, NetworkSynthesis, SynthesisOptions, RTOS_RAM_PER_TASK,
     RTOS_ROM_BYTES,
 };
+use polis_bdd::BddStats;
 use polis_cfsm::{Cfsm, Network, ReactiveFn};
 use polis_codegen::{emit_c, measure_c, two_level_sgraph, CodegenOptions};
 use polis_estimate::{
@@ -173,20 +174,32 @@ fn stage_chi(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<ReactiveFn, SynthErr
     Ok(rf)
 }
 
+/// Records the sift's own counters: deltas over the stage, and the peak
+/// reached during it (the `chi` record holds the peak before it, so the
+/// larger of the two is the manager's).
 fn stage_sift(ctx: &mut SynthCtx<'_>, mut rf: ReactiveFn) -> Result<ReactiveFn, SynthError> {
     let nodes_before = rf.size() as u64;
+    rf.bdd_mut().reset_peak_live_nodes();
     let before = rf.bdd().stats();
     rf.sift_with_passes(ctx.opts.scheme, ctx.opts.sift_passes);
     let st = rf.bdd().stats();
+    let cache = BddStats {
+        cache_lookups: st.cache_lookups - before.cache_lookups,
+        cache_hits: st.cache_hits - before.cache_hits,
+        ..BddStats::default()
+    };
     ctx.count("bdd_nodes_before", nodes_before);
     ctx.count("bdd_nodes_after", rf.size() as u64);
     ctx.count("swaps", st.swap_count - before.swap_count);
     ctx.count("swap_rewrites", st.swap_rewrites - before.swap_rewrites);
-    ctx.count("cache_lookups", st.cache_lookups);
-    ctx.ratio("cache_hit_rate", st.hit_rate());
-    ctx.count("reclaimed_nodes", st.reclaimed_nodes);
+    ctx.count("cache_lookups", cache.cache_lookups);
+    ctx.ratio("cache_hit_rate", cache.hit_rate());
+    ctx.count(
+        "reclaimed_nodes",
+        st.reclaimed_nodes - before.reclaimed_nodes,
+    );
     ctx.count("peak_live_nodes", st.peak_live_nodes);
-    ctx.count("memo_hits", st.memo_hits);
+    ctx.count("memo_hits", st.memo_hits - before.memo_hits);
     Ok(rf)
 }
 

@@ -1,16 +1,21 @@
-//! `ReactiveFn::build` against a reference χ built the plain way: every
-//! conjunction literal by literal, in declaration order, in the same
-//! manager. Both build the same function, so a canonical BDD gives the
-//! same handle; any difference is a change in the function χ encodes.
-//! The same holds for machines large enough that `build` collects its
-//! garbage several times before χ is done, and the peak live nodes of
-//! building χ are pinned, so a lost collection shows.
+//! `ReactiveFn::build` (one priority ITE chain) against a reference χ
+//! built the plain way: each transition's condition resolved against the
+//! earlier transitions of its state, then the disjunction of every
+//! condition conjoined with its output cube literal by literal, in
+//! declaration order, in the same manager. Both build the same function,
+//! so a canonical BDD gives the same handle; any difference is a change
+//! in the function χ encodes. This covers guards of one state that
+//! overlap (priority decides) and transitions that an earlier one fully
+//! shadows. The same holds for machines large enough that `build`
+//! collects its garbage several times before χ is done, and the peak
+//! live nodes of building χ are pinned, so a lost collection shows.
 
 use polis_bdd::{Bdd, NodeRef, Var};
 use polis_cfsm::compose::compose;
 use polis_cfsm::{Cfsm, Guard, Network, ReactiveFn, RfVarKind};
 use polis_core::random::{random_cfsm, RandomSpec, Rng};
 use polis_core::workloads;
+use polis_expr::{Expr, Type, Value};
 
 /// The bits of the first reactive-function variable of `kind`.
 fn bits(rf: &ReactiveFn, kind: RfVarKind) -> Option<Vec<Var>> {
@@ -64,18 +69,12 @@ fn guard(rf: &mut ReactiveFn, g: &Guard) -> NodeRef {
     }
 }
 
-/// χ of `m`, each term conjoined onto its condition one output literal at
-/// a time: consume, each action, then the next-state code.
-fn reference_chi(rf: &mut ReactiveFn, m: &Cfsm) -> NodeRef {
+/// Per transition, `(raw, cond)`: its source state and guard, and that
+/// minus the guards of the earlier transitions of the same state.
+fn resolved_conditions(rf: &mut ReactiveFn, m: &Cfsm) -> Vec<(NodeRef, NodeRef)> {
     let ctrl = bits(rf, RfVarKind::Ctrl);
-    let next_ctrl = bits(rf, RfVarKind::NextCtrl);
-    let consume = bits(rf, RfVarKind::Consume).expect("consume variable")[0];
-    let actions: Vec<Var> = (0..m.actions().len())
-        .map(|action| bits(rf, RfVarKind::Action { action }).expect("action variable")[0])
-        .collect();
-
-    let mut conds = Vec::new();
     let mut taken = vec![NodeRef::FALSE; m.states().len()];
+    let mut out = Vec::new();
     for t in m.transitions() {
         let in_state = match &ctrl {
             Some(b) => code(rf.bdd_mut(), b, t.from),
@@ -85,9 +84,24 @@ fn reference_chi(rf: &mut ReactiveFn, m: &Cfsm) -> NodeRef {
         let bdd = rf.bdd_mut();
         let raw = bdd.and(in_state, g);
         let not_taken = bdd.not(taken[t.from]);
-        conds.push(bdd.and(raw, not_taken));
+        out.push((raw, bdd.and(raw, not_taken)));
         taken[t.from] = bdd.or(taken[t.from], raw);
     }
+    out
+}
+
+/// χ of `m`, each term conjoined onto its condition one output literal at
+/// a time: consume, each action, then the next-state code.
+fn reference_chi(rf: &mut ReactiveFn, m: &Cfsm) -> NodeRef {
+    let next_ctrl = bits(rf, RfVarKind::NextCtrl);
+    let consume = bits(rf, RfVarKind::Consume).expect("consume variable")[0];
+    let actions: Vec<Var> = (0..m.actions().len())
+        .map(|action| bits(rf, RfVarKind::Action { action }).expect("action variable")[0])
+        .collect();
+    let conds: Vec<NodeRef> = resolved_conditions(rf, m)
+        .into_iter()
+        .map(|(_, cond)| cond)
+        .collect();
 
     let bdd = rf.bdd_mut();
     let fired = bdd.or_all(conds.iter().copied());
@@ -160,6 +174,119 @@ fn random_machines_match_the_reference() {
     }
 }
 
+/// A three-state machine whose guards overlap within each state, with
+/// one transition fully shadowed by an earlier one of its state and one
+/// whose guard is false.
+fn overlapping_guards() -> Cfsm {
+    let mut b = Cfsm::builder("overlap");
+    b.input_pure("a");
+    b.input_pure("b");
+    b.input_valued("c", Type::uint(8));
+    b.output_pure("x");
+    b.output_pure("y");
+    b.output_pure("z");
+    b.state_var("n", Type::uint(8), Value::Int(0));
+    let s0 = b.ctrl_state("s0");
+    let s1 = b.ctrl_state("s1");
+    let s2 = b.ctrl_state("s2");
+    let big = b.test("big", Expr::var("c_value").gt(Expr::int(7)));
+    // s0: `a` and `b` overlap; `a ∧ b` is shadowed by `a`.
+    b.transition(s0, s1).when_present("a").emit("x").done();
+    b.transition(s0, s2).when_present("b").emit("y").done();
+    b.transition(s0, s0)
+        .when_present("a")
+        .when_present("b")
+        .emit("z")
+        .done();
+    // s1: a test refines a presence, then an unguarded catch-all.
+    b.transition(s1, s2)
+        .when_present("c")
+        .when_test(big)
+        .assign("n", Expr::var("c_value"))
+        .done();
+    b.transition(s1, s1)
+        .when_present("c")
+        .emit("x")
+        .emit("y")
+        .done();
+    b.transition(s1, s0).when(Guard::False).emit("z").done();
+    b.transition(s1, s0).emit("z").done();
+    // s2: the second guard covers the first, which still comes first.
+    b.transition(s2, s0)
+        .when_present("a")
+        .when_absent("b")
+        .emit("y")
+        .done();
+    b.transition(s2, s1)
+        .when(Guard::Present(0).or(Guard::Present(1)))
+        .done();
+    b.build().expect("a valid machine")
+}
+
+/// Seeded machines with few inputs and many transitions per state, drawn
+/// from small guards, so most guards overlap and many are shadowed.
+fn overlapping_random_machines() -> Vec<Cfsm> {
+    let mut rng = Rng::new(0x0f_e71a);
+    (0..40)
+        .map(|i| {
+            let mut b = Cfsm::builder(format!("overlap{i}"));
+            let inputs = ["a", "b", "c"];
+            for input in inputs {
+                b.input_pure(input);
+            }
+            let outputs = ["x", "y", "z", "w"];
+            for output in outputs {
+                b.output_pure(output);
+            }
+            let states: Vec<_> = (0..rng.usize(1..5))
+                .map(|s| b.ctrl_state(format!("s{s}")))
+                .collect();
+            for _ in 0..rng.usize(4..16) {
+                let from = *rng.pick(&states);
+                let to = *rng.pick(&states);
+                let mut t = b.transition(from, to);
+                for input in inputs {
+                    t = match rng.usize(0..4) {
+                        0 => t.when_present(input),
+                        1 => t.when_absent(input),
+                        _ => t,
+                    };
+                }
+                for output in outputs {
+                    if rng.bool() {
+                        t = t.emit(output);
+                    }
+                }
+                t.done();
+            }
+            b.build().expect("a valid machine")
+        })
+        .collect()
+}
+
+/// How many transitions of `m` are fully shadowed: their guard holds
+/// somewhere in their state, but an earlier transition always wins.
+fn shadowed(m: &Cfsm) -> usize {
+    let mut rf = ReactiveFn::build(m);
+    resolved_conditions(&mut rf, m)
+        .iter()
+        .filter(|(raw, cond)| !raw.is_false() && cond.is_false())
+        .count()
+}
+
+#[test]
+fn overlapping_and_shadowed_transitions_match_the_reference() {
+    let m = overlapping_guards();
+    assert_eq!(shadowed(&m), 1);
+    assert_same_chi(&m, "hand-written overlaps");
+    let machines = overlapping_random_machines();
+    let total: usize = machines.iter().map(shadowed).sum();
+    assert!(total >= 40, "only {total} shadowed transitions");
+    for m in &machines {
+        assert_same_chi(m, "random overlaps");
+    }
+}
+
 /// Seeded random machines large enough that building χ crosses the
 /// garbage-pressure floor and collects several times before it is done.
 fn collecting_machines() -> Vec<Cfsm> {
@@ -196,8 +323,10 @@ fn chi_stage_peaks_are_pinned() {
     let peak = |m: &Cfsm| ReactiveFn::build(m).bdd().stats().peak_live_nodes;
     let product = |net: Network| compose(&net).expect("the example networks compose");
     // Below the collection floor: nothing is collected before the end.
-    assert_eq!(peak(&product(workloads::dashboard())), 2174);
-    // 16,159 when the partial disjunctions were kept until the end.
-    assert_eq!(peak(&product(workloads::shock_absorber())), 6429);
-    assert_eq!(peak(&collecting_machines()[0]), 11704);
+    // 2,174 as a disjunction of priority-resolved terms.
+    assert_eq!(peak(&product(workloads::dashboard())), 1447);
+    // 16,159 when the partial disjunctions were kept until the end, 6,429
+    // as a collected disjunction of priority-resolved terms.
+    assert_eq!(peak(&product(workloads::shock_absorber())), 5596);
+    assert_eq!(peak(&collecting_machines()[0]), 10065);
 }

@@ -20,9 +20,23 @@ use polis_vm::{
     analyze, assemble, run_reaction, CollectingHost, Inst, Profile, SlotInfo, SlotKind, VmMemory,
     VmProgram,
 };
+use std::sync::OnceLock;
+
+/// The parameter set of `profile`: the probe suite is measured on the
+/// first call for each profile, and later calls return a copy of that
+/// result (the measurement depends on nothing else).
+pub fn calibrate(profile: Profile) -> CostParams {
+    static MCU8: OnceLock<CostParams> = OnceLock::new();
+    static RISC32: OnceLock<CostParams> = OnceLock::new();
+    let cell = match profile {
+        Profile::Mcu8 => &MCU8,
+        Profile::Risc32 => &RISC32,
+    };
+    cell.get_or_init(|| measure(profile)).clone()
+}
 
 /// Measures the probe suite on `profile` and derives the parameter set.
-pub fn calibrate(profile: Profile) -> CostParams {
+fn measure(profile: Profile) -> CostParams {
     let m = Measurer { profile };
 
     let baseline = m.measure(vec![]);
@@ -323,6 +337,16 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn repeated_calls_return_the_measured_parameters() {
+        for profile in [Profile::Mcu8, Profile::Risc32] {
+            let first = calibrate(profile);
+            assert_eq!(calibrate(profile), first, "{profile:?}");
+            assert_eq!(measure(profile), first, "{profile:?}");
+        }
+        assert_ne!(calibrate(Profile::Mcu8), calibrate(Profile::Risc32));
     }
 
     #[test]

@@ -10,8 +10,8 @@ use polis::cfsm::Network;
 use polis::codegen::emit_network_header;
 use polis::core::args::{usage_line, Args, Flag};
 use polis::core::{
-    synthesize_network_staged, verify_staged, ImplStyle, MetricValue, NetworkSynthesis,
-    StageRecord, SynthCtx, SynthError, SynthTrace, SynthesisOptions,
+    synthesize_cfsm, synthesize_network_staged, verify_staged, ImplStyle, MetricValue,
+    NetworkSynthesis, StageRecord, SynthCtx, SynthError, SynthTrace, SynthesisOptions,
 };
 use polis::lang::{emit_spec_source, parse_spec, Property, Spec};
 use polis::rtos::{RtosConfig, SchedulingPolicy, Simulator, Stimulus};
@@ -45,7 +45,7 @@ const FLAGS: &[Flag] = &[
     Flag("--buffering",         Some("all|minimal"), &["synth", "estimate"]),
     Flag("--collapse",          None, &["synth", "estimate", "dot"]),
     Flag("--jobs",              Some("N"), &["synth"]),
-    Flag("--trace",             Some("FILE"), &["synth", "estimate", "sim", "verify", "prop"]),
+    Flag("--trace",             Some("FILE"), &["synth", "estimate", "sim", "verify", "prop", "dot", "fmt"]),
     Flag("--verify",            None, &["synth"]),
     Flag("--refine",            None, &["synth"]),
     Flag("--props",             None, &["verify"]),
@@ -88,8 +88,9 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         "sim" => sim(net, &opts, trace),
         "verify" => verify_cmd(net, &spec.properties, &opts, trace),
         "prop" => prop_cmd(path, &spec, &opts, trace),
-        "dot" => dot(net, &opts),
+        "dot" => dot(net, &opts, trace),
         "fmt" => {
+            write_trace(&opts, &trace)?;
             print!("{}", emit_spec_source(net, &spec.properties));
             Ok(())
         }
@@ -482,13 +483,24 @@ fn sim(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), Strin
     Ok(())
 }
 
-fn dot(net: &Network, opts: &Options) -> Result<(), String> {
+/// Prints the s-graph of each selected machine. The trace gets every
+/// stage of their synthesis; unlike the commands that write files, the
+/// trace's path is not printed, so standard output stays Graphviz.
+fn dot(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), String> {
+    let mut ctx = SynthCtx::new(&opts.synth);
     for m in net.cfsms() {
         if opts.module.as_deref().is_some_and(|only| m.name() != only) {
             continue;
         }
-        let r = polis::core::synthesize(m, &opts.synth);
-        println!("{}", r.graph.to_dot());
+        match synthesize_cfsm(&mut ctx, m) {
+            Ok(r) => println!("{}", r.graph.to_dot()),
+            Err(error) => {
+                trace.extend(ctx.into_trace());
+                return Err(abort(opts, &trace, error));
+            }
+        }
     }
+    trace.extend(ctx.into_trace());
+    write_trace(opts, &trace)?;
     Ok(())
 }

@@ -631,3 +631,121 @@ fn readme_lists_exactly_the_usage_text() {
         "README.md is missing the current `polis help` text:\n{usage}"
     );
 }
+
+/// The integral counter `name` of a trace stage.
+fn counter(stage: &Json, name: &str) -> u64 {
+    stage
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_num::<u64>)
+        .unwrap_or_else(|| panic!("missing counter {name}"))
+}
+
+#[test]
+fn sift_record_counts_the_sift_alone() {
+    use polis::cfsm::{OrderScheme, ReactiveFn};
+    let dir = tmpdir("sift_record");
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args(["synth", "examples/specs/shock_absorber.pol", "-o"])
+        .arg(dir.join("gen"))
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stages = trace_stages(&trace);
+    let record = |stage: &str| {
+        let found = stages
+            .iter()
+            .find(|(s, m, _)| s == stage && m.as_deref() == Some("acq"));
+        found
+            .unwrap_or_else(|| panic!("no {stage} record for acq"))
+            .2
+            .clone()
+    };
+    let (chi, sift) = (record("chi"), record("sift"));
+
+    // The same machine through the library: χ's closing collection frees
+    // nodes, and the sift record counts only what sifting freed after it.
+    let net = polis::core::workloads::spec("shock_absorber").network;
+    let acq = net.cfsms().iter().find(|m| m.name() == "acq").unwrap();
+    let mut rf = ReactiveFn::build(acq);
+    let built = rf.bdd().stats();
+    assert!(built.reclaimed_nodes > 0);
+    rf.sift(OrderScheme::OutputsAfterSupport);
+    let sifted = rf.bdd().stats();
+    assert_eq!(
+        counter(&sift, "reclaimed_nodes"),
+        sifted.reclaimed_nodes - built.reclaimed_nodes
+    );
+    // The larger of the two stage peaks is the manager's peak.
+    assert_eq!(counter(&chi, "peak_live_nodes"), built.peak_live_nodes);
+    assert_eq!(
+        counter(&chi, "peak_live_nodes").max(counter(&sift, "peak_live_nodes")),
+        sifted.peak_live_nodes
+    );
+    assert!(counter(&sift, "peak_live_nodes") < built.peak_live_nodes);
+}
+
+#[test]
+fn dot_trace_holds_parse_then_the_drawn_modules_stages() {
+    let dir = tmpdir("dot_trace");
+    let spec = write(&dir, "pp.pol", SPEC);
+    let trace = dir.join("trace.json");
+    let plain = bin()
+        .args(["dot", &spec, "--module", "ponger"])
+        .output()
+        .unwrap();
+    let out = bin()
+        .args(["dot", &spec, "--module", "ponger", "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Standard output stays the Graphviz text alone.
+    assert_eq!(out.stdout, plain.stdout);
+    let stages = trace_stages(&trace);
+    assert_eq!(stages.first().map(|s| s.0.as_str()), Some("parse"));
+    for stage in ["chi", "sift", "sgraph"] {
+        assert!(
+            stages
+                .iter()
+                .any(|(s, m, _)| s == stage && m.as_deref() == Some("ponger")),
+            "no {stage} stage for ponger: {stages:?}"
+        );
+    }
+    assert!(
+        stages
+            .iter()
+            .all(|(_, m, _)| m.as_deref() != Some("pinger")),
+        "pinger was not drawn: {stages:?}"
+    );
+}
+
+#[test]
+fn fmt_trace_holds_the_parse_stage() {
+    let dir = tmpdir("fmt_trace");
+    let spec = write(&dir, "pp.pol", SPEC);
+    let trace = dir.join("trace.json");
+    let plain = bin().args(["fmt", &spec]).output().unwrap();
+    let out = bin()
+        .args(["fmt", &spec, "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    assert_eq!(out.stdout, plain.stdout);
+    let stages = trace_stages(&trace);
+    let names: Vec<&str> = stages.iter().map(|s| s.0.as_str()).collect();
+    assert_eq!(names, ["parse"]);
+    assert_eq!(counter(&stages[0].2, "modules"), 2);
+}
