@@ -97,6 +97,41 @@ impl MvVar {
         bdd.or_all(cubes)
     }
 
+    /// The multiplexer over the code: `cases[s]` where the bits encode `s`,
+    /// and `default` on every code with no case (`s ≥ cases.len()`, which
+    /// includes the out-of-domain codes). It is `ite(bit, hi half, lo
+    /// half)` from the MSB down; the halves are merged from the LSB up,
+    /// one `ite` per pair of adjacent codes.
+    ///
+    /// `before_merge(bdd, live)` runs before each `ite`, where `live` holds
+    /// every handle the rest of the multiplexer still reads (merged slots
+    /// read as false), so a garbage collector rooted at `live` may run
+    /// there.
+    pub fn select(
+        &self,
+        bdd: &mut Bdd,
+        cases: &[NodeRef],
+        default: NodeRef,
+        mut before_merge: impl FnMut(&mut Bdd, &[NodeRef]),
+    ) -> NodeRef {
+        let w = self.width();
+        let mut layer: Vec<NodeRef> = (0..1usize << w)
+            .map(|s| cases.get(s).copied().unwrap_or(default))
+            .collect();
+        for &bit in self.bits.iter().rev() {
+            for pair in 0..layer.len() / 2 {
+                before_merge(bdd, &layer);
+                let f = bdd.var(bit);
+                let (lo, hi) = (layer[2 * pair], layer[2 * pair + 1]);
+                layer[2 * pair] = NodeRef::FALSE;
+                layer[2 * pair + 1] = NodeRef::FALSE;
+                layer[pair] = bdd.ite(f, hi, lo);
+            }
+            layer.truncate(layer.len() / 2);
+        }
+        layer[0]
+    }
+
     /// Decodes an assignment (a predicate on bits) into the encoded value.
     pub fn decode(&self, assignment: impl Fn(Var) -> bool) -> u64 {
         let mut v = 0u64;
@@ -171,6 +206,47 @@ mod tests {
                     mv.eq_const(&mut b, value),
                     want,
                     "width {width}, value {value}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn select_equals_the_disjunction_of_guarded_cases() {
+        for width in 1..=6u32 {
+            for domain in 1..=1u64 << width {
+                if bits_for(domain) != width as usize {
+                    continue;
+                }
+                let mut b = Bdd::new();
+                // Cases and default over variables above and below the bits.
+                let above = b.new_var("above");
+                let mv = MvVar::new(&mut b, "s", domain);
+                let below = b.new_var("below");
+                let (x, y) = (b.var(above), b.var(below));
+                let cases: Vec<NodeRef> = (0..domain)
+                    .map(|s| match s % 4 {
+                        0 => b.and(x, y),
+                        1 => b.xor(x, y),
+                        2 => b.nvar(below),
+                        _ => NodeRef::TRUE,
+                    })
+                    .collect();
+                let default = b.or(x, y);
+                let mut want = NodeRef::FALSE;
+                for (s, &case) in cases.iter().enumerate() {
+                    let eq = mv.eq_const(&mut b, s as u64);
+                    let term = b.and(eq, case);
+                    want = b.or(want, term);
+                }
+                let in_domain = mv.such_that(&mut b, |_| true);
+                let out = b.not(in_domain);
+                let term = b.and(out, default);
+                want = b.or(want, term);
+                assert_eq!(
+                    mv.select(&mut b, &cases, default, |_, _| {}),
+                    want,
+                    "width {width}, domain {domain}"
                 );
             }
         }

@@ -147,11 +147,11 @@ fn synth_gate_fails_on_any_change_to_the_committed_numbers() {
     assert_eq!(err.matches("bench check FAILED").count(), 1, "{err}");
 
     // χ construction that stops collecting shows up as a peak change.
-    let edited = text.replacen("\"peak_live_nodes\": 5596", "\"peak_live_nodes\": 16159", 1);
+    let edited = text.replacen("\"peak_live_nodes\": 4686", "\"peak_live_nodes\": 16159", 1);
     assert_ne!(edited, text);
     let err = stderr(&gated(&["synth"], "synth_peak", &edited));
     assert!(
-        err.contains("shock_absorber_product: peak_live_nodes 5596 differs from committed 16159"),
+        err.contains("shock_absorber_product: peak_live_nodes 4686 differs from committed 16159"),
         "{err}"
     );
 

@@ -26,22 +26,28 @@
 //! incompletely specified function; the s-graph builder resolves don't
 //! cares by emitting no assignment (the "cheapest option" in the paper).
 //!
-//! `χ` is built as one priority chain, from the last transition to the
-//! first: starting from the quiet cube (nothing consumed or emitted, next
-//! state free), each transition wraps the chain as
-//! `ite(in_state ∧ guard, cube, chain)`, where `cube` is its output cube.
-//! `ite` gives the earlier transition priority, and guards of different
-//! source states are disjoint, so the chain is the disjunction of every
-//! priority-resolved condition conjoined with its cube, plus the quiet
-//! cube where nothing fires. Outputs are declared after inputs, so each
-//! cube is built bottom-up (see `output_cube`) before it enters the chain.
+//! `χ` is built one control state at a time. Guards of different source
+//! states are disjoint, so priority only matters among the transitions
+//! that leave the same state: each state keeps its own priority chain,
+//! built from its last transition to its first. Starting from the quiet
+//! cube (nothing consumed or emitted, next state free), each transition
+//! wraps its state's chain as `ite(guard, cube, chain)`, where `cube` is
+//! its output cube; `ite` gives the earlier transition priority. Outputs
+//! are declared after inputs, so each cube is built bottom-up (see
+//! `output_cube`) before it enters a chain. [`MvVar::select`] then joins
+//! the chains with a multiplexer over the control bits: code `s` selects
+//! the chain of state `s`, and a code no state uses selects the quiet
+//! cube. A chain step therefore walks only its own state's chain, not
+//! the partial χ of every state.
 //!
-//! Every step replaces the chain, so a machine with many transitions
-//! builds mostly garbage. A [`GcTrigger`] collects it once the arena
-//! passes 4,096 nodes, re-armed at twice the live set; small machines
-//! never reach the floor and pay one comparison per transition.
-//! Collection changes no function a root denotes, so χ is the same
-//! canonical handle either way.
+//! Every step replaces a chain, so a machine with many transitions
+//! builds mostly garbage. A [`GcTrigger`] rooted at the consume literals,
+//! the quiet cube and every chain collects it once the arena passes
+//! 4,096 nodes, re-armed at twice the live set; it is also checked
+//! between the multiplexer's merges, rooted at the halves still to be
+//! merged. Small machines never reach the floor and pay one comparison
+//! per transition. Collection changes no function a root denotes, so χ
+//! is the same canonical handle either way.
 
 use crate::machine::{Cfsm, Guard};
 use polis_bdd::encode::MvVar;
@@ -243,7 +249,7 @@ impl ReactiveFn {
             supports: None,
         };
 
-        // -- χ as one priority ITE chain --
+        // -- χ as one priority ITE chain per control state, multiplexed --
         let consume_pos = rf.bdd.var(consume);
         let consume_neg = rf.bdd.nvar(consume);
         let action_vars: Vec<polis_bdd::Var> = rf
@@ -255,20 +261,17 @@ impl ReactiveFn {
 
         // Innermost: nothing fired, nothing emitted, next state unconstrained
         // (don't care — the implementation keeps the state by not writing).
-        // Each transition, last first, wraps the chain (see the module
-        // docs); dead chains are collected against the consume literals
-        // and the chain.
+        // Each transition, last first, wraps the chain of its source state
+        // (see the module docs); dead chains are collected against the
+        // consume literals, the quiet cube and every chain.
         let mut trigger = GcTrigger::new(CHI_GC_FLOOR, CHI_GC_REGROW);
-        let mut chi = output_cube(&mut rf.bdd, consume_neg, &action_vars, &[], NodeRef::TRUE);
+        let quiet = output_cube(&mut rf.bdd, consume_neg, &action_vars, &[], NodeRef::TRUE);
+        let mut chains = vec![quiet; cfsm.states().len()];
         for t in cfsm.transitions().iter().rev() {
-            trigger.collect(&mut rf.bdd, [consume_pos, consume_neg, chi]);
-            let in_state = match &ctrl {
-                Some(mv) => mv.eq_const(&mut rf.bdd, t.from as u64),
-                None => NodeRef::TRUE,
-            };
+            let roots = [consume_pos, consume_neg, quiet];
+            trigger.collect(&mut rf.bdd, roots.into_iter().chain(chains.iter().copied()));
             let guard = guard_to_bdd(&t.guard, &mut rf, &present_var, &test_var);
-            let raw = rf.bdd.and(in_state, guard);
-            if raw.is_false() {
+            if guard.is_false() {
                 continue;
             }
             let next = match &next_ctrl {
@@ -276,8 +279,16 @@ impl ReactiveFn {
                 None => NodeRef::TRUE,
             };
             let cube = output_cube(&mut rf.bdd, consume_pos, &action_vars, &t.actions, next);
-            chi = rf.bdd.ite(raw, cube, chi);
+            chains[t.from] = rf.bdd.ite(guard, cube, chains[t.from]);
         }
+        // The control code selects its state's chain; between merges the
+        // trigger is rooted at the halves still to be merged.
+        let chi = match &ctrl {
+            Some(mv) => mv.select(&mut rf.bdd, &chains, quiet, |bdd, live| {
+                trigger.collect(bdd, live.iter().copied());
+            }),
+            None => chains[0],
+        };
 
         rf.chi = chi;
         rf.bdd.gc(&[chi]);

@@ -40,8 +40,8 @@ pub mod trace;
 pub mod workloads;
 
 pub use pipeline::{
-    synthesize_cfsm, synthesize_network_staged, verify_staged, SynthCtx, SynthError, SynthFailure,
-    Verified,
+    synthesize_cfsm, synthesize_graph, synthesize_network_staged, verify_staged, SynthCtx,
+    SynthError, SynthFailure, Verified,
 };
 pub use trace::{MetricValue, StageRecord, SynthTrace};
 

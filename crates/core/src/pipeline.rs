@@ -8,7 +8,8 @@
 //! owning layer's native counters into a [`SynthTrace`].
 //!
 //! [`synthesize_cfsm`] chains the per-machine stages for the selected
-//! [`ImplStyle`]; [`synthesize_network_staged`] fans the per-machine
+//! [`ImplStyle`], and [`synthesize_graph`] runs the ones up to the
+//! s-graph; [`synthesize_network_staged`] fans the per-machine
 //! pipeline out across `jobs` scoped worker threads — each worker owns
 //! its own BDD manager (one per [`ReactiveFn`]), and results are merged
 //! in network (input) order, so parallel output is byte-identical to the
@@ -486,28 +487,36 @@ fn network_stages(
 // Staged drivers.
 // ---------------------------------------------------------------------
 
-/// Runs the full per-CFSM pipeline for the style selected in
-/// `ctx.opts`, recording every stage into the context's trace.
-pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthesis, SynthError> {
+/// Runs the graph half of the per-CFSM pipeline for the style selected
+/// in `ctx.opts`: the stages up to the s-graph (`chi`, `sift`, `sgraph`
+/// and `collapse` for the decision graph), recorded into the context's
+/// trace under the machine's name.
+pub fn synthesize_graph(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<SGraph, SynthError> {
     ctx.set_machine(Some(cfsm.name()));
-    let start = Instant::now();
-    let graph = match ctx.opts.style {
+    match ctx.opts.style {
         ImplStyle::DecisionGraph => {
             let rf = ctx.run_stage("chi", stage_chi, cfsm)?;
             let rf = ctx.run_stage("sift", stage_sift, rf)?;
             let g = ctx.run_stage("sgraph", stage_sgraph, rf)?;
             if ctx.opts.collapse {
-                ctx.run_stage("collapse", stage_collapse, g)?
+                ctx.run_stage("collapse", stage_collapse, g)
             } else {
-                g
+                Ok(g)
             }
         }
         ImplStyle::IteChain => {
             let rf = ctx.run_stage("chi", stage_chi, cfsm)?;
-            ctx.run_stage("sgraph", stage_ite_chain, rf)?
+            ctx.run_stage("sgraph", stage_ite_chain, rf)
         }
-        ImplStyle::TwoLevel => ctx.run_stage("sgraph", stage_two_level, cfsm)?,
-    };
+        ImplStyle::TwoLevel => ctx.run_stage("sgraph", stage_two_level, cfsm),
+    }
+}
+
+/// Runs the full per-CFSM pipeline for the style selected in
+/// `ctx.opts`, recording every stage into the context's trace.
+pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthesis, SynthError> {
+    let start = Instant::now();
+    let graph = synthesize_graph(ctx, cfsm)?;
     let (program, object) = ctx.run_stage("compile", stage_compile, (cfsm, &graph))?;
     // Matches the historical definition: BDD + sift + build + compile.
     let synthesis_time = start.elapsed();

@@ -1,4 +1,5 @@
-//! `ReactiveFn::build` (one priority ITE chain) against a reference χ
+//! `ReactiveFn::build` (one priority ITE chain per control state, joined
+//! by a multiplexer over the control bits) against a reference χ
 //! built the plain way: each transition's condition resolved against the
 //! earlier transitions of its state, then the disjunction of every
 //! condition conjoined with its output cube literal by literal, in
@@ -12,7 +13,7 @@
 
 use polis_bdd::{Bdd, NodeRef, Var};
 use polis_cfsm::compose::compose;
-use polis_cfsm::{Cfsm, Guard, Network, ReactiveFn, RfVarKind};
+use polis_cfsm::{Cfsm, CfsmBuilder, Guard, Network, ReactiveFn, RfVarKind, StateId};
 use polis_core::random::{random_cfsm, RandomSpec, Rng};
 use polis_core::workloads;
 use polis_expr::{Expr, Type, Value};
@@ -244,24 +245,38 @@ fn overlapping_random_machines() -> Vec<Cfsm> {
             for _ in 0..rng.usize(4..16) {
                 let from = *rng.pick(&states);
                 let to = *rng.pick(&states);
-                let mut t = b.transition(from, to);
-                for input in inputs {
-                    t = match rng.usize(0..4) {
-                        0 => t.when_present(input),
-                        1 => t.when_absent(input),
-                        _ => t,
-                    };
-                }
-                for output in outputs {
-                    if rng.bool() {
-                        t = t.emit(output);
-                    }
-                }
-                t.done();
+                random_transition(&mut b, &mut rng, (from, to), &inputs, &outputs, 4);
             }
             b.build().expect("a valid machine")
         })
         .collect()
+}
+
+/// Adds a transition from `from` to `to` guarded by a random cube over
+/// `inputs`, each present or absent with odds `1/odds` apiece and free
+/// otherwise, that emits a random subset of `outputs`.
+fn random_transition(
+    b: &mut CfsmBuilder,
+    rng: &mut Rng,
+    (from, to): (StateId, StateId),
+    inputs: &[impl AsRef<str>],
+    outputs: &[impl AsRef<str>],
+    odds: usize,
+) {
+    let mut t = b.transition(from, to);
+    for input in inputs {
+        t = match rng.usize(0..odds) {
+            0 => t.when_present(input.as_ref()),
+            1 => t.when_absent(input.as_ref()),
+            _ => t,
+        };
+    }
+    for output in outputs {
+        if rng.bool() {
+            t = t.emit(output.as_ref());
+        }
+    }
+    t.done();
 }
 
 /// How many transitions of `m` are fully shadowed: their guard holds
@@ -287,21 +302,104 @@ fn overlapping_and_shadowed_transitions_match_the_reference() {
     }
 }
 
-/// Seeded random machines large enough that building χ crosses the
-/// garbage-pressure floor and collects several times before it is done.
+/// Five states, so three of the eight control codes are out of domain,
+/// and state `s3` has no outgoing transition: χ there is the quiet cube,
+/// as on the out-of-domain codes.
+fn five_states_one_dead() -> Cfsm {
+    let mut b = Cfsm::builder("five");
+    b.input_pure("a");
+    b.input_pure("b");
+    b.output_pure("x");
+    b.output_pure("y");
+    let s: Vec<_> = (0..5).map(|i| b.ctrl_state(format!("s{i}"))).collect();
+    b.transition(s[0], s[1]).when_present("a").emit("x").done();
+    b.transition(s[0], s[4]).when_present("b").emit("y").done();
+    b.transition(s[1], s[2]).when_present("b").done();
+    b.transition(s[2], s[3]).emit("x").emit("y").done();
+    b.transition(s[4], s[0])
+        .when_present("a")
+        .when_absent("b")
+        .emit("y")
+        .done();
+    b.transition(s[4], s[3]).when(Guard::False).emit("x").done();
+    b.build().expect("a valid machine")
+}
+
+/// One control state, so χ has no control bits and no multiplexer; the
+/// second guard overlaps the first and the third is false.
+fn single_state() -> Cfsm {
+    let mut b = Cfsm::builder("single");
+    b.input_pure("a");
+    b.input_pure("b");
+    b.output_pure("x");
+    b.output_pure("y");
+    let s0 = b.ctrl_state("s0");
+    b.transition(s0, s0).when_present("a").emit("x").done();
+    b.transition(s0, s0).when_present("b").emit("y").done();
+    b.transition(s0, s0).when(Guard::False).done();
+    b.build().expect("a valid machine")
+}
+
+#[test]
+fn unused_codes_dead_states_and_single_states_match_the_reference() {
+    let five = five_states_one_dead();
+    let rf = ReactiveFn::build(&five);
+    assert_eq!(bits(&rf, RfVarKind::Ctrl).map(|b| b.len()), Some(3));
+    assert_same_chi(&five, "five states");
+    let single = single_state();
+    let rf = ReactiveFn::build(&single);
+    assert_eq!(bits(&rf, RfVarKind::Ctrl), None);
+    assert_same_chi(&single, "single state");
+}
+
+/// Seeded random machines with few states and many transitions, so the
+/// per-state chains cross the garbage-pressure floor and `build` collects
+/// several times before χ is done, then the catch-all machines.
 fn collecting_machines() -> Vec<Cfsm> {
     let mut rng = Rng::new(0x6c_c011);
     (0..8)
         .map(|_| {
             let spec = RandomSpec {
-                states: rng.usize(8..14),
-                pure_inputs: rng.usize(6..9),
-                valued_inputs: rng.usize(3..5),
-                outputs: rng.usize(5..9),
-                vars: rng.usize(3..5),
-                transitions: rng.usize(60..100),
+                states: rng.usize(3..8),
+                pure_inputs: rng.usize(8..11),
+                valued_inputs: rng.usize(4..6),
+                outputs: rng.usize(7..10),
+                vars: rng.usize(4..6),
+                transitions: rng.usize(140..200),
             };
             random_cfsm("big", &spec, rng.next_u64())
+        })
+        .chain(catch_all_machines())
+        .collect()
+}
+
+/// Seeded three-state machines whose every state ends with an unguarded
+/// transition, so no chain reaches the quiet cube while code 3, which is
+/// out of domain, still selects it after `build` has collected.
+fn catch_all_machines() -> Vec<Cfsm> {
+    let mut rng = Rng::new(0xca7c_4a11);
+    (0..4)
+        .map(|i| {
+            let mut b = Cfsm::builder(format!("catch_all{i}"));
+            let inputs: Vec<String> = (0..12).map(|k| format!("i{k}")).collect();
+            for input in &inputs {
+                b.input_pure(input);
+            }
+            let outputs: Vec<String> = (0..8).map(|k| format!("o{k}")).collect();
+            for output in &outputs {
+                b.output_pure(output);
+            }
+            let states: Vec<_> = (0..3).map(|s| b.ctrl_state(format!("s{s}"))).collect();
+            for &from in &states {
+                for _ in 0..rng.usize(30..50) {
+                    let to = *rng.pick(&states);
+                    random_transition(&mut b, &mut rng, (from, to), &inputs, &outputs, 5);
+                }
+                b.transition(from, *rng.pick(&states))
+                    .emit(&outputs[0])
+                    .done();
+            }
+            b.build().expect("a valid machine")
         })
         .collect()
 }
@@ -323,10 +421,12 @@ fn chi_stage_peaks_are_pinned() {
     let peak = |m: &Cfsm| ReactiveFn::build(m).bdd().stats().peak_live_nodes;
     let product = |net: Network| compose(&net).expect("the example networks compose");
     // Below the collection floor: nothing is collected before the end.
-    // 2,174 as a disjunction of priority-resolved terms.
-    assert_eq!(peak(&product(workloads::dashboard())), 1447);
+    // 2,174 as a disjunction of priority-resolved terms, 1,447 as one
+    // priority chain over every state.
+    assert_eq!(peak(&product(workloads::dashboard())), 941);
     // 16,159 when the partial disjunctions were kept until the end, 6,429
-    // as a collected disjunction of priority-resolved terms.
-    assert_eq!(peak(&product(workloads::shock_absorber())), 5596);
-    assert_eq!(peak(&collecting_machines()[0]), 10065);
+    // as a collected disjunction of priority-resolved terms, 5,596 as one
+    // collected priority chain over every state.
+    assert_eq!(peak(&product(workloads::shock_absorber())), 4686);
+    assert_eq!(peak(&collecting_machines()[0]), 17166);
 }

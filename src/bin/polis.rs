@@ -10,7 +10,7 @@ use polis::cfsm::Network;
 use polis::codegen::emit_network_header;
 use polis::core::args::{usage_line, Args, Flag};
 use polis::core::{
-    synthesize_cfsm, synthesize_network_staged, verify_staged, ImplStyle, MetricValue,
+    synthesize_graph, synthesize_network_staged, verify_staged, ImplStyle, MetricValue,
     NetworkSynthesis, StageRecord, SynthCtx, SynthError, SynthTrace, SynthesisOptions,
 };
 use polis::lang::{emit_spec_source, parse_spec, Property, Spec};
@@ -483,17 +483,18 @@ fn sim(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), Strin
     Ok(())
 }
 
-/// Prints the s-graph of each selected machine. The trace gets every
-/// stage of their synthesis; unlike the commands that write files, the
-/// trace's path is not printed, so standard output stays Graphviz.
+/// Prints the s-graph of each selected machine, running only the stages
+/// up to it. The trace gets those stages; unlike the commands that write
+/// files, the trace's path is not printed, so standard output stays
+/// Graphviz.
 fn dot(net: &Network, opts: &Options, mut trace: SynthTrace) -> Result<(), String> {
     let mut ctx = SynthCtx::new(&opts.synth);
     for m in net.cfsms() {
         if opts.module.as_deref().is_some_and(|only| m.name() != only) {
             continue;
         }
-        match synthesize_cfsm(&mut ctx, m) {
-            Ok(r) => println!("{}", r.graph.to_dot()),
+        match synthesize_graph(&mut ctx, m) {
+            Ok(graph) => println!("{}", graph.to_dot()),
             Err(error) => {
                 trace.extend(ctx.into_trace());
                 return Err(abort(opts, &trace, error));

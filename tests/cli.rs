@@ -729,6 +729,13 @@ fn dot_trace_holds_parse_then_the_drawn_modules_stages() {
             .all(|(_, m, _)| m.as_deref() != Some("pinger")),
         "pinger was not drawn: {stages:?}"
     );
+    // Drawing stops at the s-graph: nothing is compiled, emitted or costed.
+    for stage in ["compile", "emit_c", "estimate", "measure"] {
+        assert!(
+            stages.iter().all(|(s, _, _)| s != stage),
+            "dot ran {stage}: {stages:?}"
+        );
+    }
 }
 
 #[test]
