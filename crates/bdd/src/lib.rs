@@ -731,6 +731,8 @@ pub struct Bdd {
     swap_count: u64,
     /// x-nodes rebuilt by those swaps (the ones that depend on y).
     swap_rewrites: u64,
+    /// Saved stores put back by sifting ([`Bdd::restore_store`]).
+    sift_restores: u64,
     /// Nodes returned to the free-list by `gc` or by sifting reclamation.
     reclaimed_nodes: u64,
     /// `gc` calls.
@@ -764,6 +766,9 @@ pub struct BddStats {
     /// Nodes rebuilt by those swaps: the upper variable's nodes that depend
     /// on the lower one. Independent of table layout.
     pub swap_rewrites: u64,
+    /// Jumps back to a saved store by sifting, instead of swapping a block
+    /// back across positions it has already measured.
+    pub sift_restores: u64,
     /// Live entries across the per-variable unique tables.
     pub unique_entries: u64,
     /// Valid entries currently in the operation cache.
@@ -837,6 +842,7 @@ impl BddStats {
             cache_hits: self.cache_hits + other.cache_hits,
             swap_count: self.swap_count + other.swap_count,
             swap_rewrites: self.swap_rewrites + other.swap_rewrites,
+            sift_restores: self.sift_restores + other.sift_restores,
             unique_entries: self.unique_entries + other.unique_entries,
             cache_entries: self.cache_entries + other.cache_entries,
             unique_lookups: self.unique_lookups + other.unique_lookups,
@@ -904,6 +910,7 @@ impl Bdd {
             memo_hits: 0,
             swap_count: 0,
             swap_rewrites: 0,
+            sift_restores: 0,
             reclaimed_nodes: 0,
             collections: 0,
             peak_live_nodes: 0,
@@ -967,6 +974,7 @@ impl Bdd {
             cache_hits: self.cache_hits,
             swap_count: self.swap_count,
             swap_rewrites: self.swap_rewrites,
+            sift_restores: self.sift_restores,
             unique_entries: self.unique.iter().map(|t| t.len() as u64).sum(),
             cache_entries: self.cache.len as u64,
             unique_lookups: self.unique.iter().map(|t| t.lookups).sum(),
@@ -2326,6 +2334,64 @@ impl Bdd {
     pub(crate) fn rc_is_active(&self) -> bool {
         self.rc_active
     }
+
+    /// Copies the node store into `snap`, reusing its buffers.
+    pub(crate) fn save_store(&self, snap: &mut StoreSnapshot) {
+        snap.var_col.clone_from(&self.var_col);
+        snap.lo_col.clone_from(&self.lo_col);
+        snap.hi_col.clone_from(&self.hi_col);
+        snap.free_head = self.free_head;
+        snap.free_len = self.free_len;
+        snap.rc.clone_from(&self.rc);
+        snap.var_at_level.clone_from(&self.var_at_level);
+        snap.level_of_var.clone_from(&self.level_of_var);
+        snap.tables.resize_with(self.unique.len(), Default::default);
+        for (saved, table) in snap.tables.iter_mut().zip(&self.unique) {
+            saved.0.clone_from(&table.slots);
+            saved.1 = table.len;
+        }
+    }
+
+    /// Puts back the store `snap` was saved from, so every handle alive at
+    /// the save denotes the same function again, under the saved order.
+    /// Both operation caches are invalidated; work counters keep running.
+    pub(crate) fn restore_store(&mut self, snap: &StoreSnapshot) {
+        debug_assert_eq!(
+            snap.tables.len(),
+            self.unique.len(),
+            "variables declared since the save"
+        );
+        self.var_col.clone_from(&snap.var_col);
+        self.lo_col.clone_from(&snap.lo_col);
+        self.hi_col.clone_from(&snap.hi_col);
+        self.free_head = snap.free_head;
+        self.free_len = snap.free_len;
+        self.rc.clone_from(&snap.rc);
+        self.var_at_level.clone_from(&snap.var_at_level);
+        self.level_of_var.clone_from(&snap.level_of_var);
+        for (table, saved) in self.unique.iter_mut().zip(&snap.tables) {
+            table.slots.clone_from(&saved.0);
+            table.len = saved.1;
+        }
+        self.clear_cache();
+        self.sift_restores += 1;
+    }
+}
+
+/// A copy of the node store ([`Bdd::save_store`]): the arena columns, the
+/// free-list, the sifting reference counts, both level maps and each unique
+/// table's slots and length. Work counters are not part of it.
+#[derive(Debug, Default)]
+pub(crate) struct StoreSnapshot {
+    var_col: Vec<u32>,
+    lo_col: Vec<NodeRef>,
+    hi_col: Vec<NodeRef>,
+    free_head: u32,
+    free_len: usize,
+    rc: Vec<u32>,
+    var_at_level: Vec<u32>,
+    level_of_var: Vec<u32>,
+    tables: Vec<(Vec<UniqueSlot>, usize)>,
 }
 
 /// A garbage-pressure trigger: collects dead nodes once the arena has

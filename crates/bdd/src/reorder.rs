@@ -13,8 +13,14 @@
 //! Both are expressed through [`SiftConfig`]. The implementation uses
 //! in-place adjacent level swaps, so [`NodeRef`] handles remain valid across
 //! reordering.
+//!
+//! Each block's walk starts from a saved copy of the node store. Rather
+//! than swap the block back across positions it has already measured, the
+//! sift jumps back to its start by restoring that copy, which puts every
+//! node back where it was. So a sift holds a second copy of the store while
+//! it runs; the copy is freed when the sift ends.
 
-use crate::{Bdd, NodeRef, Var};
+use crate::{Bdd, NodeRef, StoreSnapshot, Var};
 
 /// Constraints and options for [`Bdd::sift`].
 #[derive(Debug, Clone, Default)]
@@ -147,10 +153,11 @@ impl Bdd {
         // measure size as the O(1) allocation count instead of traversing.
         self.rc_begin(roots);
         let mut best = self.allocated_nodes();
+        let mut saved = SavedStart::default();
         let passes = config.max_passes.max(1);
         for _ in 0..passes {
             let before = best;
-            best = self.sift_pass(&mut layout, best);
+            best = self.sift_pass(&mut layout, &mut saved, best);
             if best >= before {
                 break;
             }
@@ -166,7 +173,12 @@ impl Bdd {
     }
 
     /// One sifting pass over every block, largest first.
-    fn sift_pass(&mut self, layout: &mut BlockLayout, mut best: usize) -> usize {
+    fn sift_pass(
+        &mut self,
+        layout: &mut BlockLayout,
+        saved: &mut SavedStart,
+        mut best: usize,
+    ) -> usize {
         // Per-variable live node counts (to choose the sift order) are just
         // the unique-table sizes: reclamation keeps the tables exact.
         let per_var: Vec<usize> = (0..self.num_vars())
@@ -187,7 +199,7 @@ impl Bdd {
             if weight == 0 {
                 continue;
             }
-            best = self.sift_block(layout, block, best);
+            best = self.sift_block(layout, saved, block, best);
         }
         best
     }
@@ -195,14 +207,26 @@ impl Bdd {
     /// Moves one block through its feasible window and leaves it at the best
     /// position found.
     ///
-    /// The block walks to the nearer end of its window first, then to the
-    /// far end, measuring after each single-position move, and comes back
-    /// to the smallest size. Ties resolve by position alone: `start` if it
-    /// is smallest, else the nearest smallest position below it (later in
-    /// the sequence), else the nearest one above it. So the block lands
-    /// where a walk down first, then up, keeping each strict improvement,
-    /// leaves it, with fewer swaps whenever it lands on the far side.
-    fn sift_block(&mut self, layout: &mut BlockLayout, block: usize, mut best: usize) -> usize {
+    /// The store and the block sequence are saved at the start. The block
+    /// walks to the nearer end of its window, jumps back to the start by
+    /// restoring the save, and walks to the far end, measuring after each
+    /// single-position move, so every position is measured once. It then
+    /// goes to the smallest size: back along the far leg when the best
+    /// position lies on it and that crosses no more variables than walking
+    /// out from the start again, else by restoring and walking out.
+    ///
+    /// Ties resolve by position alone: `start` if it is smallest, else the
+    /// nearest smallest position below it (later in the sequence), else the
+    /// nearest one above it. So the block lands where a walk down first,
+    /// then up, keeping each strict improvement, leaves it; only the swap
+    /// count differs.
+    fn sift_block(
+        &mut self,
+        layout: &mut BlockLayout,
+        saved: &mut SavedStart,
+        block: usize,
+        mut best: usize,
+    ) -> usize {
         let start = layout.position(block);
         let (lb, ub) = layout.feasible_window(block);
         debug_assert!((lb..=ub).contains(&start));
@@ -215,22 +239,21 @@ impl Bdd {
             std::cmp::Ordering::Greater => (1, pos - start),
             std::cmp::Ordering::Less => (2, start - pos),
         };
+        saved.save(self, layout);
         let mut best_pos = start;
         let mut pos = start;
-        let ends = if start - lb < ub - start {
-            [lb, ub]
+        let (near, far) = if start - lb < ub - start {
+            (lb, ub)
         } else {
-            [ub, lb]
+            (ub, lb)
         };
-        for end in ends {
+        for end in [near, far] {
+            if pos != start {
+                saved.restore(self, layout);
+                pos = start;
+            }
             while pos != end {
-                if pos < end {
-                    layout.swap_with_next(self, pos);
-                    pos += 1;
-                } else {
-                    layout.swap_with_next(self, pos - 1);
-                    pos -= 1;
-                }
+                pos = layout.step_towards(self, pos, end);
                 let s = self.allocated_nodes();
                 if (s, rank(pos)) < (best, rank(best_pos)) {
                     best = s;
@@ -238,16 +261,39 @@ impl Bdd {
                 }
             }
         }
-        // Return to the best position seen.
-        while pos < best_pos {
-            layout.swap_with_next(self, pos);
-            pos += 1;
+        // The far leg is never empty, so the block is off `start` here.
+        let on_far_leg = best_pos != start && (best_pos > start) == (far > start);
+        if !on_far_leg
+            || layout.crossed_vars(&layout.seq, pos, best_pos)
+                > layout.crossed_vars(&saved.seq, start, best_pos)
+        {
+            saved.restore(self, layout);
+            pos = start;
         }
-        while pos > best_pos {
-            layout.swap_with_next(self, pos - 1);
-            pos -= 1;
+        while pos != best_pos {
+            pos = layout.step_towards(self, pos, best_pos);
         }
         best
+    }
+}
+
+/// The store and block sequence at the start of one block's sift, to jump
+/// back to instead of swapping the block back across measured positions.
+#[derive(Default)]
+struct SavedStart {
+    store: StoreSnapshot,
+    seq: Vec<usize>,
+}
+
+impl SavedStart {
+    fn save(&mut self, bdd: &Bdd, layout: &BlockLayout) {
+        bdd.save_store(&mut self.store);
+        self.seq.clone_from(&layout.seq);
+    }
+
+    fn restore(&self, bdd: &mut Bdd, layout: &mut BlockLayout) {
+        bdd.restore_store(&self.store);
+        layout.seq.clone_from(&self.seq);
     }
 }
 
@@ -360,6 +406,29 @@ impl BlockLayout {
             }
         }
         (lb, ub)
+    }
+
+    /// Variables in the blocks a block at `from` in `seq` crosses on its
+    /// way to `to`; the level swaps of that walk are this times its length.
+    fn crossed_vars(&self, seq: &[usize], from: usize, to: usize) -> usize {
+        let crossed = if from < to {
+            &seq[from + 1..=to]
+        } else {
+            &seq[to..from]
+        };
+        crossed.iter().map(|&b| self.block_len(b)).sum()
+    }
+
+    /// Moves the block at `pos` one position towards `end` and returns its
+    /// new position.
+    fn step_towards(&mut self, bdd: &mut Bdd, pos: usize, end: usize) -> usize {
+        if pos < end {
+            self.swap_with_next(bdd, pos);
+            pos + 1
+        } else {
+            self.swap_with_next(bdd, pos - 1);
+            pos - 1
+        }
     }
 
     /// Swaps the blocks at sequence positions `pos` and `pos + 1` by
@@ -522,6 +591,38 @@ mod tests {
             ..SiftConfig::default()
         };
         b.sift(&[f], &config);
+    }
+
+    #[test]
+    fn restoring_a_saved_store_brings_back_its_order_and_forgets_later_results() {
+        let (mut b, f, vars) = bad_order_function();
+        let spec = |assign: &dyn Fn(Var) -> bool| {
+            (assign(vars[0]) && assign(vars[1]))
+                || (assign(vars[2]) && assign(vars[3]))
+                || (assign(vars[4]) && assign(vars[5]))
+        };
+        let (order, nodes) = (b.order(), b.allocated_nodes());
+        let mut snap = StoreSnapshot::default();
+        b.save_store(&mut snap);
+        // Reorder, then cache a result built from nodes the restore drops.
+        b.swap_levels(2);
+        b.swap_levels(0);
+        let (x1, x5) = (b.var(vars[1]), b.var(vars[5]));
+        b.xor(x1, x5);
+        assert!(b.allocated_nodes() > nodes);
+        b.restore_store(&snap);
+        assert_eq!((b.order(), b.allocated_nodes()), (order, nodes));
+        assert_eq!(b.stats().sift_restores, 1);
+        assert!(functions_equal(&b, f, &spec));
+        b.check_canonical();
+        let (x1, x5) = (b.var(vars[1]), b.var(vars[5]));
+        let again = b.xor(x1, x5);
+        let xor = |assign: &dyn Fn(Var) -> bool| assign(vars[1]) ^ assign(vars[5]);
+        assert!(
+            functions_equal(&b, again, &xor),
+            "a stale cache entry answered"
+        );
+        b.check_canonical();
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! `Bdd::sift` against a reference sift that walks every block down to the
 //! bottom of its window first, then up to the top, keeping each strict
-//! improvement. The library walks to the nearer end first and breaks ties
-//! by position, so on seeded random functions with groups and precedence
+//! improvement. The library walks to the nearer end first, jumps back to
+//! the block's start by restoring a saved store, and breaks ties by
+//! position, so on seeded random functions with groups and precedence
 //! pairs it must reach the same order and size, with no more swaps in
-//! total.
+//! total. Because the jump puts back a whole store, every root must also
+//! keep its truth table, the store must stay canonical, and operations run
+//! after the sift must see no stale cache entry.
 
 use polis_bdd::reorder::SiftConfig;
 use polis_bdd::{Bdd, NodeRef, Var};
@@ -30,14 +33,15 @@ fn random_function(b: &mut Bdd, vars: &[Var], rng: &mut Rng) -> NodeRef {
     f
 }
 
-/// A random subject: a manager, two roots and sifting constraints. Groups
-/// are runs of adjacent levels; each precedence pair keeps two variables
-/// in their initial relative order, so the constraints are satisfiable.
-fn random_subject(rng: &mut Rng) -> (Bdd, Vec<NodeRef>, SiftConfig) {
+/// A random subject: a manager over 6 to 12 variables, `roots` roots and
+/// sifting constraints. Groups are runs of adjacent levels; each
+/// precedence pair keeps two variables in their initial relative order, so
+/// the constraints are satisfiable.
+fn random_subject(rng: &mut Rng, roots: usize) -> (Bdd, Vec<NodeRef>, SiftConfig) {
     let mut b = Bdd::new();
     let n = rng.usize(6..13);
     let vars: Vec<Var> = (0..n).map(|i| b.new_var(format!("v{i}"))).collect();
-    let roots = (0..2)
+    let roots = (0..roots)
         .map(|_| random_function(&mut b, &vars, rng))
         .collect();
     let mut groups = Vec::new();
@@ -171,11 +175,11 @@ fn reference_sift(b: &mut Bdd, roots: &[NodeRef], config: &SiftConfig) -> usize 
 #[test]
 fn nearer_end_walk_matches_the_down_then_up_reference() {
     let mut rng = Rng::new(0x51f7_3a1c);
-    let (mut swaps, mut reference_swaps) = (0, 0);
+    let (mut swaps, mut reference_swaps, mut restores) = (0, 0, 0);
     for i in 0..160 {
         let seed = rng.next_u64();
-        let (mut b, roots, config) = random_subject(&mut Rng::new(seed));
-        let (mut r, r_roots, _) = random_subject(&mut Rng::new(seed));
+        let (mut b, roots, config) = random_subject(&mut Rng::new(seed), 2);
+        let (mut r, r_roots, _) = random_subject(&mut Rng::new(seed), 2);
         let size = b.sift(&roots, &config);
         let r_size = reference_sift(&mut r, &r_roots, &config);
         let what = format!("subject {i} (seed {seed:#x})");
@@ -183,9 +187,62 @@ fn nearer_end_walk_matches_the_down_then_up_reference() {
         assert_eq!((size, b.size(&roots)), (r_size, r_size), "{what}: size");
         swaps += b.stats().swap_count;
         reference_swaps += r.stats().swap_count;
+        restores += b.stats().sift_restores;
     }
     assert!(
         swaps <= reference_swaps,
         "{swaps} swaps against the reference's {reference_swaps}"
     );
+    assert!(restores > 0, "no block jumped back to its start");
+}
+
+/// The value of `f` under every assignment of the manager's variables,
+/// indexed by the assignment's bits in variable-index order.
+fn truth_table(b: &Bdd, f: NodeRef) -> Vec<bool> {
+    (0..1u32 << b.num_vars())
+        .map(|bits| b.eval(f, |v| bits & (1 << v.0) != 0))
+        .collect()
+}
+
+#[test]
+fn jumping_back_keeps_every_root_a_canonical_store_and_a_fresh_cache() {
+    let mut rng = Rng::new(0x0a5c_e7b1);
+    let mut restores = 0;
+    for i in 0..120 {
+        let seed = rng.next_u64();
+        let (mut b, roots, config) = random_subject(&mut Rng::new(seed), 3 + i % 3);
+        let what = format!("subject {i} (seed {seed:#x})");
+        let tables: Vec<Vec<bool>> = roots.iter().map(|&f| truth_table(&b, f)).collect();
+        // Fill the cache with results over the roots before sifting.
+        for w in roots.windows(3) {
+            b.and(w[0], w[1]);
+            b.ite(w[0], w[1], w[2]);
+        }
+        b.sift(&roots, &config);
+        restores += b.stats().sift_restores;
+        for (k, (&f, table)) in roots.iter().zip(&tables).enumerate() {
+            assert_eq!(&truth_table(&b, f), table, "{what}: root {k}");
+        }
+        b.check_canonical();
+        for (k, w) in roots.windows(3).enumerate() {
+            let and = b.and(w[0], w[1]);
+            let want: Vec<bool> = (0..tables[k].len())
+                .map(|a| tables[k][a] && tables[k + 1][a])
+                .collect();
+            assert_eq!(truth_table(&b, and), want, "{what}: and at {k}");
+            let ite = b.ite(w[0], w[1], w[2]);
+            let want: Vec<bool> = (0..want.len())
+                .map(|a| {
+                    if tables[k][a] {
+                        tables[k + 1][a]
+                    } else {
+                        tables[k + 2][a]
+                    }
+                })
+                .collect();
+            assert_eq!(truth_table(&b, ite), want, "{what}: ite at {k}");
+        }
+        b.check_canonical();
+    }
+    assert!(restores > 0, "no block jumped back to its start");
 }

@@ -193,6 +193,7 @@ fn stage_sift(ctx: &mut SynthCtx<'_>, mut rf: ReactiveFn) -> Result<ReactiveFn, 
     ctx.count("bdd_nodes_after", rf.size() as u64);
     ctx.count("swaps", st.swap_count - before.swap_count);
     ctx.count("swap_rewrites", st.swap_rewrites - before.swap_rewrites);
+    ctx.count("restores", st.sift_restores - before.sift_restores);
     ctx.count("cache_lookups", cache.cache_lookups);
     ctx.ratio("cache_hit_rate", cache.hit_rate());
     ctx.count(

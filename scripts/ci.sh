@@ -39,13 +39,13 @@ for spec in examples/specs/*.pol; do
     || { echo "FAIL: $spec synthesis output differs between --jobs 1 and --jobs 4"; exit 1; }
 done
 
-echo "==> synth --trace writes a sift stage with swap counters"
+echo "==> synth --trace writes a sift stage with swap and restore counters"
 for spec in examples/specs/*.pol; do
   name="$(basename "$spec" .pol)"
   trace="/tmp/polis_ci_synth_trace_$name.json"
   rm -f "$trace"
   ./target/release/polis synth "$spec" -o "/tmp/polis_ci_synth/$name.traced" --trace "$trace" >/dev/null
-  for field in '"swaps":' '"swap_rewrites":'; do
+  for field in '"swaps":' '"swap_rewrites":' '"restores":'; do
     grep -A 12 -F '"stage": "sift"' "$trace" | grep -qF "$field" \
       || { echo "FAIL: $trace has no sift stage with $field"; exit 1; }
   done

@@ -344,15 +344,16 @@ fn synth_jobs_is_deterministic_and_trace_is_written() {
     }
     assert!(trace.contains("\"machine\": \"pinger\""));
     assert!(trace.contains("\"wall_us\":"));
-    // The sift record counts adjacent swaps and the nodes they rebuilt:
-    // pinger's χ has 4 nodes, and one sifting pass makes 4 swaps that
-    // rebuild 8 nodes.
+    // The sift record counts adjacent swaps, the nodes they rebuilt and
+    // the jumps back to a saved store: pinger's χ has 4 nodes, and one
+    // sifting pass makes 2 swaps that rebuild 4 nodes, and 2 jumps.
     let at = trace
         .find("\"stage\": \"sift\",\n      \"machine\": \"pinger\"")
         .expect("a sift record for pinger");
     let sift = &trace[at..at + trace[at..].find("}").expect("closing brace")];
-    assert!(sift.contains("\"swaps\": 4,"), "{sift}");
-    assert!(sift.contains("\"swap_rewrites\": 8,"), "{sift}");
+    assert!(sift.contains("\"swaps\": 2,"), "{sift}");
+    assert!(sift.contains("\"swap_rewrites\": 4,"), "{sift}");
+    assert!(sift.contains("\"restores\": 2,"), "{sift}");
 
     // A bad jobs value is rejected.
     let bad = bin()
