@@ -31,10 +31,12 @@
 //! that leave the same state: each state keeps its own priority chain,
 //! built from its last transition to its first. Starting from the quiet
 //! cube (nothing consumed or emitted, next state free), each transition
-//! wraps its state's chain as `ite(guard, cube, chain)`, where `cube` is
-//! its output cube; `ite` gives the earlier transition priority. Outputs
-//! are declared after inputs, so each cube is built bottom-up (see
-//! `output_cube`) before it enters a chain. [`MvVar::select`] then joins
+//! wraps its state's chain as `ite(guard, cube, chain)`; `ite` gives the
+//! earlier transition priority. The guard is translated by
+//! [`Guard::to_bdd`](crate::Guard::to_bdd) over the presence and test
+//! variables, and the cube is `consume ∧` the transition's
+//! [`action_cube`]. Outputs are declared after inputs, so each cube is
+//! built bottom-up before it enters a chain. [`MvVar::select`] then joins
 //! the chains with a multiplexer over the control bits: code `s` selects
 //! the chain of state `s`, and a code no state uses selects the quiet
 //! cube. A chain step therefore walks only its own state's chain, not
@@ -49,7 +51,7 @@
 //! per transition. Collection changes no function a root denotes, so χ
 //! is the same canonical handle either way.
 
-use crate::machine::{Cfsm, Guard};
+use crate::machine::Cfsm;
 use polis_bdd::encode::MvVar;
 use polis_bdd::reorder::SiftConfig;
 use polis_bdd::{Bdd, GcTrigger, NodeRef};
@@ -165,8 +167,10 @@ impl ReactiveFn {
         let mut outputs = Vec::new();
 
         // -- input variables --
+        let mut present = Vec::with_capacity(cfsm.inputs().len());
         for (i, sig) in cfsm.inputs().iter().enumerate() {
             let v = bdd.new_var(crate::signal::present_flag_name(sig.name()));
+            present.push(v);
             inputs.push(RfVar {
                 name: crate::signal::present_flag_name(sig.name()),
                 kind: RfVarKind::Present { input: i },
@@ -185,8 +189,10 @@ impl ReactiveFn {
             });
             mv
         });
+        let mut tests = Vec::with_capacity(cfsm.tests().len());
         for (i, t) in cfsm.tests().iter().enumerate() {
             let v = bdd.new_var(format!("test_{}", t.name));
+            tests.push(v);
             inputs.push(RfVar {
                 name: format!("test_{}", t.name),
                 kind: RfVarKind::Test { test: i },
@@ -224,21 +230,6 @@ impl ReactiveFn {
             mv
         });
 
-        let present_var = |rf: &ReactiveFn, i: usize| {
-            rf.inputs
-                .iter()
-                .find(|v| v.kind == RfVarKind::Present { input: i })
-                .expect("present var")
-                .bits[0]
-        };
-        let test_var = |rf: &ReactiveFn, i: usize| {
-            rf.inputs
-                .iter()
-                .find(|v| v.kind == RfVarKind::Test { test: i })
-                .expect("test var")
-                .bits[0]
-        };
-
         let mut rf = ReactiveFn {
             name: cfsm.name().to_owned(),
             bdd,
@@ -265,12 +256,13 @@ impl ReactiveFn {
         // (see the module docs); dead chains are collected against the
         // consume literals, the quiet cube and every chain.
         let mut trigger = GcTrigger::new(CHI_GC_FLOOR, CHI_GC_REGROW);
-        let quiet = output_cube(&mut rf.bdd, consume_neg, &action_vars, &[], NodeRef::TRUE);
+        let quiet = action_cube(&mut rf.bdd, &action_vars, &[], NodeRef::TRUE);
+        let quiet = rf.bdd.and(consume_neg, quiet);
         let mut chains = vec![quiet; cfsm.states().len()];
         for t in cfsm.transitions().iter().rev() {
             let roots = [consume_pos, consume_neg, quiet];
             trigger.collect(&mut rf.bdd, roots.into_iter().chain(chains.iter().copied()));
-            let guard = guard_to_bdd(&t.guard, &mut rf, &present_var, &test_var);
+            let guard = t.guard.to_bdd(&mut rf.bdd, &present, &tests);
             if guard.is_false() {
                 continue;
             }
@@ -278,7 +270,8 @@ impl ReactiveFn {
                 Some(mv) => mv.eq_const(&mut rf.bdd, t.to as u64),
                 None => NodeRef::TRUE,
             };
-            let cube = output_cube(&mut rf.bdd, consume_pos, &action_vars, &t.actions, next);
+            let cube = action_cube(&mut rf.bdd, &action_vars, &t.actions, next);
+            let cube = rf.bdd.and(consume_pos, cube);
             chains[t.from] = rf.bdd.ite(guard, cube, chains[t.from]);
         }
         // The control code selects its state's chain; between merges the
@@ -669,16 +662,18 @@ impl Hasher for MulHasher {
     }
 }
 
-/// The output cube `consume ∧ actions ∧ next` of one transition, where
-/// `taken` lists the actions taken (every other action is negated) and
-/// `next` is the next-state cube.
+/// The cube `actions ∧ next` of one transition over the action
+/// variables `actions`: `taken` lists the actions taken (every other
+/// action is negated) and `next` is the next-state cube. χ's output cube
+/// is `consume ∧` this cube, and the verifier's reaction relation uses it
+/// as is.
 ///
-/// While χ is built the outputs sit below the inputs in declaration
-/// order (consume, actions, next state), so conjoining deepest-first
-/// adds one node per literal above the partial cube.
-fn output_cube(
+/// Literals are conjoined deepest-first on top of `next`. While χ is
+/// built the outputs sit below the inputs in declaration order (consume,
+/// actions, next state), so each literal adds one node above the partial
+/// cube.
+pub fn action_cube(
     bdd: &mut Bdd,
-    consume: NodeRef,
     actions: &[polis_bdd::Var],
     taken: &[usize],
     next: NodeRef,
@@ -692,41 +687,7 @@ fn output_cube(
         };
         cube = bdd.and(lit, cube);
     }
-    bdd.and(consume, cube)
-}
-
-fn guard_to_bdd(
-    g: &Guard,
-    rf: &mut ReactiveFn,
-    present_var: &impl Fn(&ReactiveFn, usize) -> polis_bdd::Var,
-    test_var: &impl Fn(&ReactiveFn, usize) -> polis_bdd::Var,
-) -> NodeRef {
-    match g {
-        Guard::True => NodeRef::TRUE,
-        Guard::False => NodeRef::FALSE,
-        Guard::Present(i) => {
-            let v = present_var(rf, *i);
-            rf.bdd.var(v)
-        }
-        Guard::Test(i) => {
-            let v = test_var(rf, *i);
-            rf.bdd.var(v)
-        }
-        Guard::Not(x) => {
-            let fx = guard_to_bdd(x, rf, present_var, test_var);
-            rf.bdd.not(fx)
-        }
-        Guard::And(a, b) => {
-            let fa = guard_to_bdd(a, rf, present_var, test_var);
-            let fb = guard_to_bdd(b, rf, present_var, test_var);
-            rf.bdd.and(fa, fb)
-        }
-        Guard::Or(a, b) => {
-            let fa = guard_to_bdd(a, rf, present_var, test_var);
-            let fb = guard_to_bdd(b, rf, present_var, test_var);
-            rf.bdd.or(fa, fb)
-        }
-    }
+    cube
 }
 
 #[cfg(test)]

@@ -62,7 +62,7 @@ mod machine;
 mod network;
 mod signal;
 
-pub use chi::{OrderScheme, ReactiveFn, RfVar, RfVarKind, Side, VarLoc};
+pub use chi::{action_cube, OrderScheme, ReactiveFn, RfVar, RfVarKind, Side, VarLoc};
 pub use machine::{
     Action, Cfsm, CfsmBuilder, CfsmError, CfsmState, Emission, Guard, ReactError, Reaction,
     StateId, StateVar, TestDef, TestId, Transition, TransitionBuilder,

@@ -1,6 +1,7 @@
 //! The single-CFSM model: builder, validation, and reference semantics.
 
 use crate::signal::{value_var_name, Signal};
+use polis_bdd::{Bdd, NodeRef, Var};
 use polis_expr::{Env, EvalExprError, Expr, MapEnv, Type, Value};
 use std::collections::BTreeSet;
 use std::error::Error;
@@ -109,6 +110,31 @@ impl Guard {
             Guard::Not(g) => !g.eval(present, tests),
             Guard::And(a, b) => a.eval(present, tests) && b.eval(present, tests),
             Guard::Or(a, b) => a.eval(present, tests) || b.eval(present, tests),
+        }
+    }
+
+    /// The guard as a BDD, where input `i`'s presence flag is variable
+    /// `present[i]` and test `i` is variable `tests[i]`. Operands are
+    /// built left to right, so a guard always issues the same operations
+    /// in the same order.
+    pub fn to_bdd(&self, bdd: &mut Bdd, present: &[Var], tests: &[Var]) -> NodeRef {
+        match self {
+            Guard::True => NodeRef::TRUE,
+            Guard::False => NodeRef::FALSE,
+            Guard::Present(i) => bdd.var(present[*i]),
+            Guard::Test(i) => bdd.var(tests[*i]),
+            Guard::Not(g) => {
+                let f = g.to_bdd(bdd, present, tests);
+                bdd.not(f)
+            }
+            Guard::And(a, b) => {
+                let (fa, fb) = (a.to_bdd(bdd, present, tests), b.to_bdd(bdd, present, tests));
+                bdd.and(fa, fb)
+            }
+            Guard::Or(a, b) => {
+                let (fa, fb) = (a.to_bdd(bdd, present, tests), b.to_bdd(bdd, present, tests));
+                bdd.or(fa, fb)
+            }
         }
     }
 

@@ -96,8 +96,7 @@ pub(crate) fn deadlock(
     for i in 0..model.vars.len() {
         let conds = model.conds[i].clone();
         let any = model.bdd.or_all(conds);
-        let tests_cube = model.bdd.cube(model.vars[i].tests.iter().copied());
-        let can_fire = model.bdd.exists_cube(any, tests_cube);
+        let can_fire = model.bdd.exists_cube(any, model.react_steps[i].tests_cube);
         fireable = model.bdd.or(fireable, can_fire);
     }
     // Close "some machine can fire" under environment deliveries: a

@@ -5,8 +5,9 @@
 //! events travel through lossy one-place buffers, and the environment
 //! may deliver primary inputs at any moment. This crate builds the
 //! network's product transition relation as characteristic-function BDDs
-//! (from [`polis_cfsm::ReactiveFn`], with current/next variable rails
-//! and one fill bit per buffer), runs frontier-based image computation
+//! (each machine's `χ` with `consume = 1`, built from its transitions'
+//! priority-resolved conditions, with current/next variable rails and
+//! one fill bit per buffer), runs frontier-based image computation
 //! to a fixpoint, and evaluates three verdicts against the reachable
 //! set:
 //!

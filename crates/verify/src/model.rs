@@ -28,13 +28,23 @@
 //!   only current-state variables are involved, the image is a
 //!   quantify-and-set with no renaming.
 //! * [`ReactStep`] — machine `i` fires one reaction: the machine's
-//!   imported `χ|consume=1` constrains (flags, ctrl, tests) → (actions,
-//!   next ctrl); the update constraint propagates emissions into consumer
+//!   `χ|consume=1` constrains (flags, ctrl, tests) → (actions, next
+//!   ctrl); the update constraint propagates emissions into consumer
 //!   buffers (`flag' ↔ flag ∨ emitted`); the machine's own buffers are
 //!   cleared (snapshot consumption). The two constraint sets are
 //!   disjoint because no machine consumes its own output — `Cfsm::build`
 //!   rejects that, and the encoding asserts it. Reactions that fire
 //!   nothing are identity steps and are simply omitted.
+//!
+//! `χ|consume=1` is built straight over the network's variables from the
+//! per-transition enabling conditions the checks use too
+//! ([`NetworkModel::conds`]): transition `t` fires iff it leaves the
+//! current state, its guard holds, and no earlier transition of that
+//! state is enabled (declaration-order priority, as in `cfsm::chi`).
+//! So `χ|consume=1 = ⋁_t cond_t ∧ action_cube_t`, where the action cube
+//! ([`polis_cfsm::action_cube`]) fixes every action literal and the next
+//! control state. Guards go through [`polis_cfsm::Guard::to_bdd`], the
+//! translation synthesis uses too.
 //!
 //! A machine may attempt a reaction from any reachable state and the test
 //! variables are unconstrained, so the reachable set over-approximates
@@ -43,8 +53,7 @@
 
 use polis_bdd::encode::MvVar;
 use polis_bdd::{Bdd, NodeRef, Var};
-use polis_cfsm::{Action, Cfsm, Guard, Network, ReactiveFn, RfVarKind};
-use std::collections::HashMap;
+use polis_cfsm::{action_cube, Action, Cfsm, Network};
 
 /// The BDD variables owned by one machine of the network.
 pub(crate) struct MachineVars {
@@ -89,7 +98,8 @@ pub(crate) struct EnvStep {
 /// One machine's reaction as a partitioned transition relation with a
 /// pre-computed early-quantification schedule.
 pub(crate) struct ReactStep {
-    /// Imported `χ|consume=1` over global variables.
+    /// `χ|consume=1` over global variables: `⋁_t cond_t ∧ action_cube_t`
+    /// over the machine's transitions (see [`NetworkModel::conds`]).
     pub chi_fire: NodeRef,
     /// Consumer buffer updates fused with snapshot consumption:
     /// `(flag' ↔ flag ∨ ⋁ emitting actions) ∧ ⋀ ¬own_flag'`. The clear
@@ -129,8 +139,10 @@ pub(crate) struct NetworkModel {
     /// All current-state variables, in layout order.
     pub state_vars: Vec<Var>,
     /// Per machine, per transition: the priority-resolved enabling
-    /// condition over (own flags, own ctrl, own tests) — the symbolic
-    /// mirror of the `χ` construction in `cfsm::chi`.
+    /// condition over (own flags, own ctrl, own tests). The transition
+    /// fires iff its condition holds, so these conditions build each
+    /// [`ReactStep::chi_fire`] and drive the dead-transition and
+    /// deadlock checks.
     pub conds: Vec<Vec<NodeRef>>,
 }
 
@@ -211,18 +223,31 @@ impl NetworkModel {
 
         // -- machine reactions --
         let mut react_steps = Vec::with_capacity(cfsms.len());
+        let mut conds = Vec::with_capacity(cfsms.len());
         for (i, m) in cfsms.iter().enumerate() {
-            let mut rf = ReactiveFn::build(m);
-            let map = chi_var_map(&rf, &vars[i]);
-            let consume = rf
-                .outputs()
-                .iter()
-                .find(|v| v.kind == RfVarKind::Consume)
-                .expect("χ has a consume variable")
-                .bits[0];
-            let chi = rf.chi();
-            let chi_fire_src = rf.bdd_mut().restrict(chi, consume, true);
-            let chi_fire = import(&mut bdd, &rf, chi_fire_src, &map);
+            // `conds` and `χ|consume=1 = ⋁ cond ∧ action cube` (module docs).
+            let mut machine_conds = Vec::with_capacity(m.num_transitions());
+            let mut taken: Vec<NodeRef> = vec![NodeRef::FALSE; m.states().len()];
+            let mut chi_fire = NodeRef::FALSE;
+            for t in m.transitions() {
+                let (in_state, next) = match (&vars[i].ctrl_cur, &vars[i].ctrl_next) {
+                    (Some(cur), Some(nxt)) => (
+                        cur.eq_const(&mut bdd, t.from as u64),
+                        nxt.eq_const(&mut bdd, t.to as u64),
+                    ),
+                    _ => (NodeRef::TRUE, NodeRef::TRUE),
+                };
+                let guard = t.guard.to_bdd(&mut bdd, &vars[i].flag_cur, &vars[i].tests);
+                let raw = bdd.and(in_state, guard);
+                let not_taken = bdd.not(taken[t.from]);
+                let cond = bdd.and(raw, not_taken);
+                taken[t.from] = bdd.or(taken[t.from], raw);
+                let cube = action_cube(&mut bdd, &vars[i].acts, &t.actions, next);
+                let fire = bdd.and(cond, cube);
+                chi_fire = bdd.or(chi_fire, fire);
+                machine_conds.push(cond);
+            }
+            conds.push(machine_conds);
 
             let mut update = NodeRef::TRUE;
             let mut affected: Vec<(usize, usize)> = Vec::new();
@@ -280,26 +305,6 @@ impl NetworkModel {
                 tests_cube,
                 acts_cur_cube,
             });
-        }
-
-        // -- per-transition enabling conditions (priority-resolved) --
-        let mut conds = Vec::with_capacity(cfsms.len());
-        for (i, m) in cfsms.iter().enumerate() {
-            let mut machine_conds = Vec::with_capacity(m.num_transitions());
-            let mut taken: Vec<NodeRef> = vec![NodeRef::FALSE; m.states().len()];
-            for t in m.transitions() {
-                let in_state = match &vars[i].ctrl_cur {
-                    Some(mv) => mv.eq_const(&mut bdd, t.from as u64),
-                    None => NodeRef::TRUE,
-                };
-                let guard = guard_to_bdd(&mut bdd, &t.guard, &vars[i]);
-                let raw = bdd.and(in_state, guard);
-                let not_taken = bdd.not(taken[t.from]);
-                let cond = bdd.and(raw, not_taken);
-                taken[t.from] = bdd.or(taken[t.from], raw);
-                machine_conds.push(cond);
-            }
-            conds.push(machine_conds);
         }
 
         let mut model = NetworkModel {
@@ -394,95 +399,148 @@ fn emits_signal(bdd: &mut Bdd, m: &Cfsm, mv: &MachineVars, oi: usize) -> NodeRef
     bdd.or_all(lits)
 }
 
-/// Maps every `χ` variable of `rf` onto the machine's global variables.
-fn chi_var_map(rf: &ReactiveFn, mv: &MachineVars) -> HashMap<Var, Var> {
-    let mut map = HashMap::new();
-    for v in rf.inputs() {
-        match v.kind {
-            RfVarKind::Present { input } => {
-                map.insert(v.bits[0], mv.flag_cur[input]);
-            }
-            RfVarKind::Ctrl => {
-                let bits = mv.ctrl_cur.as_ref().expect("ctrl var exists").bits();
-                for (&src, &dst) in v.bits.iter().zip(bits) {
-                    map.insert(src, dst);
-                }
-            }
-            RfVarKind::Test { test } => {
-                map.insert(v.bits[0], mv.tests[test]);
-            }
-            _ => {}
-        }
-    }
-    for v in rf.outputs() {
-        match v.kind {
-            RfVarKind::Action { action } => {
-                map.insert(v.bits[0], mv.acts[action]);
-            }
-            RfVarKind::NextCtrl => {
-                let bits = mv.ctrl_next.as_ref().expect("next ctrl var exists").bits();
-                for (&src, &dst) in v.bits.iter().zip(bits) {
-                    map.insert(src, dst);
-                }
-            }
-            _ => {}
-        }
-    }
-    map
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polis_core::random::{random_cfsm, RandomSpec, Rng};
+    use polis_core::workloads;
 
-/// Copies `f` from the reactive function's manager into `dst`, rewriting
-/// each source variable through `map`. Memoized per source node, so the
-/// copy is linear in the source BDD size.
-fn import(dst: &mut Bdd, rf: &ReactiveFn, f: NodeRef, map: &HashMap<Var, Var>) -> NodeRef {
-    fn rec(
-        dst: &mut Bdd,
-        rf: &ReactiveFn,
-        f: NodeRef,
-        map: &HashMap<Var, Var>,
-        memo: &mut HashMap<NodeRef, NodeRef>,
-    ) -> NodeRef {
-        if f.is_terminal() {
-            return f;
-        }
-        if let Some(&r) = memo.get(&f) {
-            return r;
-        }
-        let src = rf.bdd();
-        let v = src.node_var(f).expect("non-terminal has a variable");
-        let (flo, fhi) = (src.lo(f), src.hi(f));
-        let lo = rec(dst, rf, flo, map, memo);
-        let hi = rec(dst, rf, fhi, map, memo);
-        let gv = *map.get(&v).expect("every χ variable is mapped");
-        let guard = dst.var(gv);
-        let r = dst.ite(guard, hi, lo);
-        memo.insert(f, r);
-        r
-    }
-    let mut memo = HashMap::new();
-    rec(dst, rf, f, map, &mut memo)
-}
+    /// Machines with at most this many input bits (flags, control code,
+    /// tests) are checked on every valuation; wider ones on
+    /// [`SAMPLES`] seeded valuations.
+    const EXHAUSTIVE_BITS: usize = 16;
+    const SAMPLES: usize = 1 << 12;
 
-/// Translates a guard over the machine's global flag/test variables.
-fn guard_to_bdd(bdd: &mut Bdd, g: &Guard, mv: &MachineVars) -> NodeRef {
-    match g {
-        Guard::True => NodeRef::TRUE,
-        Guard::False => NodeRef::FALSE,
-        Guard::Present(i) => bdd.var(mv.flag_cur[*i]),
-        Guard::Test(i) => bdd.var(mv.tests[*i]),
-        Guard::Not(x) => {
-            let fx = guard_to_bdd(bdd, x, mv);
-            bdd.not(fx)
+    /// Checks machine `i` of `model` against the reference semantics. For
+    /// each checked valuation of its flags, control code and tests, the
+    /// winner is the first transition of the current state whose guard
+    /// holds under `Guard::eval`, as `CexTrace::replay` picks it. Then
+    /// `cond_t` holds iff `t` is the winner, and `chi_fire` cofactored by
+    /// the valuation is the minterm of the winner's actions and next
+    /// state, or false when no transition is enabled (this includes the
+    /// control codes no state uses).
+    fn check_machine(model: &mut NetworkModel, i: usize, m: &Cfsm, rng: &mut Rng) {
+        let mv = &model.vars[i];
+        let (flags, ctrl, tests) = (
+            mv.flag_cur.clone(),
+            mv.ctrl_cur_bits().to_vec(),
+            mv.tests.clone(),
+        );
+        let next: Vec<Var> = mv.ctrl_next.as_ref().map_or(&[][..], |n| n.bits()).to_vec();
+        let acts = mv.acts.clone();
+        let inputs: Vec<Var> = flags.iter().chain(&ctrl).chain(&tests).copied().collect();
+        let n = inputs.len();
+        assert!(n < 64, "{}: {n} input bits", m.name());
+
+        // Per transition, the minterm over the actions and next state.
+        let minterms: Vec<NodeRef> = m
+            .transitions()
+            .iter()
+            .map(|t| {
+                let w = next.len();
+                let act_on = (0..acts.len()).map(|a| t.actions.contains(&a));
+                let next_on = (0..w).map(|k| t.to >> (w - 1 - k) & 1 == 1);
+                let lits: Vec<NodeRef> = acts
+                    .iter()
+                    .chain(&next)
+                    .zip(act_on.chain(next_on))
+                    .map(|(&v, on)| {
+                        if on {
+                            model.bdd.var(v)
+                        } else {
+                            model.bdd.nvar(v)
+                        }
+                    })
+                    .collect();
+                model.bdd.and_all(lits)
+            })
+            .collect();
+
+        // (valuation, chi_fire cofactored by it); bit `k` sets `inputs[k]`.
+        // Enumeration cofactors one input at a time, doubling the list.
+        let chi_fire = model.react_steps[i].chi_fire;
+        let mut cases = vec![(0u64, chi_fire)];
+        if n <= EXHAUSTIVE_BITS {
+            for (k, &v) in inputs.iter().enumerate() {
+                let mut both = Vec::with_capacity(2 * cases.len());
+                for (bits, f) in cases {
+                    both.push((bits, model.bdd.restrict(f, v, false)));
+                    both.push((bits | 1 << k, model.bdd.restrict(f, v, true)));
+                }
+                cases = both;
+            }
+        } else {
+            cases = (0..SAMPLES)
+                .map(|_| {
+                    let bits = rng.next_u64() & ((1 << n) - 1);
+                    let f = inputs.iter().enumerate().fold(chi_fire, |f, (k, &v)| {
+                        model.bdd.restrict(f, v, bits >> k & 1 == 1)
+                    });
+                    (bits, f)
+                })
+                .collect();
         }
-        Guard::And(a, b) => {
-            let fa = guard_to_bdd(bdd, a, mv);
-            let fb = guard_to_bdd(bdd, b, mv);
-            bdd.and(fa, fb)
+
+        let mut val = vec![false; model.bdd.num_vars()];
+        for (bits, fired) in cases {
+            for (k, v) in inputs.iter().enumerate() {
+                val[v.index()] = bits >> k & 1 == 1;
+            }
+            let present: Vec<bool> = flags.iter().map(|v| val[v.index()]).collect();
+            let holds: Vec<bool> = tests.iter().map(|v| val[v.index()]).collect();
+            let code = ctrl
+                .iter()
+                .fold(0, |c, v| c << 1 | usize::from(val[v.index()]));
+            let winner = m
+                .transitions()
+                .iter()
+                .position(|t| t.from == code && t.guard.eval(&present, &holds));
+            for (ti, &cond) in model.conds[i].iter().enumerate() {
+                let on = model.bdd.eval(cond, |v| val[v.index()]);
+                assert_eq!(
+                    on,
+                    winner == Some(ti),
+                    "{}: cond_{ti} at {bits:#b}",
+                    m.name()
+                );
+            }
+            let want = winner.map_or(NodeRef::FALSE, |ti| minterms[ti]);
+            assert!(
+                fired == want,
+                "{}: chi_fire at {bits:#b} (winner {winner:?})",
+                m.name()
+            );
         }
-        Guard::Or(a, b) => {
-            let fa = guard_to_bdd(bdd, a, mv);
-            let fb = guard_to_bdd(bdd, b, mv);
-            bdd.or(fa, fb)
+    }
+
+    #[test]
+    fn reactions_match_the_declaration_order_winner() {
+        let mut rng = Rng::new(0x5eed_c0de);
+        let mut machines = 0;
+        for (spec, _) in workloads::EXAMPLES {
+            let net = workloads::spec(spec).network;
+            let mut model = NetworkModel::build(&net);
+            for (i, m) in net.cfsms().iter().enumerate() {
+                check_machine(&mut model, i, m, &mut rng);
+                machines += 1;
+            }
+        }
+        assert_eq!(machines, 16, "the example specs hold 16 machines");
+        // Up to 13 flags, 5 control bits and 2 tests: some machines are
+        // sampled rather than enumerated.
+        for k in 0..30 {
+            let spec = RandomSpec {
+                states: rng.usize(1..20),
+                pure_inputs: rng.usize(1..12),
+                valued_inputs: rng.usize(0..3),
+                outputs: rng.usize(1..4),
+                vars: rng.usize(0..3),
+                transitions: rng.usize(1..40),
+            };
+            let m = random_cfsm(&format!("rnd{k}"), &spec, rng.next_u64());
+            let net = Network::new("rnd", vec![m]).expect("one machine is a network");
+            let mut model = NetworkModel::build(&net);
+            check_machine(&mut model, 0, &net.cfsms()[0], &mut rng);
         }
     }
 }
