@@ -4,6 +4,7 @@ use crate::signal::{value_var_name, Signal};
 use polis_bdd::{Bdd, NodeRef, Var};
 use polis_expr::{Env, EvalExprError, Expr, MapEnv, Type, Value};
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
@@ -102,15 +103,8 @@ impl Guard {
     /// Evaluates the guard against a presence snapshot and precomputed test
     /// values.
     pub fn eval(&self, present: &[bool], tests: &[bool]) -> bool {
-        match self {
-            Guard::True => true,
-            Guard::False => false,
-            Guard::Present(i) => present[*i],
-            Guard::Test(i) => tests[*i],
-            Guard::Not(g) => !g.eval(present, tests),
-            Guard::And(a, b) => a.eval(present, tests) && b.eval(present, tests),
-            Guard::Or(a, b) => a.eval(present, tests) || b.eval(present, tests),
-        }
+        let Ok(holds) = self.try_eval(present, &mut |i| Ok::<_, Infallible>(tests[i]));
+        holds
     }
 
     /// The guard as a BDD, where input `i`'s presence flag is variable
@@ -245,6 +239,11 @@ impl Cfsm {
     pub fn states(&self) -> &[String] {
         &self.states
     }
+    /// Bits of the binary control-state code (at least 1), as
+    /// [`polis_bdd::encode::bits_for`] encodes the state domain.
+    pub fn ctrl_width(&self) -> usize {
+        polis_bdd::encode::bits_for(self.states.len() as u64)
+    }
     /// The reset control state.
     pub fn init_state(&self) -> usize {
         self.init_state
@@ -311,6 +310,28 @@ impl Cfsm {
         }
     }
 
+    /// The transition that fires from control state `from`: the first in
+    /// declaration order whose guard holds (earlier wins on overlap), or
+    /// `None` when none is enabled. Tests are queried through `test`
+    /// lazily, only as the guards demand them ([`Guard::try_eval`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first oracle error encountered.
+    pub fn winner<E>(
+        &self,
+        from: usize,
+        present: &[bool],
+        test: &mut impl FnMut(usize) -> Result<bool, E>,
+    ) -> Result<Option<usize>, E> {
+        for (ti, t) in self.transitions.iter().enumerate() {
+            if t.from == from && t.guard.try_eval(present, test)? {
+                return Ok(Some(ti));
+            }
+        }
+        Ok(None)
+    }
+
     /// Executes one reaction: the **reference semantics** against which the
     /// synthesized s-graph and object code are verified (Theorem 1).
     ///
@@ -371,18 +392,7 @@ impl Cfsm {
             Ok(v)
         };
 
-        let mut fired = None;
-        for (ti, t) in self.transitions.iter().enumerate() {
-            if t.from != state.ctrl {
-                continue;
-            }
-            if t.guard.try_eval(&present_flags, &mut eval_test)? {
-                fired = Some((ti, t));
-                break;
-            }
-        }
-
-        let Some((ti, tr)) = fired else {
+        let Some(ti) = self.winner(state.ctrl, &present_flags, &mut eval_test)? else {
             return Ok(Reaction {
                 fired: false,
                 transition: None,
@@ -390,6 +400,7 @@ impl Cfsm {
                 next: state.clone(),
             });
         };
+        let tr = &self.transitions[ti];
 
         let mut emissions = Vec::new();
         let mut next_data = state.data.clone();

@@ -2,8 +2,9 @@
 
 use polis_cfsm::{value_var_name, Action, Cfsm, Network};
 use polis_expr::{CStyle, Expr, Type};
+use polis_sgraph::analysis::EntryCopies;
 use polis_sgraph::{
-    analysis, AssignLabel, BufferPolicy, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel,
+    AssignLabel, BufferPolicy, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel,
 };
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -67,13 +68,12 @@ pub fn measure_c(src: &str) -> EmitStats {
 /// The output is one `void <name>_react(struct <name>_state *st)` function
 /// in the paper's goto style, plus the state struct and its initializer.
 /// RTOS interaction goes through `POLIS_*` macros declared by
-/// [`emit_network_header`].
+/// [`emit_network_header`]. The entry copies are [`EntryCopies::of`] under
+/// `opts.buffering`: a copied location is read from its local, any other
+/// from the state struct.
 pub fn emit_c(cfsm: &Cfsm, g: &SGraph, opts: &CodegenOptions) -> String {
     let name = g.name();
-    let buffered: BTreeSet<String> = match opts.buffering {
-        BufferPolicy::All => analysis::vars_referenced(cfsm, g),
-        BufferPolicy::Minimal => analysis::vars_needing_buffer(cfsm, g),
-    };
+    let copies = EntryCopies::of(cfsm, g, opts.buffering);
     let multi_state = cfsm.states().len() > 1;
 
     let mut out = String::new();
@@ -103,11 +103,11 @@ pub fn emit_c(cfsm: &Cfsm, g: &SGraph, opts: &CodegenOptions) -> String {
 
     // Reaction routine.
     let _ = writeln!(out, "void {name}_react(struct {name}_state *st)\n{{");
-    for b in &buffered {
+    for b in &copies.vars {
         let ty = cfsm.state_vars()[cfsm.state_var_index(b).expect("state var")].ty;
         let _ = writeln!(out, "    {} {} = st->{};", ty.c_type(), b, b);
     }
-    if multi_state {
+    if copies.ctrl {
         let _ = writeln!(out, "    unsigned char ctrl = st->ctrl;");
     }
 
@@ -115,7 +115,8 @@ pub fn emit_c(cfsm: &Cfsm, g: &SGraph, opts: &CodegenOptions) -> String {
         cfsm,
         g,
         opts,
-        buffered,
+        ctrl: if copies.ctrl { "ctrl" } else { "st->ctrl" },
+        buffered: copies.vars,
         out: String::new(),
         emitted: vec![false; g.len()],
     };
@@ -168,6 +169,8 @@ struct CEmitter<'a> {
     cfsm: &'a Cfsm,
     g: &'a SGraph,
     opts: &'a CodegenOptions,
+    /// Where control-state reads go: the entry copy or the state struct.
+    ctrl: &'static str,
     buffered: BTreeSet<String>,
     out: String,
     emitted: Vec<bool>,
@@ -211,7 +214,7 @@ impl CEmitter<'_> {
             }
             Cond::Test(t) => self.expr(&self.cfsm.tests()[*t].expr),
             Cond::CtrlBit { bit, width } => {
-                format!("((ctrl >> {}) & 1)", width - 1 - bit)
+                format!("(({} >> {}) & 1)", self.ctrl, width - 1 - bit)
             }
             Cond::Not(a) => format!("(!{})", self.cond(a)),
             Cond::And(a, b) => format!("({} && {})", self.cond(a), self.cond(b)),
@@ -255,7 +258,8 @@ impl CEmitter<'_> {
                     TestLabel::CtrlBit { bit, width } => {
                         let _ = writeln!(
                             self.out,
-                            "    if ((ctrl >> {}) & 1) goto L{};",
+                            "    if (({} >> {}) & 1) goto L{};",
+                            self.ctrl,
                             width - 1 - bit,
                             children[1].index()
                         );
@@ -266,15 +270,19 @@ impl CEmitter<'_> {
                     }
                     TestLabel::CtrlSwitch { .. } => {
                         if children.len() >= self.opts.switch_threshold {
-                            let _ = writeln!(self.out, "    switch (ctrl) {{");
+                            let _ = writeln!(self.out, "    switch ({}) {{", self.ctrl);
                             for (v, c) in children.iter().enumerate() {
                                 let _ = writeln!(self.out, "    case {v}: goto L{};", c.index());
                             }
                             let _ = writeln!(self.out, "    }}");
                         } else {
                             for (v, c) in children.iter().enumerate().skip(1) {
-                                let _ =
-                                    writeln!(self.out, "    if (ctrl == {v}) goto L{};", c.index());
+                                let _ = writeln!(
+                                    self.out,
+                                    "    if ({} == {v}) goto L{};",
+                                    self.ctrl,
+                                    c.index()
+                                );
                             }
                         }
                         // Default arm falls through to child 0.

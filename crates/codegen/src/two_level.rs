@@ -17,6 +17,7 @@
 
 use polis_cfsm::Cfsm;
 use polis_sgraph::{AssignLabel, NodeId, SGraph, SNode, TestLabel};
+use std::convert::Infallible;
 
 /// Decision atoms of one state: presence flags and data tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +30,7 @@ enum Atom {
 pub fn two_level_sgraph(cfsm: &Cfsm) -> SGraph {
     let mut g = SGraph::new(format!("{}_2lvl", cfsm.name()));
     let nstates = cfsm.states().len();
-    let width = ctrl_width(nstates);
+    let width = cfsm.ctrl_width();
 
     let mut state_entries = Vec::with_capacity(nstates);
     for s in 0..nstates {
@@ -46,14 +47,6 @@ pub fn two_level_sgraph(cfsm: &Cfsm) -> SGraph {
     }
     debug_assert_eq!(g.validate(), Ok(()));
     g
-}
-
-fn ctrl_width(domain: usize) -> usize {
-    if domain <= 2 {
-        1
-    } else {
-        (64 - (domain as u64 - 1).leading_zeros()) as usize
-    }
 }
 
 /// Builds the complete decision structure for one state.
@@ -135,11 +128,8 @@ fn leaf(
             Atom::Test(i) => tests[*i] = v,
         }
     }
-    let fired = cfsm
-        .transitions()
-        .iter()
-        .find(|t| t.from == state && t.guard.eval(&present, &tests));
-    let Some(tr) = fired else {
+    let Ok(fired) = cfsm.winner(state, &present, &mut |i| Ok::<_, Infallible>(tests[i]));
+    let Some(tr) = fired.map(|t| &cfsm.transitions()[t]) else {
         return NodeId::END; // no transition: empty reaction
     };
 

@@ -3,7 +3,8 @@
 use crate::params::{CostPair, CostParams, OpClass};
 use polis_cfsm::{Action, Cfsm};
 use polis_expr::Expr;
-use polis_sgraph::{analysis, AssignLabel, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel};
+use polis_sgraph::analysis::EntryCopies;
+use polis_sgraph::{AssignLabel, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel};
 use polis_vm::BufferPolicy;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
@@ -28,13 +29,8 @@ pub struct Estimate {
 pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPolicy) -> Estimate {
     let reachable = g.reachable();
 
-    // Entry overhead: call/return plus one local init per buffered copy.
-    let buffered = match policy {
-        BufferPolicy::All => analysis::vars_referenced(cfsm, g).len(),
-        BufferPolicy::Minimal => analysis::vars_needing_buffer(cfsm, g).len(),
-    };
-    let ctrl_copies = usize::from(cfsm.states().len() > 1 && policy == BufferPolicy::All);
-    let copies = buffered + ctrl_copies;
+    // Entry overhead: call/return plus one local init per entry copy.
+    let copies = EntryCopies::of(cfsm, g, policy).count();
 
     let mut size = params.call_return.bytes + copies as f64 * params.local_init.bytes;
     let mut node_cycles: HashMap<NodeId, f64> = HashMap::new();
@@ -43,7 +39,7 @@ pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPoli
         let c = node_cost(cfsm, g, id, params);
         size += c.bytes;
         node_cycles.insert(id, c.cycles);
-        for s in successors(g, id) {
+        for &s in g.node(id).successors() {
             *parents.entry(s).or_default() += 1;
         }
     }
@@ -76,15 +72,6 @@ pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPoli
         min_cycles: min_cycles.round().max(0.0) as u64,
         max_cycles: max_cycles.round().max(0.0) as u64,
         ram_bytes: ram.round().max(0.0) as u64,
-    }
-}
-
-/// The children of `id`, in outcome order for a TEST.
-fn successors(g: &SGraph, id: NodeId) -> Vec<NodeId> {
-    match g.node(id) {
-        SNode::Begin { next } | SNode::Assign { next, .. } => vec![*next],
-        SNode::End => vec![],
-        SNode::Test { children, .. } => children.clone(),
     }
 }
 
@@ -250,7 +237,9 @@ fn pert_longest(g: &SGraph, cycles: &HashMap<NodeId, f64>, params: &CostParams) 
     let mut longest: HashMap<NodeId, f64> = HashMap::new();
     for &id in order.iter().rev() {
         let own = cycles.get(&id).copied().unwrap_or(0.0);
-        let best = successors(g, id)
+        let best = g
+            .node(id)
+            .successors()
             .iter()
             .enumerate()
             .map(|(k, s)| edge_cycles(g, id, k, params) + longest[s])
@@ -291,7 +280,7 @@ fn dijkstra_shortest(g: &SGraph, cycles: &HashMap<NodeId, f64>, params: &CostPar
         if id == NodeId::END {
             return d;
         }
-        for (k, s) in successors(g, id).into_iter().enumerate() {
+        for (k, &s) in g.node(id).successors().iter().enumerate() {
             let nd = d + edge_cycles(g, id, k, params) + cycles.get(&s).copied().unwrap_or(0.0);
             if nd < dist.get(&s).copied().unwrap_or(f64::INFINITY) {
                 dist.insert(s, nd);

@@ -23,7 +23,8 @@ use crate::cost::{edge_cycles, node_cost};
 use crate::params::CostParams;
 use polis_cfsm::Cfsm;
 use polis_expr::{BinOp, Expr, Value};
-use polis_sgraph::{NodeId, SGraph, SNode, TestLabel};
+use polis_sgraph::analysis::EntryCopies;
+use polis_sgraph::{BufferPolicy, NodeId, SGraph, SNode, TestLabel};
 use std::collections::HashMap;
 
 /// An atom whose truth value a path can fix.
@@ -169,6 +170,10 @@ const MAX_TRACKED_ATOMS: usize = 16;
 /// the true dynamic worst case and ≤ the plain PERT bound; falls back to
 /// the plain bound when more than `MAX_TRACKED_ATOMS` (16) atoms are
 /// constrained.
+///
+/// The bound assumes the buffer-all entry copies
+/// ([`BufferPolicy::All`]); under [`BufferPolicy::Minimal`] it may count
+/// copies the routine does not make, which only loosens it.
 pub fn max_cycles_false_path_aware(
     cfsm: &Cfsm,
     g: &SGraph,
@@ -223,59 +228,60 @@ pub fn max_cycles_false_path_aware(
             return m;
         }
         let own = node_cost(cfsm, g, id, params).cycles;
-        let result = match g.node(id) {
-            SNode::End => Some(own),
-            SNode::Test { label, children } => {
-                let atom = match label {
-                    TestLabel::Present { input } => Some(PathAtom::Present(*input)),
-                    TestLabel::TestExpr { test } => Some(PathAtom::Test(*test)),
-                    _ => None,
-                };
-                let ai = atom.and_then(|a| atoms.iter().position(|&x| x == a));
-                let mut best: Option<f64> = None;
-                for (k, &c) in children.iter().enumerate() {
-                    let (mut nd, mut nv) = (defined, values);
-                    if let Some(ai) = ai {
-                        let want = k == 1;
-                        let bit = 1u32 << ai;
-                        if nd & bit != 0 {
-                            // Atom already fixed on this path: must agree.
-                            if (nv & bit != 0) != want {
-                                continue;
-                            }
-                        } else {
-                            // Check incompatibilities with fixed atoms.
-                            let conflicts = forbidden
-                                .get(&(ai, want))
-                                .map(|l| {
-                                    l.iter().any(|&(j, pj)| {
-                                        let jb = 1u32 << j;
-                                        nd & jb != 0 && (nv & jb != 0) == pj
-                                    })
-                                })
-                                .unwrap_or(false);
-                            if conflicts {
-                                continue;
-                            }
-                            nd |= bit;
-                            if want {
-                                nv |= bit;
-                            }
-                        }
+        let node = g.node(id);
+        if matches!(node, SNode::End) {
+            return Some(own);
+        }
+        let atom = match node {
+            SNode::Test {
+                label: TestLabel::Present { input },
+                ..
+            } => Some(PathAtom::Present(*input)),
+            SNode::Test {
+                label: TestLabel::TestExpr { test },
+                ..
+            } => Some(PathAtom::Test(*test)),
+            _ => None,
+        };
+        let ai = atom.and_then(|a| atoms.iter().position(|&x| x == a));
+        let mut best: Option<f64> = None;
+        for (k, &c) in node.successors().iter().enumerate() {
+            let (mut nd, mut nv) = (defined, values);
+            if let Some(ai) = ai {
+                let want = k == 1;
+                let bit = 1u32 << ai;
+                if nd & bit != 0 {
+                    // Atom already fixed on this path: must agree.
+                    if (nv & bit != 0) != want {
+                        continue;
                     }
-                    let tail = rec(cfsm, g, params, atoms, forbidden, c, nd, nv, memo);
-                    if let Some(t) = tail {
-                        let total = edge_cycles(g, id, k, params) + t;
-                        best = Some(best.map_or(total, |b: f64| b.max(total)));
+                } else {
+                    // Check incompatibilities with fixed atoms.
+                    let conflicts = forbidden
+                        .get(&(ai, want))
+                        .map(|l| {
+                            l.iter().any(|&(j, pj)| {
+                                let jb = 1u32 << j;
+                                nd & jb != 0 && (nv & jb != 0) == pj
+                            })
+                        })
+                        .unwrap_or(false);
+                    if conflicts {
+                        continue;
+                    }
+                    nd |= bit;
+                    if want {
+                        nv |= bit;
                     }
                 }
-                best.map(|b| own + b)
             }
-            SNode::Begin { next } | SNode::Assign { next, .. } => rec(
-                cfsm, g, params, atoms, forbidden, *next, defined, values, memo,
-            )
-            .map(|t| own + t),
-        };
+            let tail = rec(cfsm, g, params, atoms, forbidden, c, nd, nv, memo);
+            if let Some(t) = tail {
+                let total = edge_cycles(g, id, k, params) + t;
+                best = Some(best.map_or(total, |b: f64| b.max(total)));
+            }
+        }
+        let result = best.map(|b| own + b);
         memo.insert((id, defined, values), result);
         result
     }
@@ -302,13 +308,13 @@ pub fn max_cycles_false_path_aware(
 }
 
 fn plain_pert(cfsm: &Cfsm, g: &SGraph, params: &CostParams) -> u64 {
-    crate::cost::estimate(cfsm, g, params, polis_vm::BufferPolicy::All).max_cycles
+    crate::cost::estimate(cfsm, g, params, BufferPolicy::All).max_cycles
 }
 
+/// Call/return plus the buffer-all entry copies.
 fn entry_cycles(cfsm: &Cfsm, g: &SGraph, params: &CostParams) -> f64 {
-    let buffered = polis_sgraph::analysis::vars_referenced(cfsm, g).len();
-    let ctrl = usize::from(cfsm.states().len() > 1);
-    params.call_return.cycles + (buffered + ctrl) as f64 * params.local_init.cycles
+    let copies = EntryCopies::of(cfsm, g, BufferPolicy::All).count();
+    params.call_return.cycles + copies as f64 * params.local_init.cycles
 }
 
 #[cfg(test)]

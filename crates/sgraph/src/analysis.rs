@@ -1,179 +1,182 @@
-//! Data-flow analyses over s-graphs.
+//! Entry copies: which locations a reaction routine copies on entry.
 //!
-//! The shock-absorber experiment (Section V-B) attributes most of the
-//! synthesized ROM/RAM overhead to the blanket copy of "all variables used
-//! by an s-graph upon entry", and announces "a data flow analysis step that
-//! will allow us to detect write-before-read cases that require such
-//! buffering" as future work. [`vars_needing_buffer`] is that analysis: a
-//! state variable needs an entry copy only if some execution path may
-//! *read* it (in a test, an emission value, or an assignment right-hand
-//! side) after an assignment to it has already executed.
+//! A reaction reads the *pre-reaction* state, but its routine writes the
+//! state in place, so a location read after it has been written on some
+//! path must be read from a copy taken on entry. The shock-absorber
+//! experiment (Section V-B) attributes most of the synthesized ROM/RAM
+//! overhead to the blanket copy of "all variables used by an s-graph upon
+//! entry", and announces "a data flow analysis step that will allow us to
+//! detect write-before-read cases that require such buffering" as future
+//! work.
+//!
+//! [`EntryCopies::of`] is the one place that decides the copies; the C
+//! emitter, the object-code compiler and the estimators all read it. The
+//! locations are the state variables and the control state. Under
+//! [`BufferPolicy::All`] every referenced state variable is copied, and
+//! the control state whenever the machine has more than one. Under
+//! [`BufferPolicy::Minimal`] a forward write-before-read pass copies a
+//! location only if some path reads it after writing it. A state variable
+//! is read by a test, an emission value or an assignment right-hand side,
+//! and written by an assignment. The control state is read by
+//! control-bit and control-switch tests and by control bits inside
+//! collapsed or computed conditions, and written by next-state
+//! assignments.
 
-use crate::graph::{AssignLabel, SGraph, SNode, TestLabel};
+use crate::graph::{AssignLabel, ComputedTarget, SGraph, SNode, TestLabel};
+use crate::Cond;
 use polis_cfsm::{Action, Cfsm};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
-/// How aggressively code generators buffer state variables on reaction
-/// entry.
+/// How aggressively code generators buffer the state on reaction entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufferPolicy {
-    /// Copy every referenced variable (the paper's implementation, whose
-    /// ROM/RAM cost Section V-B discusses).
+    /// Copy every referenced variable and the control state (the paper's
+    /// implementation, whose ROM/RAM cost Section V-B discusses).
     All,
-    /// Copy only variables with a write-before-read hazard (the paper's
+    /// Copy only locations with a write-before-read hazard (the paper's
     /// announced future-work data-flow optimization).
     Minimal,
 }
 
-/// Returns the names of state variables that must be copied on reaction
-/// entry to preserve the read-pre-state semantics.
-///
-/// The analysis is a conservative forward data-flow pass: for each vertex
-/// it accumulates the set of variables possibly written on *some* path to
-/// it; any vertex reading such a variable marks it as needing a buffer.
-pub fn vars_needing_buffer(cfsm: &Cfsm, g: &SGraph) -> BTreeSet<String> {
-    // Reads/writes per vertex, by state-variable name.
-    let test_reads =
-        |test: usize| -> Vec<String> { expr_state_reads(cfsm, &cfsm.tests()[test].expr) };
-    let action_rw = |action: usize| -> (Vec<String>, Option<String>) {
-        match &cfsm.actions()[action] {
-            Action::Emit { value, .. } => (
-                value
-                    .as_ref()
-                    .map(|e| expr_state_reads(cfsm, e))
-                    .unwrap_or_default(),
-                None,
-            ),
-            Action::Assign { var, value } => (
-                expr_state_reads(cfsm, value),
-                Some(cfsm.state_vars()[*var].name.clone()),
-            ),
-        }
-    };
+/// The locations a reaction routine copies on entry under a
+/// [`BufferPolicy`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EntryCopies {
+    /// Copied state variables, by name.
+    pub vars: BTreeSet<String>,
+    /// Whether the control state is copied.
+    pub ctrl: bool,
+}
 
-    let mut written_before: HashMap<crate::NodeId, HashSet<String>> = HashMap::new();
-    let mut need = BTreeSet::new();
-    let order = g.topo_order();
-    for &id in &order {
-        let before = written_before.entry(id).or_default().clone();
-        let mut after = before.clone();
-        let mut reads: Vec<String> = Vec::new();
-        match g.node(id) {
-            SNode::Begin { .. } | SNode::End => {}
-            SNode::Test { label, .. } => match label {
-                TestLabel::TestExpr { test } => reads = test_reads(*test),
-                TestLabel::Compound { cond } => {
-                    collect_cond_tests(cond, &mut |t| reads.extend(test_reads(t)));
-                }
-                _ => {}
-            },
-            SNode::Assign { label, .. } => match label {
-                AssignLabel::Action { action } => {
-                    let (r, w) = action_rw(*action);
-                    reads = r;
-                    if let Some(w) = w {
-                        after.insert(w);
-                    }
-                }
-                AssignLabel::Computed { target, cond } => {
-                    collect_cond_tests(cond, &mut |t| reads.extend(test_reads(t)));
-                    if let crate::ComputedTarget::Action { action } = target {
-                        let (r, w) = action_rw(*action);
-                        reads.extend(r);
-                        if let Some(w) = w {
-                            after.insert(w);
-                        }
-                    }
-                }
-                AssignLabel::Consume | AssignLabel::NextCtrlBits { .. } => {}
-            },
-        }
-        for r in reads {
-            if before.contains(&r) {
-                need.insert(r);
+impl EntryCopies {
+    /// The entry copies of the routine implementing `cfsm` as `g`.
+    pub fn of(cfsm: &Cfsm, g: &SGraph, policy: BufferPolicy) -> EntryCopies {
+        let multi_state = cfsm.states().len() > 1;
+        let (vars, ctrl) = match policy {
+            BufferPolicy::All => (vars_referenced(cfsm, g), multi_state),
+            BufferPolicy::Minimal => {
+                let mut need = write_before_read(cfsm, g);
+                let ctrl = need.remove(&ctrl_location(cfsm));
+                (need, ctrl && multi_state)
             }
-        }
-        // Propagate to successors (union over predecessors).
-        let succs: Vec<crate::NodeId> = match g.node(id) {
-            SNode::Begin { next } | SNode::Assign { next, .. } => vec![*next],
-            SNode::End => vec![],
-            SNode::Test { children, .. } => children.clone(),
         };
-        for s in succs {
-            written_before
-                .entry(s)
-                .or_default()
-                .extend(after.iter().cloned());
+        EntryCopies {
+            vars: vars
+                .into_iter()
+                .map(|v| cfsm.state_vars()[v].name.clone())
+                .collect(),
+            ctrl,
+        }
+    }
+
+    /// Number of copies, each one local initialization on entry.
+    pub fn count(&self) -> usize {
+        self.vars.len() + usize::from(self.ctrl)
+    }
+}
+
+/// The control state's location: state variable `i` is location `i`.
+fn ctrl_location(cfsm: &Cfsm) -> usize {
+    cfsm.state_vars().len()
+}
+
+/// Every state variable the reachable part of `g` reads or writes.
+fn vars_referenced(cfsm: &Cfsm, g: &SGraph) -> BTreeSet<usize> {
+    let ctrl = ctrl_location(cfsm);
+    let mut out = BTreeSet::new();
+    for id in g.reachable() {
+        accesses(cfsm, g.node(id), ctrl, &mut |loc, _| {
+            out.insert(loc);
+        });
+    }
+    out.remove(&ctrl);
+    out
+}
+
+/// The locations some path reads after writing them: a forward pass that
+/// accumulates, for each vertex, the locations possibly written on *some*
+/// path to it.
+fn write_before_read(cfsm: &Cfsm, g: &SGraph) -> BTreeSet<usize> {
+    let ctrl = ctrl_location(cfsm);
+    let mut written_before: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); g.len()];
+    let mut need = BTreeSet::new();
+    for id in g.topo_order() {
+        let node = g.node(id);
+        let before = std::mem::take(&mut written_before[id.index()]);
+        let mut after = before.clone();
+        accesses(cfsm, node, ctrl, &mut |loc, write| {
+            if write {
+                after.insert(loc);
+            } else if before.contains(&loc) {
+                need.insert(loc);
+            }
+        });
+        for s in node.successors() {
+            written_before[s.index()].extend(&after);
         }
     }
     need
 }
 
-/// All state variables an s-graph can read or write (used to size the
-/// local-copy frame when buffering everything, the paper's default).
-pub fn vars_referenced(cfsm: &Cfsm, g: &SGraph) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for id in g.reachable() {
-        match g.node(id) {
-            SNode::Test {
-                label: TestLabel::TestExpr { test },
-                ..
-            } => out.extend(expr_state_reads(cfsm, &cfsm.tests()[*test].expr)),
-            SNode::Test {
-                label: TestLabel::Compound { cond },
-                ..
-            } => collect_cond_tests(cond, &mut |t| {
-                out.extend(expr_state_reads(cfsm, &cfsm.tests()[t].expr))
-            }),
-            SNode::Assign { label, .. } => match label {
-                AssignLabel::Action { action } => collect_action_vars(cfsm, *action, &mut out),
-                AssignLabel::Computed { target, cond } => {
-                    collect_cond_tests(cond, &mut |t| {
-                        out.extend(expr_state_reads(cfsm, &cfsm.tests()[t].expr))
-                    });
-                    if let crate::ComputedTarget::Action { action } = target {
-                        collect_action_vars(cfsm, *action, &mut out);
-                    }
+/// Calls `f(location, is_write)` for every location `node` reads or
+/// writes; `ctrl` is the control state's location.
+fn accesses(cfsm: &Cfsm, node: &SNode, ctrl: usize, f: &mut impl FnMut(usize, bool)) {
+    match node {
+        SNode::Begin { .. } | SNode::End => {}
+        SNode::Test { label, .. } => match label {
+            TestLabel::Present { .. } => {}
+            TestLabel::TestExpr { test } => expr_reads(cfsm, &cfsm.tests()[*test].expr, f),
+            TestLabel::CtrlBit { .. } | TestLabel::CtrlSwitch { .. } => f(ctrl, false),
+            TestLabel::Compound { cond } => cond_reads(cfsm, cond, ctrl, f),
+        },
+        SNode::Assign { label, .. } => match label {
+            AssignLabel::Consume => {}
+            AssignLabel::Action { action } => action_accesses(cfsm, *action, f),
+            AssignLabel::NextCtrlBits { .. } => f(ctrl, true),
+            AssignLabel::Computed { target, cond } => {
+                cond_reads(cfsm, cond, ctrl, f);
+                match target {
+                    ComputedTarget::Consume => {}
+                    ComputedTarget::Action { action } => action_accesses(cfsm, *action, f),
+                    ComputedTarget::CtrlBit { .. } => f(ctrl, true),
                 }
-                _ => {}
-            },
-            _ => {}
-        }
+            }
+        },
     }
-    out
 }
 
-fn collect_action_vars(cfsm: &Cfsm, action: usize, out: &mut BTreeSet<String>) {
+fn action_accesses(cfsm: &Cfsm, action: usize, f: &mut impl FnMut(usize, bool)) {
     match &cfsm.actions()[action] {
         Action::Emit { value, .. } => {
             if let Some(e) = value {
-                out.extend(expr_state_reads(cfsm, e));
+                expr_reads(cfsm, e, f);
             }
         }
         Action::Assign { var, value } => {
-            out.insert(cfsm.state_vars()[*var].name.clone());
-            out.extend(expr_state_reads(cfsm, value));
+            expr_reads(cfsm, value, f);
+            f(*var, true);
         }
     }
 }
 
-fn expr_state_reads(cfsm: &Cfsm, e: &polis_expr::Expr) -> Vec<String> {
-    e.support()
-        .into_iter()
-        .filter(|n| cfsm.state_var_index(n).is_some())
-        .collect()
+fn expr_reads(cfsm: &Cfsm, e: &polis_expr::Expr, f: &mut impl FnMut(usize, bool)) {
+    e.visit_vars(&mut |name| {
+        if let Some(v) = cfsm.state_var_index(name) {
+            f(v, false);
+        }
+    });
 }
 
-fn collect_cond_tests(cond: &crate::Cond, f: &mut impl FnMut(usize)) {
-    use crate::Cond;
+fn cond_reads(cfsm: &Cfsm, cond: &Cond, ctrl: usize, f: &mut impl FnMut(usize, bool)) {
     match cond {
-        Cond::Test(t) => f(*t),
-        Cond::Not(a) => collect_cond_tests(a, f),
+        Cond::Test(t) => expr_reads(cfsm, &cfsm.tests()[*t].expr, f),
+        Cond::CtrlBit { .. } => f(ctrl, false),
+        Cond::Not(a) => cond_reads(cfsm, a, ctrl, f),
         Cond::And(a, b) | Cond::Or(a, b) => {
-            collect_cond_tests(a, f);
-            collect_cond_tests(b, f);
+            cond_reads(cfsm, a, ctrl, f);
+            cond_reads(cfsm, b, ctrl, f);
         }
-        Cond::Const(_) | Cond::Present(_) | Cond::CtrlBit { .. } => {}
+        Cond::Const(_) | Cond::Present(_) => {}
     }
 }
 
@@ -181,6 +184,7 @@ fn collect_cond_tests(cond: &crate::Cond, f: &mut impl FnMut(usize)) {
 mod tests {
     use super::*;
     use crate::builder::build;
+    use crate::ite_chain;
     use polis_cfsm::{Cfsm, ReactiveFn};
     use polis_expr::{Expr, Type, Value};
 
@@ -209,10 +213,16 @@ mod tests {
         let m = b.build().unwrap();
         let rf = ReactiveFn::build(&m);
         let g = build(&rf).unwrap();
-        assert!(vars_needing_buffer(&m, &g).is_empty());
         assert_eq!(
-            vars_referenced(&m, &g),
-            ["a".to_string()].into_iter().collect()
+            EntryCopies::of(&m, &g, BufferPolicy::Minimal),
+            EntryCopies::default()
+        );
+        assert_eq!(
+            EntryCopies::of(&m, &g, BufferPolicy::All),
+            EntryCopies {
+                vars: ["a".to_string()].into_iter().collect(),
+                ctrl: false,
+            }
         );
     }
 
@@ -233,7 +243,7 @@ mod tests {
         let m = b.build().unwrap();
         let rf = ReactiveFn::build(&m);
         let g = build(&rf).unwrap();
-        let need = vars_needing_buffer(&m, &g);
+        let need = EntryCopies::of(&m, &g, BufferPolicy::Minimal).vars;
         assert!(!need.is_empty(), "swap requires at least one buffer");
     }
 
@@ -256,7 +266,7 @@ mod tests {
         let g = build(&rf).unwrap();
         // Whether `n` needs buffering depends on the action order on the
         // path; the analysis must be conservative over the actual graph.
-        let need = vars_needing_buffer(&m, &g);
+        let need = EntryCopies::of(&m, &g, BufferPolicy::Minimal).vars;
         // The assignment and the emission both appear; if the assignment
         // precedes the emission in the BDD order, n must be buffered.
         let order_has_write_first = {
@@ -278,5 +288,44 @@ mod tests {
             read_after
         };
         assert_eq!(need.contains("n"), order_has_write_first);
+    }
+
+    /// s0 → s1 → s2 → s0 on each `tick`: two control bits.
+    fn ring() -> Cfsm {
+        let mut b = Cfsm::builder("ring");
+        b.input_pure("tick");
+        b.output_pure("wrap");
+        let s: Vec<_> = (0..3).map(|i| b.ctrl_state(format!("s{i}"))).collect();
+        b.transition(s[0], s[1]).when_present("tick").done();
+        b.transition(s[1], s[2]).when_present("tick").done();
+        b.transition(s[2], s[0])
+            .when_present("tick")
+            .emit("wrap")
+            .done();
+        b.build().unwrap()
+    }
+
+    /// A decision graph tests the control state before it assigns the
+    /// next one, so only buffer-all copies it.
+    #[test]
+    fn decision_graphs_read_the_control_state_before_writing_it() {
+        let m = ring();
+        let g = build(&ReactiveFn::build(&m)).unwrap();
+        assert!(EntryCopies::of(&m, &g, BufferPolicy::All).ctrl);
+        assert_eq!(
+            EntryCopies::of(&m, &g, BufferPolicy::Minimal),
+            EntryCopies::default()
+        );
+    }
+
+    /// An ITE chain computes the second next-state bit from the current
+    /// control state after it has stored the first one.
+    #[test]
+    fn ite_chains_read_the_control_state_after_writing_it() {
+        let m = ring();
+        let g = ite_chain(&mut ReactiveFn::build(&m));
+        let copies = EntryCopies::of(&m, &g, BufferPolicy::Minimal);
+        assert!(copies.ctrl && copies.vars.is_empty(), "{copies:?}");
+        assert_eq!(copies.count(), 1);
     }
 }

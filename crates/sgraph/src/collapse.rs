@@ -34,16 +34,8 @@ pub fn collapse(g: &SGraph, opts: CollapseOptions) -> SGraph {
     // Global parent counts decide single-entry membership.
     let mut parents: HashMap<NodeId, usize> = HashMap::new();
     for id in g.reachable() {
-        match g.node(id) {
-            SNode::Begin { next } | SNode::Assign { next, .. } => {
-                *parents.entry(*next).or_default() += 1;
-            }
-            SNode::Test { children, .. } => {
-                for &c in children {
-                    *parents.entry(c).or_default() += 1;
-                }
-            }
-            SNode::End => {}
+        for &c in g.node(id).successors() {
+            *parents.entry(c).or_default() += 1;
         }
     }
 

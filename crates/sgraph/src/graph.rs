@@ -133,6 +133,18 @@ pub enum SNode {
     },
 }
 
+impl SNode {
+    /// The successors: a TEST's children in outcome order, the `next` of
+    /// BEGIN and ASSIGN, none for END.
+    pub fn successors(&self) -> &[NodeId] {
+        match self {
+            SNode::Begin { next } | SNode::Assign { next, .. } => std::slice::from_ref(next),
+            SNode::End => &[],
+            SNode::Test { children, .. } => children,
+        }
+    }
+}
+
 /// A software graph: the control-flow skeleton of one CFSM's reaction.
 ///
 /// Size measures of an s-graph, collected in one reachability pass by
@@ -225,16 +237,7 @@ impl SGraph {
             }
             seen[id.index()] = true;
             order.push(id);
-            match &self.nodes[id.index()] {
-                SNode::Begin { next } => stack.push(*next),
-                SNode::End => {}
-                SNode::Test { children, .. } => {
-                    for &c in children.iter().rev() {
-                        stack.push(c);
-                    }
-                }
-                SNode::Assign { next, .. } => stack.push(*next),
-            }
+            stack.extend(self.nodes[id.index()].successors().iter().rev());
         }
         order
     }
@@ -285,15 +288,10 @@ impl SGraph {
         let order = self.topo_order();
         let mut depth = vec![0usize; self.nodes.len()];
         for &id in order.iter().rev() {
-            match &self.nodes[id.index()] {
-                SNode::End => depth[id.index()] = 0,
-                SNode::Begin { next } => depth[id.index()] = depth[next.index()],
-                SNode::Assign { next, .. } => depth[id.index()] = depth[next.index()],
-                SNode::Test { children, .. } => {
-                    depth[id.index()] =
-                        1 + children.iter().map(|c| depth[c.index()]).max().unwrap_or(0);
-                }
-            }
+            let node = &self.nodes[id.index()];
+            let below = node.successors().iter().map(|c| depth[c.index()]).max();
+            depth[id.index()] =
+                below.unwrap_or(0) + usize::from(matches!(node, SNode::Test { .. }));
         }
         depth[0]
     }
@@ -322,18 +320,11 @@ impl SGraph {
             }
             state[id.index()] = 1;
             stack.push((id, true));
-            match &self.nodes[id.index()] {
-                SNode::Begin { next } => stack.push((*next, false)),
-                SNode::End => {}
-                SNode::Test { children, .. } => {
-                    for &c in children {
-                        if state[c.index()] == 1 {
-                            panic!("s-graph contains a cycle through node {}", c.0);
-                        }
-                        stack.push((c, false));
-                    }
+            for &c in self.nodes[id.index()].successors() {
+                if state[c.index()] == 1 {
+                    panic!("s-graph contains a cycle through node {}", c.0);
                 }
-                SNode::Assign { next, .. } => stack.push((*next, false)),
+                stack.push((c, false));
             }
         }
         order.reverse();
@@ -358,25 +349,20 @@ impl SGraph {
                     Ok(())
                 }
             };
-            match n {
-                SNode::Begin { next } => check(*next)?,
-                SNode::End => {}
-                SNode::Test { label, children } => {
-                    let want = match label {
-                        TestLabel::CtrlSwitch { states } => *states,
-                        _ => 2,
-                    };
-                    if children.len() != want {
-                        return Err(format!(
-                            "node {i}: TEST has {} children, expected {want}",
-                            children.len()
-                        ));
-                    }
-                    for &c in children {
-                        check(c)?;
-                    }
+            if let SNode::Test { label, children } = n {
+                let want = match label {
+                    TestLabel::CtrlSwitch { states } => *states,
+                    _ => 2,
+                };
+                if children.len() != want {
+                    return Err(format!(
+                        "node {i}: TEST has {} children, expected {want}",
+                        children.len()
+                    ));
                 }
-                SNode::Assign { next, .. } => check(*next)?,
+            }
+            for &c in n.successors() {
+                check(c)?;
             }
         }
         // Acyclicity via DFS colors.
@@ -388,14 +374,8 @@ impl SGraph {
                 _ => {}
             }
             state[id.index()] = 1;
-            match g.node(id) {
-                SNode::Begin { next } | SNode::Assign { next, .. } => dfs(g, *next, state)?,
-                SNode::End => {}
-                SNode::Test { children, .. } => {
-                    for &c in children {
-                        dfs(g, c, state)?;
-                    }
-                }
+            for &c in g.node(id).successors() {
+                dfs(g, c, state)?;
             }
             state[id.index()] = 2;
             Ok(())
@@ -557,16 +537,8 @@ mod tests {
         let order = g.topo_order();
         let pos = |id: NodeId| order.iter().position(|&x| x == id).unwrap();
         for &id in &order {
-            match g.node(id) {
-                SNode::Begin { next } | SNode::Assign { next, .. } => {
-                    assert!(pos(id) < pos(*next));
-                }
-                SNode::Test { children, .. } => {
-                    for &c in children {
-                        assert!(pos(id) < pos(c));
-                    }
-                }
-                SNode::End => {}
+            for &c in g.node(id).successors() {
+                assert!(pos(id) < pos(c));
             }
         }
     }

@@ -16,8 +16,12 @@
 //! * [`collapse`] — the experimental TEST-node collapsing optimization
 //!   (Section III-B3d);
 //! * [`SGraph::evaluate`] — the `evaluate` procedure of Definition 2,
-//!   used both as the reference executable semantics and by the RTOS
-//!   co-simulator;
+//!   the reference executable semantics that tests check synthesized
+//!   s-graphs against (the RTOS co-simulator runs the compiled vm object
+//!   code instead);
+//! * [`analysis::EntryCopies`] — which state variables and whether the
+//!   control state a reaction routine copies on entry, read by every
+//!   back end and estimator;
 //! * [`execute`] — convenience wrapper running a full CFSM reaction
 //!   through an s-graph (evaluating tests lazily, executing actions).
 //!

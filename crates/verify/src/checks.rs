@@ -7,19 +7,22 @@ use crate::{DeadTransition, DeadlockWitness, LostEvent};
 use polis_bdd::{NodeRef, Var};
 use polis_cfsm::Network;
 use polis_estimate::{Incompat, PathAtom};
+use std::collections::HashMap;
 
 /// Lost-event analysis: a buffer (consumer, input) can lose an event iff
 /// some reachable state has the buffer full while its emitter can fire an
 /// emitting reaction (Section II-D's "events may be lost"). For primary
 /// inputs the environment can always redeliver, so a full buffer alone
 /// suffices. (Driver ≠ consumer always: `Cfsm::build` rejects machines
-/// consuming their own output.)
+/// consuming their own output.) The emitter's projection is built once
+/// per output and shared by every consumer of the signal.
 pub(crate) fn lost_events(
     model: &mut NetworkModel,
     net: &Network,
     reached: NodeRef,
 ) -> Vec<LostEvent> {
     let cfsms = net.cfsms();
+    let mut emits: HashMap<(usize, usize), NodeRef> = HashMap::new();
     let mut out = Vec::new();
     for buf in net.buffers() {
         let flag = model.vars[buf.consumer].flag_cur[buf.input];
@@ -31,7 +34,9 @@ pub(crate) fn lost_events(
                 let oi = cfsms[d]
                     .output_index(&buf.signal)
                     .expect("driver has output");
-                let emit = model.emit_possible(d, &cfsms[d], oi);
+                let emit = *emits
+                    .entry((d, oi))
+                    .or_insert_with(|| model.emit_possible(d, &cfsms[d], oi));
                 let clash = model.bdd.and(full_reachable, emit);
                 !clash.is_false()
             }

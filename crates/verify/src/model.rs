@@ -404,6 +404,7 @@ mod tests {
     use super::*;
     use polis_core::random::{random_cfsm, RandomSpec, Rng};
     use polis_core::workloads;
+    use std::convert::Infallible;
 
     /// Machines with at most this many input bits (flags, control code,
     /// tests) are checked on every valuation; wider ones on
@@ -491,10 +492,7 @@ mod tests {
             let code = ctrl
                 .iter()
                 .fold(0, |c, v| c << 1 | usize::from(val[v.index()]));
-            let winner = m
-                .transitions()
-                .iter()
-                .position(|t| t.from == code && t.guard.eval(&present, &holds));
+            let Ok(winner) = m.winner(code, &present, &mut |t| Ok::<_, Infallible>(holds[t]));
             for (ti, &cond) in model.conds[i].iter().enumerate() {
                 let on = model.bdd.eval(cond, |v| val[v.index()]);
                 assert_eq!(

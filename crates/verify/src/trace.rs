@@ -31,6 +31,7 @@ use crate::model::{NetworkModel, ReactStep};
 use polis_bdd::{Bdd, NodeRef, Var};
 use polis_cfsm::{Action, Network};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 
 /// Frontier onion rings captured during one reachability run.
@@ -225,16 +226,13 @@ impl CexTrace {
                     // The fired transition must be the declaration-order
                     // priority winner from the current control state
                     // under the recorded presence/test valuation.
-                    let winner = m
-                        .transitions()
-                        .iter()
-                        .position(|t| {
-                            t.from == cur.ctrl[*machine]
-                                && t.guard.eval(&cur.pending[*machine], tests)
-                        })
-                        .ok_or_else(|| {
-                            format!("step {i}: no transition of `{}` is enabled", m.name())
-                        })?;
+                    let Ok(winner) =
+                        m.winner(cur.ctrl[*machine], &cur.pending[*machine], &mut |t| {
+                            Ok::<_, Infallible>(tests[t])
+                        });
+                    let winner = winner.ok_or_else(|| {
+                        format!("step {i}: no transition of `{}` is enabled", m.name())
+                    })?;
                     if winner != *transition {
                         return Err(format!(
                             "step {i}: `{}` priority winner is #{winner}, trace fired #{transition}",
@@ -372,10 +370,8 @@ fn decode_react(
         .iter()
         .map(|&f| prev.values.get(&f).copied().unwrap_or(false))
         .collect();
-    let transition = m
-        .transitions()
-        .iter()
-        .position(|t| t.from == from && t.guard.eval(&present, &tests))?;
+    let Ok(transition) = m.winner(from, &present, &mut |t| Ok::<_, Infallible>(tests[t]));
+    let transition = transition?;
     Some(TraceStep::React {
         machine: mi,
         transition,

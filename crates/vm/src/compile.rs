@@ -9,17 +9,15 @@
 use crate::inst::{Inst, SlotInfo, SlotKind, VmProgram};
 use polis_cfsm::{Action, Cfsm};
 use polis_expr::{Expr, Type, UnOp};
-use polis_sgraph::{analysis, AssignLabel, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel};
-use std::collections::{BTreeSet, HashMap};
+use polis_sgraph::analysis::EntryCopies;
+use polis_sgraph::{AssignLabel, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel};
+use std::collections::HashMap;
 
 pub use polis_sgraph::BufferPolicy;
 
 /// Compiles one CFSM reaction (as an s-graph) into a virtual routine.
 pub fn compile(cfsm: &Cfsm, g: &SGraph, policy: BufferPolicy) -> VmProgram {
-    let buffered: BTreeSet<String> = match policy {
-        BufferPolicy::All => analysis::vars_referenced(cfsm, g),
-        BufferPolicy::Minimal => analysis::vars_needing_buffer(cfsm, g),
-    };
+    let copies = EntryCopies::of(cfsm, g, policy);
 
     // -- slot table --
     let mut slots: Vec<SlotInfo> = Vec::new();
@@ -34,7 +32,7 @@ pub fn compile(cfsm: &Cfsm, g: &SGraph, policy: BufferPolicy) -> VmProgram {
             init: v.init.coerce(v.ty).as_int().unwrap_or(0),
         });
     }
-    for name in &buffered {
+    for name in &copies.vars {
         let of = state_slot[name];
         local_slot.insert(name.clone(), slots.len() as u16);
         slots.push(SlotInfo {
@@ -56,22 +54,20 @@ pub fn compile(cfsm: &Cfsm, g: &SGraph, policy: BufferPolicy) -> VmProgram {
             });
         }
     }
-    let multi_state = cfsm.states().len() > 1;
-    let ctrl_width = polis_bits_for(cfsm.states().len() as u64);
-    let (ctrl_global, ctrl_read) = if multi_state {
+    let (ctrl_global, ctrl_read) = if cfsm.states().len() > 1 {
+        let ctrl_ty = Type::uint(cfsm.ctrl_width() as u8);
         let global = slots.len() as u16;
         slots.push(SlotInfo {
             name: "ctrl".to_owned(),
-            ty: Type::uint(ctrl_width.max(1) as u8),
+            ty: ctrl_ty,
             kind: SlotKind::Ctrl,
             init: cfsm.init_state() as i64,
         });
-        let need_local = policy == BufferPolicy::All || ctrl_needs_buffer(g);
-        let read = if need_local {
+        let read = if copies.ctrl {
             let local = slots.len() as u16;
             slots.push(SlotInfo {
                 name: "ctrl_local".to_owned(),
-                ty: Type::uint(ctrl_width.max(1) as u8),
+                ty: ctrl_ty,
                 kind: SlotKind::CtrlLocal,
                 init: 0,
             });
@@ -99,7 +95,7 @@ pub fn compile(cfsm: &Cfsm, g: &SGraph, policy: BufferPolicy) -> VmProgram {
     };
 
     // Prologue: entry copies (the Section V-B buffering).
-    for name in &buffered {
+    for name in &copies.vars {
         let global = e.state_slot[name];
         let local = e.local_slot[name];
         e.insts.push(Inst::PushVar(global));
@@ -122,66 +118,6 @@ pub fn compile(cfsm: &Cfsm, g: &SGraph, policy: BufferPolicy) -> VmProgram {
         num_inputs: cfsm.inputs().len(),
         num_outputs: cfsm.outputs().len(),
         out_types: cfsm.outputs().iter().map(|s| s.value_type()).collect(),
-    }
-}
-
-fn polis_bits_for(domain: u64) -> usize {
-    if domain <= 2 {
-        1
-    } else {
-        (64 - (domain - 1).leading_zeros()) as usize
-    }
-}
-
-/// Does any path test the control state after writing the next state?
-fn ctrl_needs_buffer(g: &SGraph) -> bool {
-    let mut written: HashMap<NodeId, bool> = HashMap::new();
-    for id in g.topo_order() {
-        let before = *written.entry(id).or_default();
-        let mut after = before;
-        match g.node(id) {
-            SNode::Test { label, .. } => {
-                let reads_ctrl = matches!(
-                    label,
-                    TestLabel::CtrlBit { .. } | TestLabel::CtrlSwitch { .. }
-                ) || matches!(label, TestLabel::Compound { cond } if cond_reads_ctrl(cond));
-                if reads_ctrl && before {
-                    return true;
-                }
-            }
-            SNode::Assign { label, .. } => match label {
-                AssignLabel::NextCtrlBits { .. } => after = true,
-                AssignLabel::Computed { target, cond } => {
-                    if cond_reads_ctrl(cond) && before {
-                        return true;
-                    }
-                    if matches!(target, ComputedTarget::CtrlBit { .. }) {
-                        after = true;
-                    }
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-        let succs: Vec<NodeId> = match g.node(id) {
-            SNode::Begin { next } | SNode::Assign { next, .. } => vec![*next],
-            SNode::End => vec![],
-            SNode::Test { children, .. } => children.clone(),
-        };
-        for s in succs {
-            let entry = written.entry(s).or_default();
-            *entry = *entry || after;
-        }
-    }
-    false
-}
-
-fn cond_reads_ctrl(c: &Cond) -> bool {
-    match c {
-        Cond::CtrlBit { .. } => true,
-        Cond::Not(a) => cond_reads_ctrl(a),
-        Cond::And(a, b) | Cond::Or(a, b) => cond_reads_ctrl(a) || cond_reads_ctrl(b),
-        _ => false,
     }
 }
 

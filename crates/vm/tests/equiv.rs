@@ -225,6 +225,22 @@ fn ite_chain_compiles_and_matches() {
     });
 }
 
+/// ITE chains are the one form whose computed next-state bits can read
+/// the control state after storing part of it, so minimal buffering
+/// must keep the control-state copy there. A dropped copy only shows when
+/// a stored bit changes a later bit's condition, so this runs 8 × 48
+/// cases with longer stimuli.
+#[test]
+fn ite_chain_with_minimal_buffering_matches() {
+    for tag in 0x20..0x28 {
+        for_each_case(tag, 16, |m, stim| {
+            let mut rf = ReactiveFn::build(m);
+            let g = ite_chain(&mut rf);
+            check_machine(m, &g, BufferPolicy::Minimal, Profile::Mcu8, stim);
+        });
+    }
+}
+
 #[test]
 fn minimal_buffering_never_uses_more_ram() {
     for_each_case(0x15, 2, |m, _stim| {
