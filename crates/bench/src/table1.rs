@@ -20,15 +20,12 @@ pub fn report() -> Vec<String> {
 
     out.push("Table I: estimated vs measured cost (dashboard, Mcu8 target)\n".to_owned());
     out.push(format!(
-        "| {:<10} | {:>8} {:>8} {:>7} | {:>9} {:>9} {:>7} |",
+        "| {:<10} | {:>8} | {:>8} | {:>6} | {:>9} | {:>9} | {:>6} |",
         "CFSM", "est[B]", "meas[B]", "err%", "est[cyc]", "meas[cyc]", "err%"
     ));
-    out.push(format!(
-        "|{}|{}|{}|",
-        "-".repeat(12),
-        "-".repeat(27),
-        "-".repeat(29)
-    ));
+    out.push(
+        "|------------|----------|----------|--------|-----------|-----------|--------|".to_owned(),
+    );
     let mut worst_size = 0.0f64;
     let mut worst_time = 0.0f64;
     for (m, r) in net.cfsms().iter().zip(&results) {
@@ -37,7 +34,7 @@ pub fn report() -> Vec<String> {
         worst_size = worst_size.max(es.abs());
         worst_time = worst_time.max(et.abs());
         out.push(format!(
-            "| {:<10} | {:>8} {:>8} {:>+6.1}% | {:>9} {:>9} {:>+6.1}% |",
+            "| {:<10} | {:>8} | {:>8} | {:>+5.1}% | {:>9} | {:>9} | {:>+5.1}% |",
             m.name(),
             r.estimate.size_bytes,
             r.measured.size_bytes,
@@ -50,14 +47,14 @@ pub fn report() -> Vec<String> {
     let tot_est: u64 = results.iter().map(|r| r.estimate.size_bytes).sum();
     let tot_meas: u64 = results.iter().map(|r| r.measured.size_bytes).sum();
     out.push(format!(
-        "| {:<10} | {:>8} {:>8} {:>+6.1}% | {:>9} {:>9} {:>7} |",
+        "| {:<10} | {:>8} | {:>8} | {:>+5.1}% | {:>9} | {:>9} | {:>6} |",
         "TOTAL",
         tot_est,
         tot_meas,
         pct_err(tot_est, tot_meas),
-        "-",
-        "-",
-        "-"
+        "—",
+        "—",
+        "—"
     ));
     out.push(format!(
         "\nworst-case estimation error: size {worst_size:.1}%, max cycles {worst_time:.1}%"

@@ -216,6 +216,7 @@ impl Cfsm {
                 actions: Vec::new(),
                 transitions: Vec::new(),
             },
+            unknown: None,
         }
     }
 
@@ -589,6 +590,9 @@ impl Error for CfsmError {}
 #[derive(Debug)]
 pub struct CfsmBuilder {
     cfsm: Cfsm,
+    /// The first name a transition referenced that is not declared;
+    /// [`CfsmBuilder::build`] reports it.
+    unknown: Option<CfsmError>,
 }
 
 impl CfsmBuilder {
@@ -668,8 +672,13 @@ impl CfsmBuilder {
     /// # Errors
     ///
     /// Returns a [`CfsmError`] describing the first validation failure; see
-    /// the enum for the checked properties.
+    /// the enum for the checked properties. A transition that named an
+    /// undeclared input, output or state variable is
+    /// [`CfsmError::UnknownRef`] naming the first such name.
     pub fn build(self) -> Result<Cfsm, CfsmError> {
+        if let Some(e) = self.unknown {
+            return Err(e);
+        }
         let m = self.cfsm;
         if m.states.is_empty() {
             return Err(CfsmError::NoStates);
@@ -820,33 +829,35 @@ impl TransitionBuilder<'_> {
         self.guard = if prev == Guard::True { g } else { prev.and(g) };
     }
 
-    /// Requires input `sig` to be present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sig` is not a declared input (builder misuse).
+    /// The index `lookup` finds for `name`; when there is none, records
+    /// `name` for [`CfsmBuilder::build`] to report (the first one wins).
+    fn resolve(&mut self, name: &str, lookup: fn(&Cfsm, &str) -> Option<usize>) -> Option<usize> {
+        let b = &mut *self.builder;
+        let found = lookup(&b.cfsm, name);
+        if found.is_none() && b.unknown.is_none() {
+            b.unknown = Some(CfsmError::UnknownRef {
+                context: format!("transition {}", b.cfsm.transitions.len()),
+                name: name.to_owned(),
+            });
+        }
+        found
+    }
+
+    /// Requires input `sig` to be present. An undeclared `sig` makes
+    /// [`CfsmBuilder::build`] fail.
     pub fn when_present(mut self, sig: &str) -> Self {
-        let i = self
-            .builder
-            .cfsm
-            .input_index(sig)
-            .unwrap_or_else(|| panic!("unknown input `{sig}`"));
-        self.add_guard(Guard::Present(i));
+        if let Some(i) = self.resolve(sig, Cfsm::input_index) {
+            self.add_guard(Guard::Present(i));
+        }
         self
     }
 
-    /// Requires input `sig` to be absent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sig` is not a declared input.
+    /// Requires input `sig` to be absent. An undeclared `sig` makes
+    /// [`CfsmBuilder::build`] fail.
     pub fn when_absent(mut self, sig: &str) -> Self {
-        let i = self
-            .builder
-            .cfsm
-            .input_index(sig)
-            .unwrap_or_else(|| panic!("unknown input `{sig}`"));
-        self.add_guard(Guard::Present(i).not());
+        if let Some(i) = self.resolve(sig, Cfsm::input_index) {
+            self.add_guard(Guard::Present(i).not());
+        }
         self
     }
 
@@ -868,59 +879,33 @@ impl TransitionBuilder<'_> {
         self
     }
 
-    /// Adds a pure emission of output `sig`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sig` is not a declared output.
-    pub fn emit(mut self, sig: &str) -> Self {
-        let signal = self
-            .builder
-            .cfsm
-            .output_index(sig)
-            .unwrap_or_else(|| panic!("unknown output `{sig}`"));
-        let a = self.builder.intern_action(Action::Emit {
-            signal,
-            value: None,
-        });
-        self.actions.push(a);
+    /// Adds a pure emission of output `sig`. An undeclared `sig` makes
+    /// [`CfsmBuilder::build`] fail.
+    pub fn emit(self, sig: &str) -> Self {
+        self.emission(sig, None)
+    }
+
+    /// Adds a valued emission of output `sig`. An undeclared `sig` makes
+    /// [`CfsmBuilder::build`] fail.
+    pub fn emit_value(self, sig: &str, value: Expr) -> Self {
+        self.emission(sig, Some(value))
+    }
+
+    fn emission(mut self, sig: &str, value: Option<Expr>) -> Self {
+        if let Some(signal) = self.resolve(sig, Cfsm::output_index) {
+            let a = self.builder.intern_action(Action::Emit { signal, value });
+            self.actions.push(a);
+        }
         self
     }
 
-    /// Adds a valued emission of output `sig`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sig` is not a declared output.
-    pub fn emit_value(mut self, sig: &str, value: Expr) -> Self {
-        let signal = self
-            .builder
-            .cfsm
-            .output_index(sig)
-            .unwrap_or_else(|| panic!("unknown output `{sig}`"));
-        let a = self.builder.intern_action(Action::Emit {
-            signal,
-            value: Some(value),
-        });
-        self.actions.push(a);
-        self
-    }
-
-    /// Adds an assignment to state variable `var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is not a declared state variable.
+    /// Adds an assignment to state variable `var`. An undeclared `var`
+    /// makes [`CfsmBuilder::build`] fail.
     pub fn assign(mut self, var: &str, value: Expr) -> Self {
-        let vi = self
-            .builder
-            .cfsm
-            .state_var_index(var)
-            .unwrap_or_else(|| panic!("unknown state variable `{var}`"));
-        let a = self
-            .builder
-            .intern_action(Action::Assign { var: vi, value });
-        self.actions.push(a);
+        if let Some(var) = self.resolve(var, Cfsm::state_var_index) {
+            let a = self.builder.intern_action(Action::Assign { var, value });
+            self.actions.push(a);
+        }
         self
     }
 
@@ -1122,6 +1107,39 @@ mod tests {
             b.build(),
             Err(CfsmError::UnknownVar { name, .. }) if name == "nonexistent"
         ));
+    }
+
+    /// Each transition method that names a declaration reports an
+    /// undeclared name from `build`, naming it; the first one wins.
+    #[test]
+    fn validation_unknown_transition_names() {
+        type Step = fn(TransitionBuilder<'_>) -> TransitionBuilder<'_>;
+        let cases: [(&str, Step); 5] = [
+            ("when_present", |t| t.when_present("nope")),
+            ("when_absent", |t| t.when_absent("nope")),
+            ("emit", |t| t.emit("nope")),
+            ("emit_value", |t| t.emit_value("nope", Expr::int(1))),
+            ("assign", |t| t.assign("nope", Expr::int(1))),
+        ];
+        for (method, step) in cases {
+            let mut b = Cfsm::builder("bad");
+            b.input_pure("go");
+            b.output_pure("y");
+            b.state_var("a", Type::uint(8), Value::Int(0));
+            let s = b.ctrl_state("s");
+            b.transition(s, s).when_present("go").emit("y").done();
+            step(b.transition(s, s))
+                .assign("later", Expr::int(0))
+                .done();
+            assert_eq!(
+                b.build(),
+                Err(CfsmError::UnknownRef {
+                    context: "transition 1".to_owned(),
+                    name: "nope".to_owned(),
+                }),
+                "{method}"
+            );
+        }
     }
 
     #[test]

@@ -15,12 +15,6 @@ pub struct CodegenOptions {
     /// Expression rendering: infix operators or software-library calls
     /// (`ADD(x, y)`) for compilers without multi-byte arithmetic.
     pub style: CStyle,
-    /// Minimum number of children for a multi-way TEST to be emitted as a
-    /// `switch` rather than an `if` chain — "a target-dependent parameter
-    /// can be used to specify how many children a TEST node must have in
-    /// order to make an if-based implementation more convenient than a
-    /// switch-based one."
-    pub switch_threshold: usize,
     /// Entry-copy buffering policy (Section V-B).
     pub buffering: BufferPolicy,
     /// Annotate statements with the specification constructs they came
@@ -34,12 +28,18 @@ impl Default for CodegenOptions {
     fn default() -> CodegenOptions {
         CodegenOptions {
             style: CStyle::Infix,
-            switch_threshold: 3,
             buffering: BufferPolicy::All,
             source_comments: false,
         }
     }
 }
+
+/// Minimum number of children for a multi-way TEST to be emitted as a
+/// `switch` rather than an `if` chain — "a target-dependent parameter can
+/// be used to specify how many children a TEST node must have in order to
+/// make an if-based implementation more convenient than a switch-based
+/// one." Both targets use three.
+const SWITCH_THRESHOLD: usize = 3;
 
 /// Size measures of an emitted C translation unit, recorded into the
 /// synthesis trace by the pipeline's emit stage.
@@ -269,7 +269,7 @@ impl CEmitter<'_> {
                         let _ = writeln!(self.out, "    if ({c}) goto L{};", children[1].index());
                     }
                     TestLabel::CtrlSwitch { .. } => {
-                        if children.len() >= self.opts.switch_threshold {
+                        if children.len() >= SWITCH_THRESHOLD {
                             let _ = writeln!(self.out, "    switch ({}) {{", self.ctrl);
                             for (v, c) in children.iter().enumerate() {
                                 let _ = writeln!(self.out, "    case {v}: goto L{};", c.index());

@@ -132,30 +132,21 @@ fn generated_c_is_structurally_sound_everywhere() {
 
 #[test]
 fn switch_threshold_changes_dispatch_form() {
-    // frc has 2 states; with a low threshold the CtrlSwitch may emit a
-    // `switch`, with a high threshold an `if` chain.
+    // The two-level control dispatch of a 2-state machine (frc) is an
+    // `if` chain; with three or more states (belt_control) it is a
+    // `switch`.
     let machines = workload_machines();
-    let frc = machines.iter().find(|m| m.name() == "frc").unwrap();
-    let g = two_level_sgraph(frc);
-    let low = emit_c(
-        frc,
-        &g,
-        &CodegenOptions {
-            switch_threshold: 2,
-            ..CodegenOptions::default()
-        },
-    );
-    let high = emit_c(
-        frc,
-        &g,
-        &CodegenOptions {
-            switch_threshold: 99,
-            ..CodegenOptions::default()
-        },
-    );
-    assert!(low.contains("switch (ctrl)"), "{low}");
-    assert!(!high.contains("switch (ctrl)"), "{high}");
-    assert!(high.contains("if (ctrl == 1)"), "{high}");
-    check_c("frc/switch-low", &low);
-    check_c("frc/switch-high", &high);
+    let emit = |name: &str| {
+        let m = machines.iter().find(|m| m.name() == name).unwrap();
+        let c = emit_c(m, &two_level_sgraph(m), &CodegenOptions::default());
+        check_c(name, &c);
+        (m.states().len(), c)
+    };
+    let (frc_states, frc) = emit("frc");
+    let (belt_states, belt) = emit("belt_control");
+    assert_eq!(frc_states, 2);
+    assert!(belt_states >= 3, "{belt_states}");
+    assert!(!frc.contains("switch (ctrl)"), "{frc}");
+    assert!(frc.contains("if (ctrl == 1)"), "{frc}");
+    assert!(belt.contains("switch (ctrl)"), "{belt}");
 }

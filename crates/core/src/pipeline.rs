@@ -30,7 +30,7 @@ use polis_estimate::{
 };
 use polis_lang::Property;
 use polis_rtos::{emit_rtos_c, RtosConfig};
-use polis_sgraph::{build, collapse, ite_chain, BuildError, CollapseOptions, SGraph};
+use polis_sgraph::{build, collapse, ite_chain, BuildError, SGraph};
 use polis_verify::{PropReport, Verifier, VerifyError, VerifyOptions, VerifyReport};
 use polis_vm::{analyze, assemble, compile, ObjectCode, VmProgram};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -234,7 +234,7 @@ fn stage_two_level(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<SGraph, SynthE
 
 fn stage_collapse(ctx: &mut SynthCtx<'_>, g: SGraph) -> Result<SGraph, SynthError> {
     let before = g.stats();
-    let c = collapse(&g, CollapseOptions::default());
+    let c = collapse(&g);
     let after = c.stats();
     ctx.count("nodes_before", before.reachable as u64);
     ctx.count("nodes_after", after.reachable as u64);

@@ -53,7 +53,7 @@ fn measure(profile: Profile) -> CostParams {
             Inst::Return,
             Inst::Return,
         ]);
-        diff(p, baseline)
+        p - baseline
     };
 
     // Edge extras measured dynamically (taken vs. not taken).
@@ -97,7 +97,7 @@ fn measure(profile: Profile) -> CostParams {
             Inst::Return,
             Inst::Return,
         ]);
-        diff(p, baseline)
+        p - baseline
     };
 
     let test_ctrl_bit = {
@@ -114,7 +114,7 @@ fn measure(profile: Profile) -> CostParams {
             Inst::Return,
             Inst::Return,
         ]);
-        diff(p, baseline)
+        p - baseline
     };
 
     // Multi-way dispatch: fit fixed + per-arm from 2- and 4-arm tables.
@@ -148,30 +148,21 @@ fn measure(profile: Profile) -> CostParams {
         )
     };
 
-    let assign_var = diff(
-        m.measure_raw(vec![Inst::PushVar(0), Inst::StoreVar(0), Inst::Return]),
-        baseline,
-    );
-    let local_init = diff(
-        m.measure_raw(vec![Inst::PushVar(0), Inst::StoreVar(1), Inst::Return]),
-        baseline,
-    );
-    let emit_pure = diff(m.measure(vec![Inst::EmitPure(0)]), baseline);
-    let emit_valued = diff(
-        m.measure_raw(vec![Inst::PushVar(0), Inst::EmitValued(0), Inst::Return]),
-        baseline,
-    );
-    let consume = diff(m.measure(vec![Inst::Consume]), baseline);
-    let goto = diff(m.measure_raw(vec![Inst::Jump(1), Inst::Return]), baseline);
+    let assign_var =
+        m.measure_raw(vec![Inst::PushVar(0), Inst::StoreVar(0), Inst::Return]) - baseline;
+    let local_init =
+        m.measure_raw(vec![Inst::PushVar(0), Inst::StoreVar(1), Inst::Return]) - baseline;
+    let emit_pure = m.measure(vec![Inst::EmitPure(0)]) - baseline;
+    let emit_valued =
+        m.measure_raw(vec![Inst::PushVar(0), Inst::EmitValued(0), Inst::Return]) - baseline;
+    let consume = m.measure(vec![Inst::Consume]) - baseline;
+    let goto = m.measure_raw(vec![Inst::Jump(1), Inst::Return]) - baseline;
     // Per-bit cost of a control-state update, from a one-bit probe.
-    let ctrl_set_per_bit = diff(
-        m.measure(vec![Inst::SetCtrlBits {
-            slot: 0,
-            bits: vec![(0, true)],
-            width: 2,
-        }]),
-        baseline,
-    );
+    let ctrl_set_per_bit = m.measure(vec![Inst::SetCtrlBits {
+        slot: 0,
+        bits: vec![(0, true)],
+        width: 2,
+    }]) - baseline;
 
     // Operator probes: var ⊕ var stored back, minus the plain assignment.
     let op = |opc: BinOp| -> CostPair {
@@ -182,7 +173,7 @@ fn measure(profile: Profile) -> CostParams {
             Inst::StoreVar(0),
             Inst::Return,
         ]);
-        diff(p, assign_sum(assign_var, baseline))
+        p - (assign_var + baseline)
     };
     let op_arith = op(BinOp::Add);
     let op_compare = op(BinOp::Lt);
@@ -223,24 +214,10 @@ fn measure(profile: Profile) -> CostParams {
     }
 }
 
-fn diff(a: CostPair, b: CostPair) -> CostPair {
-    CostPair {
-        bytes: a.bytes - b.bytes,
-        cycles: a.cycles - b.cycles,
-    }
-}
-
 fn avg(a: CostPair, b: CostPair) -> CostPair {
     CostPair {
         bytes: (a.bytes + b.bytes) / 2.0,
         cycles: (a.cycles + b.cycles) / 2.0,
-    }
-}
-
-fn assign_sum(assign: CostPair, baseline: CostPair) -> CostPair {
-    CostPair {
-        bytes: assign.bytes + baseline.bytes,
-        cycles: assign.cycles + baseline.cycles,
     }
 }
 

@@ -1,4 +1,5 @@
-//! The estimator proper: parameter application and path analyses.
+//! The estimator proper: parameter application and the one traversal
+//! that yields every estimate.
 
 use crate::params::{CostPair, CostParams, OpClass};
 use polis_cfsm::{Action, Cfsm};
@@ -6,17 +7,17 @@ use polis_expr::Expr;
 use polis_sgraph::analysis::EntryCopies;
 use polis_sgraph::{AssignLabel, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel};
 use polis_vm::BufferPolicy;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
 /// The estimator's output for one CFSM routine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Estimate {
     /// Estimated code size in bytes (ROM).
     pub size_bytes: u64,
-    /// Estimated minimum cycles per reaction (Dijkstra shortest path).
+    /// Estimated minimum cycles per reaction: the shortest BEGIN→END
+    /// path, Dijkstra's answer, from one backward pass over the DAG.
     pub min_cycles: u64,
-    /// Estimated maximum cycles per reaction (PERT longest path).
+    /// Estimated maximum cycles per reaction: the longest BEGIN→END
+    /// path, PERT's answer, from the same pass.
     pub max_cycles: u64,
     /// Estimated data memory in bytes (RAM): state, entry copies, event
     /// value buffers, frame.
@@ -27,37 +28,14 @@ pub struct Estimate {
 /// the calibrated `params` (Section III-C1: "cost estimation can be done
 /// with a simple traversal of the s-graph").
 pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPolicy) -> Estimate {
-    let reachable = g.reachable();
-
-    // Entry overhead: call/return plus one local init per entry copy.
-    let copies = EntryCopies::of(cfsm, g, policy).count();
-
-    let mut size = params.call_return.bytes + copies as f64 * params.local_init.bytes;
-    let mut node_cycles: HashMap<NodeId, f64> = HashMap::new();
-    let mut parents: HashMap<NodeId, usize> = HashMap::new();
-    for &id in &reachable {
-        let c = node_cost(cfsm, g, id, params);
-        size += c.bytes;
-        node_cycles.insert(id, c.cycles);
-        for &s in g.node(id).successors() {
-            *parents.entry(s).or_default() += 1;
-        }
-    }
-    // Layout overhead: a node with k parents needs ~k-1 explicit gotos.
-    for (_, &p) in parents.iter().filter(|(_, &p)| p > 1) {
-        size += (p - 1) as f64 * params.goto.bytes;
-    }
-
-    let entry_cycles = params.call_return.cycles + copies as f64 * params.local_init.cycles;
-    let max_cycles = entry_cycles + pert_longest(g, &node_cycles, params);
-    let min_cycles = entry_cycles + dijkstra_shortest(g, &node_cycles, params);
+    let pass = Pass::of(cfsm, g, params, policy);
 
     // RAM: persistent state + copies + event value buffers + frame.
     let mut ram = params.bytes_frame;
     for v in cfsm.state_vars() {
         ram += f64::from(v.ty.byte_size());
     }
-    ram += copies as f64 * params.bytes_int.clamp(1.0, 2.0);
+    ram += pass.copies as f64 * params.bytes_int.clamp(1.0, 2.0);
     for s in cfsm.inputs() {
         if let Some(ty) = s.value_type() {
             ram += f64::from(ty.byte_size());
@@ -68,11 +46,80 @@ pub fn estimate(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPoli
     }
 
     Estimate {
-        size_bytes: size.round().max(0.0) as u64,
-        min_cycles: min_cycles.round().max(0.0) as u64,
-        max_cycles: max_cycles.round().max(0.0) as u64,
-        ram_bytes: ram.round().max(0.0) as u64,
+        size_bytes: whole(pass.entry.bytes + pass.body_bytes),
+        min_cycles: pass.reaction(pass.shortest[NodeId::BEGIN.index()]),
+        max_cycles: pass.reaction(pass.longest[NodeId::BEGIN.index()]),
+        ram_bytes: whole(ram),
     }
+}
+
+/// One backward walk over the reachable s-graph, children before
+/// parents. Every cost parameter is an integer measurement or half of
+/// one, so each sum is exact and its order does not matter: on the DAG
+/// the shortest suffix is Dijkstra's and the longest is PERT's.
+pub(crate) struct Pass {
+    /// Call/return plus one local init per entry copy.
+    pub(crate) entry: CostPair,
+    /// Entry copies the routine makes.
+    pub(crate) copies: usize,
+    /// Code bytes of the reachable vertices, plus k−1 gotos for each
+    /// vertex with k > 1 parents (layout overhead).
+    pub(crate) body_bytes: f64,
+    /// Each reachable vertex's own cycles, by [`NodeId::index`].
+    pub(crate) cycles: Vec<f64>,
+    /// Fewest cycles from each reachable vertex to END, its own included.
+    pub(crate) shortest: Vec<f64>,
+    /// Most cycles from each reachable vertex to END, its own included.
+    pub(crate) longest: Vec<f64>,
+}
+
+impl Pass {
+    /// The pass over `g`, with the entry copies `policy` makes.
+    pub(crate) fn of(cfsm: &Cfsm, g: &SGraph, params: &CostParams, policy: BufferPolicy) -> Pass {
+        let copies = EntryCopies::of(cfsm, g, policy).count();
+        let mut pass = Pass {
+            entry: CostPair {
+                cycles: params.call_return.cycles + copies as f64 * params.local_init.cycles,
+                bytes: params.call_return.bytes + copies as f64 * params.local_init.bytes,
+            },
+            copies,
+            body_bytes: 0.0,
+            cycles: vec![0.0; g.len()],
+            shortest: vec![0.0; g.len()],
+            longest: vec![0.0; g.len()],
+        };
+        let mut parents = vec![0usize; g.len()];
+        for &id in g.topo_order().iter().rev() {
+            let own = node_cost(cfsm, g, id, params);
+            pass.body_bytes += own.bytes;
+            let (mut lo, mut hi) = (None::<f64>, 0.0f64);
+            for (k, &s) in g.node(id).successors().iter().enumerate() {
+                parents[s.index()] += 1;
+                let edge = edge_cycles(g, id, k, params);
+                let below = edge + pass.shortest[s.index()];
+                lo = Some(lo.map_or(below, |lo| lo.min(below)));
+                hi = hi.max(edge + pass.longest[s.index()]);
+            }
+            let i = id.index();
+            pass.cycles[i] = own.cycles;
+            pass.shortest[i] = own.cycles + lo.unwrap_or(0.0);
+            pass.longest[i] = own.cycles + hi;
+        }
+        for p in parents.into_iter().filter(|&p| p > 1) {
+            pass.body_bytes += (p - 1) as f64 * params.goto.bytes;
+        }
+        pass
+    }
+
+    /// Cycles per reaction along a path whose BEGIN suffix costs
+    /// `suffix`: the entry overhead added, rounded to whole cycles.
+    pub(crate) fn reaction(&self, suffix: f64) -> u64 {
+        whole(self.entry.cycles + suffix)
+    }
+}
+
+fn whole(x: f64) -> u64 {
+    x.round().max(0.0) as u64
 }
 
 /// Cycles added on the edge from a TEST to its `k`-th child.
@@ -90,72 +137,39 @@ pub(crate) fn edge_cycles(g: &SGraph, id: NodeId, k: usize, params: &CostParams)
 }
 
 fn expr_ops_cost(e: &Expr, params: &CostParams) -> CostPair {
-    let mut c = CostPair::default();
-    collect_expr_ops(e, params, &mut c);
-    c
-}
-
-fn collect_expr_ops(e: &Expr, params: &CostParams, acc: &mut CostPair) {
     match e {
-        Expr::Const(_) | Expr::Var(_) => {}
-        Expr::Unary(_, a) => {
-            add(acc, params.op(OpClass::Logic));
-            collect_expr_ops(a, params, acc);
-        }
+        Expr::Const(_) | Expr::Var(_) => CostPair::default(),
+        Expr::Unary(_, a) => params.op(OpClass::Logic) + expr_ops_cost(a, params),
         Expr::Binary(op, a, b) => {
-            add(acc, params.op(OpClass::of(*op)));
-            collect_expr_ops(a, params, acc);
-            collect_expr_ops(b, params, acc);
+            params.op(OpClass::of(*op)) + expr_ops_cost(a, params) + expr_ops_cost(b, params)
         }
+        // An ITE compiles to a test and a goto around the else arm.
         Expr::Ite(c, t, e2) => {
-            // An ITE compiles to a test and a goto around the else arm.
-            add(acc, params.test_expr_base);
-            add(acc, params.goto);
-            collect_expr_ops(c, params, acc);
-            collect_expr_ops(t, params, acc);
-            collect_expr_ops(e2, params, acc);
+            params.test_expr_base
+                + params.goto
+                + expr_ops_cost(c, params)
+                + expr_ops_cost(t, params)
+                + expr_ops_cost(e2, params)
         }
     }
 }
 
 fn cond_cost(cfsm: &Cfsm, cond: &Cond, params: &CostParams) -> CostPair {
-    let mut c = CostPair::default();
-    collect_cond(cfsm, cond, params, &mut c);
-    c
-}
-
-fn collect_cond(cfsm: &Cfsm, cond: &Cond, params: &CostParams, acc: &mut CostPair) {
     match cond {
-        Cond::Const(_) => {}
-        Cond::Present(_) => {
-            // The detection call itself (branching is charged separately).
-            add(acc, sub(params.test_present, params.test_expr_base));
-        }
-        Cond::Test(t) => {
-            let e = &cfsm.tests()[*t].expr;
-            add(acc, expr_ops_cost(e, params));
-        }
-        Cond::CtrlBit { .. } => {
-            add(acc, sub(params.test_ctrl_bit, params.test_expr_base));
-        }
-        Cond::Not(a) => {
-            add(acc, params.op(OpClass::Logic));
-            collect_cond(cfsm, a, params, acc);
-        }
+        Cond::Const(_) => CostPair::default(),
+        // The detection call itself (branching is charged separately).
+        Cond::Present(_) => excess(params.test_present, params.test_expr_base),
+        Cond::Test(t) => expr_ops_cost(&cfsm.tests()[*t].expr, params),
+        Cond::CtrlBit { .. } => excess(params.test_ctrl_bit, params.test_expr_base),
+        Cond::Not(a) => params.op(OpClass::Logic) + cond_cost(cfsm, a, params),
         Cond::And(a, b) | Cond::Or(a, b) => {
-            add(acc, params.op(OpClass::Logic));
-            collect_cond(cfsm, a, params, acc);
-            collect_cond(cfsm, b, params, acc);
+            params.op(OpClass::Logic) + cond_cost(cfsm, a, params) + cond_cost(cfsm, b, params)
         }
     }
 }
 
-fn add(acc: &mut CostPair, x: CostPair) {
-    acc.bytes += x.bytes;
-    acc.cycles += x.cycles;
-}
-
-fn sub(a: CostPair, b: CostPair) -> CostPair {
+/// `a - b`, each part clamped at zero.
+fn excess(a: CostPair, b: CostPair) -> CostPair {
     CostPair {
         bytes: (a.bytes - b.bytes).max(0.0),
         cycles: (a.cycles - b.cycles).max(0.0),
@@ -165,130 +179,43 @@ fn sub(a: CostPair, b: CostPair) -> CostPair {
 fn action_cost(cfsm: &Cfsm, action: usize, params: &CostParams) -> CostPair {
     match &cfsm.actions()[action] {
         Action::Emit { value: None, .. } => params.emit_pure,
-        Action::Emit { value: Some(e), .. } => {
-            let mut c = params.emit_valued;
-            add(&mut c, expr_ops_cost(e, params));
-            c
-        }
-        Action::Assign { value, .. } => {
-            let mut c = params.assign_var;
-            add(&mut c, expr_ops_cost(value, params));
-            c
-        }
+        Action::Emit { value: Some(e), .. } => params.emit_valued + expr_ops_cost(e, params),
+        Action::Assign { value, .. } => params.assign_var + expr_ops_cost(value, params),
     }
 }
 
-pub(crate) fn node_cost(cfsm: &Cfsm, g: &SGraph, id: NodeId, params: &CostParams) -> CostPair {
+fn node_cost(cfsm: &Cfsm, g: &SGraph, id: NodeId, params: &CostParams) -> CostPair {
     match g.node(id) {
         SNode::Begin { .. } | SNode::End => CostPair::default(),
         SNode::Test { label, children } => match label {
             TestLabel::Present { .. } => params.test_present,
             TestLabel::TestExpr { test } => {
-                let mut c = params.test_expr_base;
-                add(&mut c, expr_ops_cost(&cfsm.tests()[*test].expr, params));
-                c
+                params.test_expr_base + expr_ops_cost(&cfsm.tests()[*test].expr, params)
             }
             TestLabel::CtrlBit { .. } => params.test_ctrl_bit,
-            TestLabel::CtrlSwitch { .. } => {
-                let mut c = params.switch_base;
-                for _ in children {
-                    add(&mut c, params.switch_per_arm);
-                }
-                c
-            }
-            TestLabel::Compound { cond } => {
-                let mut c = params.test_expr_base;
-                add(&mut c, cond_cost(cfsm, cond, params));
-                c
-            }
+            TestLabel::CtrlSwitch { .. } => children
+                .iter()
+                .fold(params.switch_base, |c, _| c + params.switch_per_arm),
+            TestLabel::Compound { cond } => params.test_expr_base + cond_cost(cfsm, cond, params),
         },
         SNode::Assign { label, .. } => match label {
             AssignLabel::Consume => params.consume,
             AssignLabel::Action { action } => action_cost(cfsm, *action, params),
-            AssignLabel::NextCtrlBits { bits, .. } => {
-                let mut c = CostPair::default();
-                for _ in bits {
-                    add(&mut c, params.ctrl_set_per_bit);
-                }
-                c
-            }
+            AssignLabel::NextCtrlBits { bits, .. } => bits
+                .iter()
+                .fold(CostPair::default(), |c, _| c + params.ctrl_set_per_bit),
             AssignLabel::Computed { target, cond } => {
-                let mut c = cond_cost(cfsm, cond, params);
-                match target {
-                    ComputedTarget::Consume => {
-                        add(&mut c, params.goto);
-                        add(&mut c, params.consume);
+                cond_cost(cfsm, cond, params)
+                    + match target {
+                        ComputedTarget::Consume => params.goto + params.consume,
+                        ComputedTarget::Action { action } => {
+                            params.goto + action_cost(cfsm, *action, params)
+                        }
+                        ComputedTarget::CtrlBit { .. } => params.ctrl_set_per_bit,
                     }
-                    ComputedTarget::Action { action } => {
-                        add(&mut c, params.goto);
-                        add(&mut c, action_cost(cfsm, *action, params));
-                    }
-                    ComputedTarget::CtrlBit { .. } => add(&mut c, params.ctrl_set_per_bit),
-                }
-                c
             }
         },
     }
-}
-
-/// PERT longest path from BEGIN to END over node and edge cycles.
-fn pert_longest(g: &SGraph, cycles: &HashMap<NodeId, f64>, params: &CostParams) -> f64 {
-    let order = g.topo_order();
-    let mut longest: HashMap<NodeId, f64> = HashMap::new();
-    for &id in order.iter().rev() {
-        let own = cycles.get(&id).copied().unwrap_or(0.0);
-        let best = g
-            .node(id)
-            .successors()
-            .iter()
-            .enumerate()
-            .map(|(k, s)| edge_cycles(g, id, k, params) + longest[s])
-            .fold(0.0f64, f64::max);
-        longest.insert(id, own + best);
-    }
-    longest[&NodeId::BEGIN]
-}
-
-/// Dijkstra shortest path from BEGIN to END (the paper names Dijkstra for
-/// the minimum; on this DAG it agrees with the DP but we keep the
-/// algorithmic fidelity).
-fn dijkstra_shortest(g: &SGraph, cycles: &HashMap<NodeId, f64>, params: &CostParams) -> f64 {
-    #[derive(PartialEq)]
-    struct Entry(f64, NodeId);
-    impl Eq for Entry {}
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse for a min-heap.
-            other.0.total_cmp(&self.0)
-        }
-    }
-
-    let mut dist: HashMap<NodeId, f64> = HashMap::new();
-    let mut heap = BinaryHeap::new();
-    let start_cost = cycles.get(&NodeId::BEGIN).copied().unwrap_or(0.0);
-    dist.insert(NodeId::BEGIN, start_cost);
-    heap.push(Entry(start_cost, NodeId::BEGIN));
-    while let Some(Entry(d, id)) = heap.pop() {
-        if d > dist.get(&id).copied().unwrap_or(f64::INFINITY) {
-            continue;
-        }
-        if id == NodeId::END {
-            return d;
-        }
-        for (k, &s) in g.node(id).successors().iter().enumerate() {
-            let nd = d + edge_cycles(g, id, k, params) + cycles.get(&s).copied().unwrap_or(0.0);
-            if nd < dist.get(&s).copied().unwrap_or(f64::INFINITY) {
-                dist.insert(s, nd);
-                heap.push(Entry(nd, s));
-            }
-        }
-    }
-    dist.get(&NodeId::END).copied().unwrap_or(0.0)
 }
 
 #[cfg(test)]

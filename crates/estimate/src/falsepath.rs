@@ -16,14 +16,17 @@
 //!   that tracks the (few) constrained atoms along each path and prunes
 //!   assignments violating an incompatibility.
 //!
-//! The tracked-atom count is bounded (≤ 16); with more constraints the
-//! analysis falls back to the plain PERT bound, which is always sound.
+//! Both bounds come from the estimator's one backward pass over the
+//! s-graph (the one [`crate::estimate`] reads): the plain PERT bound is
+//! its longest path, and the path-sensitive search reads its per-vertex
+//! cycles. The tracked-atom count is bounded (≤ 16); with more
+//! constraints the analysis falls back to the plain bound, which is
+//! always sound.
 
-use crate::cost::{edge_cycles, node_cost};
+use crate::cost::{edge_cycles, Pass};
 use crate::params::CostParams;
 use polis_cfsm::Cfsm;
 use polis_expr::{BinOp, Expr, Value};
-use polis_sgraph::analysis::EntryCopies;
 use polis_sgraph::{BufferPolicy, NodeId, SGraph, SNode, TestLabel};
 use std::collections::HashMap;
 
@@ -189,7 +192,8 @@ pub fn max_cycles_false_path_aware(
             }
         }
     }
-    let plain = plain_pert(cfsm, g, params);
+    let pass = Pass::of(cfsm, g, params, BufferPolicy::All);
+    let plain = pass.reaction(pass.longest[NodeId::BEGIN.index()]);
     if atoms.is_empty() || atoms.len() > MAX_TRACKED_ATOMS {
         return plain;
     }
@@ -211,24 +215,42 @@ pub fn max_cycles_false_path_aware(
             .push((i, inc.a.1));
     }
 
-    // DFS with memo on (node, defined-mask, value-mask).
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        cfsm: &Cfsm,
-        g: &SGraph,
-        params: &CostParams,
-        atoms: &[PathAtom],
-        forbidden: &HashMap<(usize, bool), Vec<(usize, bool)>>,
-        id: NodeId,
-        defined: u32,
-        values: u32,
-        memo: &mut HashMap<(NodeId, u32, u32), Option<f64>>,
-    ) -> Option<f64> {
-        if let Some(&m) = memo.get(&(id, defined, values)) {
+    let mut search = Search {
+        g,
+        params,
+        cycles: &pass.cycles,
+        atoms: &atoms,
+        forbidden: &forbidden,
+        memo: HashMap::new(),
+    };
+    match search.longest(NodeId::BEGIN, 0, 0) {
+        Some(body) => pass.reaction(body).min(plain),
+        None => plain,
+    }
+}
+
+/// The path-sensitive longest-path DFS, memoized on (node, defined-mask,
+/// value-mask) over the tracked atoms.
+struct Search<'a> {
+    g: &'a SGraph,
+    params: &'a CostParams,
+    /// Each vertex's own cycles, from the estimator's pass.
+    cycles: &'a [f64],
+    atoms: &'a [PathAtom],
+    forbidden: &'a HashMap<(usize, bool), Vec<(usize, bool)>>,
+    memo: HashMap<(NodeId, u32, u32), Option<f64>>,
+}
+
+impl Search<'_> {
+    /// Most cycles from `id` to END on a path that agrees with the atoms
+    /// fixed so far and violates no incompatibility; `None` if every
+    /// such path is false.
+    fn longest(&mut self, id: NodeId, defined: u32, values: u32) -> Option<f64> {
+        if let Some(&m) = self.memo.get(&(id, defined, values)) {
             return m;
         }
-        let own = node_cost(cfsm, g, id, params).cycles;
-        let node = g.node(id);
+        let own = self.cycles[id.index()];
+        let node = self.g.node(id);
         if matches!(node, SNode::End) {
             return Some(own);
         }
@@ -243,7 +265,7 @@ pub fn max_cycles_false_path_aware(
             } => Some(PathAtom::Test(*test)),
             _ => None,
         };
-        let ai = atom.and_then(|a| atoms.iter().position(|&x| x == a));
+        let ai = atom.and_then(|a| self.atoms.iter().position(|&x| x == a));
         let mut best: Option<f64> = None;
         for (k, &c) in node.successors().iter().enumerate() {
             let (mut nd, mut nv) = (defined, values);
@@ -257,7 +279,8 @@ pub fn max_cycles_false_path_aware(
                     }
                 } else {
                     // Check incompatibilities with fixed atoms.
-                    let conflicts = forbidden
+                    let conflicts = self
+                        .forbidden
                         .get(&(ai, want))
                         .map(|l| {
                             l.iter().any(|&(j, pj)| {
@@ -275,46 +298,15 @@ pub fn max_cycles_false_path_aware(
                     }
                 }
             }
-            let tail = rec(cfsm, g, params, atoms, forbidden, c, nd, nv, memo);
-            if let Some(t) = tail {
-                let total = edge_cycles(g, id, k, params) + t;
+            if let Some(t) = self.longest(c, nd, nv) {
+                let total = edge_cycles(self.g, id, k, self.params) + t;
                 best = Some(best.map_or(total, |b: f64| b.max(total)));
             }
         }
         let result = best.map(|b| own + b);
-        memo.insert((id, defined, values), result);
+        self.memo.insert((id, defined, values), result);
         result
     }
-
-    let mut memo = HashMap::new();
-    let body = rec(
-        cfsm,
-        g,
-        params,
-        &atoms,
-        &forbidden,
-        NodeId::BEGIN,
-        0,
-        0,
-        &mut memo,
-    );
-    match body {
-        Some(b) => {
-            let entry = entry_cycles(cfsm, g, params);
-            ((entry + b).round().max(0.0) as u64).min(plain)
-        }
-        None => plain,
-    }
-}
-
-fn plain_pert(cfsm: &Cfsm, g: &SGraph, params: &CostParams) -> u64 {
-    crate::cost::estimate(cfsm, g, params, BufferPolicy::All).max_cycles
-}
-
-/// Call/return plus the buffer-all entry copies.
-fn entry_cycles(cfsm: &Cfsm, g: &SGraph, params: &CostParams) -> f64 {
-    let copies = EntryCopies::of(cfsm, g, BufferPolicy::All).count();
-    params.call_return.cycles + copies as f64 * params.local_init.cycles
 }
 
 #[cfg(test)]

@@ -6,13 +6,17 @@
 //! C functions of 10–50 statements examined with a profiler or an
 //! assembly-level analysis tool; here the probes are measured through the
 //! [`polis_vm`] assembler and object-code analyzer, the only interfaces a
-//! profiler would expose). Estimation is then:
+//! profiler would expose). Estimation is then one backward pass over the reachable s-graph, children before parents
+//! (`O(|V| + |E|)`), which yields:
 //!
-//! * **code size** — the sum of the per-vertex size parameters
-//!   (`O(|V|)`);
-//! * **maximum cycles** — a PERT longest-path computation from BEGIN to
-//!   END;
-//! * **minimum cycles** — a Dijkstra shortest-path computation.
+//! * **code size** — the sum of the per-vertex size parameters;
+//! * **maximum cycles** — the longest BEGIN→END path, PERT's answer;
+//! * **minimum cycles** — the shortest BEGIN→END path, which on the DAG
+//!   is the path Dijkstra's algorithm would find.
+//!
+//! The false-path-aware bound ([`max_cycles_false_path_aware`]) reuses
+//! the same pass: its fallback is the pass's longest path, and its
+//! path-sensitive search reads the pass's per-vertex cycles.
 //!
 //! The paper's parameter inventory is 17 timing + 15 size + 4 system
 //! parameters; ours is the same scheme with two extra pairs for the

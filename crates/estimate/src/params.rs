@@ -41,6 +41,26 @@ pub struct CostPair {
     pub bytes: f64,
 }
 
+impl std::ops::Add for CostPair {
+    type Output = CostPair;
+    fn add(self, o: CostPair) -> CostPair {
+        CostPair {
+            cycles: self.cycles + o.cycles,
+            bytes: self.bytes + o.bytes,
+        }
+    }
+}
+
+impl std::ops::Sub for CostPair {
+    type Output = CostPair;
+    fn sub(self, o: CostPair) -> CostPair {
+        CostPair {
+            cycles: self.cycles - o.cycles,
+            bytes: self.bytes - o.bytes,
+        }
+    }
+}
+
 /// The calibrated parameter set for one target system (CPU + memory +
 /// compiler), mirroring Section III-C1.
 ///

@@ -70,8 +70,6 @@ pub struct RtosConfig {
     pub preemptive: bool,
     /// Target cost profile for the synthesized routines.
     pub profile: Profile,
-    /// Entry-copy buffering policy for the routines.
-    pub buffering: BufferPolicy,
     /// Delivery mode per primary-input signal; unlisted signals default to
     /// [`DeliveryMode::Interrupt`] ("by default, all events are
     /// communicated through interrupts, but a user may specify any number
@@ -84,16 +82,16 @@ pub struct RtosConfig {
     /// executions of CFSMs into a single task", Section IV-A).
     pub chains: BTreeSet<(String, String)>,
     /// Machines implemented in hardware (Section IV-C): they react
-    /// instantly off-CPU ([`RtosConfig::hw_reaction_cycles`] after the
-    /// triggering event) and deliver events to software through the
-    /// configured delivery mode.
+    /// instantly off-CPU (one cycle after the triggering event) and
+    /// deliver events to software through the configured delivery mode.
     pub hardware: BTreeSet<String>,
-    /// Reaction latency of hardware CFSMs ("a straightforward synchronous
-    /// hardware implementation takes only one cycle").
-    pub hw_reaction_cycles: u64,
     /// Service costs.
     pub overhead: RtosOverhead,
 }
+
+/// Reaction latency of hardware CFSMs ("a straightforward synchronous
+/// hardware implementation takes only one cycle").
+const HW_REACTION_CYCLES: u64 = 1;
 
 impl Default for RtosConfig {
     fn default() -> RtosConfig {
@@ -101,11 +99,9 @@ impl Default for RtosConfig {
             policy: SchedulingPolicy::RoundRobin,
             preemptive: false,
             profile: Profile::Mcu8,
-            buffering: BufferPolicy::All,
             delivery: BTreeMap::new(),
             chains: BTreeSet::new(),
             hardware: BTreeSet::new(),
-            hw_reaction_cycles: 1,
             overhead: RtosOverhead::default(),
         }
     }
@@ -289,7 +285,9 @@ impl Simulator {
                 }
             } else {
                 let g = g.expect("software machines carry a graph");
-                let prog = compile(m, &g, config.buffering);
+                // Routines copy every entry value (buffer-all), the
+                // policy `polis synth` defaults to.
+                let prog = compile(m, &g, BufferPolicy::All);
                 let obj = assemble(&prog, config.profile);
                 let mem = VmMemory::new(&prog);
                 Runtime::Sw { prog, obj, mem }
@@ -603,9 +601,9 @@ impl Simulator {
                 emissions.push((e.signal.clone(), e.value.map(|v| v.as_int().unwrap_or(0))));
             }
         }
-        // Hardware completion is hw_reaction_cycles later; the CPU clock
+        // Hardware completion is HW_REACTION_CYCLES later; the CPU clock
         // does not advance (the reaction runs in parallel).
-        let at = self.now + self.config.hw_reaction_cycles;
+        let at = self.now + HW_REACTION_CYCLES;
         let by_name = self.tasks[ti].name.clone();
         for (sig, value) in emissions {
             self.trace.push(TraceEntry {

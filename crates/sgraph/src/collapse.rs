@@ -14,23 +14,13 @@ use crate::cond::Cond;
 use crate::graph::{NodeId, SGraph, SNode, TestLabel};
 use std::collections::HashMap;
 
-/// Options for [`collapse`].
-#[derive(Debug, Clone, Copy)]
-pub struct CollapseOptions {
-    /// Maximum number of distinct atoms in one collapsed predicate
-    /// (truth-table enumeration is `2^max_atoms`).
-    pub max_atoms: usize,
-}
-
-impl Default for CollapseOptions {
-    fn default() -> CollapseOptions {
-        CollapseOptions { max_atoms: 4 }
-    }
-}
+/// Maximum number of distinct atoms in one collapsed predicate
+/// (truth-table enumeration is `2^MAX_ATOMS`).
+const MAX_ATOMS: usize = 4;
 
 /// Returns a copy of `g` with eligible TEST regions collapsed into
-/// [`TestLabel::Compound`] vertices.
-pub fn collapse(g: &SGraph, opts: CollapseOptions) -> SGraph {
+/// [`TestLabel::Compound`] vertices of at most four atoms each.
+pub fn collapse(g: &SGraph) -> SGraph {
     // Global parent counts decide single-entry membership.
     let mut parents: HashMap<NodeId, usize> = HashMap::new();
     for id in g.reachable() {
@@ -41,7 +31,7 @@ pub fn collapse(g: &SGraph, opts: CollapseOptions) -> SGraph {
 
     let mut out = SGraph::new(g.name().to_owned());
     let mut memo: HashMap<NodeId, NodeId> = HashMap::new();
-    let first = conv(g, &mut out, g.begin_next(), &parents, opts, &mut memo);
+    let first = conv(g, &mut out, g.begin_next(), &parents, &mut memo);
     out.set_begin(first);
     out.reduce()
 }
@@ -51,7 +41,6 @@ fn conv(
     out: &mut SGraph,
     id: NodeId,
     parents: &HashMap<NodeId, usize>,
-    opts: CollapseOptions,
     memo: &mut HashMap<NodeId, NodeId>,
 ) -> NodeId {
     if let Some(&m) = memo.get(&id) {
@@ -61,16 +50,16 @@ fn conv(
         SNode::End => NodeId::END,
         SNode::Begin { .. } => unreachable!("BEGIN is not converted"),
         SNode::Assign { label, next } => {
-            let n = conv(g, out, *next, parents, opts, memo);
+            let n = conv(g, out, *next, parents, memo);
             out.add_node(SNode::Assign {
                 label: label.clone(),
                 next: n,
             })
         }
         SNode::Test { label, children } => {
-            if let Some((cond, exit0, exit1)) = try_region(g, id, parents, opts) {
-                let c0 = conv(g, out, exit0, parents, opts, memo);
-                let c1 = conv(g, out, exit1, parents, opts, memo);
+            if let Some((cond, exit0, exit1)) = try_region(g, id, parents) {
+                let c0 = conv(g, out, exit0, parents, memo);
+                let c1 = conv(g, out, exit1, parents, memo);
                 out.add_node(SNode::Test {
                     label: TestLabel::Compound { cond },
                     children: vec![c0, c1],
@@ -78,7 +67,7 @@ fn conv(
             } else {
                 let cs: Vec<NodeId> = children
                     .iter()
-                    .map(|&c| conv(g, out, c, parents, opts, memo))
+                    .map(|&c| conv(g, out, c, parents, memo))
                     .collect();
                 out.add_node(SNode::Test {
                     label: label.clone(),
@@ -98,7 +87,6 @@ fn try_region(
     g: &SGraph,
     root: NodeId,
     parents: &HashMap<NodeId, usize>,
-    opts: CollapseOptions,
 ) -> Option<(Cond, NodeId, NodeId)> {
     // Grow the region greedily from the root.
     let mut region = vec![root];
@@ -109,7 +97,7 @@ fn try_region(
             continue;
         };
         if !atoms.contains(label) {
-            if atoms.len() == opts.max_atoms {
+            if atoms.len() == MAX_ATOMS {
                 // Region would exceed the atom budget: exclude this node.
                 if id == root {
                     return None;
@@ -233,7 +221,7 @@ mod tests {
         let rf = ReactiveFn::build(&both_gate());
         let g = build(&rf).unwrap();
         let before = g.num_tests();
-        let c = collapse(&g, CollapseOptions::default());
+        let c = collapse(&g);
         let after = c.num_tests();
         assert!(after < before, "tests: {before} -> {after}");
         assert_eq!(after, 1);
@@ -254,7 +242,7 @@ mod tests {
         let m = both_gate();
         let rf = ReactiveFn::build(&m);
         let g = build(&rf).unwrap();
-        let c = collapse(&g, CollapseOptions::default());
+        let c = collapse(&g);
         let st = m.initial_state();
         let vals = input_values(&[]);
         for sigs in [vec![], vec!["a"], vec!["b"], vec!["a", "b"]] {
@@ -285,7 +273,7 @@ mod tests {
         let m = b.build().unwrap();
         let rf = ReactiveFn::build(&m);
         let g = build(&rf).unwrap();
-        let c = collapse(&g, CollapseOptions::default());
+        let c = collapse(&g);
         let st = m.initial_state();
         for x in 0..8i64 {
             for sigs in [vec![], vec!["x"], vec!["en"], vec!["x", "en"]] {
@@ -299,13 +287,70 @@ mod tests {
         }
     }
 
+    /// Distinct atoms of a collapsed predicate.
+    fn atoms(c: &Cond, out: &mut BTreeSet<String>) {
+        match c {
+            Cond::Const(_) => {}
+            Cond::Not(a) => atoms(a, out),
+            Cond::And(a, b) | Cond::Or(a, b) => {
+                atoms(a, out);
+                atoms(b, out);
+            }
+            atom => {
+                out.insert(atom.to_string());
+            }
+        }
+    }
+
+    /// Fires only when all of `n` pure inputs are present: an AND region
+    /// of `n` presence atoms.
+    fn all_of(n: usize) -> Cfsm {
+        let mut b = Cfsm::builder("all");
+        let names: Vec<String> = (0..n).map(|i| format!("i{i}")).collect();
+        for name in &names {
+            b.input_pure(name.as_str());
+        }
+        b.output_pure("go");
+        let s = b.ctrl_state("s");
+        let mut t = b.transition(s, s);
+        for name in &names {
+            t = t.when_present(name);
+        }
+        t.emit("go").done();
+        b.build().unwrap()
+    }
+
     #[test]
     fn atom_budget_respected() {
-        let rf = ReactiveFn::build(&both_gate());
-        let g = build(&rf).unwrap();
-        // max_atoms = 1 forbids any multi-atom collapse: graph unchanged
-        // in test count.
-        let c = collapse(&g, CollapseOptions { max_atoms: 1 });
-        assert_eq!(c.num_tests(), g.num_tests());
+        // Four atoms fit one compound TEST; a fifth stays outside it.
+        for (n, tests_after) in [(4, 1), (5, 2)] {
+            let m = all_of(n);
+            let g = build(&ReactiveFn::build(&m)).unwrap();
+            assert_eq!(g.num_tests(), n);
+            let c = collapse(&g);
+            assert_eq!(c.num_tests(), tests_after, "{n} atoms");
+            for id in c.reachable() {
+                if let SNode::Test {
+                    label: TestLabel::Compound { cond },
+                    ..
+                } = c.node(id)
+                {
+                    let mut seen = BTreeSet::new();
+                    atoms(cond, &mut seen);
+                    assert!(seen.len() <= MAX_ATOMS, "{n} atoms: {cond}");
+                }
+            }
+            let st = m.initial_state();
+            for mask in 0..1u32 << n {
+                let p: BTreeSet<String> = (0..n)
+                    .filter(|i| mask >> i & 1 == 1)
+                    .map(|i| format!("i{i}"))
+                    .collect();
+                let vals = input_values(&[]);
+                let want = execute(&m, &g, &p, &vals, &st).unwrap();
+                let got = execute(&m, &c, &p, &vals, &st).unwrap();
+                assert_eq!(got.emissions, want.emissions, "{n} atoms, {p:?}");
+            }
+        }
     }
 }

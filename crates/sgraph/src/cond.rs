@@ -73,24 +73,6 @@ impl Cond {
             (t, e) => sel.clone().and(t).or(sel.not().and(e)),
         }
     }
-
-    /// Evaluates against atom oracles.
-    pub fn eval(
-        &self,
-        present: &mut impl FnMut(usize) -> bool,
-        test: &mut impl FnMut(usize) -> bool,
-        ctrl: u64,
-    ) -> bool {
-        match self {
-            Cond::Const(b) => *b,
-            Cond::Present(i) => present(*i),
-            Cond::Test(i) => test(*i),
-            Cond::CtrlBit { bit, width } => (ctrl >> (width - 1 - bit)) & 1 == 1,
-            Cond::Not(a) => !a.eval(present, test, ctrl),
-            Cond::And(a, b) => a.eval(present, test, ctrl) && b.eval(present, test, ctrl),
-            Cond::Or(a, b) => a.eval(present, test, ctrl) || b.eval(present, test, ctrl),
-        }
-    }
 }
 
 impl fmt::Display for Cond {
@@ -110,9 +92,27 @@ impl fmt::Display for Cond {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::eval_cond;
+    use crate::{EvalError, SgEnv};
 
+    /// Atom oracles over fixed presence and test vectors.
+    struct Atoms<'a> {
+        presents: &'a [bool],
+        tests: &'a [bool],
+    }
+
+    impl SgEnv for Atoms<'_> {
+        fn present(&mut self, input: usize) -> bool {
+            self.presents[input]
+        }
+        fn test(&mut self, test: usize) -> Result<bool, EvalError> {
+            Ok(self.tests[test])
+        }
+    }
+
+    /// Evaluates `c` with the s-graph evaluator's condition walk.
     fn eval_with(c: &Cond, presents: &[bool], tests: &[bool], ctrl: u64) -> bool {
-        c.eval(&mut |i| presents[i], &mut |i| tests[i], ctrl)
+        eval_cond(c, &mut Atoms { presents, tests }, ctrl).unwrap()
     }
 
     #[test]

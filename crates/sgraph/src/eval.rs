@@ -175,7 +175,11 @@ impl SGraph {
     }
 }
 
-fn eval_cond(cond: &crate::Cond, env: &mut dyn SgEnv, ctrl: u64) -> Result<bool, EvalError> {
+pub(crate) fn eval_cond(
+    cond: &crate::Cond,
+    env: &mut dyn SgEnv,
+    ctrl: u64,
+) -> Result<bool, EvalError> {
     let mut err = None;
     let result = eval_cond_rec(cond, env, ctrl, &mut err);
     match err {

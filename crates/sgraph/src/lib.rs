@@ -64,7 +64,7 @@ mod graph;
 
 pub use builder::{build, BuildError};
 pub use chain::ite_chain;
-pub use collapse::{collapse, CollapseOptions};
+pub use collapse::collapse;
 pub use cond::Cond;
 pub use eval::{execute, input_values, EvalError, EvalOutcome, SgEnv};
 pub use graph::{AssignLabel, ComputedTarget, NodeId, SGraph, SGraphStats, SNode, TestLabel};

@@ -6,7 +6,7 @@
 use polis_cfsm::{Cfsm, OrderScheme, ReactiveFn};
 use polis_core::random::Rng;
 use polis_expr::{Expr, MapEnv, Value};
-use polis_sgraph::{build, collapse, execute, ite_chain, CollapseOptions, SGraph};
+use polis_sgraph::{build, collapse, execute, ite_chain, SGraph};
 use std::collections::BTreeSet;
 
 /// A compact recipe for a random 2-input/2-output machine.
@@ -190,7 +190,7 @@ fn theorem1_after_collapse() {
         let mut rf = ReactiveFn::build(m);
         rf.sift(OrderScheme::OutputsAfterSupport);
         let g = build(&rf).expect("build");
-        let c = collapse(&g, CollapseOptions::default());
+        let c = collapse(&g);
         run_equivalence(m, &c, stim);
     });
 }

@@ -2,7 +2,7 @@
 //! reachability-invariant export that feeds `estimate::falsepath`.
 
 use crate::model::NetworkModel;
-use crate::trace::{decode_point, walk_trace, DecodedState, TraceRings};
+use crate::trace::{decode_point, walk_trace, TraceRings};
 use crate::{DeadTransition, DeadlockWitness, LostEvent};
 use polis_bdd::{NodeRef, Var};
 use polis_cfsm::Network;
@@ -130,31 +130,9 @@ pub(crate) fn deadlock(
         None => decode_point(model, dead)?,
     };
     Some(DeadlockWitness {
-        description: describe_state(net, &witness),
+        description: witness.segments(net),
         trace,
     })
-}
-
-/// One `machine@state pending[signals...]` line per machine.
-fn describe_state(net: &Network, s: &DecodedState) -> Vec<String> {
-    net.cfsms()
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let pending: Vec<&str> = m
-                .inputs()
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| s.pending[i][k])
-                .map(|(_, sig)| sig.name())
-                .collect();
-            let mut line = format!("{}@{}", m.name(), m.states()[s.ctrl[i]]);
-            if !pending.is_empty() {
-                line.push_str(&format!(" pending[{}]", pending.join(",")));
-            }
-            line
-        })
-        .collect()
 }
 
 /// Projects the reachable set onto machine `i`'s own state variables and

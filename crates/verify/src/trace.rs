@@ -65,22 +65,30 @@ pub struct DecodedState {
 impl DecodedState {
     /// `m@s pending[a,b] | n@t` — one segment per machine.
     pub fn render(&self, net: &Network) -> String {
-        let mut parts = Vec::with_capacity(net.cfsms().len());
-        for (i, m) in net.cfsms().iter().enumerate() {
-            let mut seg = format!("{}@{}", m.name(), m.states()[self.ctrl[i]]);
-            let pend: Vec<&str> = m
-                .inputs()
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| self.pending[i][k])
-                .map(|(_, s)| s.name())
-                .collect();
-            if !pend.is_empty() {
-                let _ = write!(seg, " pending[{}]", pend.join(","));
-            }
-            parts.push(seg);
-        }
-        parts.join(" | ")
+        self.segments(net).join(" | ")
+    }
+
+    /// One `machine@state pending[signals...]` segment per machine, in
+    /// network order (`pending` only when a buffer is full).
+    pub fn segments(&self, net: &Network) -> Vec<String> {
+        net.cfsms()
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let mut seg = format!("{}@{}", m.name(), m.states()[self.ctrl[i]]);
+                let pend: Vec<&str> = m
+                    .inputs()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| self.pending[i][k])
+                    .map(|(_, s)| s.name())
+                    .collect();
+                if !pend.is_empty() {
+                    let _ = write!(seg, " pending[{}]", pend.join(","));
+                }
+                seg
+            })
+            .collect()
     }
 }
 

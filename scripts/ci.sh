@@ -58,6 +58,32 @@ for spec in examples/specs/*.pol; do
   done
 done
 
+echo "==> polis estimate prints a row per machine (every spec x style x buffering x target)"
+for spec in examples/specs/*.pol; do
+  machines="$(sed -n 's/^module \([A-Za-z_0-9]*\).*/\1/p' "$spec")"
+  for style in dg chain 2lvl; do
+    for buffering in all minimal; do
+      for target in mcu8 risc32; do
+        flags="--style $style --buffering $buffering --target $target"
+        # shellcheck disable=SC2086
+        out="$(./target/release/polis estimate "$spec" $flags)" \
+          || { echo "FAIL: polis estimate $spec $flags exited non-zero"; exit 1; }
+        for m in $machines; do
+          grep -q "^$m " <<<"$out" \
+            || { echo "FAIL: polis estimate $spec $flags has no row for $m"; echo "$out"; exit 1; }
+        done
+      done
+    done
+  done
+done
+
+echo "==> synth --verify --refine runs on every example spec"
+for spec in examples/specs/*.pol; do
+  name="$(basename "$spec" .pol)"
+  ./target/release/polis synth "$spec" -o "/tmp/polis_ci_synth/$name.refined" --verify --refine >/dev/null \
+    || { echo "FAIL: polis synth $spec --verify --refine exited non-zero"; exit 1; }
+done
+
 echo "==> synth --trace writes a sift stage with swap and restore counters"
 for spec in examples/specs/*.pol; do
   name="$(basename "$spec" .pol)"

@@ -1,9 +1,9 @@
 //! The paper harnesses' shape-check verdicts, compared with
 //! `scripts/harness_verdicts.txt` by the same function as `paper check`:
 //! a verdict that flips either way fails. The deterministic numbers of
-//! Table III, the granularity sweep and the Section V-B ROM/RAM table are
-//! pinned too, against the tables EXPERIMENTS.md publishes, so a cost
-//! regression fails by number.
+//! Table I, Table III, the granularity sweep, the Section V-B ROM/RAM
+//! table and the false-path bounds are pinned too, against the tables
+//! EXPERIMENTS.md publishes, so a cost regression fails by number.
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 
@@ -69,6 +69,14 @@ fn reported(name: &str, keep: usize) -> Vec<Vec<String>> {
 }
 
 #[test]
+fn table1_numbers_match_experiments_md() {
+    // CFSM, then estimated, measured and error for size and max cycles.
+    let got = reported("table1", 7);
+    assert_eq!(got, documented("Table I", 7));
+    assert_eq!(got.len(), 9);
+}
+
+#[test]
 fn table3_numbers_match_experiments_md() {
     // row, busy cycles, size[B]; the synthesis wall time is not pinned.
     let got = reported("table3", 3);
@@ -90,4 +98,12 @@ fn shock_absorber_numbers_match_experiments_md() {
     let got = reported("shock_absorber", 3);
     assert_eq!(got, documented("Section V-B", 3));
     assert_eq!(got.len(), 3);
+}
+
+#[test]
+fn falsepath_numbers_match_experiments_md() {
+    // CFSM, incompatibilities, plain and aware max cycles, tighter.
+    let got = reported("falsepath", 5);
+    assert_eq!(got, documented("False-path analysis", 5));
+    assert_eq!(got.len(), 5);
 }
