@@ -62,8 +62,8 @@
 //! The kernel uses CUDD-style storage rather than the standard-library maps:
 //!
 //! * per-variable **open-addressing unique tables** (power-of-two capacity,
-//!   linear probing, splitmix64-mixed keys, tombstone-free backward-shift
-//!   deletion) for hash-consing;
+//!   linear probing, splitmix64-mixed keys, no single-entry delete) for
+//!   hash-consing;
 //! * a **direct-mapped lossy operation cache** shared by ITE, the
 //!   restriction/quantification memos, `constrain`, `rename`, `exists_set`
 //!   and `or_and_not`, plus a second dedicated cache for the relational
@@ -73,9 +73,12 @@
 //!   memoizes in exactly one of these caches and nowhere else;
 //! * a reusable **stamp buffer** for traversals (`size`, `support`, `gc`)
 //!   so marking needs no per-call set allocation;
-//! * **reference-count node reclamation** during sifting, so adjacent level
-//!   swaps recycle dead slots through the free-list instead of growing the
-//!   arena monotonically.
+//! * a **sift mode** for [`Bdd::sift`]: the unique tables are suspended,
+//!   each variable's nodes sit in a plain list, and reference counts let
+//!   adjacent level swaps recycle dead slots through the free-list instead
+//!   of growing the arena monotonically. Each swap frees before it
+//!   allocates, so it never raises the peak above its two ends; the
+//!   tables are rebuilt once when the sift ends.
 //!
 //! Determinism: node indices depend only on the sequence of operations
 //! performed on the manager — there is no randomized hashing and no
@@ -247,12 +250,14 @@ const VACANT: UniqueSlot = UniqueSlot {
 
 /// One variable's hash-consing table: open addressing with linear probing
 /// over a power-of-two slot array. Keys are `(lo, hi)` with `hi` always a
-/// regular edge (canonical form), values are regular node handles. Deletion
-/// is tombstone-free (backward shift), so long-lived managers never
-/// accumulate probe-chain garbage — important because sifting removes and
-/// re-inserts entries constantly.
-#[derive(Debug, Clone)]
-pub(crate) struct UniqueTable {
+/// regular edge (canonical form), values are regular node handles. There
+/// is no single-entry delete: garbage collection rebuilds a table from its
+/// survivors, and a sift does not keep the tables at all (it lists each
+/// variable's nodes instead and rebuilds every table once when it ends),
+/// so no table ever accumulates probe-chain garbage. The same type serves
+/// as the small find-or-insert map of one level swap.
+#[derive(Debug, Clone, Default)]
+struct UniqueTable {
     slots: Vec<UniqueSlot>,
     len: usize,
     /// Probe counters feeding [`BddStats`].
@@ -261,21 +266,12 @@ pub(crate) struct UniqueTable {
 }
 
 impl UniqueTable {
-    fn new() -> UniqueTable {
-        UniqueTable {
-            slots: Vec::new(),
-            len: 0,
-            lookups: 0,
-            probes: 0,
-        }
-    }
-
     #[inline]
     fn hash(lo: NodeRef, hi: NodeRef) -> u64 {
         mix64(((lo.0 as u64) << 32) | hi.0 as u64)
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
@@ -300,28 +296,13 @@ impl UniqueTable {
         }
     }
 
-    /// Inserts `(lo, hi) -> node`, returning the previous mapping if one
-    /// existed (the reorder module asserts on that case).
-    pub(crate) fn insert(&mut self, lo: NodeRef, hi: NodeRef, node: NodeRef) -> Option<NodeRef> {
+    /// Inserts `(lo, hi) -> node` for a key known to be absent, growing
+    /// the slot array to keep the load under ¾.
+    fn insert(&mut self, lo: NodeRef, hi: NodeRef, node: NodeRef) {
         if self.slots.is_empty() || (self.len + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let mask = self.slots.len() - 1;
-        let mut i = (Self::hash(lo, hi) as usize) & mask;
-        loop {
-            let s = self.slots[i];
-            if s.node == EMPTY {
-                self.slots[i] = UniqueSlot { lo, hi, node };
-                self.len += 1;
-                return None;
-            }
-            if s.lo == lo && s.hi == hi {
-                let prev = s.node;
-                self.slots[i].node = node;
-                return Some(prev);
-            }
-            i = (i + 1) & mask;
-        }
+        self.insert_rehash(UniqueSlot { lo, hi, node });
     }
 
     fn grow(&mut self) {
@@ -335,7 +316,8 @@ impl UniqueTable {
         }
     }
 
-    /// Insert during a rebuild: the key is known absent and load is low.
+    /// Places an entry whose key is known to be absent in the first vacant
+    /// slot of its probe chain; the caller keeps the load low.
     fn insert_rehash(&mut self, s: UniqueSlot) {
         let mask = self.slots.len() - 1;
         let mut i = (Self::hash(s.lo, s.hi) as usize) & mask;
@@ -344,45 +326,6 @@ impl UniqueTable {
         }
         self.slots[i] = s;
         self.len += 1;
-    }
-
-    /// Removes `(lo, hi)` by backward-shift deletion: later entries of the
-    /// probe chain slide into the hole, so no tombstones are left behind.
-    pub(crate) fn remove(&mut self, lo: NodeRef, hi: NodeRef) -> Option<NodeRef> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (Self::hash(lo, hi) as usize) & mask;
-        loop {
-            let s = self.slots[i];
-            if s.node == EMPTY {
-                return None;
-            }
-            if s.lo == lo && s.hi == hi {
-                let removed = s.node;
-                let mut j = i;
-                loop {
-                    j = (j + 1) & mask;
-                    let t = self.slots[j];
-                    if t.node == EMPTY {
-                        break;
-                    }
-                    // `t` may fill the hole at `i` iff its home slot is not
-                    // cyclically inside (i, j] — otherwise moving it would
-                    // break its own probe chain.
-                    let home = (Self::hash(t.lo, t.hi) as usize) & mask;
-                    if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
-                        self.slots[i] = t;
-                        i = j;
-                    }
-                }
-                self.slots[i] = VACANT;
-                self.len -= 1;
-                return Some(removed);
-            }
-            i = (i + 1) & mask;
-        }
     }
 
     /// Keeps only entries whose node satisfies `keep`; dropped nodes are
@@ -408,38 +351,62 @@ impl UniqueTable {
         }
     }
 
-    /// Moves every entry whose `(lo, hi)` satisfies `take` into `taken` as
-    /// `(node, lo, hi)` and rehashes the rest at the same capacity, using
-    /// `kept` as scratch. One pass over the slots replaces a
-    /// probe-and-shift [`UniqueTable::remove`] per taken entry.
-    fn drain_where(
-        &mut self,
-        mut take: impl FnMut(NodeRef, NodeRef) -> bool,
-        taken: &mut Vec<(NodeRef, NodeRef, NodeRef)>,
-        kept: &mut Vec<UniqueSlot>,
-    ) {
-        if self.len == 0 {
-            return;
-        }
-        kept.clear();
-        for s in &mut self.slots {
-            if s.node != EMPTY {
-                if take(s.lo, s.hi) {
-                    taken.push((s.node, s.lo, s.hi));
-                } else {
-                    kept.push(*s);
-                }
-                *s = VACANT;
-            }
-        }
+    /// Empties the table and sizes it for `n` entries under the load
+    /// bound `insert` keeps, reusing its slot array's allocation.
+    fn reset(&mut self, n: usize) {
+        let cap = (n * 4).div_ceil(3).next_power_of_two().max(8);
+        self.slots.clear();
+        self.slots.resize(cap, VACANT);
         self.len = 0;
-        for &s in kept.iter() {
-            self.insert_rehash(s);
+    }
+
+    /// Refills the table with `nodes`, reading each key from the arena's
+    /// lo/hi columns.
+    fn rebuild(&mut self, nodes: &[NodeRef], lo_col: &[NodeRef], hi_col: &[NodeRef]) {
+        self.reset(nodes.len());
+        for &node in nodes {
+            let (lo, hi) = (lo_col[node.idx()], hi_col[node.idx()]);
+            self.insert_rehash(UniqueSlot { lo, hi, node });
+        }
+    }
+
+    /// Hands out the table's nodes in slot order and frees its slot array.
+    fn take_nodes(&mut self) -> Vec<NodeRef> {
+        let nodes = self.iter().map(|(_, _, n)| n).collect();
+        self.slots = Vec::new();
+        self.len = 0;
+        nodes
+    }
+
+    /// The node for `(lo, hi)`, or the one `make` returns, entered in the
+    /// slot that ends the key's probe chain. Never grows: the caller sized
+    /// the table with [`UniqueTable::reset`] for every key it will add.
+    fn find_or_insert(
+        &mut self,
+        lo: NodeRef,
+        hi: NodeRef,
+        make: impl FnOnce() -> NodeRef,
+    ) -> NodeRef {
+        let mask = self.slots.len() - 1;
+        let mut i = (Self::hash(lo, hi) as usize) & mask;
+        loop {
+            let s = self.slots[i];
+            if s.node == EMPTY {
+                let node = make();
+                self.slots[i] = UniqueSlot { lo, hi, node };
+                self.len += 1;
+                debug_assert!(self.len < self.slots.len(), "find_or_insert overfilled");
+                return node;
+            }
+            if s.lo == lo && s.hi == hi {
+                return s.node;
+            }
+            i = (i + 1) & mask;
         }
     }
 
     /// Iterates live entries as `(lo, hi, node)` in slot order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (NodeRef, NodeRef, NodeRef)> + '_ {
+    fn iter(&self) -> impl Iterator<Item = (NodeRef, NodeRef, NodeRef)> + '_ {
         self.slots
             .iter()
             .filter(|s| s.node != EMPTY)
@@ -682,8 +649,11 @@ pub struct Bdd {
     /// empty), plus its length for O(1) `allocated_nodes`.
     free_head: u32,
     free_len: usize,
-    /// Per-variable unique tables.
+    /// Per-variable unique tables; empty while sifting (see `lists`).
     unique: Vec<UniqueTable>,
+    /// While sifting, each variable's nodes as a plain list in place of
+    /// its unique table; empty otherwise.
+    lists: Vec<Vec<NodeRef>>,
     /// `level -> var index`.
     var_at_level: Vec<u32>,
     /// `var index -> level`.
@@ -705,17 +675,19 @@ pub struct Bdd {
     /// in first-use order).
     rename_maps: HashMap<Vec<(u32, u32)>, u32>,
     /// Per-node reference counts (rc column, indexed by arena index); only
-    /// maintained while `rc_active`.
+    /// maintained while sifting.
     rc: Vec<u32>,
-    /// Whether sifting-time reference counting (and with it immediate dead
-    /// node reclamation in `swap_levels`) is on.
-    rc_active: bool,
-    /// Reused work stack of `rc_release` cascades.
-    release_stack: Vec<NodeRef>,
-    /// Reused `swap_levels` buffers: the x-nodes that interact with y, as
-    /// `(node, lo, hi)`, and the x-table entries kept while draining.
-    interacting: Vec<(NodeRef, NodeRef, NodeRef)>,
-    kept: Vec<UniqueSlot>,
+    /// Whether the manager is in sift mode: nodes are listed in `lists`,
+    /// counted in `rc`, and `swap_levels` frees dead nodes at once.
+    sifting: bool,
+    /// Reused `swap_levels` buffers, freed when a sift ends: the x-nodes
+    /// that depend on y with their four cofactors over (x, y), and the
+    /// find-or-insert map of the new x-nodes.
+    swap_moved: Vec<(NodeRef, [NodeRef; 4])>,
+    swap_map: UniqueTable,
+    /// The largest allocated count seen after a level swap, for tests.
+    #[cfg(test)]
+    boundary_peak: usize,
     /// Total `mk` calls; a rough work counter exposed for benchmarks.
     mk_calls: u64,
     /// Operation-cache probes in `ite` (excluding terminal short-circuits).
@@ -891,6 +863,7 @@ impl Bdd {
             free_head: NO_FREE,
             free_len: 0,
             unique: Vec::new(),
+            lists: Vec::new(),
             var_at_level: Vec::new(),
             level_of_var: Vec::new(),
             var_names: Vec::new(),
@@ -899,10 +872,11 @@ impl Bdd {
             marks: RefCell::new(Marks::default()),
             rename_maps: HashMap::new(),
             rc: Vec::new(),
-            rc_active: false,
-            release_stack: Vec::new(),
-            interacting: Vec::new(),
-            kept: Vec::new(),
+            sifting: false,
+            swap_moved: Vec::new(),
+            swap_map: UniqueTable::default(),
+            #[cfg(test)]
+            boundary_peak: 0,
             mk_calls: 0,
             cache_lookups: 0,
             cache_hits: 0,
@@ -926,7 +900,7 @@ impl Bdd {
         let idx = self.level_of_var.len() as u32;
         self.level_of_var.push(self.var_at_level.len() as u32);
         self.var_at_level.push(idx);
-        self.unique.push(UniqueTable::new());
+        self.unique.push(UniqueTable::default());
         self.var_names.push(name.into());
         Var(idx)
     }
@@ -1123,32 +1097,37 @@ impl Bdd {
     fn mk_node(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
         debug_assert_eq!(hi.parity(), 0, "complemented hi edge");
         debug_assert_ne!(lo, hi);
+        debug_assert!(
+            !self.sifting,
+            "mk while sifting: the unique tables are suspended"
+        );
         if let Some(n) = self.unique[var as usize].get(lo, hi) {
             return n;
         }
-        let r = if self.free_head != NO_FREE {
+        let r = self.alloc_node(var, lo, hi);
+        self.unique[var as usize].insert(lo, hi, r);
+        r
+    }
+
+    /// Stores `(var, lo, hi)` in a free-list slot, or at the end of the
+    /// arena, and raises the peak mark. Returns a regular handle.
+    fn alloc_node(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
+        let i = if self.free_head != NO_FREE {
             let i = self.free_head as usize;
             self.free_head = self.lo_col[i].0;
             self.free_len -= 1;
             self.var_col[i] = var;
             self.lo_col[i] = lo;
             self.hi_col[i] = hi;
-            NodeRef((i as u32) << 1)
+            i
         } else {
-            let i = self.var_col.len();
             self.var_col.push(var);
             self.lo_col.push(lo);
             self.hi_col.push(hi);
-            NodeRef((i as u32) << 1)
+            self.var_col.len() - 1
         };
-        self.unique[var as usize].insert(lo, hi, r);
-        if self.rc_active {
-            self.rc_set(r, 0);
-            self.rc_inc(lo);
-            self.rc_inc(hi);
-        }
         self.peak_live_nodes = self.peak_live_nodes.max(self.allocated_nodes() as u64);
-        r
+        NodeRef((i as u32) << 1)
     }
 
     /// Threads arena slot `i` onto the free-list (through the lo column).
@@ -1187,34 +1166,6 @@ impl Bdd {
         debug_assert!(*c > 0, "rc underflow");
         *c -= 1;
         *c
-    }
-
-    /// Drops one reference to `n`; nodes whose count reaches zero are
-    /// unlinked from their unique table, put on the free-list, and release
-    /// their children in turn. Only called while `rc_active`. Most calls
-    /// leave the count above zero and return before touching the stack.
-    fn rc_release(&mut self, n: NodeRef) {
-        if n.is_terminal() || self.rc_dec(n) > 0 {
-            return;
-        }
-        let mut stack = std::mem::take(&mut self.release_stack);
-        stack.push(n);
-        // Every node on the stack has just dropped to zero references.
-        while let Some(m) = stack.pop() {
-            let i = m.idx();
-            // Read the node out before free_push overwrites the lo slot
-            // with the free-list thread.
-            let (var, lo, hi) = (self.var_col[i], self.lo_col[i], self.hi_col[i]);
-            self.unique[var as usize].remove(lo, hi);
-            self.free_push(i);
-            self.reclaimed_nodes += 1;
-            for c in [lo, hi] {
-                if !c.is_terminal() && self.rc_dec(c) == 0 {
-                    stack.push(c);
-                }
-            }
-        }
-        self.release_stack = stack;
     }
 
     /// If-then-else: `ite(f, g, h) = f·g + !f·h`. All other Boolean
@@ -2112,6 +2063,7 @@ impl Bdd {
     /// from `roots` and invalidates the operation cache. Handles reachable
     /// from `roots` remain valid. Returns the number of nodes freed.
     pub fn gc(&mut self, roots: &[NodeRef]) -> usize {
+        debug_assert!(!self.sifting, "gc while sifting");
         let mut marks = self.marks.take();
         marks.begin(self.var_col.len());
         let mut stack: Vec<NodeRef> = roots.to_vec();
@@ -2166,8 +2118,9 @@ impl Bdd {
     /// * children are live (never free-list slots);
     /// * table entries + free-list slots exactly tile the arena, and the
     ///   free-list thread has the recorded length;
-    /// * while sifting-time refcounts are active, every count is at least
-    ///   the node's in-table reference count.
+    /// * while sifting, the per-variable node lists stand in for the
+    ///   tables (the tables are empty), and every reference count is at
+    ///   least the node's in-store reference count.
     ///
     /// Intended for tests and `debug_assert!`-gated self-checks (the sift
     /// epilogue runs it in debug builds); it is O(arena) and allocates.
@@ -2179,42 +2132,60 @@ impl Bdd {
             self.var_col[0], TERMINAL_VAR,
             "index 0 must be the terminal"
         );
-        let mut seen = vec![false; n];
-        seen[0] = true;
-        let mut entries = 0usize;
-        let mut table_refs = vec![0u32; n];
+        // Every stored node with the variable that lists it.
+        let mut listed: Vec<(usize, NodeRef)> = Vec::new();
         for (var, table) in self.unique.iter().enumerate() {
+            assert!(
+                !self.sifting || table.len() == 0,
+                "table kept while sifting"
+            );
             for (lo, hi, node) in table.iter() {
-                entries += 1;
-                assert_eq!(node.parity(), 0, "table holds a complemented handle");
                 let i = node.idx();
                 assert!(i < n, "table handle out of bounds");
-                assert!(!seen[i], "node {i} appears in two tables");
-                seen[i] = true;
-                assert_eq!(self.var_col[i], var as u32, "table/column var mismatch");
                 assert_eq!(self.lo_col[i], lo, "table/column lo mismatch");
                 assert_eq!(self.hi_col[i], hi, "table/column hi mismatch");
-                assert_eq!(hi.parity(), 0, "complemented hi edge at node {i}");
-                assert_ne!(lo, hi, "unreduced node {i}");
-                for child in [lo, hi] {
-                    if !child.is_terminal() {
-                        let ci = child.idx();
-                        assert!(ci < n, "child out of bounds");
-                        let cv = self.var_col[ci];
-                        assert_ne!(cv, FREE_VAR, "node {i} points at freed slot {ci}");
-                        assert!(
-                            self.level_of_var[var] < self.level_of_var[cv as usize],
-                            "level order violated at node {i}"
-                        );
-                        table_refs[ci] += 1;
-                    }
-                }
+                listed.push((var, node));
             }
         }
         assert_eq!(
+            self.lists.len(),
+            if self.sifting { self.unique.len() } else { 0 }
+        );
+        for (var, list) in self.lists.iter().enumerate() {
+            listed.extend(list.iter().map(|&node| (var, node)));
+        }
+        let mut seen = vec![false; n];
+        seen[0] = true;
+        let mut store_refs = vec![0u32; n];
+        for &(var, node) in &listed {
+            assert_eq!(node.parity(), 0, "store holds a complemented handle");
+            let i = node.idx();
+            assert!(i < n, "stored handle out of bounds");
+            assert!(!seen[i], "node {i} is stored twice");
+            seen[i] = true;
+            assert_eq!(self.var_col[i], var as u32, "store/column var mismatch");
+            let (lo, hi) = (self.lo_col[i], self.hi_col[i]);
+            assert_eq!(hi.parity(), 0, "complemented hi edge at node {i}");
+            assert_ne!(lo, hi, "unreduced node {i}");
+            for child in [lo, hi] {
+                if !child.is_terminal() {
+                    let ci = child.idx();
+                    assert!(ci < n, "child out of bounds");
+                    let cv = self.var_col[ci];
+                    assert_ne!(cv, FREE_VAR, "node {i} points at freed slot {ci}");
+                    assert!(
+                        self.level_of_var[var] < self.level_of_var[cv as usize],
+                        "level order violated at node {i}"
+                    );
+                    store_refs[ci] += 1;
+                }
+            }
+        }
+        let entries = listed.len();
+        assert_eq!(
             entries,
             self.allocated_nodes(),
-            "unique-table entries vs allocated nodes"
+            "stored nodes vs allocated nodes"
         );
         let mut free_cnt = 0usize;
         let mut i = self.free_head;
@@ -2222,7 +2193,7 @@ impl Bdd {
             let ii = i as usize;
             assert!(ii < n, "free-list index out of bounds");
             assert_eq!(self.var_col[ii], FREE_VAR, "free slot not marked FREE_VAR");
-            assert!(!seen[ii], "free slot {ii} also sits in a unique table");
+            assert!(!seen[ii], "free slot {ii} is also stored");
             free_cnt += 1;
             assert!(free_cnt <= self.free_len, "free-list longer than recorded");
             i = self.lo_col[ii].0;
@@ -2231,14 +2202,14 @@ impl Bdd {
         assert_eq!(
             entries + self.free_len + 1,
             n,
-            "arena not tiled by tables + free-list"
+            "arena not tiled by stored nodes + free-list"
         );
-        if self.rc_active {
-            for (idx, &refs) in table_refs.iter().enumerate() {
+        if self.sifting {
+            for (idx, &refs) in store_refs.iter().enumerate() {
                 if refs > 0 {
                     assert!(
                         self.rc[idx] >= refs,
-                        "rc[{idx}] = {} below its in-table reference count {refs}",
+                        "rc[{idx}] = {} below its in-store reference count {refs}",
                         self.rc[idx]
                     );
                 }
@@ -2246,74 +2217,29 @@ impl Bdd {
         }
     }
 
-    // ---- internals shared with the reorder module ----
-
-    /// Raw stored fields of a (regular) node handle: `(var, lo, hi)` with
-    /// the hi edge regular by canonical form.
-    pub(crate) fn node(&self, n: NodeRef) -> (u32, NodeRef, NodeRef) {
-        let i = n.idx();
-        (self.var_col[i], self.lo_col[i], self.hi_col[i])
-    }
-
-    pub(crate) fn rewrite_node(&mut self, n: NodeRef, var: u32, lo: NodeRef, hi: NodeRef) {
-        debug_assert_eq!(hi.parity(), 0, "rewrite would store a complemented hi edge");
-        let i = n.idx();
-        self.var_col[i] = var;
-        self.lo_col[i] = lo;
-        self.hi_col[i] = hi;
-    }
-
-    pub(crate) fn unique_table(&self, var: u32) -> &UniqueTable {
-        &self.unique[var as usize]
-    }
-
-    pub(crate) fn unique_table_mut(&mut self, var: u32) -> &mut UniqueTable {
-        &mut self.unique[var as usize]
-    }
-
-    /// Takes the nodes of `x` that have a `y`-labelled child out of `x`'s
-    /// unique table, as `(node, lo, hi)` in a reused buffer that the caller
-    /// hands back with [`Bdd::return_interacting`].
-    pub(crate) fn drain_interacting(&mut self, x: u32, y: u32) -> Vec<(NodeRef, NodeRef, NodeRef)> {
-        let mut out = std::mem::take(&mut self.interacting);
-        out.clear();
-        let var_col = &self.var_col;
-        self.unique[x as usize].drain_where(
-            |lo, hi| var_col[lo.idx()] == y || var_col[hi.idx()] == y,
-            &mut out,
-            &mut self.kept,
-        );
-        self.swap_rewrites += out.len() as u64;
-        out
-    }
-
-    pub(crate) fn return_interacting(&mut self, buf: Vec<(NodeRef, NodeRef, NodeRef)>) {
-        self.interacting = buf;
-    }
-
-    pub(crate) fn make_inner(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
-        self.mk_raw(var, lo, hi)
-    }
+    // ---- sift mode, shared with the reorder module ----
 
     pub(crate) fn set_level(&mut self, v: u32, level: u32) {
         self.level_of_var[v as usize] = level;
         self.var_at_level[level as usize] = v;
     }
 
-    /// Installs reference counts for every live node (callers must have
-    /// garbage-collected first so the tables contain exactly the reachable
-    /// nodes) and turns on sifting-time reclamation.
-    pub(crate) fn rc_begin(&mut self, roots: &[NodeRef]) {
+    /// Enters sift mode: installs reference counts for every live node
+    /// (callers must have garbage-collected first so the tables contain
+    /// exactly the reachable nodes), moves each unique table's nodes into a
+    /// plain per-variable list and frees the table, and turns on swap-time
+    /// reclamation.
+    pub(crate) fn sift_begin(&mut self, roots: &[NodeRef]) {
+        debug_assert!(!self.sifting, "already sifting");
         self.rc.clear();
         self.rc.resize(self.var_col.len(), 0);
         let rc = &mut self.rc;
         for table in &self.unique {
             for (lo, hi, _) in table.iter() {
-                if !lo.is_terminal() {
-                    rc[lo.idx()] += 1;
-                }
-                if !hi.is_terminal() {
-                    rc[hi.idx()] += 1;
+                for c in [lo, hi] {
+                    if !c.is_terminal() {
+                        rc[c.idx()] += 1;
+                    }
                 }
             }
         }
@@ -2322,21 +2248,30 @@ impl Bdd {
                 rc[r.idx()] += 1;
             }
         }
-        self.rc_active = true;
+        self.lists = self
+            .unique
+            .iter_mut()
+            .map(UniqueTable::take_nodes)
+            .collect();
+        self.sifting = true;
     }
 
-    /// Turns sifting-time reclamation back off and drops the counts.
-    pub(crate) fn rc_end(&mut self) {
-        self.rc_active = false;
-        self.rc.clear();
+    /// Leaves sift mode: rebuilds every unique table once from its list,
+    /// and frees the lists, the counts and the swap buffers.
+    pub(crate) fn sift_end(&mut self) {
+        debug_assert!(self.sifting, "not sifting");
+        for (table, nodes) in self.unique.iter_mut().zip(std::mem::take(&mut self.lists)) {
+            table.rebuild(&nodes, &self.lo_col, &self.hi_col);
+        }
+        self.sifting = false;
+        self.rc = Vec::new();
+        self.swap_moved = Vec::new();
+        self.swap_map = UniqueTable::default();
     }
 
-    pub(crate) fn rc_is_active(&self) -> bool {
-        self.rc_active
-    }
-
-    /// Copies the node store into `snap`, reusing its buffers.
+    /// Copies the sift-mode store into `snap`, reusing its buffers.
     pub(crate) fn save_store(&self, snap: &mut StoreSnapshot) {
+        debug_assert!(self.sifting, "saving a store outside sift mode");
         snap.var_col.clone_from(&self.var_col);
         snap.lo_col.clone_from(&self.lo_col);
         snap.hi_col.clone_from(&self.hi_col);
@@ -2345,20 +2280,17 @@ impl Bdd {
         snap.rc.clone_from(&self.rc);
         snap.var_at_level.clone_from(&self.var_at_level);
         snap.level_of_var.clone_from(&self.level_of_var);
-        snap.tables.resize_with(self.unique.len(), Default::default);
-        for (saved, table) in snap.tables.iter_mut().zip(&self.unique) {
-            saved.0.clone_from(&table.slots);
-            saved.1 = table.len;
-        }
+        snap.lists.clone_from(&self.lists);
     }
 
     /// Puts back the store `snap` was saved from, so every handle alive at
     /// the save denotes the same function again, under the saved order.
     /// Both operation caches are invalidated; work counters keep running.
     pub(crate) fn restore_store(&mut self, snap: &StoreSnapshot) {
+        debug_assert!(self.sifting, "restoring a store outside sift mode");
         debug_assert_eq!(
-            snap.tables.len(),
-            self.unique.len(),
+            snap.lists.len(),
+            self.lists.len(),
             "variables declared since the save"
         );
         self.var_col.clone_from(&snap.var_col);
@@ -2369,18 +2301,15 @@ impl Bdd {
         self.rc.clone_from(&snap.rc);
         self.var_at_level.clone_from(&snap.var_at_level);
         self.level_of_var.clone_from(&snap.level_of_var);
-        for (table, saved) in self.unique.iter_mut().zip(&snap.tables) {
-            table.slots.clone_from(&saved.0);
-            table.len = saved.1;
-        }
+        self.lists.clone_from(&snap.lists);
         self.clear_cache();
         self.sift_restores += 1;
     }
 }
 
-/// A copy of the node store ([`Bdd::save_store`]): the arena columns, the
-/// free-list, the sifting reference counts, both level maps and each unique
-/// table's slots and length. Work counters are not part of it.
+/// A copy of the sift-mode node store ([`Bdd::save_store`]): the arena
+/// columns, the free-list, the reference counts, both level maps and the
+/// per-variable node lists. Work counters are not part of it.
 #[derive(Debug, Default)]
 pub(crate) struct StoreSnapshot {
     var_col: Vec<u32>,
@@ -2391,7 +2320,7 @@ pub(crate) struct StoreSnapshot {
     rc: Vec<u32>,
     var_at_level: Vec<u32>,
     level_of_var: Vec<u32>,
-    tables: Vec<(Vec<UniqueSlot>, usize)>,
+    lists: Vec<Vec<NodeRef>>,
 }
 
 /// A garbage-pressure trigger: collects dead nodes once the arena has
@@ -2907,60 +2836,39 @@ mod tests {
     }
 
     #[test]
-    fn unique_table_remove_keeps_probe_chains_intact() {
-        // Stress the backward-shift deletion: insert a batch, remove half
-        // in an interleaved pattern, and verify every survivor is still
-        // found and every removed key is gone.
-        let mut t = UniqueTable::new();
-        let n = 512u32;
-        for i in 0..n {
-            t.insert(NodeRef(i), NodeRef(i + 1), NodeRef(1000 + i));
-        }
-        for i in (0..n).step_by(2) {
-            assert_eq!(
-                t.remove(NodeRef(i), NodeRef(i + 1)),
-                Some(NodeRef(1000 + i))
-            );
-        }
-        assert_eq!(t.len(), n as usize / 2);
-        for i in 0..n {
-            let got = t.get(NodeRef(i), NodeRef(i + 1));
-            if i % 2 == 0 {
-                assert_eq!(got, None, "removed key {i} must be gone");
-            } else {
-                assert_eq!(got, Some(NodeRef(1000 + i)), "survivor {i} must be found");
+    fn unique_table_find_or_insert_finds_before_it_makes() {
+        let mut t = UniqueTable::default();
+        let n = 300u32;
+        t.reset(n as usize);
+        let key = |i: u32| (NodeRef(2 * i + 1), NodeRef(2 * i + 2));
+        let mut made = 0;
+        for round in 0..2 {
+            for i in 0..n {
+                let (lo, hi) = key(i);
+                let got = t.find_or_insert(lo, hi, || {
+                    made += 1;
+                    NodeRef(1000 + 2 * i)
+                });
+                assert_eq!(got, NodeRef(1000 + 2 * i), "round {round}, key {i}");
             }
         }
-        // Re-inserting removed keys must work and not duplicate.
-        for i in (0..n).step_by(2) {
+        assert_eq!((made, t.len()), (n, n as usize));
+        // A rebuild from the arena columns finds exactly the listed nodes.
+        let nodes: Vec<NodeRef> = (0..n).map(|i| NodeRef(2 * i)).collect();
+        let lo_col: Vec<NodeRef> = (0..n).map(|i| key(i).0).collect();
+        let hi_col: Vec<NodeRef> = (0..n).map(|i| key(i).1).collect();
+        t.rebuild(&nodes[..n as usize / 2], &lo_col, &hi_col);
+        assert_eq!(t.len(), n as usize / 2);
+        for i in 0..n {
+            let (lo, hi) = key(i);
             assert_eq!(
-                t.insert(NodeRef(i), NodeRef(i + 1), NodeRef(2000 + i)),
-                None
+                t.get(lo, hi),
+                (i < n / 2).then_some(NodeRef(2 * i)),
+                "key {i}"
             );
         }
-        assert_eq!(t.len(), n as usize);
-    }
-
-    #[test]
-    fn unique_table_drain_takes_matches_and_keeps_the_rest_findable() {
-        let mut t = UniqueTable::new();
-        let n = 512u32;
-        for i in 0..n {
-            t.insert(NodeRef(i), NodeRef(i + 1), NodeRef(1000 + i));
-        }
-        let (mut taken, mut kept) = (Vec::new(), Vec::new());
-        t.drain_where(|lo, _| lo.0 % 3 == 0, &mut taken, &mut kept);
-        taken.sort();
-        let want: Vec<_> = (0..n)
-            .filter(|i| i % 3 == 0)
-            .map(|i| (NodeRef(1000 + i), NodeRef(i), NodeRef(i + 1)))
-            .collect();
-        assert_eq!(taken, want);
-        assert_eq!(t.len(), n as usize - want.len());
-        for i in 0..n {
-            let got = t.get(NodeRef(i), NodeRef(i + 1));
-            assert_eq!(got, (i % 3 != 0).then_some(NodeRef(1000 + i)), "key {i}");
-        }
+        assert_eq!(t.take_nodes().len(), n as usize / 2);
+        assert_eq!((t.len(), t.slots.len()), (0, 0));
     }
 
     #[test]

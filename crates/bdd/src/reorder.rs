@@ -14,13 +14,17 @@
 //! in-place adjacent level swaps, so [`NodeRef`] handles remain valid across
 //! reordering.
 //!
+//! A sift runs in sift mode: the unique tables are suspended, each
+//! variable's nodes sit in a plain list, and a swap rewrites two lists
+//! (see [`Bdd::swap_levels`]). The tables are rebuilt once at the end.
+//!
 //! Each block's walk starts from a saved copy of the node store. Rather
 //! than swap the block back across positions it has already measured, the
 //! sift jumps back to its start by restoring that copy, which puts every
 //! node back where it was. So a sift holds a second copy of the store while
 //! it runs; the copy is freed when the sift ends.
 
-use crate::{Bdd, NodeRef, StoreSnapshot, Var};
+use crate::{Bdd, NodeRef, StoreSnapshot, UniqueTable, Var};
 
 /// Constraints and options for [`Bdd::sift`].
 #[derive(Debug, Clone, Default)]
@@ -61,9 +65,10 @@ impl Bdd {
     ///
     /// Node handles remain valid and keep denoting the same functions; the
     /// operation cache is invalidated. This is the primitive underlying
-    /// [`Bdd::sift`]. During sifting (reference counting active), child
-    /// nodes orphaned by the rewrite are reclaimed immediately through the
-    /// free-list instead of leaking until the next [`Bdd::gc`].
+    /// [`Bdd::sift`]. Inside a sift, nodes orphaned by the rewrite are
+    /// reclaimed at once through the free-list; outside one they stay until
+    /// the next [`Bdd::gc`], and the two unique tables of the swapped
+    /// variables are rebuilt from the swap's result.
     ///
     /// # Panics
     ///
@@ -73,61 +78,177 @@ impl Bdd {
             level + 1 < self.num_vars(),
             "swap_levels: level {level} out of range"
         );
-        self.swap_count += 1;
-        let x = self.var_at(level).0;
-        let y = self.var_at(level + 1).0;
-
-        // Take the x-nodes that depend on y out of x's table; they must be
-        // rewritten. Children of x-nodes are below level `level`, and only
-        // x-nodes are rewritten, so collecting (lo, hi) up front is safe.
-        let interacting = self.drain_interacting(x, y);
-
-        let reclaim = self.rc_is_active();
-        for &(n, lo, hi) in &interacting {
-            // Cofactors of the function at `n` over (x, y):
-            // n = x ? hi : lo, so f_{x=a, y=b} = (a ? hi : lo)|_{y=b}.
-            // The lo edge may carry the complement bit; push its parity onto
-            // the extracted cofactors so they denote the true sub-functions.
-            // The hi edge is regular by canonical form, so its raw children
-            // are already the true cofactors — and f11 in particular stays
-            // regular, which guarantees `new_hi` below is regular as
-            // `rewrite_node` requires.
-            let (lo_var, lo_lo, lo_hi) = self.node(lo);
-            let (hi_var, hi_lo, hi_hi) = self.node(hi);
-            let pl = lo.parity();
-            let (f00, f01) = if lo_var == y {
-                (lo_lo.xor_parity(pl), lo_hi.xor_parity(pl))
-            } else {
-                (lo, lo)
-            };
-            let (f10, f11) = if hi_var == y {
-                (hi_lo, hi_hi)
-            } else {
-                (hi, hi)
-            };
-            // After the swap y is on top: n = y ? (x ? f11 : f01)
-            //                                   : (x ? f10 : f00).
-            // Both new children must exist before the old ones are released:
-            // a cascade from `lo` could otherwise free a cofactor that
-            // `new_hi` still needs.
-            let new_lo = self.make_inner(x, f00, f10);
-            let new_hi = self.make_inner(x, f01, f11);
-            debug_assert_ne!(new_lo, new_hi, "swap produced a redundant node");
-            if reclaim {
-                self.rc_inc(new_lo);
-                self.rc_inc(new_hi);
-                self.rc_release(lo);
-                self.rc_release(hi);
-            }
-            self.rewrite_node(n, y, new_lo, new_hi);
-            let prev = self.unique_table_mut(y).insert(new_lo, new_hi, n);
-            debug_assert!(prev.is_none(), "swap produced a duplicate y-node");
+        let x = self.var_at_level[level];
+        let y = self.var_at_level[level + 1];
+        let (xi, yi) = (x as usize, y as usize);
+        if self.sifting {
+            let mut xs = std::mem::take(&mut self.lists[xi]);
+            let mut ys = std::mem::take(&mut self.lists[yi]);
+            self.swap_kernel(x, y, &mut xs, &mut ys);
+            self.lists[xi] = xs;
+            self.lists[yi] = ys;
+        } else {
+            let mut xs = self.unique[xi].take_nodes();
+            let mut ys = self.unique[yi].take_nodes();
+            self.swap_kernel(x, y, &mut xs, &mut ys);
+            self.unique[xi].rebuild(&xs, &self.lo_col, &self.hi_col);
+            self.unique[yi].rebuild(&ys, &self.lo_col, &self.hi_col);
         }
-        self.return_interacting(interacting);
-
         self.set_level(x, level as u32 + 1);
         self.set_level(y, level as u32);
         self.clear_cache();
+        #[cfg(test)]
+        {
+            self.boundary_peak = self.boundary_peak.max(self.allocated_nodes());
+        }
+    }
+
+    /// Rewrites the nodes of `x` (listed in `xs`, one level above `y`) and
+    /// of `y` (listed in `ys`) for the order with `y` on top, in three
+    /// phases:
+    ///
+    /// 1. the x-nodes with a y-child leave `xs`, and their four cofactors
+    ///    over (x, y) are read and, while sifting, referenced;
+    /// 2. while sifting, their old children are dropped: every y-node whose
+    ///    count reaches zero goes onto the free-list, and nothing below y
+    ///    can die, because its cofactors are held;
+    /// 3. the new x-nodes are made through a find-or-insert map that starts
+    ///    with the x-nodes that stay, each moved node is rewritten in place
+    ///    as a y-node, the held references are released, and `ys` drops its
+    ///    dead nodes and takes the moved ones.
+    ///
+    /// Every free comes before any allocation, so the allocated count never
+    /// exceeds its value at either end of the swap. Outside a sift nothing
+    /// is counted or freed, and the orphaned y-nodes stay listed.
+    fn swap_kernel(&mut self, x: u32, y: u32, xs: &mut Vec<NodeRef>, ys: &mut Vec<NodeRef>) {
+        self.swap_count += 1;
+        let reclaim = self.sifting;
+        let mut moved = std::mem::take(&mut self.swap_moved);
+        moved.clear();
+
+        // Phase 1. The cofactors of n = x ? hi : lo are
+        // f_{x=a, y=b} = (a ? hi : lo)|_{y=b}. The lo edge may carry the
+        // complement bit, so its parity is pushed onto its children; the hi
+        // edge is regular by canonical form, so f11 stays regular and with
+        // it the new hi edge.
+        let (var_col, lo_col, hi_col) = (&self.var_col, &self.lo_col, &self.hi_col);
+        xs.retain(|&n| {
+            let (lo, hi) = (lo_col[n.idx()], hi_col[n.idx()]);
+            let (lo_y, hi_y) = (var_col[lo.idx()] == y, var_col[hi.idx()] == y);
+            if !lo_y && !hi_y {
+                return true;
+            }
+            let p = lo.parity();
+            let (f00, f01) = if lo_y {
+                (
+                    lo_col[lo.idx()].xor_parity(p),
+                    hi_col[lo.idx()].xor_parity(p),
+                )
+            } else {
+                (lo, lo)
+            };
+            let (f10, f11) = if hi_y {
+                (lo_col[hi.idx()], hi_col[hi.idx()])
+            } else {
+                (hi, hi)
+            };
+            moved.push((n, [f00, f01, f10, f11]));
+            false
+        });
+        self.swap_rewrites += moved.len() as u64;
+
+        if reclaim {
+            for &(n, cofactors) in &moved {
+                for f in cofactors {
+                    self.rc_inc(f);
+                }
+                // Phase 2, for this node's old children. Interleaving it
+                // with phase 1 is safe: a y-node dies only when its last
+                // x-parent drops it, and that parent already holds the
+                // y-node's children as its cofactors.
+                let i = n.idx();
+                for c in [self.lo_col[i], self.hi_col[i]] {
+                    if c.is_terminal() || self.rc_dec(c) > 0 {
+                        continue;
+                    }
+                    let ci = c.idx();
+                    debug_assert_eq!(self.var_col[ci], y, "a node below y died");
+                    let (lo, hi) = (self.lo_col[ci], self.hi_col[ci]);
+                    self.free_push(ci);
+                    self.reclaimed_nodes += 1;
+                    for g in [lo, hi] {
+                        if !g.is_terminal() {
+                            let left = self.rc_dec(g);
+                            debug_assert!(left > 0, "a cofactor died");
+                        }
+                    }
+                }
+            }
+        }
+
+        // Phase 3. After the swap y is on top:
+        // n = y ? (x ? f11 : f01) : (x ? f10 : f00).
+        let mut map = std::mem::take(&mut self.swap_map);
+        map.reset(xs.len() + 2 * moved.len());
+        for &n in xs.iter() {
+            map.find_or_insert(self.lo_col[n.idx()], self.hi_col[n.idx()], || n);
+        }
+        for &(n, [f00, f01, f10, f11]) in &moved {
+            let new_lo = self.swap_child(&mut map, xs, x, f00, f10);
+            let new_hi = self.swap_child(&mut map, xs, x, f01, f11);
+            debug_assert_ne!(new_lo, new_hi, "swap produced a redundant node");
+            debug_assert_eq!(new_hi.parity(), 0, "swap produced a complemented hi edge");
+            let i = n.idx();
+            self.var_col[i] = y;
+            self.lo_col[i] = new_lo;
+            self.hi_col[i] = new_hi;
+            if reclaim {
+                self.rc_inc(new_lo);
+                self.rc_inc(new_hi);
+                for f in [f00, f01, f10, f11] {
+                    if !f.is_terminal() {
+                        let left = self.rc_dec(f);
+                        debug_assert!(left > 0, "a cofactor died");
+                    }
+                }
+            }
+        }
+        if reclaim {
+            let var_col = &self.var_col;
+            ys.retain(|&m| var_col[m.idx()] == y);
+        }
+        ys.extend(moved.iter().map(|&(n, _)| n));
+        self.swap_map = map;
+        self.swap_moved = moved;
+    }
+
+    /// The x-node `x ? hi : lo` for phase 3 of [`Bdd::swap_kernel`]:
+    /// canonicalized as `mk` would, found in or added to `map`, and listed
+    /// in `xs` (and counted, while sifting) when new.
+    fn swap_child(
+        &mut self,
+        map: &mut UniqueTable,
+        xs: &mut Vec<NodeRef>,
+        x: u32,
+        lo: NodeRef,
+        hi: NodeRef,
+    ) -> NodeRef {
+        if lo == hi {
+            return lo;
+        }
+        let p = hi.parity();
+        let (lo, hi) = (lo.xor_parity(p), hi.xor_parity(p));
+        map.find_or_insert(lo, hi, || {
+            let n = self.alloc_node(x, lo, hi);
+            if self.sifting {
+                self.rc_set(n, 0);
+                self.rc_inc(lo);
+                self.rc_inc(hi);
+            }
+            xs.push(n);
+            n
+        })
+        .xor_parity(p)
     }
 
     /// Sifts variables to (heuristically) minimize the number of nodes
@@ -151,7 +272,7 @@ impl Bdd {
         // After gc the arena holds exactly the nodes reachable from `roots`,
         // and swap-time reclamation keeps it that way, so sifting can
         // measure size as the O(1) allocation count instead of traversing.
-        self.rc_begin(roots);
+        self.sift_begin(roots);
         let mut best = self.allocated_nodes();
         let mut saved = SavedStart::default();
         let passes = config.max_passes.max(1);
@@ -162,7 +283,8 @@ impl Bdd {
                 break;
             }
         }
-        self.rc_end();
+        drop(saved);
+        self.sift_end();
         // Sifting rewrites nodes in place; in debug builds, re-verify the
         // whole-arena invariants (no complemented hi edges, unique-table
         // consistency, free-list tiling) before handing handles back.
@@ -180,10 +302,8 @@ impl Bdd {
         mut best: usize,
     ) -> usize {
         // Per-variable live node counts (to choose the sift order) are just
-        // the unique-table sizes: reclamation keeps the tables exact.
-        let per_var: Vec<usize> = (0..self.num_vars())
-            .map(|v| self.unique_table(v as u32).len())
-            .collect();
+        // the list lengths: reclamation keeps the lists exact.
+        let per_var: Vec<usize> = self.lists.iter().map(Vec::len).collect();
         let mut block_weight: Vec<(usize, usize)> = (0..layout.num_blocks())
             .map(|b| {
                 let w = layout.block_vars[b]
@@ -453,6 +573,7 @@ impl BlockLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use polis_core::random::Rng;
 
     /// Builds f = x0·x1 + x2·x3 + x4·x5 under an interleaved-bad order
     /// x0,x2,x4,x1,x3,x5 — the classic example where sifting helps.
@@ -474,6 +595,56 @@ mod tests {
             f = b.or(f, t);
         }
         (b, f, vec![x0, x1, x2, x3, x4, x5])
+    }
+
+    /// A random subject in the style of `tests/sift_walk.rs`: a manager
+    /// over 6 to 12 variables, `roots` folds of two-literal terms, groups
+    /// of adjacent levels and satisfiable precedence pairs.
+    fn random_subject(rng: &mut Rng, roots: usize) -> (Bdd, Vec<NodeRef>, SiftConfig) {
+        let mut b = Bdd::new();
+        let n = rng.usize(6..13);
+        let vars: Vec<Var> = (0..n).map(|i| b.new_var(format!("v{i}"))).collect();
+        let lit = |b: &mut Bdd, rng: &mut Rng| b.var(vars[rng.usize(0..n)]);
+        let roots = (0..roots)
+            .map(|_| {
+                let mut f = NodeRef::FALSE;
+                for _ in 0..4 + rng.usize(0..10) {
+                    let (a, c) = (lit(&mut b, rng), lit(&mut b, rng));
+                    let t = match rng.usize(0..3) {
+                        0 => b.and(a, c),
+                        1 => b.or(a, c),
+                        _ => b.xor(a, c),
+                    };
+                    f = match rng.usize(0..3) {
+                        0 => b.and(f, t),
+                        1 => b.or(f, t),
+                        _ => b.xor(f, t),
+                    };
+                }
+                f
+            })
+            .collect();
+        let mut groups = Vec::new();
+        let mut level = 0;
+        while level < n {
+            let len = if rng.chance(0.3) { rng.usize(2..4) } else { 1 }.min(n - level);
+            if len > 1 {
+                groups.push(vars[level..level + len].to_vec());
+            }
+            level += len;
+        }
+        let precedence = (0..rng.usize(0..2 * n))
+            .map(|_| {
+                let a = rng.usize(0..n - 1);
+                (vars[a], vars[rng.usize(a + 1..n)])
+            })
+            .collect();
+        let config = SiftConfig {
+            precedence,
+            groups,
+            max_passes: if rng.bool() { 1 } else { usize::MAX },
+        };
+        (b, roots, config)
     }
 
     /// A reference Boolean function evaluated under a variable assignment.
@@ -593,6 +764,14 @@ mod tests {
         b.sift(&[f], &config);
     }
 
+    /// The parity of `vars`, one `xor` at a time.
+    fn parity(b: &mut Bdd, vars: &[Var]) -> NodeRef {
+        vars.iter().fold(NodeRef::FALSE, |acc, &v| {
+            let lit = b.var(v);
+            b.xor(acc, lit)
+        })
+    }
+
     #[test]
     fn restoring_a_saved_store_brings_back_its_order_and_forgets_later_results() {
         let (mut b, f, vars) = bad_order_function();
@@ -601,28 +780,92 @@ mod tests {
                 || (assign(vars[2]) && assign(vars[3]))
                 || (assign(vars[4]) && assign(vars[5]))
         };
+        b.gc(&[f]);
         let (order, nodes) = (b.order(), b.allocated_nodes());
         let mut snap = StoreSnapshot::default();
+        b.sift_begin(&[f]);
         b.save_store(&mut snap);
-        // Reorder, then cache a result built from nodes the restore drops.
         b.swap_levels(2);
         b.swap_levels(0);
-        let (x1, x5) = (b.var(vars[1]), b.var(vars[5]));
-        b.xor(x1, x5);
+        // Leave sift mode to cache a result built from nodes the restore
+        // drops, then put the saved store back in a second sift session.
+        b.sift_end();
+        parity(&mut b, &vars);
         assert!(b.allocated_nodes() > nodes);
+        b.sift_begin(&[f]);
         b.restore_store(&snap);
         assert_eq!((b.order(), b.allocated_nodes()), (order, nodes));
         assert_eq!(b.stats().sift_restores, 1);
         assert!(functions_equal(&b, f, &spec));
         b.check_canonical();
-        let (x1, x5) = (b.var(vars[1]), b.var(vars[5]));
-        let again = b.xor(x1, x5);
-        let xor = |assign: &dyn Fn(Var) -> bool| assign(vars[1]) ^ assign(vars[5]);
+        b.sift_end();
+        b.check_canonical();
+        let again = parity(&mut b, &vars);
+        let xor =
+            |assign: &dyn Fn(Var) -> bool| vars.iter().filter(|&&v| assign(v)).count() % 2 == 1;
         assert!(
             functions_equal(&b, again, &xor),
             "a stale cache entry answered"
         );
         b.check_canonical();
+    }
+
+    #[test]
+    fn a_swap_outside_a_sift_keeps_the_tables_canonical() {
+        let (mut b, f, vars) = bad_order_function();
+        let spec = |assign: &dyn Fn(Var) -> bool| {
+            (assign(vars[0]) && assign(vars[1]))
+                || (assign(vars[2]) && assign(vars[3]))
+                || (assign(vars[4]) && assign(vars[5]))
+        };
+        let before = b.order();
+        for level in 0..b.num_vars() - 1 {
+            let order = b.order();
+            b.swap_levels(level);
+            b.check_canonical();
+            assert!(functions_equal(&b, f, &spec), "after a swap at {level}");
+            // Every node is still found by hash-consing: rebuilding one
+            // from its cofactors returns the very same handle.
+            let mut stack = vec![f];
+            while let Some(n) = stack.pop() {
+                if n.is_terminal() {
+                    continue;
+                }
+                let (top, lo, hi) = (b.node_level(n), b.lo(n), b.hi(n));
+                assert_eq!(
+                    b.node_at_level(top, lo, hi),
+                    n,
+                    "mk after a swap at {level}"
+                );
+                stack.extend([lo, hi]);
+            }
+            b.swap_levels(level);
+            b.check_canonical();
+            assert_eq!(b.order(), order, "a double swap at {level}");
+        }
+        assert_eq!(b.order(), before);
+        assert!(functions_equal(&b, f, &spec));
+    }
+
+    #[test]
+    fn a_sift_peaks_at_a_swap_boundary() {
+        let mut rng = Rng::new(0x9e4a_c0de);
+        let mut swaps = 0;
+        for i in 0..60 {
+            let seed = rng.next_u64();
+            let (mut b, roots, config) = random_subject(&mut Rng::new(seed), 2 + i % 3);
+            b.gc(&roots);
+            b.reset_peak_live_nodes();
+            b.boundary_peak = b.allocated_nodes();
+            b.sift(&roots, &config);
+            swaps += b.stats().swap_count;
+            assert_eq!(
+                b.stats().peak_live_nodes,
+                b.boundary_peak as u64,
+                "subject {i} (seed {seed:#x})"
+            );
+        }
+        assert!(swaps > 1000, "only {swaps} swaps");
     }
 
     #[test]

@@ -120,7 +120,8 @@ pub fn emit_c(cfsm: &Cfsm, g: &SGraph, opts: &CodegenOptions) -> String {
         out: String::new(),
         emitted: vec![false; g.len()],
     };
-    e.emit_node(g.begin_next());
+    // A machine with no transitions has BEGIN -> END: an empty reaction.
+    e.goto(g.begin_next());
     out.push_str(&e.out);
     let _ = writeln!(out, "L{}: return;", NodeId::END.index());
     let _ = writeln!(out, "}}");

@@ -2,7 +2,7 @@
 
 use crate::lexer::{lex, Tok, Token};
 use crate::prop::{PropExpr, PropKind, Property, Span, Spec};
-use polis_cfsm::{Cfsm, CfsmBuilder, CfsmError, Guard, Network, NetworkError, StateId, TestId};
+use polis_cfsm::{Cfsm, CfsmBuilder, Guard, Network, NetworkError, StateId, TestId};
 use polis_expr::{Expr, Type, Value};
 use std::collections::HashMap;
 use std::error::Error;
@@ -31,16 +31,6 @@ impl fmt::Display for ParseError {
 }
 
 impl Error for ParseError {}
-
-impl From<CfsmError> for ParseError {
-    fn from(e: CfsmError) -> ParseError {
-        ParseError {
-            line: 0,
-            col: 0,
-            message: e.to_string(),
-        }
-    }
-}
 
 impl From<NetworkError> for ParseError {
     fn from(e: NetworkError) -> ParseError {
@@ -230,6 +220,7 @@ impl Parser {
     }
 
     fn module(&mut self) -> Result<Cfsm, ParseError> {
+        let (line, col) = self.here();
         self.expect(Tok::Module)?;
         let name = self.ident()?;
         self.expect(Tok::LBrace)?;
@@ -250,7 +241,11 @@ impl Parser {
             }
         }
         self.expect(Tok::RBrace)?;
-        Ok(b.build()?)
+        b.build().map_err(|e| ParseError {
+            line,
+            col,
+            message: e.to_string(),
+        })
     }
 
     fn input_decl(&mut self, b: &mut CfsmBuilder, env: &mut ModuleEnv) -> Result<(), ParseError> {
@@ -302,7 +297,18 @@ impl Parser {
         self.expect(Tok::Colon)?;
         let ty = self.ty()?;
         self.expect(Tok::Assign)?;
+        let (line, col) = self.here();
         let init = self.int()?;
+        let (min, max) = (ty.min_value(), ty.max_value());
+        if !(min..=max).contains(&init) {
+            return Err(ParseError {
+                line,
+                col,
+                message: format!(
+                    "initial value {init} of `{name}` is outside {ty}'s range {min}..={max}"
+                ),
+            });
+        }
         self.expect(Tok::Semi)?;
         env.vars.insert(name.clone());
         b.state_var(name, ty, Value::Int(init));
@@ -973,9 +979,39 @@ mod tests {
 
     #[test]
     fn validation_errors_surface() {
-        // duplicate name: input and output both `x`
+        // duplicate name: input and output both `x`, reported at the module
         let err = parse_module("module m { input x; output x; state s; }").unwrap_err();
         assert!(err.message.contains("duplicate name"));
+        assert_eq!((err.line, err.col), (1, 1));
+        let err = parse_module("\n  module m { input x; }").unwrap_err();
+        assert_eq!(err.to_string(), "2:3: machine has no control states");
+    }
+
+    #[test]
+    fn initializers_must_fit_their_type() {
+        let var = |decl: &str| parse_module(&format!("module m {{ var {decl}; state s; }}"));
+        for ok in [
+            "n : u4 := 15",
+            "n : u4 := 0",
+            "n : i4 := -8",
+            "n : i4 := 7",
+            "n : bool := 1",
+        ] {
+            assert!(var(ok).is_ok(), "{ok}");
+        }
+        for (bad, range) in [
+            ("n : u4 := 16", "u4's range 0..=15"),
+            ("n : u4 := -1", "u4's range 0..=15"),
+            ("n : i4 := -9", "i4's range -8..=7"),
+            ("n : i4 := 8", "i4's range -8..=7"),
+            ("n : bool := 2", "bool's range 0..=1"),
+        ] {
+            let err = var(bad).unwrap_err();
+            // Spanned at the literal: `module m { var ` is 15 columns.
+            let col = 15 + bad.find(":= ").unwrap() + 3 + 1;
+            assert_eq!((err.line, err.col as usize), (1, col), "{bad}");
+            assert!(err.message.contains(range), "{bad}: {}", err.message);
+        }
     }
 
     #[test]

@@ -241,6 +241,29 @@ fn ite_chain_with_minimal_buffering_matches() {
     }
 }
 
+/// A machine with no transitions has BEGIN -> END: every form compiles,
+/// assembles and analyzes to an empty reaction that fires nothing and
+/// keeps its state.
+#[test]
+fn a_machine_without_transitions_reacts_with_nothing() {
+    let stim = [(true, true, 3), (false, true, 9), (true, false, 0)];
+    for num_states in [1, 2] {
+        let m = instantiate(&MachineSpec {
+            num_states,
+            transitions: Vec::new(),
+        });
+        let mut rf = ReactiveFn::build(&m);
+        rf.sift(OrderScheme::OutputsAfterSupport);
+        for g in [build(&rf).unwrap(), ite_chain(&mut rf)] {
+            for policy in [BufferPolicy::All, BufferPolicy::Minimal] {
+                for profile in [Profile::Mcu8, Profile::Risc32] {
+                    check_machine(&m, &g, policy, profile, &stim);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn minimal_buffering_never_uses_more_ram() {
     for_each_case(0x15, 2, |m, _stim| {

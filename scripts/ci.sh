@@ -77,6 +77,29 @@ for spec in examples/specs/*.pol; do
   done
 done
 
+echo "==> regression specs: synth and estimate never panic (every style); a bad initializer is a line:col error"
+for spec in tests/specs/no_transitions.pol tests/specs/bad_init.pol; do
+  for style in dg chain 2lvl; do
+    for command in synth estimate; do
+      args=("$command" "$spec" --style "$style")
+      [ "$command" = synth ] && args+=(-o "/tmp/polis_ci_regress/$(basename "$spec" .pol).$style")
+      status=0
+      err="$(./target/release/polis "${args[@]}" 2>&1 >/dev/null)" || status=$?
+      if [ "$status" -eq 101 ]; then
+        echo "FAIL: polis ${args[*]} panicked"; echo "$err"; exit 1
+      fi
+      case "$spec" in
+        *bad_init.pol)
+          [ "$status" -eq 1 ] && grep -qE "^polis: $spec:[0-9]+:[0-9]+: " <<<"$err" \
+            || { echo "FAIL: polis ${args[*]} gave no line:col diagnostic (exit $status)"; echo "$err"; exit 1; } ;;
+        *)
+          [ "$status" -eq 0 ] \
+            || { echo "FAIL: polis ${args[*]} exited $status"; echo "$err"; exit 1; } ;;
+      esac
+    done
+  done
+done
+
 echo "==> synth --verify --refine runs on every example spec"
 for spec in examples/specs/*.pol; do
   name="$(basename "$spec" .pol)"

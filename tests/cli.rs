@@ -406,6 +406,70 @@ fn style_and_target_flags_change_output() {
     assert!(!bad.status.success());
 }
 
+/// A machine with no transitions synthesizes to an empty reaction under
+/// every style and target: BEGIN's only child is END.
+#[test]
+fn a_machine_without_transitions_has_an_empty_reaction() {
+    let spec = "tests/specs/no_transitions.pol";
+    for style in ["dg", "chain", "2lvl"] {
+        for target in ["mcu8", "risc32"] {
+            let what = format!("--style {style} --target {target}");
+            let dir = tmpdir(&format!("no_transitions_{style}_{target}"));
+            let flags = ["--style", style, "--target", target];
+            let synth = bin()
+                .args(["synth", spec, "-o", dir.to_str().unwrap()])
+                .args(flags)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&synth.stderr);
+            assert!(synth.status.success(), "synth {what}: {stderr}");
+            let c = std::fs::read_to_string(dir.join("a.c")).unwrap();
+            let react = &c[c.find("_react(").expect("a react routine")..];
+            assert_eq!(react.matches("return;").count(), 1, "{what}: {react}");
+            assert!(!react.contains("if ("), "{what}: {react}");
+            let estimate = bin().args(["estimate", spec]).args(flags).output().unwrap();
+            let stdout = String::from_utf8_lossy(&estimate.stdout);
+            let stderr = String::from_utf8_lossy(&estimate.stderr);
+            assert!(estimate.status.success(), "estimate {what}: {stderr}");
+            assert!(
+                stdout.lines().any(|l| l.starts_with("a ")),
+                "{what}: {stdout}"
+            );
+        }
+    }
+}
+
+/// An initializer outside its variable's type is a spanned parse error on
+/// every command that reads a spec, so the C and the model never start
+/// from different values.
+#[test]
+fn out_of_range_initializers_are_spanned_errors() {
+    let spec = "tests/specs/bad_init.pol";
+    let want =
+        "tests/specs/bad_init.pol:5:19: initial value 99 of `n` is outside u4's range 0..=15";
+    for command in ["synth", "estimate", "sim", "verify", "dot", "fmt"] {
+        let out = bin().args([command, spec]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains(want), "{command}: {stderr}");
+    }
+}
+
+/// A module without control states is reported at the module, with a
+/// position like every other spec error.
+#[test]
+fn a_module_without_states_is_a_spanned_error() {
+    let dir = tmpdir("no_states");
+    let spec = write(&dir, "m.pol", "module a { input x; }\n");
+    let out = bin().args(["synth", &spec]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("m.pol:1:1: machine has no control states"),
+        "{stderr}"
+    );
+}
+
 /// An action naming an undeclared output or state variable is a spanned
 /// parse error on every command that reads a spec, never a panic.
 #[test]
