@@ -1,12 +1,11 @@
 //! `paper`: the paper's evaluation, one subcommand per job. `paper
 //! <harness>` prints one table or experiment report, `paper check` reruns
 //! every harness and compares its verdicts with
-//! `scripts/harness_verdicts.txt`, and `paper kernel` / `paper verify` /
-//! `paper synth` run the benches behind `BENCH_bdd_kernel.json` /
-//! `BENCH_verify.json` / `BENCH_synth.json`. With no arguments it prints
-//! the usage, rendered from [`FLAGS`].
+//! `scripts/harness_verdicts.txt`, and `paper verify` / `paper synth` run
+//! the benches behind `BENCH_verify.json` / `BENCH_synth.json`. With no
+//! arguments it prints the usage, rendered from [`FLAGS`].
 
-use polis_bench::{check_verdicts, kernel, synth, verify, BenchOptions, HARNESSES};
+use polis_bench::{check_verdicts, synth, verify, BenchOptions, HARNESSES};
 use polis_core::args::{usage_line, Args, Flag};
 use std::process::ExitCode;
 
@@ -14,10 +13,9 @@ use std::process::ExitCode;
 /// against this table, and the usage text is rendered from it.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    Flag("--smoke", None,         &["kernel", "verify"]),
-    Flag("--check", None,         &["kernel", "verify"]),
+    Flag("--smoke", None,         &["verify"]),
     Flag("--gate",  Some("FILE"), &["verify", "synth"]),
-    Flag("--out",   Some("FILE"), &["kernel", "verify", "synth"]),
+    Flag("--out",   Some("FILE"), &["verify", "synth"]),
 ];
 
 fn main() -> ExitCode {
@@ -42,7 +40,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
             println!("all {n} harness verdicts match scripts/harness_verdicts.txt");
             return Ok(());
         }
-        "kernel" => kernel::run(&opts)?,
         "synth" => synth::run(&opts)?,
         _ => verify::run(&opts)?,
     };
@@ -52,9 +49,7 @@ fn run(args: Vec<String>) -> Result<(), String> {
     if !failures.is_empty() {
         return Err(format!("{} bench checks failed", failures.len()));
     }
-    if opts.check {
-        println!("bench check OK");
-    }
+    println!("bench check OK");
     Ok(())
 }
 
@@ -64,12 +59,11 @@ fn parse(raw: Vec<String>) -> Result<(&'static str, BenchOptions), String> {
     let commands: Vec<&'static str> = HARNESSES
         .iter()
         .map(|(harness, _)| *harness)
-        .chain(["check", "kernel", "verify", "synth"])
+        .chain(["check", "verify", "synth"])
         .collect();
     let args = Args::parse(raw, &commands, &[], FLAGS)?;
     let opts = BenchOptions {
         smoke: args.has("--smoke"),
-        check: args.has("--check"),
         gate: args.value("--gate").map(str::to_owned),
         out: args.value("--out").map(str::to_owned),
     };
@@ -80,7 +74,7 @@ fn parse(raw: Vec<String>) -> Result<(&'static str, BenchOptions), String> {
 fn usage() -> String {
     let harnesses: Vec<&str> = HARNESSES.iter().map(|(name, _)| *name).collect();
     let mut text = format!("usage: paper <{}|check>", harnesses.join("|"));
-    for command in ["kernel", "verify", "synth"] {
+    for command in ["verify", "synth"] {
         text.push('\n');
         text.push_str(&usage_line(
             &format!("       paper {command}"),

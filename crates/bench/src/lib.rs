@@ -4,16 +4,15 @@
 //! experiment of the paper's Section V and returns its report; see
 //! EXPERIMENTS.md for the recorded outputs and the paper-vs-measured
 //! comparison. [`check_verdicts`] reruns all of them and compares their
-//! shape-check verdicts with `scripts/harness_verdicts.txt`. [`kernel`]
-//! and [`verify`] are the BDD-kernel and reachability benches that write
-//! `BENCH_bdd_kernel.json` and `BENCH_verify.json`; [`synth`] writes the
-//! generated-code metrics of `BENCH_synth.json`.
+//! shape-check verdicts with `scripts/harness_verdicts.txt`. [`verify`]
+//! is the reachability bench behind `BENCH_verify.json`, and [`synth`]
+//! writes the generated-code metrics of `BENCH_synth.json`; each gates a
+//! run against its committed file.
 
 mod ablation_buffering;
 mod ablation_collapse;
 mod falsepath;
 mod granularity;
-pub mod kernel;
 mod schedulability;
 mod shock_absorber;
 pub mod synth;
@@ -85,14 +84,12 @@ pub fn check_verdicts() -> Result<usize, String> {
     }
 }
 
-/// The options `paper kernel`, `paper verify` and `paper synth` take.
+/// The options `paper verify` and `paper synth` take.
 #[derive(Debug, Default)]
 pub struct BenchOptions {
-    /// Shrink the synthetic cases so the bench finishes in well under a
-    /// second (the CI gate).
+    /// Stop the relay chains at n = 12, so `paper verify` finishes in
+    /// well under a second: the size the tier-1 test runs.
     pub smoke: bool,
-    /// Assert the bench's sanity thresholds.
-    pub check: bool,
     /// Where to write the JSON results (default: the committed file).
     pub out: Option<String>,
     /// A committed results file to gate this run against (`verify` and
@@ -157,17 +154,4 @@ fn write_json(opts: &BenchOptions, default_out: &str, json: &Json) -> Result<(),
 /// The case of `name` in the `cases` array.
 fn named<'a>(cases: &'a Json, name: Option<&Json>) -> Option<&'a Json> {
     cases.as_array()?.iter().find(|c| c.get("name") == name)
-}
-
-/// Each case's speedup over the `baseline` case of the same name: the
-/// baseline's `wall_ms` over this run's, for the cases that have one.
-fn speedups<'a>(baseline: &Json, walls: impl IntoIterator<Item = (&'a str, f64)>) -> Json {
-    Json::obj(walls.into_iter().filter_map(|(name, wall_ms)| {
-        let base = named(baseline, Some(&Json::Str(name.to_owned())))?;
-        let base_ms = base
-            .get("wall_ms")?
-            .as_num::<f64>()
-            .filter(|&ms| ms > 0.0)?;
-        Some((name, Json::fixed(base_ms / wall_ms.max(1e-9), 2)))
-    }))
 }

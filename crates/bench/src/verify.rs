@@ -1,23 +1,22 @@
 //! Symbolic-verification benchmark: runs the reachability engine over
 //! the seed example networks and synthetic relay chains of growing
-//! width, and writes `BENCH_verify.json` in the same two-section
-//! baseline/current format as `BENCH_bdd_kernel.json`.
+//! width, and writes `BENCH_verify.json` with one `current` case each.
 //!
 //! ```text
-//! cargo run --release -p polis-bench --bin paper -- verify [--smoke] [--check] [--gate FILE] [--out FILE]
+//! cargo run --release -p polis-bench --bin paper -- verify [--smoke] [--gate FILE] [--out FILE]
 //! ```
 //!
-//! `--smoke` shrinks the synthetic chains so the bench finishes in well
-//! under a second (the CI gate). `--check` asserts sanity thresholds —
-//! every case reaches its fixpoint, counts a non-trivial reachable set,
-//! stays inside the default node budget, and records the
-//! relational-product kernel counters — and exits non-zero on violation.
-//! `--gate FILE` additionally compares this run against the committed
-//! `BENCH_verify.json`: for every case present in both, the verdict
-//! fields (`reached_states`, `lost_possible`, `dead_transitions`,
-//! `deadlock`) and the traversal shape (`iterations`, `image_steps`)
-//! must match exactly and `peak_live_nodes` must not regress by more
-//! than 5%. A gated field missing from a committed case fails the gate.
+//! `--smoke` stops the relay chains at n = 12, so the bench finishes in
+//! well under a second. Every run asserts sanity thresholds — every case
+//! reaches its fixpoint, counts a non-trivial reachable set, stays inside
+//! the default node budget, and records the relational-product kernel
+//! counters — and exits non-zero on violation. `--gate FILE` also
+//! compares this run against the committed `BENCH_verify.json`: for
+//! every case present in both, the verdict fields (`reached_states`,
+//! `lost_possible`, `dead_transitions`, `deadlock`) and the traversal
+//! shape (`iterations`, `image_steps`) must match exactly and
+//! `peak_live_nodes` must not regress by more than 5%. A gated field
+//! missing from a committed case fails the gate.
 //!
 //! Each case also prints and records the image descent's work counters
 //! (`descent_nodes`, `env_applications`, `react_applications`) and the
@@ -25,7 +24,7 @@
 //! descent — env images, relational products with the rename onto the
 //! current rail and their union, interleaved — then frontier, GC, sift).
 
-use crate::{named, speedups, write_json, BenchOptions};
+use crate::{named, write_json, BenchOptions};
 use polis_cfsm::Network;
 use polis_core::random::{random_network, RandomSpec};
 use polis_core::trace::Json;
@@ -95,34 +94,8 @@ impl CaseResult {
     }
 }
 
-const BASELINE_COMMIT: &str = "24c7d1e";
-
-/// `peak_live_nodes` recorded for the large relay chains by the
-/// plain-edge kernel (commit `5a9477d`: plain edges, 12-byte AoS nodes, no
-/// garbage-pressure collection). The complement-edge kernel plus the
-/// mid-reach collector must hold at least a 30% reduction on both.
-const COMPLEMENT_PEAK_CEILING: &[(&str, u64)] =
-    &[("relay_chain_12", 451_307), ("relay_chain_16", 1_445_044)];
-
-/// The pre-relational-product numbers for the full-size cases, measured
-/// at commit `24c7d1e` with this same harness (per-variable existential
-/// quantification loops — since replaced by `exists_cube` over precomputed
-/// cubes — flag-at-a-time environment conjunction, raw `new ∧ ¬reached`
-/// frontier, no mid-reach reordering). Wall times are from the same
-/// container the current numbers are recorded on. `relay_chain_16` has
-/// no row: the old traversal blew through the 2^22 node budget before
-/// reaching its fixpoint.
-const BASELINE: &str = r#"[
-  { "name": "seatbelt", "wall_ms": 0.386, "iterations": 9, "image_steps": 45, "reached_states": 48, "peak_live_nodes": 908, "lost_possible": 4, "dead_transitions": 0, "deadlock": false },
-  { "name": "shock_absorber", "wall_ms": 6.514, "iterations": 22, "image_steps": 242, "reached_states": 6144, "peak_live_nodes": 22928, "lost_possible": 10, "dead_transitions": 0, "deadlock": false },
-  { "name": "dashboard", "wall_ms": 8.533, "iterations": 19, "image_steps": 228, "reached_states": 4096, "peak_live_nodes": 24384, "lost_possible": 10, "dead_transitions": 0, "deadlock": false },
-  { "name": "relay_chain_4", "wall_ms": 2.780, "iterations": 21, "image_steps": 168, "reached_states": 2048, "peak_live_nodes": 11202, "lost_possible": 7, "dead_transitions": 0, "deadlock": false },
-  { "name": "relay_chain_8", "wall_ms": 93.411, "iterations": 61, "image_steps": 976, "reached_states": 8388608, "peak_live_nodes": 221217, "lost_possible": 15, "dead_transitions": 0, "deadlock": false },
-  { "name": "relay_chain_12", "wall_ms": 874.913, "iterations": 125, "image_steps": 3000, "reached_states": 34359738368, "peak_live_nodes": 1347786, "lost_possible": 23, "dead_transitions": 0, "deadlock": false }
-]"#;
-
 /// The fields a case must share exactly with its namesake in the
-/// committed file (`--gate`) and in [`BASELINE`] (`--check`).
+/// committed file (`--gate`).
 const GATED: [&str; 6] = [
     "iterations",
     "image_steps",
@@ -156,24 +129,24 @@ fn run_case(name: &str, net: &Network, props: &[Property]) -> CaseResult {
 }
 
 /// Deterministic regression gate: every case of this run that is also
-/// in `reference` (an array of cases, matched by name) must agree exactly
+/// in `committed` (an array of cases, matched by name) must agree exactly
 /// on the [`GATED`] fields, and may not regress `peak_live_nodes` by more
-/// than 5%. A gated field missing from the reference case fails.
-fn gate_failures(run: &[Json], reference: &Json, against: &str) -> Vec<String> {
+/// than 5%. A gated field missing from the committed case fails.
+fn gate_failures(run: &[Json], committed: &Json) -> Vec<String> {
     let mut failures = Vec::new();
     let mut matched = 0usize;
     for ours in run {
-        let Some(theirs) = named(reference, ours.get("name")) else {
+        let Some(theirs) = named(committed, ours.get("name")) else {
             continue;
         };
         matched += 1;
         let name = ours.get("name").and_then(Json::as_str).unwrap_or_default();
         for field in GATED {
             match (ours.get(field), theirs.get(field)) {
-                (_, None) => failures.push(format!("{name}: {against} case has no `{field}`")),
+                (_, None) => failures.push(format!("{name}: committed case has no `{field}`")),
                 (Some(a), Some(b)) if a == b => {}
                 (a, Some(b)) => failures.push(format!(
-                    "{name}: {field} {} differs from {against} {b}",
+                    "{name}: {field} {} differs from committed {b}",
                     a.unwrap_or(&Json::Null)
                 )),
             }
@@ -185,30 +158,26 @@ fn gate_failures(run: &[Json], reference: &Json, against: &str) -> Vec<String> {
         let peak = |case: &Json| case.get("peak_live_nodes").and_then(Json::as_num::<u128>);
         match (peak(ours), peak(theirs)) {
             (Some(p), Some(c)) if p * 20 > c * 21 => failures.push(format!(
-                "{name}: peak_live_nodes {p} regresses >5% over {against} {c}"
+                "{name}: peak_live_nodes {p} regresses >5% over committed {c}"
             )),
             (_, None) => failures.push(format!(
-                "{name}: {against} `peak_live_nodes` is missing or not an integer"
+                "{name}: committed `peak_live_nodes` is missing or not an integer"
             )),
             _ => {}
         }
     }
     if matched == 0 {
-        failures.push(format!(
-            "gate: no case of this run matched the {against} cases"
-        ));
+        failures.push("gate: no case of this run matched the committed cases".to_owned());
     }
     failures
 }
 
 /// Runs the bench, prints per-case lines and writes the results (default
-/// `BENCH_verify.json`). Returns the `--check` and `--gate` failures.
+/// `BENCH_verify.json`). Returns the sanity and `--gate` failures.
 pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
-    // The image descent keeps the n=16 and n=20 chains well inside the
-    // default 2^22 node budget; the pre-kernel traversal could not
-    // finish n=16. The smoke set stops at n=12, the largest chain that
-    // stays well under a second; n=20 is the full run's chain that
-    // collects mid-reach.
+    // The smoke set stops at n=12, the largest chain that stays well
+    // under a second; n=20 is the full run's chain that collects
+    // mid-reach.
     let smoke = opts.smoke;
     let chain_sizes: &[usize] = if smoke {
         &[4, 8, 12]
@@ -288,95 +257,68 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
     }
 
     let current: Vec<Json> = results.iter().map(CaseResult::json).collect();
-    let baseline = Json::parse(BASELINE).expect("BASELINE is valid JSON");
-    let walls = results.iter().map(|r| (r.name.as_str(), r.wall_ms));
     let json = Json::obj([
         ("bench", Json::Str("verify".to_owned())),
         ("smoke", Json::Bool(smoke)),
-        ("baseline_commit", Json::Str(BASELINE_COMMIT.to_owned())),
-        ("baseline", baseline.clone()),
         ("current", Json::Arr(current.clone())),
-        ("speedups", speedups(&baseline, walls)),
     ]);
     write_json(opts, "BENCH_verify.json", &json)?;
 
     let mut failures = Vec::new();
-    if opts.check {
-        let budget = VerifyOptions::default().node_budget as u64;
-        for r in &results {
-            let s = &r.report.stats;
-            if s.iterations == 0 || s.image_steps == 0 {
-                failures.push(format!("{}: traversal did no work", r.name));
+    let budget = VerifyOptions::default().node_budget as u64;
+    for r in &results {
+        let s = &r.report.stats;
+        if s.iterations == 0 || s.image_steps == 0 {
+            failures.push(format!("{}: traversal did no work", r.name));
+        }
+        match s.reached_states {
+            Some(n) if n >= 2 => {}
+            other => failures.push(format!(
+                "{}: implausible reachable-state count {other:?}",
+                r.name
+            )),
+        }
+        if s.peak_live_nodes == 0 {
+            failures.push(format!("{}: peak live nodes not recorded", r.name));
+        }
+        // Every case must finish inside the default node budget.
+        if s.peak_live_nodes >= budget {
+            failures.push(format!(
+                "{}: peak live nodes {} at or above the {} node budget",
+                r.name, s.peak_live_nodes, budget
+            ));
+        }
+        if s.andex_lookups == 0 || s.cube_quant_calls == 0 {
+            failures.push(format!(
+                "{}: relational-product kernel counters not recorded \
+                 (andex_lookups {}, cube_quant_calls {})",
+                r.name, s.andex_lookups, s.cube_quant_calls
+            ));
+        }
+        // Property passes must check the whole suite and decode a
+        // trace for every violation (the example fixpoints are far
+        // below the ring cap, so cube-only degradation here is a bug).
+        if let Some(p) = &r.prop {
+            if p.checked == 0 {
+                failures.push(format!("{}: empty property suite ran", r.name));
             }
-            match s.reached_states {
-                Some(n) if n >= 2 => {}
-                other => failures.push(format!(
-                    "{}: implausible reachable-state count {other:?}",
-                    r.name
-                )),
+            if !p.rings_complete {
+                failures.push(format!("{}: trace rings unexpectedly capped", r.name));
             }
-            if s.peak_live_nodes == 0 {
-                failures.push(format!("{}: peak live nodes not recorded", r.name));
-            }
-            // Every case must finish inside the default node budget;
-            // relay_chain_16 is the largest and only fits because the
-            // relational-product kernel keeps the traversal compact.
-            if s.peak_live_nodes >= budget {
+            if p.violations > 0 && p.max_trace_len == 0 {
                 failures.push(format!(
-                    "{}: peak live nodes {} at or above the {} node budget",
-                    r.name, s.peak_live_nodes, budget
+                    "{}: {} violations but no decoded trace",
+                    r.name, p.violations
                 ));
-            }
-            if s.andex_lookups == 0 || s.cube_quant_calls == 0 {
-                failures.push(format!(
-                    "{}: relational-product kernel counters not recorded \
-                     (andex_lookups {}, cube_quant_calls {})",
-                    r.name, s.andex_lookups, s.cube_quant_calls
-                ));
-            }
-            // The complement-edge kernel must keep at least a 30% peak
-            // reduction over the plain-edge kernel on the large chains.
-            if let Some(&(_, plain)) = COMPLEMENT_PEAK_CEILING.iter().find(|(n, _)| *n == r.name) {
-                if s.peak_live_nodes * 10 > plain * 7 {
-                    failures.push(format!(
-                        "{}: peak live nodes {} above the 30%-reduction \
-                         ceiling {} (plain-edge peak {})",
-                        r.name,
-                        s.peak_live_nodes,
-                        plain * 7 / 10,
-                        plain
-                    ));
-                }
-            }
-            // Property passes must check the whole suite and decode a
-            // trace for every violation (the example fixpoints are far
-            // below the ring cap, so cube-only degradation here is a bug).
-            if let Some(p) = &r.prop {
-                if p.checked == 0 {
-                    failures.push(format!("{}: empty property suite ran", r.name));
-                }
-                if !p.rings_complete {
-                    failures.push(format!("{}: trace rings unexpectedly capped", r.name));
-                }
-                if p.violations > 0 && p.max_trace_len == 0 {
-                    failures.push(format!(
-                        "{}: {} violations but no decoded trace",
-                        r.name, p.violations
-                    ));
-                }
             }
         }
-        // Deterministic cross-check against the verdicts pinned in the
-        // embedded baseline: the kernel rewrite must never move them.
-        let against = format!("baseline {BASELINE_COMMIT}");
-        failures.extend(gate_failures(&current, &baseline, &against));
     }
     if let Some(path) = &opts.gate {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("gate: cannot read {path}: {e}"))?;
         let committed = Json::parse(&text).map_err(|e| format!("gate: {path}: {e}"))?;
         let cases = committed.get("current").unwrap_or(&Json::Null);
-        failures.extend(gate_failures(&current, cases, "committed"));
+        failures.extend(gate_failures(&current, cases));
     }
     Ok(failures)
 }

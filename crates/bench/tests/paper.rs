@@ -31,6 +31,8 @@ fn bad_command_lines_exit_nonzero_with_usage() {
         &["verify", "--smoke", "--check", "--gate"],
         &["verify", "--out", "--smoke"],
         &["table1", "extra"],
+        &["kernel"],
+        &["verify", "--check"],
     ] {
         let out = paper(args);
         assert!(!out.status.success(), "paper {args:?} must fail");

@@ -62,16 +62,17 @@ impl Network {
             cfsms,
         };
         let mut names = BTreeSet::new();
-        for m in &net.cfsms {
+        for (at, m) in net.cfsms.iter().enumerate() {
             if !names.insert(m.name().to_owned()) {
                 return Err(NetworkError::DuplicateMachine {
                     name: m.name().to_owned(),
+                    at,
                 });
             }
         }
         // Signal declarations must agree.
         let mut decl: BTreeMap<String, crate::Signal> = BTreeMap::new();
-        for m in &net.cfsms {
+        for (at, m) in net.cfsms.iter().enumerate() {
             for s in m.inputs().iter().chain(m.outputs()) {
                 match decl.get(s.name()) {
                     None => {
@@ -81,6 +82,7 @@ impl Network {
                     Some(_) => {
                         return Err(NetworkError::SignalTypeMismatch {
                             signal: s.name().to_owned(),
+                            at,
                         })
                     }
                 }
@@ -88,13 +90,14 @@ impl Network {
         }
         // Single driver per signal.
         let mut driver: BTreeMap<&str, &str> = BTreeMap::new();
-        for m in &net.cfsms {
+        for (at, m) in net.cfsms.iter().enumerate() {
             for s in m.outputs() {
                 if let Some(other) = driver.insert(s.name(), m.name()) {
                     return Err(NetworkError::MultipleDrivers {
                         signal: s.name().to_owned(),
                         first: other.to_owned(),
                         second: m.name().to_owned(),
+                        at,
                     });
                 }
             }
@@ -251,11 +254,16 @@ pub enum NetworkError {
     DuplicateMachine {
         /// The duplicated machine name.
         name: String,
+        /// Index of the second machine of that name.
+        at: usize,
     },
     /// Two declarations of one signal disagree on type.
     SignalTypeMismatch {
         /// The signal name.
         signal: String,
+        /// Index of the machine whose declaration disagrees with an
+        /// earlier one.
+        at: usize,
     },
     /// Two machines emit the same signal.
     MultipleDrivers {
@@ -265,24 +273,40 @@ pub enum NetworkError {
         first: String,
         /// Second driver.
         second: String,
+        /// Index of the second driver.
+        at: usize,
     },
     /// The operation requires acyclic internal communication.
     CyclicCommunication,
 }
 
+impl NetworkError {
+    /// Index of the machine the error was found at: the later of the two
+    /// that clash. `None` for a cyclic network.
+    pub fn machine(&self) -> Option<usize> {
+        match self {
+            NetworkError::DuplicateMachine { at, .. }
+            | NetworkError::SignalTypeMismatch { at, .. }
+            | NetworkError::MultipleDrivers { at, .. } => Some(*at),
+            NetworkError::CyclicCommunication => None,
+        }
+    }
+}
+
 impl fmt::Display for NetworkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetworkError::DuplicateMachine { name } => {
+            NetworkError::DuplicateMachine { name, .. } => {
                 write!(f, "duplicate machine name `{name}`")
             }
-            NetworkError::SignalTypeMismatch { signal } => {
+            NetworkError::SignalTypeMismatch { signal, .. } => {
                 write!(f, "conflicting type declarations for signal `{signal}`")
             }
             NetworkError::MultipleDrivers {
                 signal,
                 first,
                 second,
+                ..
             } => write!(
                 f,
                 "signal `{signal}` emitted by both `{first}` and `{second}`"
@@ -392,14 +416,14 @@ mod tests {
     fn duplicate_machine_rejected() {
         let err =
             Network::new("dup", vec![relay("a", "x", "y"), relay("a", "p", "q")]).unwrap_err();
-        assert!(matches!(err, NetworkError::DuplicateMachine { .. }));
+        assert!(matches!(err, NetworkError::DuplicateMachine { at: 1, .. }));
     }
 
     #[test]
     fn multiple_drivers_rejected() {
         let err =
             Network::new("multi", vec![relay("a", "x", "z"), relay("b", "y", "z")]).unwrap_err();
-        assert!(matches!(err, NetworkError::MultipleDrivers { .. }));
+        assert!(matches!(err, NetworkError::MultipleDrivers { at: 1, .. }));
     }
 
     #[test]
@@ -426,6 +450,9 @@ mod tests {
         let pureview = b.build().unwrap();
 
         let err = Network::new("mismatch", vec![valued, pureview]).unwrap_err();
-        assert!(matches!(err, NetworkError::SignalTypeMismatch { .. }));
+        assert!(matches!(
+            err,
+            NetworkError::SignalTypeMismatch { at: 1, .. }
+        ));
     }
 }

@@ -90,6 +90,9 @@ pub fn emit_c(cfsm: &Cfsm, g: &SGraph, opts: &CodegenOptions) -> String {
     }
     if multi_state {
         let _ = writeln!(out, "    unsigned char ctrl;");
+    } else if cfsm.state_vars().is_empty() {
+        // ISO C has no empty struct.
+        let _ = writeln!(out, "    unsigned char unused;");
     }
     let _ = writeln!(out, "}};\n");
     let _ = writeln!(out, "void {name}_init(struct {name}_state *st)\n{{");
@@ -629,6 +632,29 @@ mod tests {
             },
         );
         assert!(annotated.contains("/* test `a_eq_c` */"), "{annotated}");
+    }
+
+    #[test]
+    fn a_machine_without_state_still_has_a_member() {
+        let mut b = Cfsm::builder("relay");
+        b.input_pure("a");
+        b.output_pure("b");
+        let s = b.ctrl_state("s");
+        b.transition(s, s).when_present("a").emit("b").done();
+        // A state variable or a second control state is a member already.
+        for (m, placeholder) in [
+            (b.build().unwrap(), true),
+            (simple(), false),
+            (toggler(), false),
+        ] {
+            let g = build(&ReactiveFn::build(&m)).unwrap();
+            let c = emit_c(&m, &g, &CodegenOptions::default());
+            assert_eq!(
+                c.contains("    unsigned char unused;\n"),
+                placeholder,
+                "{c}"
+            );
+        }
     }
 
     #[test]

@@ -88,12 +88,27 @@ fn reader_accepts_compact_json_and_rejects_malformed() {
 
 #[test]
 fn reader_parses_the_committed_bench_files() {
-    for file in ["BENCH_verify.json", "BENCH_bdd_kernel.json"] {
-        let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-        let text = std::fs::read_to_string(&path).unwrap();
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut files: Vec<String> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|f| f.starts_with("BENCH_") && f.ends_with(".json"))
+        .collect();
+    files.sort();
+    assert!(files.len() >= 2, "bench files: {files:?}");
+    for file in &files {
+        let text = std::fs::read_to_string(format!("{root}/{file}")).unwrap();
         let json = Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"));
-        let current = json.get("current").and_then(Json::as_array).unwrap();
-        assert!(!current.is_empty(), "{file}: no current cases");
-        assert!(current.iter().all(|c| c.get("name").is_some()));
+        let cases = ["current", "cases"]
+            .iter()
+            .find_map(|key| json.get(key).and_then(Json::as_array))
+            .unwrap_or_else(|| panic!("{file}: no `current` or `cases` array"));
+        assert!(!cases.is_empty(), "{file}: no cases");
+        assert!(
+            cases
+                .iter()
+                .all(|c| c.get("name").and_then(Json::as_str).is_some()),
+            "{file}: a case has no name"
+        );
     }
 }

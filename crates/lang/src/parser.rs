@@ -2,7 +2,7 @@
 
 use crate::lexer::{lex, Tok, Token};
 use crate::prop::{PropExpr, PropKind, Property, Span, Spec};
-use polis_cfsm::{Cfsm, CfsmBuilder, Guard, Network, NetworkError, StateId, TestId};
+use polis_cfsm::{Cfsm, CfsmBuilder, Guard, Network, StateId, TestId};
 use polis_expr::{Expr, Type, Value};
 use std::collections::HashMap;
 use std::error::Error;
@@ -11,8 +11,9 @@ use std::fmt;
 /// A parse or elaboration failure, with source position where available.
 #[derive(Debug)]
 pub struct ParseError {
-    /// 1-based line (0 when the error has no position, e.g. a semantic
-    /// error reported by CFSM validation).
+    /// 1-based line (0 when the error has no position: a source that
+    /// does not hold the one module or the bare `properties` blocks
+    /// `parse_module` or `parse_properties` asks for).
     pub line: u32,
     /// 1-based column.
     pub col: u32,
@@ -32,16 +33,6 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-impl From<NetworkError> for ParseError {
-    fn from(e: NetworkError) -> ParseError {
-        ParseError {
-            line: 0,
-            col: 0,
-            message: e.to_string(),
-        }
-    }
-}
-
 /// Parses a source containing exactly one `module`.
 ///
 /// # Errors
@@ -49,7 +40,7 @@ impl From<NetworkError> for ParseError {
 /// Returns [`ParseError`] on syntax errors and on CFSM validation
 /// failures (duplicate names, unknown references, ...).
 pub fn parse_module(src: &str) -> Result<Cfsm, ParseError> {
-    let (mut machines, _) = parse_source(src)?;
+    let Source { mut machines, .. } = parse_source(src)?;
     if machines.len() != 1 {
         return Err(ParseError {
             line: 0,
@@ -83,9 +74,20 @@ pub fn parse_network(name: &str, src: &str) -> Result<Network, ParseError> {
 /// and spanned diagnostics for property atoms naming unknown modules,
 /// states, or inputs.
 pub fn parse_spec(name: &str, src: &str) -> Result<Spec, ParseError> {
-    let (machines, raw) = parse_source(src)?;
-    let network = Network::new(name, machines)?;
-    let properties = resolve_props(&network, raw)?;
+    let Source {
+        machines,
+        starts,
+        props,
+    } = parse_source(src)?;
+    // A network error is reported at the later of the two modules that
+    // clash.
+    let network = Network::new(name, machines).map_err(|e| {
+        let at = e
+            .machine()
+            .expect("`Network::new` names the clashing machine");
+        spanned(starts[at], e.to_string())
+    })?;
+    let properties = resolve_props(&network, props)?;
     Ok(Spec {
         network,
         properties,
@@ -101,7 +103,9 @@ pub fn parse_spec(name: &str, src: &str) -> Result<Spec, ParseError> {
 /// Returns [`ParseError`] on syntax errors, on stray `module` blocks,
 /// and on unresolved atom names (spanned, naming the machine).
 pub fn parse_properties(net: &Network, src: &str) -> Result<Vec<Property>, ParseError> {
-    let (machines, raw) = parse_source(src)?;
+    let Source {
+        machines, props, ..
+    } = parse_source(src)?;
     if let Some(m) = machines.first() {
         return Err(ParseError {
             line: 0,
@@ -112,21 +116,38 @@ pub fn parse_properties(net: &Network, src: &str) -> Result<Vec<Property>, Parse
             ),
         });
     }
-    resolve_props(net, raw)
+    resolve_props(net, props)
 }
 
-fn parse_source(src: &str) -> Result<(Vec<Cfsm>, Vec<RawProp>), ParseError> {
+/// A parsed source, before its property atoms are resolved.
+struct Source {
+    machines: Vec<Cfsm>,
+    /// Where each machine's `module` starts.
+    starts: Vec<Span>,
+    props: Vec<RawProp>,
+}
+
+fn parse_source(src: &str) -> Result<Source, ParseError> {
     let tokens = lex(src).map_err(|(line, col, message)| ParseError { line, col, message })?;
     let mut p = Parser { tokens, pos: 0 };
     let mut machines = Vec::new();
+    let mut starts = Vec::new();
     let mut props = Vec::new();
     while p.peek() != &Tok::Eof {
         match p.peek() {
             Tok::Properties => p.properties_block(&mut props)?,
-            _ => machines.push(p.module()?),
+            _ => {
+                let (line, col) = p.here();
+                starts.push(Span { line, col });
+                machines.push(p.module()?);
+            }
         }
     }
-    Ok((machines, props))
+    Ok(Source {
+        machines,
+        starts,
+        props,
+    })
 }
 
 struct Parser {
@@ -985,6 +1006,28 @@ mod tests {
         assert_eq!((err.line, err.col), (1, 1));
         let err = parse_module("\n  module m { input x; }").unwrap_err();
         assert_eq!(err.to_string(), "2:3: machine has no control states");
+    }
+
+    #[test]
+    fn network_errors_are_reported_at_the_later_module() {
+        let a = "module a { input x; output y; state s; }\n";
+        for (second, want) in [
+            (
+                "module a { input z; state s; }",
+                "2:3: duplicate machine name `a`",
+            ),
+            (
+                "module b { input y : u8; state s; }",
+                "2:3: conflicting type declarations for signal `y`",
+            ),
+            (
+                "module b { input z; output y; state s; }",
+                "2:3: signal `y` emitted by both `a` and `b`",
+            ),
+        ] {
+            let err = parse_spec("n", &format!("{a}  {second}")).unwrap_err();
+            assert_eq!(err.to_string(), want);
+        }
     }
 
     #[test]

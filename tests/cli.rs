@@ -455,6 +455,19 @@ fn out_of_range_initializers_are_spanned_errors() {
     }
 }
 
+/// Two modules of one name are a spanned error at the second one.
+#[test]
+fn a_duplicate_module_is_a_spanned_error() {
+    let spec = "tests/specs/duplicate_module.pol";
+    let want = "tests/specs/duplicate_module.pol:7:1: duplicate machine name `a`";
+    for command in ["synth", "estimate", "sim", "verify", "dot", "fmt"] {
+        let out = bin().args([command, spec]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert!(stderr.contains(want), "{command}: {stderr}");
+    }
+}
+
 /// A module without control states is reported at the module, with a
 /// position like every other spec error.
 #[test]

@@ -71,6 +71,10 @@ fn c_source(net: &Network, profile: Profile) -> String {
 /// as the constant -12, so its `road` routine compares against `-12`:
 /// neither a negation `(-12)` nor the subtraction `(0 - 12)` that an
 /// earlier printer wrote into the spec file.
+///
+/// The dashboard's `speedo`, `tach`, `pwm_speed` and `pwm_fuel` have one
+/// control state and no state variables, so their state structs hold one
+/// placeholder member: ISO C has no empty struct.
 const GOLDEN: [(&str, Profile, u64); 12] = [
     ("simple", Profile::Mcu8, 0xf0c2_3466_3f58_6c3f),
     ("simple", Profile::Risc32, 0xf0c2_3466_3f58_6c3f),
@@ -78,8 +82,8 @@ const GOLDEN: [(&str, Profile, u64); 12] = [
     ("seat_belt", Profile::Risc32, 0xd450_700f_377f_0417),
     ("shock_absorber", Profile::Mcu8, 0x3137_9ecf_1f66_442e),
     ("shock_absorber", Profile::Risc32, 0x3137_9ecf_1f66_442e),
-    ("dashboard", Profile::Mcu8, 0x8488_b454_3b1e_0eb2),
-    ("dashboard", Profile::Risc32, 0x8488_b454_3b1e_0eb2),
+    ("dashboard", Profile::Mcu8, 0xdf85_8745_bb53_a8aa),
+    ("dashboard", Profile::Risc32, 0xdf85_8745_bb53_a8aa),
     ("dashboard_product", Profile::Mcu8, 0x434b_b578_5734_5c71),
     ("dashboard_product", Profile::Risc32, 0x434b_b578_5734_5c71),
     (
