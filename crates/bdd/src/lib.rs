@@ -78,7 +78,9 @@
 //!   adjacent level swaps recycle dead slots through the free-list instead
 //!   of growing the arena monotonically. Each swap frees before it
 //!   allocates, so it never raises the peak above its two ends; the
-//!   tables are rebuilt once when the sift ends.
+//!   tables are rebuilt once when the sift ends. A lone level swap
+//!   ([`Bdd::swap_levels`]) enters and leaves sift mode around itself,
+//!   so every swap runs on the lists.
 //!
 //! Determinism: node indices depend only on the sequence of operations
 //! performed on the manager — there is no randomized hashing and no
@@ -678,9 +680,9 @@ pub struct Bdd {
     /// maintained while sifting.
     rc: Vec<u32>,
     /// Whether the manager is in sift mode: nodes are listed in `lists`,
-    /// counted in `rc`, and `swap_levels` frees dead nodes at once.
+    /// counted in `rc`, and a level swap frees dead nodes at once.
     sifting: bool,
-    /// Reused `swap_levels` buffers, freed when a sift ends: the x-nodes
+    /// Reused level-swap buffers, freed when a sift ends: the x-nodes
     /// that depend on y with their four cofactors over (x, y), and the
     /// find-or-insert map of the new x-nodes.
     swap_moved: Vec<(NodeRef, [NodeRef; 4])>,
@@ -1072,18 +1074,9 @@ impl Bdd {
                 && self.level_of_var[var as usize] < self.level_of_node(hi),
             "mk would violate the variable order"
         );
-        self.mk_raw(var, lo, hi)
-    }
-
-    /// Like `mk` but without the order assertion; used mid-swap when the
-    /// recorded order is transiently inconsistent. Canonicalizes the
-    /// complement: a complemented hi edge is factored out of the node
-    /// (`(v, lo, ¬h) = ¬(v, ¬lo, h)`), so stored hi edges are always
-    /// regular and `f`/`¬f` share one node.
-    fn mk_raw(&mut self, var: u32, lo: NodeRef, hi: NodeRef) -> NodeRef {
-        if lo == hi {
-            return lo;
-        }
+        // A complemented hi edge is factored out of the node
+        // (`(v, lo, ¬h) = ¬(v, ¬lo, h)`), so stored hi edges are always
+        // regular and `f`/`¬f` share one node.
         if hi.parity() == 1 {
             self.mk_node(var, lo.complement(), hi.complement())
                 .complement()

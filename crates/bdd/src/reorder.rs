@@ -15,8 +15,10 @@
 //! reordering.
 //!
 //! A sift runs in sift mode: the unique tables are suspended, each
-//! variable's nodes sit in a plain list, and a swap rewrites two lists
-//! (see [`Bdd::swap_levels`]). The tables are rebuilt once at the end.
+//! variable's nodes sit in a plain list, and a swap rewrites two lists,
+//! freeing the nodes it orphans. The tables are rebuilt once at the end.
+//! [`Bdd::swap_levels`] is one such swap in a sift mode of its own, so
+//! every level swap runs the same kernel.
 //!
 //! Each block's walk starts from a saved copy of the node store. Rather
 //! than swap the block back across positions it has already measured, the
@@ -61,68 +63,51 @@ impl SiftConfig {
 }
 
 impl Bdd {
-    /// Swaps the variables at `level` and `level + 1` in place.
+    /// Swaps the variables at `level` and `level + 1` in place, as one
+    /// step of a sift does.
     ///
-    /// Node handles remain valid and keep denoting the same functions; the
-    /// operation cache is invalidated. This is the primitive underlying
-    /// [`Bdd::sift`]. Inside a sift, nodes orphaned by the rewrite are
-    /// reclaimed at once through the free-list; outside one they stay until
-    /// the next [`Bdd::gc`], and the two unique tables of the swapped
-    /// variables are rebuilt from the swap's result.
+    /// Like [`Bdd::sift`], it first collects every node not reachable from
+    /// `roots`; handles reachable from them remain valid and keep denoting
+    /// the same functions. The operation cache is invalidated, and nodes
+    /// orphaned by the rewrite are freed at once.
     ///
     /// # Panics
     ///
     /// Panics if `level + 1 >= num_vars()`.
-    pub fn swap_levels(&mut self, level: usize) {
+    pub fn swap_levels(&mut self, level: usize, roots: &[NodeRef]) {
         assert!(
             level + 1 < self.num_vars(),
             "swap_levels: level {level} out of range"
         );
-        let x = self.var_at_level[level];
-        let y = self.var_at_level[level + 1];
-        let (xi, yi) = (x as usize, y as usize);
-        if self.sifting {
-            let mut xs = std::mem::take(&mut self.lists[xi]);
-            let mut ys = std::mem::take(&mut self.lists[yi]);
-            self.swap_kernel(x, y, &mut xs, &mut ys);
-            self.lists[xi] = xs;
-            self.lists[yi] = ys;
-        } else {
-            let mut xs = self.unique[xi].take_nodes();
-            let mut ys = self.unique[yi].take_nodes();
-            self.swap_kernel(x, y, &mut xs, &mut ys);
-            self.unique[xi].rebuild(&xs, &self.lo_col, &self.hi_col);
-            self.unique[yi].rebuild(&ys, &self.lo_col, &self.hi_col);
-        }
-        self.set_level(x, level as u32 + 1);
-        self.set_level(y, level as u32);
-        self.clear_cache();
-        #[cfg(test)]
-        {
-            self.boundary_peak = self.boundary_peak.max(self.allocated_nodes());
-        }
+        self.gc(roots);
+        self.sift_begin(roots);
+        self.swap_kernel(level);
+        self.sift_end();
     }
 
-    /// Rewrites the nodes of `x` (listed in `xs`, one level above `y`) and
-    /// of `y` (listed in `ys`) for the order with `y` on top, in three
-    /// phases:
+    /// Swaps the variables at `level` and `level + 1` in sift mode. With
+    /// x the upper variable and y the lower one, the nodes of x and of y
+    /// are rewritten for the order with y on top in three phases, on the
+    /// two variables' node lists:
     ///
-    /// 1. the x-nodes with a y-child leave `xs`, and their four cofactors
-    ///    over (x, y) are read and, while sifting, referenced;
-    /// 2. while sifting, their old children are dropped: every y-node whose
-    ///    count reaches zero goes onto the free-list, and nothing below y
-    ///    can die, because its cofactors are held;
+    /// 1. the x-nodes with a y-child leave x's list, and their four
+    ///    cofactors over (x, y) are read and referenced;
+    /// 2. their old children are dropped: every y-node whose count reaches
+    ///    zero goes onto the free-list, and nothing below y can die,
+    ///    because its cofactors are held;
     /// 3. the new x-nodes are made through a find-or-insert map that starts
     ///    with the x-nodes that stay, each moved node is rewritten in place
-    ///    as a y-node, the held references are released, and `ys` drops its
-    ///    dead nodes and takes the moved ones.
+    ///    as a y-node, the held references are released, and y's list
+    ///    drops its dead nodes and takes the moved ones.
     ///
     /// Every free comes before any allocation, so the allocated count never
-    /// exceeds its value at either end of the swap. Outside a sift nothing
-    /// is counted or freed, and the orphaned y-nodes stay listed.
-    fn swap_kernel(&mut self, x: u32, y: u32, xs: &mut Vec<NodeRef>, ys: &mut Vec<NodeRef>) {
+    /// exceeds its value at either end of the swap.
+    fn swap_kernel(&mut self, level: usize) {
+        let x = self.var_at_level[level];
+        let y = self.var_at_level[level + 1];
+        let mut xs = std::mem::take(&mut self.lists[x as usize]);
+        let mut ys = std::mem::take(&mut self.lists[y as usize]);
         self.swap_count += 1;
-        let reclaim = self.sifting;
         let mut moved = std::mem::take(&mut self.swap_moved);
         moved.clear();
 
@@ -157,30 +142,28 @@ impl Bdd {
         });
         self.swap_rewrites += moved.len() as u64;
 
-        if reclaim {
-            for &(n, cofactors) in &moved {
-                for f in cofactors {
-                    self.rc_inc(f);
+        for &(n, cofactors) in &moved {
+            for f in cofactors {
+                self.rc_inc(f);
+            }
+            // Phase 2, for this node's old children. Interleaving it with
+            // phase 1 is safe: a y-node dies only when its last x-parent
+            // drops it, and that parent already holds the y-node's
+            // children as its cofactors.
+            let i = n.idx();
+            for c in [self.lo_col[i], self.hi_col[i]] {
+                if c.is_terminal() || self.rc_dec(c) > 0 {
+                    continue;
                 }
-                // Phase 2, for this node's old children. Interleaving it
-                // with phase 1 is safe: a y-node dies only when its last
-                // x-parent drops it, and that parent already holds the
-                // y-node's children as its cofactors.
-                let i = n.idx();
-                for c in [self.lo_col[i], self.hi_col[i]] {
-                    if c.is_terminal() || self.rc_dec(c) > 0 {
-                        continue;
-                    }
-                    let ci = c.idx();
-                    debug_assert_eq!(self.var_col[ci], y, "a node below y died");
-                    let (lo, hi) = (self.lo_col[ci], self.hi_col[ci]);
-                    self.free_push(ci);
-                    self.reclaimed_nodes += 1;
-                    for g in [lo, hi] {
-                        if !g.is_terminal() {
-                            let left = self.rc_dec(g);
-                            debug_assert!(left > 0, "a cofactor died");
-                        }
+                let ci = c.idx();
+                debug_assert_eq!(self.var_col[ci], y, "a node below y died");
+                let (lo, hi) = (self.lo_col[ci], self.hi_col[ci]);
+                self.free_push(ci);
+                self.reclaimed_nodes += 1;
+                for g in [lo, hi] {
+                    if !g.is_terminal() {
+                        let left = self.rc_dec(g);
+                        debug_assert!(left > 0, "a cofactor died");
                     }
                 }
             }
@@ -194,37 +177,42 @@ impl Bdd {
             map.find_or_insert(self.lo_col[n.idx()], self.hi_col[n.idx()], || n);
         }
         for &(n, [f00, f01, f10, f11]) in &moved {
-            let new_lo = self.swap_child(&mut map, xs, x, f00, f10);
-            let new_hi = self.swap_child(&mut map, xs, x, f01, f11);
+            let new_lo = self.swap_child(&mut map, &mut xs, x, f00, f10);
+            let new_hi = self.swap_child(&mut map, &mut xs, x, f01, f11);
             debug_assert_ne!(new_lo, new_hi, "swap produced a redundant node");
             debug_assert_eq!(new_hi.parity(), 0, "swap produced a complemented hi edge");
             let i = n.idx();
             self.var_col[i] = y;
             self.lo_col[i] = new_lo;
             self.hi_col[i] = new_hi;
-            if reclaim {
-                self.rc_inc(new_lo);
-                self.rc_inc(new_hi);
-                for f in [f00, f01, f10, f11] {
-                    if !f.is_terminal() {
-                        let left = self.rc_dec(f);
-                        debug_assert!(left > 0, "a cofactor died");
-                    }
+            self.rc_inc(new_lo);
+            self.rc_inc(new_hi);
+            for f in [f00, f01, f10, f11] {
+                if !f.is_terminal() {
+                    let left = self.rc_dec(f);
+                    debug_assert!(left > 0, "a cofactor died");
                 }
             }
         }
-        if reclaim {
-            let var_col = &self.var_col;
-            ys.retain(|&m| var_col[m.idx()] == y);
-        }
+        let var_col = &self.var_col;
+        ys.retain(|&m| var_col[m.idx()] == y);
         ys.extend(moved.iter().map(|&(n, _)| n));
         self.swap_map = map;
         self.swap_moved = moved;
+        self.lists[x as usize] = xs;
+        self.lists[y as usize] = ys;
+        self.set_level(x, level as u32 + 1);
+        self.set_level(y, level as u32);
+        self.clear_cache();
+        #[cfg(test)]
+        {
+            self.boundary_peak = self.boundary_peak.max(self.allocated_nodes());
+        }
     }
 
     /// The x-node `x ? hi : lo` for phase 3 of [`Bdd::swap_kernel`]:
     /// canonicalized as `mk` would, found in or added to `map`, and listed
-    /// in `xs` (and counted, while sifting) when new.
+    /// in `xs` and counted when new.
     fn swap_child(
         &mut self,
         map: &mut UniqueTable,
@@ -240,11 +228,9 @@ impl Bdd {
         let (lo, hi) = (lo.xor_parity(p), hi.xor_parity(p));
         map.find_or_insert(lo, hi, || {
             let n = self.alloc_node(x, lo, hi);
-            if self.sifting {
-                self.rc_set(n, 0);
-                self.rc_inc(lo);
-                self.rc_inc(hi);
-            }
+            self.rc_set(n, 0);
+            self.rc_inc(lo);
+            self.rc_inc(hi);
             xs.push(n);
             n
         })
@@ -563,7 +549,7 @@ impl BlockLayout {
         for k in 1..=a {
             let from = t + a - k;
             for j in 0..b {
-                bdd.swap_levels(from + j);
+                bdd.swap_kernel(from + j);
             }
         }
         self.seq.swap(pos, pos + 1);
@@ -667,17 +653,17 @@ mod tests {
                 || (assign(vars[4]) && assign(vars[5]))
         };
         for l in 0..b.num_vars() - 1 {
-            b.swap_levels(l);
+            b.swap_levels(l, &[f]);
             assert!(functions_equal(&b, f, &spec), "after swap at level {l}");
         }
     }
 
     #[test]
     fn double_swap_is_identity_on_order() {
-        let (mut b, _f, _) = bad_order_function();
+        let (mut b, f, _) = bad_order_function();
         let before = b.order();
-        b.swap_levels(2);
-        b.swap_levels(2);
+        b.swap_levels(2, &[f]);
+        b.swap_levels(2, &[f]);
         assert_eq!(b.order(), before);
     }
 
@@ -785,8 +771,8 @@ mod tests {
         let mut snap = StoreSnapshot::default();
         b.sift_begin(&[f]);
         b.save_store(&mut snap);
-        b.swap_levels(2);
-        b.swap_levels(0);
+        b.swap_kernel(2);
+        b.swap_kernel(0);
         // Leave sift mode to cache a result built from nodes the restore
         // drops, then put the saved store back in a second sift session.
         b.sift_end();
@@ -821,8 +807,11 @@ mod tests {
         let before = b.order();
         for level in 0..b.num_vars() - 1 {
             let order = b.order();
-            b.swap_levels(level);
+            b.swap_levels(level, &[f]);
             b.check_canonical();
+            // The swap collected first and freed what it orphaned, so the
+            // arena holds exactly the nodes of `f`.
+            assert_eq!(b.allocated_nodes(), b.size(&[f]), "a swap at {level}");
             assert!(functions_equal(&b, f, &spec), "after a swap at {level}");
             // Every node is still found by hash-consing: rebuilding one
             // from its cofactors returns the very same handle.
@@ -839,7 +828,7 @@ mod tests {
                 );
                 stack.extend([lo, hi]);
             }
-            b.swap_levels(level);
+            b.swap_levels(level, &[f]);
             b.check_canonical();
             assert_eq!(b.order(), order, "a double swap at {level}");
         }
@@ -879,9 +868,11 @@ mod tests {
         let t23 = b.and(lits[2], lits[3]);
         let f = b.or(t01, t23);
         let g = b.xor(t01, lits[3]);
-        b.swap_levels(1);
-        b.swap_levels(0);
-        b.swap_levels(2);
+        let mut roots = vec![f, g, t01];
+        roots.extend(&lits);
+        for level in [1, 0, 2] {
+            b.swap_levels(level, &roots);
+        }
         for bits in 0..16u32 {
             let assign = |v: Var| bits & (1 << v.0) != 0;
             let a: Vec<bool> = (0..4).map(|i| assign(vars[i])).collect();

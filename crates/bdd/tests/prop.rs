@@ -221,7 +221,7 @@ fn random_swaps_preserve_canonicity() {
         let (mut bdd, vars, f) = setup(&expr);
         let mut rng = Rng::new(case ^ 0x5a5a);
         for _ in 0..rng.usize(0..12) {
-            bdd.swap_levels(rng.usize(0..NVARS - 1));
+            bdd.swap_levels(rng.usize(0..NVARS - 1), &[f]);
         }
         // Rebuilding the same function must land on the same node.
         let g = expr.build(&mut bdd, &vars);
@@ -437,7 +437,7 @@ fn reordering_keeps_the_arena_canonical() {
         let (mut bdd, _vars, f) = setup(&expr);
         let mut rng = Rng::new(case ^ 0xfeed);
         for _ in 0..rng.usize(1..10) {
-            bdd.swap_levels(rng.usize(0..NVARS - 1));
+            bdd.swap_levels(rng.usize(0..NVARS - 1), &[f]);
             bdd.check_canonical();
         }
         bdd.sift(&[f], &SiftConfig::to_convergence());

@@ -53,7 +53,7 @@ fn random_sift_schedules_preserve_eval() {
 
         for round in 0..6 {
             match rng.usize(0..3) {
-                0 => b.swap_levels(rng.usize(0..NVARS - 1)),
+                0 => b.swap_levels(rng.usize(0..NVARS - 1), &roots),
                 1 => {
                     b.sift(&roots, &SiftConfig::single_pass());
                 }
@@ -61,6 +61,10 @@ fn random_sift_schedules_preserve_eval() {
                     b.sift(&roots, &SiftConfig::to_convergence());
                 }
             }
+            // A lone swap and a sift run the same kernel; either must
+            // leave the rebuilt tables, the free-list and the arena
+            // consistent.
+            b.check_canonical();
             for (f, table) in roots.iter().zip(&tables) {
                 assert_eq!(
                     truth_table(&b, *f),

@@ -360,10 +360,10 @@ fn scramble(bdd: &mut Bdd, roots: &[NodeRef], seed: u64) {
     bdd.sift(roots, &SiftConfig::to_convergence());
     let mut rng = Rng::new(seed ^ 0x51f7);
     for _ in 0..3 {
-        bdd.swap_levels(rng.usize(0..bdd.num_vars() - 1));
+        bdd.swap_levels(rng.usize(0..bdd.num_vars() - 1), roots);
     }
     if bdd.order() == identity {
-        bdd.swap_levels(0);
+        bdd.swap_levels(0, roots);
     }
     assert_ne!(bdd.order(), identity, "scramble left the identity order");
 }

@@ -113,7 +113,7 @@ fn reference_sift(b: &mut Bdd, roots: &[NodeRef], config: &SiftConfig) -> usize 
         let (upper, lower) = (blocks[seq[pos]].len(), blocks[seq[pos + 1]].len());
         for k in 1..=upper {
             for j in 0..lower {
-                b.swap_levels(top + upper - k + j);
+                b.swap_levels(top + upper - k + j, roots);
             }
         }
         seq.swap(pos, pos + 1);

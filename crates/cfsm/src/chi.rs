@@ -864,7 +864,8 @@ mod tests {
     fn supports_need_inputs_above_outputs_on_first_use() {
         let mut rf = ReactiveFn::build(&simple());
         // Swap the last input (test_a_eq_c) with the first output (consume).
-        rf.bdd_mut().swap_levels(1);
+        let chi = rf.chi();
+        rf.bdd_mut().swap_levels(1, &[chi]);
         rf.output_supports();
     }
 

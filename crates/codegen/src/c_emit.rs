@@ -1,7 +1,7 @@
 //! The s-graph → C translator (Section III-B4).
 
 use polis_cfsm::{value_var_name, Action, Cfsm, Network};
-use polis_expr::{CStyle, Expr, Type};
+use polis_expr::{Expr, Type};
 use polis_sgraph::analysis::EntryCopies;
 use polis_sgraph::{
     AssignLabel, BufferPolicy, ComputedTarget, Cond, NodeId, SGraph, SNode, TestLabel,
@@ -12,24 +12,14 @@ use std::fmt::Write as _;
 /// Options for [`emit_c`].
 #[derive(Debug, Clone, Copy)]
 pub struct CodegenOptions {
-    /// Expression rendering: infix operators or software-library calls
-    /// (`ADD(x, y)`) for compilers without multi-byte arithmetic.
-    pub style: CStyle,
     /// Entry-copy buffering policy (Section V-B).
     pub buffering: BufferPolicy,
-    /// Annotate statements with the specification constructs they came
-    /// from, the role played by the paper's "compiler directives that
-    /// relate directly the object code with the source language files"
-    /// for source-level debugging.
-    pub source_comments: bool,
 }
 
 impl Default for CodegenOptions {
     fn default() -> CodegenOptions {
         CodegenOptions {
-            style: CStyle::Infix,
             buffering: BufferPolicy::All,
-            source_comments: false,
         }
     }
 }
@@ -117,7 +107,6 @@ pub fn emit_c(cfsm: &Cfsm, g: &SGraph, opts: &CodegenOptions) -> String {
     let mut e = CEmitter {
         cfsm,
         g,
-        opts,
         ctrl: if copies.ctrl { "ctrl" } else { "st->ctrl" },
         buffered: copies.vars,
         out: String::new(),
@@ -172,7 +161,6 @@ pub fn emit_network_header(net: &Network) -> String {
 struct CEmitter<'a> {
     cfsm: &'a Cfsm,
     g: &'a SGraph,
-    opts: &'a CodegenOptions,
     /// Where control-state reads go: the entry copy or the state struct.
     ctrl: &'static str,
     buffered: BTreeSet<String>,
@@ -181,15 +169,6 @@ struct CEmitter<'a> {
 }
 
 impl CEmitter<'_> {
-    /// A trailing source-reference comment (empty when disabled).
-    fn src(&self, text: impl AsRef<str>) -> String {
-        if self.opts.source_comments {
-            format!(" /* {} */", text.as_ref())
-        } else {
-            String::new()
-        }
-    }
-
     /// Renders an expression with variables bound to their C locations.
     fn expr(&self, e: &Expr) -> String {
         let renamed = e.rename_vars(&|n| {
@@ -207,7 +186,7 @@ impl CEmitter<'_> {
                 unreachable!("validation guarantees known variables")
             }
         });
-        renamed.to_c_styled(self.opts.style)
+        renamed.to_c()
     }
 
     fn cond(&self, c: &Cond) -> String {
@@ -252,12 +231,7 @@ impl CEmitter<'_> {
                     }
                     TestLabel::TestExpr { test } => {
                         let e = self.expr(&self.cfsm.tests()[*test].expr);
-                        let note = self.src(format!("test `{}`", self.cfsm.tests()[*test].name));
-                        let _ = writeln!(
-                            self.out,
-                            "    if ({e}) goto L{};{note}",
-                            children[1].index()
-                        );
+                        let _ = writeln!(self.out, "    if ({e}) goto L{};", children[1].index());
                     }
                     TestLabel::CtrlBit { bit, width } => {
                         let _ = writeln!(
@@ -308,24 +282,10 @@ impl CEmitter<'_> {
             SNode::Assign { label, next } => {
                 match &label {
                     AssignLabel::Consume => {
-                        let note = self.src("transition fired: consume input snapshot");
-                        let _ = writeln!(self.out, "    POLIS_CONSUME();{note}");
+                        let _ = writeln!(self.out, "    POLIS_CONSUME();");
                     }
                     AssignLabel::Action { action } => self.emit_action(*action, None),
-                    AssignLabel::NextCtrlBits { bits, width } => {
-                        if self.opts.source_comments && bits.len() == *width {
-                            let mut state = 0usize;
-                            for &(bit, v) in bits {
-                                if v {
-                                    state |= 1 << (width - 1 - bit);
-                                }
-                            }
-                            if let Some(name) = self.cfsm.states().get(state) {
-                                let _ = writeln!(self.out, "    /* goto state `{name}` */");
-                            }
-                        }
-                        self.emit_ctrl_bits(bits, *width);
-                    }
+                    AssignLabel::NextCtrlBits { bits, width } => self.emit_ctrl_bits(bits, *width),
                     AssignLabel::Computed { target, cond } => {
                         let c = self.cond(cond);
                         match target {
@@ -533,23 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn lib_call_style_renders_function_calls() {
-        let m = simple();
-        let rf = ReactiveFn::build(&m);
-        let g = build(&rf).unwrap();
-        let c = emit_c(
-            &m,
-            &g,
-            &CodegenOptions {
-                style: CStyle::LibCalls,
-                ..CodegenOptions::default()
-            },
-        );
-        assert!(c.contains("ADD("), "{c}");
-        assert!(c.contains("EQ("), "{c}");
-    }
-
-    #[test]
     fn minimal_buffering_omits_entry_copies_when_safe() {
         let m = simple();
         let rf = ReactiveFn::build(&m);
@@ -560,7 +503,6 @@ mod tests {
             &g,
             &CodegenOptions {
                 buffering: BufferPolicy::Minimal,
-                ..CodegenOptions::default()
             },
         );
         // All: local copy `unsigned char a = st->a;` present; Minimal: not.
@@ -600,38 +542,6 @@ mod tests {
         assert!(h.contains("POLIS_DETECT"));
         assert!(h.contains("POLIS_EMIT_VALUE"));
         assert!(h.contains("#endif"));
-    }
-
-    #[test]
-    fn source_comments_reference_the_specification() {
-        let m = toggler();
-        let rf = ReactiveFn::build(&m);
-        let g = build(&rf).unwrap();
-        let annotated = emit_c(
-            &m,
-            &g,
-            &CodegenOptions {
-                source_comments: true,
-                ..CodegenOptions::default()
-            },
-        );
-        assert!(annotated.contains("/* transition fired"), "{annotated}");
-        assert!(annotated.contains("/* goto state `"), "{annotated}");
-        let plain = emit_c(&m, &g, &CodegenOptions::default());
-        assert!(!plain.contains("/* goto state"));
-
-        let m = simple();
-        let rf = ReactiveFn::build(&m);
-        let g = build(&rf).unwrap();
-        let annotated = emit_c(
-            &m,
-            &g,
-            &CodegenOptions {
-                source_comments: true,
-                ..CodegenOptions::default()
-            },
-        );
-        assert!(annotated.contains("/* test `a_eq_c` */"), "{annotated}");
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use polis_cfsm::{Cfsm, OrderScheme, ReactiveFn};
 use polis_codegen::{emit_c, two_level_sgraph, CodegenOptions};
-use polis_expr::CStyle;
 use polis_lang::parse_network;
 use polis_sgraph::{build, ite_chain, BufferPolicy, SGraph};
 use std::collections::BTreeSet;
@@ -113,18 +112,8 @@ fn generated_c_is_structurally_sound_everywhere() {
     for m in workload_machines() {
         for (style_label, g) in graphs_for(&m) {
             for buffering in [BufferPolicy::All, BufferPolicy::Minimal] {
-                for cstyle in [CStyle::Infix, CStyle::LibCalls] {
-                    let opts = CodegenOptions {
-                        style: cstyle,
-                        buffering,
-                        ..CodegenOptions::default()
-                    };
-                    let c = emit_c(&m, &g, &opts);
-                    check_c(
-                        &format!("{}/{}/{:?}/{:?}", m.name(), style_label, buffering, cstyle),
-                        &c,
-                    );
-                }
+                let c = emit_c(&m, &g, &CodegenOptions { buffering });
+                check_c(&format!("{}/{}/{:?}", m.name(), style_label, buffering), &c);
             }
         }
     }

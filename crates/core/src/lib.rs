@@ -144,8 +144,6 @@ pub struct CfsmSynthesis {
     pub max_cycles_reach_aware: Option<u64>,
     /// Exact object-code measurement.
     pub measured: Measured,
-    /// Wall-clock synthesis time (BDD + sift + build + compile).
-    pub synthesis_time: Duration,
 }
 
 /// Runs the single-CFSM pipeline. To synthesize many machines under one

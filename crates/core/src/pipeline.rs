@@ -264,7 +264,6 @@ fn stage_emit(
         graph,
         &CodegenOptions {
             buffering: ctx.opts.buffering,
-            ..CodegenOptions::default()
         },
     );
     let st = measure_c(&c_code);
@@ -516,11 +515,8 @@ pub fn synthesize_graph(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<SGraph, S
 /// Runs the full per-CFSM pipeline for the style selected in
 /// `ctx.opts`, recording every stage into the context's trace.
 pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthesis, SynthError> {
-    let start = Instant::now();
     let graph = synthesize_graph(ctx, cfsm)?;
     let (program, object) = ctx.run_stage("compile", stage_compile, (cfsm, &graph))?;
-    // Matches the historical definition: BDD + sift + build + compile.
-    let synthesis_time = start.elapsed();
     let c_code = ctx.run_stage("emit_c", stage_emit, (cfsm, &graph))?;
     let (est, max_cycles_false_path_aware) =
         ctx.run_stage("estimate", stage_estimate, (cfsm, &graph))?;
@@ -535,7 +531,6 @@ pub fn synthesize_cfsm(ctx: &mut SynthCtx<'_>, cfsm: &Cfsm) -> Result<CfsmSynthe
         max_cycles_false_path_aware,
         max_cycles_reach_aware: None,
         measured,
-        synthesis_time,
     })
 }
 

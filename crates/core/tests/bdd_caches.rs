@@ -1,14 +1,22 @@
 //! The BDD manager's caches stay effective on the example machines:
-//! building every χ of the seat belt, the shock absorber and the
-//! dashboard, unsifted and sifted to convergence, keeps the ITE cache
-//! hit rate at or above 0.04 and the unique tables at or below 4.0
-//! probes per lookup, each once it has seen 100 lookups. The seed
-//! examples' BDDs are small, so their hit rates sit around 0.05–0.25;
-//! the floor catches a cache that breaks outright, not workload drift.
+//! building every χ of the seat belt, the shock absorber, the dashboard
+//! and the two composed products, unsifted and sifted to convergence,
+//! keeps the ITE cache hit rate at or above 0.04 and the unique tables at
+//! or below 4.0 probes per lookup, each once it has seen 100 lookups. The
+//! seed examples' BDDs are small, so their hit rates sit around
+//! 0.05–0.25, and the products' around 0.5; the floor catches a cache
+//! that breaks outright, not workload drift.
 
 use polis_bdd::BddStats;
+use polis_cfsm::compose::compose;
 use polis_cfsm::{Network, OrderScheme, ReactiveFn};
 use polis_core::workloads;
+
+/// The network's composed product, as a network of one machine.
+fn single(net: Network) -> Network {
+    let product = compose(&net).expect("the example networks compose");
+    Network::new(product.name().to_owned(), vec![product]).expect("a single machine is a network")
+}
 
 /// The manager counters of every machine's χ in `net`, merged.
 fn chi_stats(net: &Network, sift: bool) -> BddStats {
@@ -30,6 +38,11 @@ fn ite_hit_rate_and_unique_probe_length_hold_on_the_examples() {
         ("seat_belt", workloads::seat_belt()),
         ("shock_absorber", workloads::shock_absorber()),
         ("dashboard", workloads::dashboard()),
+        ("dashboard_product", single(workloads::dashboard())),
+        (
+            "shock_absorber_product",
+            single(workloads::shock_absorber()),
+        ),
     ] {
         for sift in [false, true] {
             let s = chi_stats(&net, sift);
@@ -51,6 +64,7 @@ fn ite_hit_rate_and_unique_probe_length_hold_on_the_examples() {
             }
         }
     }
-    // The shock absorber's χ makes 173 ITE lookups either way.
-    assert!(ite_gated > 0, "no case saw 100 ITE lookups");
+    // The shock absorber's χ makes 173 ITE lookups either way, and each
+    // product's thousands.
+    assert_eq!(ite_gated, 6, "cases that saw 100 ITE lookups");
 }

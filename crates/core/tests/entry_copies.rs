@@ -93,14 +93,7 @@ fn c_and_object_code_make_the_same_entry_copies() {
                         _ => None,
                     })
                     .collect();
-                let c = emit_c(
-                    &m,
-                    &g,
-                    &CodegenOptions {
-                        buffering: policy,
-                        ..CodegenOptions::default()
-                    },
-                );
+                let c = emit_c(&m, &g, &CodegenOptions { buffering: policy });
                 let mut copies = c_entry_copies(&c);
                 assert_eq!(
                     copies.remove("ctrl"),

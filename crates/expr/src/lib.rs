@@ -36,7 +36,6 @@ mod print;
 mod types;
 
 pub use eval::{Env, EvalExprError, MapEnv};
-pub use print::CStyle;
 pub use types::{Type, TypeError, Value};
 
 use std::fmt;
@@ -87,7 +86,8 @@ impl BinOp {
         matches!(self, BinOp::And | BinOp::Or | BinOp::Xor)
     }
 
-    /// The C spelling of the operator (infix form).
+    /// The C spelling of the operator: the infix operator, or for
+    /// `Min`/`Max` the name of the macro [`Expr::to_c`] calls.
     pub fn c_symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",
@@ -104,29 +104,6 @@ impl BinOp {
             BinOp::Le => "<=",
             BinOp::Gt => ">",
             BinOp::Ge => ">=",
-            BinOp::Min => "MIN",
-            BinOp::Max => "MAX",
-        }
-    }
-
-    /// The software-library function name used by small micro-controller
-    /// runtimes (the paper's `ADD(x1,x2)`, `EQ(x1,x2)`, ... calls).
-    pub fn lib_name(self) -> &'static str {
-        match self {
-            BinOp::Add => "ADD",
-            BinOp::Sub => "SUB",
-            BinOp::Mul => "MUL",
-            BinOp::Div => "DIV",
-            BinOp::Rem => "REM",
-            BinOp::And => "AND",
-            BinOp::Or => "OR",
-            BinOp::Xor => "XOR",
-            BinOp::Eq => "EQ",
-            BinOp::Ne => "NE",
-            BinOp::Lt => "LT",
-            BinOp::Le => "LE",
-            BinOp::Gt => "GT",
-            BinOp::Ge => "GE",
             BinOp::Min => "MIN",
             BinOp::Max => "MAX",
         }

@@ -1,26 +1,11 @@
 //! C pretty-printing of expressions.
-//!
-//! Generated code targets either a full C compiler (infix operators) or the
-//! restricted software-library style used on very small micro-controllers
-//! where multi-byte arithmetic is provided by runtime routines (`ADD(x, y)`,
-//! `EQ(x, y)`, ... — Section III-C1 lists ~30 such functions).
 
 use crate::{BinOp, Expr, UnOp, Value};
 use std::fmt::Write as _;
 
-/// The rendering style for C expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CStyle {
-    /// Ordinary infix C operators: `(a + b)`.
-    #[default]
-    Infix,
-    /// Software-library calls: `ADD(a, b)`; used for 8-bit targets whose
-    /// arithmetic is implemented by runtime routines.
-    LibCalls,
-}
-
 impl Expr {
-    /// Renders the expression as a C expression in the default infix style.
+    /// Renders the expression as a C expression: infix operators, with
+    /// `MIN`/`MAX` as calls to the macros `polis_rtos.h` defines.
     ///
     /// # Examples
     ///
@@ -30,18 +15,13 @@ impl Expr {
     /// assert_eq!(e.to_c(), "((a + 1) == b)");
     /// ```
     pub fn to_c(&self) -> String {
-        self.to_c_styled(CStyle::Infix)
-    }
-
-    /// Renders the expression in the requested [`CStyle`].
-    pub fn to_c_styled(&self, style: CStyle) -> String {
         let mut out = String::new();
-        write_c(&mut out, self, style);
+        write_c(&mut out, self);
         out
     }
 }
 
-fn write_c(out: &mut String, expr: &Expr, style: CStyle) {
+fn write_c(out: &mut String, expr: &Expr) {
     match expr {
         Expr::Const(Value::Bool(b)) => {
             let _ = write!(out, "{}", u8::from(*b));
@@ -52,47 +32,43 @@ fn write_c(out: &mut String, expr: &Expr, style: CStyle) {
         Expr::Var(name) => out.push_str(name),
         Expr::Unary(UnOp::Not, a) => {
             out.push_str("(!");
-            write_c(out, a, style);
+            write_c(out, a);
             out.push(')');
         }
         Expr::Unary(UnOp::Neg, a) => {
             out.push_str("(-");
-            write_c(out, a, style);
+            write_c(out, a);
             out.push(')');
         }
-        Expr::Binary(op, a, b) => write_binop(out, *op, a, b, style),
+        Expr::Binary(op, a, b) => write_binop(out, *op, a, b),
         Expr::Ite(c, t, e) => {
             out.push('(');
-            write_c(out, c, style);
+            write_c(out, c);
             out.push_str(" ? ");
-            write_c(out, t, style);
+            write_c(out, t);
             out.push_str(" : ");
-            write_c(out, e, style);
+            write_c(out, e);
             out.push(')');
         }
     }
 }
 
-fn write_binop(out: &mut String, op: BinOp, a: &Expr, b: &Expr, style: CStyle) {
-    let as_call = match style {
-        CStyle::LibCalls => true,
-        // MIN/MAX have no C operator, so they are always macro calls.
-        CStyle::Infix => matches!(op, BinOp::Min | BinOp::Max),
-    };
-    if as_call {
-        out.push_str(op.lib_name());
+fn write_binop(out: &mut String, op: BinOp, a: &Expr, b: &Expr) {
+    // MIN/MAX have no C operator, so they are macro calls.
+    if matches!(op, BinOp::Min | BinOp::Max) {
+        out.push_str(op.c_symbol());
         out.push('(');
-        write_c(out, a, style);
+        write_c(out, a);
         out.push_str(", ");
-        write_c(out, b, style);
+        write_c(out, b);
         out.push(')');
     } else {
         out.push('(');
-        write_c(out, a, style);
+        write_c(out, a);
         out.push(' ');
         out.push_str(op.c_symbol());
         out.push(' ');
-        write_c(out, b, style);
+        write_c(out, b);
         out.push(')');
     }
 }
@@ -105,12 +81,6 @@ mod tests {
     fn infix_rendering() {
         let e = Expr::var("x").add(Expr::int(1)).lt(Expr::var("y"));
         assert_eq!(e.to_c(), "((x + 1) < y)");
-    }
-
-    #[test]
-    fn libcall_rendering() {
-        let e = Expr::var("x").add(Expr::int(1)).lt(Expr::var("y"));
-        assert_eq!(e.to_c_styled(CStyle::LibCalls), "LT(ADD(x, 1), y)");
     }
 
     #[test]

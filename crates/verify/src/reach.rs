@@ -559,10 +559,11 @@ mod tests {
         Some(stats)
     }
 
-    /// The example networks plus seeded relay networks of 3–8 machines.
-    fn oracle_networks() -> Vec<Network> {
+    /// The example networks plus seeded relay networks of 3 to
+    /// `max_machines` machines.
+    fn oracle_networks(max_machines: usize) -> Vec<Network> {
         let mut nets = vec![token_ring(), toggler_pair(), oneshot()];
-        for n in 3..=8 {
+        for n in 3..=max_machines {
             nets.push(random_network(n, &RandomSpec::default(), 0x5eed ^ n as u64));
         }
         nets
@@ -574,7 +575,7 @@ mod tests {
             trace_rings: true,
             ..VerifyOptions::default()
         };
-        for net in oracle_networks() {
+        for net in oracle_networks(8) {
             assert!(
                 agrees_with_reference(&net, &opts).is_some(),
                 "{}: default budget must complete with rings",
@@ -588,7 +589,7 @@ mod tests {
         // Budgets below the unconstrained peak make the descent run's
         // once-per-iteration check collect; at least one such budget
         // must complete.
-        for net in oracle_networks() {
+        for net in oracle_networks(8) {
             let opts = VerifyOptions {
                 trace_rings: true,
                 ..VerifyOptions::default()
@@ -629,13 +630,16 @@ mod tests {
     fn descent_matches_the_reference_under_mid_reach_sifting() {
         // A threshold of one node sifts after the first iteration and
         // again whenever the arena doubles, so the descent must re-derive
-        // every partition's top from each new order.
+        // every partition's top from each new order. The relay networks
+        // stop at 6 machines, which already sift 12 to 32 times each; the
+        // larger ones sift dozens of times for seconds of a debug run and
+        // stay in the other reference tests.
         let opts = VerifyOptions {
             trace_rings: true,
             reorder_threshold: 1,
             ..VerifyOptions::default()
         };
-        for net in oracle_networks() {
+        for net in oracle_networks(6) {
             let stats = descent_stats_if_agreeing(&net, &opts)
                 .unwrap_or_else(|| panic!("{}: must complete with rings", net.name()));
             assert!(stats.mid_reach_reorders > 0, "{}: no sift", net.name());
@@ -651,7 +655,7 @@ mod tests {
             trace_rings: true,
             ..VerifyOptions::default()
         };
-        for net in oracle_networks() {
+        for net in oracle_networks(8) {
             let name = net.name();
             let mut model = NetworkModel::build(&net);
             let (_, rings, _) = reference_fixpoint(&mut model, &opts, &[]).unwrap();

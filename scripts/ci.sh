@@ -74,7 +74,7 @@ for spec in examples/specs/*.pol; do
   done
 done
 
-echo "==> regression specs: synth and estimate never panic (every style); a bad spec is a line:col error; machine C is ISO C99"
+echo "==> regression specs: synth and estimate never panic (every style); a bad spec is a line:col error; machine C is ISO C99; verify --props refuses a spec without properties"
 rm -rf /tmp/polis_ci_regress
 for spec in tests/specs/*.pol; do
   for style in dg chain 2lvl; do
@@ -105,6 +105,11 @@ for spec in tests/specs/*.pol; do
     done
   done
 done
+
+status=0
+err="$(./target/release/polis verify tests/specs/no_transitions.pol --props 2>&1 >/dev/null)" || status=$?
+[ "$status" -eq 1 ] && grep -qF "no properties block" <<<"$err" \
+  || { echo "FAIL: polis verify tests/specs/no_transitions.pol --props did not refuse (exit $status)"; echo "$err"; exit 1; }
 
 echo "==> synth --verify --refine runs on every example spec"
 for spec in examples/specs/*.pol; do
@@ -151,32 +156,32 @@ done
 echo "==> property suites: exact verdicts on every example spec"
 # Each example ships one deliberately violated `assert never` whose
 # decoded counterexample the test suite replays; the CLI gate here pins
-# the verdict lines themselves.
+# the verdict lines themselves and the `checked N properties` summary.
 check_props() {
-  local spec="$1"; shift
+  local spec="$1" checked="$2"; shift 2
   local out
   echo "--- polis verify $spec --props"
   out="$(./target/release/polis verify "$spec" --props)"
-  for want in "$@"; do
+  for want in "$@" "checked $checked properties in "; do
     grep -qF "$want" <<<"$out" \
       || { echo "FAIL: $spec missing verdict: $want"; echo "$out"; exit 1; }
   done
 }
-check_props examples/specs/simple.pol \
+check_props examples/specs/simple.pol 2 \
   "properties: 2 checked, 1 violated" \
   "assert reachable simple.c: holds" \
   "assert never (simple@awaiting && simple.c): VIOLATED"
-check_props examples/specs/seat_belt.pol \
+check_props examples/specs/seat_belt.pol 3 \
   "properties: 3 checked, 1 violated" \
   "assert reachable belt_control@alarm: holds" \
   "assert never (belt_control@off && belt_control@waiting): holds" \
   "assert never (belt_control@alarm && belt_control.belt_on): VIOLATED"
-check_props examples/specs/shock_absorber.pol \
+check_props examples/specs/shock_absorber.pol 3 \
   "properties: 3 checked, 1 violated" \
   "assert reachable mode@sport: holds" \
   "assert never (mode@comfort && mode@sport): holds" \
   "assert never (watchdog@starving && act.pwm_tick): VIOLATED"
-check_props examples/specs/dashboard.pol \
+check_props examples/specs/dashboard.pol 3 \
   "properties: 3 checked, 1 violated" \
   "assert reachable (frc@saturated && rpc@saturated): holds" \
   "assert never (frc@counting && frc@saturated): holds" \

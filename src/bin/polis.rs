@@ -32,7 +32,7 @@ fn main() -> ExitCode {
 }
 
 /// The subcommands, in usage order. Each takes one `<spec>` argument.
-const COMMANDS: [&str; 7] = ["synth", "estimate", "sim", "verify", "prop", "dot", "fmt"];
+const COMMANDS: [&str; 6] = ["synth", "estimate", "sim", "verify", "dot", "fmt"];
 
 /// Every flag of every command: [`Args::parse`] checks command lines
 /// against this table, and the usage text is rendered from it.
@@ -45,13 +45,13 @@ const FLAGS: &[Flag] = &[
     Flag("--buffering",         Some("all|minimal"), &["synth", "estimate"]),
     Flag("--collapse",          None, &["synth", "estimate", "dot"]),
     Flag("--jobs",              Some("N"), &["synth"]),
-    Flag("--trace",             Some("FILE"), &["synth", "estimate", "sim", "verify", "prop", "dot", "fmt"]),
+    Flag("--trace",             Some("FILE"), &["synth", "estimate", "sim", "verify", "dot", "fmt"]),
     Flag("--verify",            None, &["synth"]),
     Flag("--refine",            None, &["synth"]),
     Flag("--props",             None, &["verify"]),
-    Flag("--node-budget",       Some("N"), &["synth", "verify", "prop"]),
-    Flag("--reorder-threshold", Some("N|off"), &["synth", "verify", "prop"]),
-    Flag("--max-rings",         Some("N"), &["verify", "prop"]),
+    Flag("--node-budget",       Some("N"), &["synth", "verify"]),
+    Flag("--reorder-threshold", Some("N|off"), &["synth", "verify"]),
+    Flag("--max-rings",         Some("N"), &["verify"]),
     Flag("--stim",              Some("FILE"), &["sim"]),
     Flag("--policy",            Some("rr|prio"), &["sim"]),
     Flag("--module",            Some("NAME"), &["dot"]),
@@ -86,8 +86,7 @@ fn run(raw: Vec<String>) -> Result<(), String> {
         "synth" => synth(net, &opts, trace),
         "estimate" => estimate_cmd(net, &opts, trace),
         "sim" => sim(net, &opts, trace),
-        "verify" => verify_cmd(net, &spec.properties, &opts, trace),
-        "prop" => prop_cmd(path, &spec, &opts, trace),
+        "verify" => verify_cmd(path, &spec, &opts, trace),
         "dot" => dot(net, &opts, trace),
         "fmt" => {
             write_trace(&opts, &trace)?;
@@ -202,8 +201,8 @@ impl Options {
         }
         synth.collapse = cli.has("--collapse");
         synth.verify_refine_estimates = cli.has("--refine");
-        let verifies = matches!(cli.command, "verify" | "prop");
-        synth.verify = (verifies || cli.has("--verify") || cli.has("--refine")).then_some(verify);
+        let verifies = cli.command == "verify" || cli.has("--verify") || cli.has("--refine");
+        synth.verify = verifies.then_some(verify);
 
         let mut rtos = RtosConfig {
             profile: synth.profile,
@@ -351,13 +350,14 @@ fn verified(
     Ok(v)
 }
 
-fn verify_cmd(
-    net: &Network,
-    props: &[Property],
-    opts: &Options,
-    trace: SynthTrace,
-) -> Result<(), String> {
-    let v = verified(net, opts.props.then_some(props), opts, trace)?;
+/// Prints the reachability report and, under `--props`, the property
+/// verdicts and a summary; `--props` refuses a spec without properties.
+fn verify_cmd(path: &str, spec: &Spec, opts: &Options, trace: SynthTrace) -> Result<(), String> {
+    if opts.props && spec.properties.is_empty() {
+        return Err(format!("`{path}` declares no properties block"));
+    }
+    let net = &spec.network;
+    let v = verified(net, opts.props.then_some(&spec.properties), opts, trace)?;
     let report = &v.report;
     print!("{}", report.render());
     if let Some(trace) = report.deadlock.as_ref().and_then(|w| w.trace.as_ref()) {
@@ -372,26 +372,15 @@ fn verify_cmd(
     );
     if let Some(props) = &v.props {
         print!("{}", props.render(net));
+        println!(
+            "checked {} properties in {:?} ({} reachable-set iterations, {} rings, {} preimage nodes)",
+            props.checked,
+            v.report.stats.wall + props.wall,
+            v.report.stats.iterations,
+            props.rings_stored,
+            props.preimage_nodes
+        );
     }
-    Ok(())
-}
-
-fn prop_cmd(path: &str, spec: &Spec, opts: &Options, trace: SynthTrace) -> Result<(), String> {
-    if spec.properties.is_empty() {
-        return Err(format!("`{path}` declares no properties block"));
-    }
-    let net = &spec.network;
-    let v = verified(net, Some(&spec.properties), opts, trace)?;
-    let props = v.props.expect("a suite was checked");
-    print!("{}", props.render(net));
-    println!(
-        "checked {} properties in {:?} ({} reachable-set iterations, {} rings, {} preimage nodes)",
-        props.checked,
-        v.report.stats.wall + props.wall,
-        v.report.stats.iterations,
-        props.rings_stored,
-        props.preimage_nodes
-    );
     Ok(())
 }
 

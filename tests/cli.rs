@@ -185,10 +185,10 @@ fn strip_wall(out: &str) -> String {
 }
 
 #[test]
-fn prop_subcommand_prints_traces_and_requires_a_suite() {
+fn verify_props_prints_traces_and_requires_a_suite() {
     let dir = tmpdir("prop");
     let spec = write(&dir, "ppp.pol", &format!("{SPEC}\n{PROPS}"));
-    let out = bin().args(["prop", &spec]).output().unwrap();
+    let out = bin().args(["verify", &spec, "--props"]).output().unwrap();
     assert!(
         out.status.success(),
         "{}",
@@ -202,10 +202,10 @@ fn prop_subcommand_prints_traces_and_requires_a_suite() {
     assert!(stdout.contains("react pinger #0 (s -> s)"), "{stdout}");
     assert!(stdout.contains("checked 2 properties in"), "{stdout}");
 
-    // Without a properties block the subcommand refuses.
+    // Without a properties block `--props` refuses.
     let bare = write(&dir, "pp.pol", SPEC);
-    let out = bin().args(["prop", &bare]).output().unwrap();
-    assert!(!out.status.success());
+    let out = bin().args(["verify", &bare, "--props"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("no properties block"),
         "{}",
@@ -218,10 +218,16 @@ fn prop_subcommand_prints_traces_and_requires_a_suite() {
         "bad.pol",
         &format!("{SPEC}\nproperties {{\n    assert never pinger@missing;\n}}\n"),
     );
-    let out = bin().args(["prop", &bad]).output().unwrap();
+    let out = bin().args(["verify", &bad, "--props"]).output().unwrap();
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("has no state `missing`"), "{stderr}");
+
+    // `verify --props` is the one property command.
+    let out = bin().args(["prop", &spec]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage:"), "{stderr}");
 }
 
 #[test]
@@ -520,7 +526,7 @@ fn undeclared_action_targets_are_spanned_errors() {
 fn unknown_flags_are_rejected_on_every_subcommand() {
     let dir = tmpdir("unknown_flag");
     let spec = write(&dir, "pp.pol", &format!("{SPEC}\n{PROPS}"));
-    for command in ["synth", "estimate", "sim", "verify", "prop", "dot", "fmt"] {
+    for command in ["synth", "estimate", "sim", "verify", "dot", "fmt"] {
         let out = bin().args([command, &spec, "--bogus"]).output().unwrap();
         assert_eq!(out.status.code(), Some(1), "{command} accepted --bogus");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -597,7 +603,7 @@ fn verify_trace_holds_parse_then_verify_stage() {
     // aborted verify stage.
     let partial = dir.join("partial.json");
     let out = bin()
-        .args(["prop", &spec, "--node-budget", "2", "--trace"])
+        .args(["verify", &spec, "--props", "--node-budget", "2", "--trace"])
         .arg(&partial)
         .output()
         .unwrap();
