@@ -25,7 +25,8 @@
 //!   step that never builds the throwaway intermediate: the set image
 //!   ([`Bdd::exists_set`]), the renamed relational product
 //!   ([`Bdd::and_exists_rename`], the same recursion as `and_exists`
-//!   with each result renamed) and the union minus a reached set
+//!   with each result renamed under a [`RenameMap`] interned once by
+//!   [`Bdd::rename_map`]) and the union minus a reached set
 //!   ([`Bdd::or_and_not`]), and level-wise
 //!   access ([`Bdd::node_level`], [`Bdd::cofactors_at_level`],
 //!   [`Bdd::node_at_level`]) for recursions written outside the kernel;
@@ -1557,7 +1558,7 @@ impl Bdd {
         self.and_exists_rec(f, g, cube, None)
     }
 
-    /// The renamed relational product `rename(∃ cube. f ∧ g, pairs)` in one
+    /// The renamed relational product `rename(∃ cube. f ∧ g, map)` in one
     /// recursion: the image step of reachability, whose next-state rail
     /// is mapped back onto the current one, without materializing the
     /// quantified product on the wrong rail.
@@ -1567,20 +1568,19 @@ impl Bdd {
     /// variable exactly as [`Bdd::rename`] does (plain `mk` when the
     /// target sits above both children, `ite` otherwise), so the result is
     /// correct under any variable order. Where the cube runs out the rest
-    /// is `f ∧ g` renamed. `pairs` obey [`Bdd::rename`]'s preconditions,
-    /// and no target may survive the quantification (the image quantifies
-    /// every current-state variable it renames onto). Memoized in the
-    /// dedicated AndExists cache under the interned map's token, so plain
-    /// and renamed products never alias.
+    /// is `f ∧ g` renamed. No target of `map` may survive the
+    /// quantification (the image quantifies every current-state variable
+    /// it renames onto). Memoized in the dedicated AndExists cache under
+    /// the map's token, so plain and renamed products never alias.
     pub fn and_exists_rename(
         &mut self,
         f: NodeRef,
         g: NodeRef,
         cube: NodeRef,
-        pairs: &[(Var, Var)],
+        map: &RenameMap,
     ) -> NodeRef {
-        match self.rename_map(pairs) {
-            Some((map, token)) => self.and_exists_rec(f, g, cube, Some((&map, token))),
+        match &map.0 {
+            Some((map, token)) => self.and_exists_rec(f, g, cube, Some((map, *token))),
             None => self.and_exists(f, g, cube),
         }
     }
@@ -1763,33 +1763,33 @@ impl Bdd {
     }
 
     /// Simultaneous variable renaming: rewrites `f` with every source
-    /// variable of `pairs` replaced by its target variable.
+    /// variable of `map` replaced by its target variable.
     ///
     /// The substitution is rebuilt bottom-up in one recursion and is
     /// correct for any variable order — targets need not occupy the levels
-    /// of their sources. Sources must be distinct, and no target may also
-    /// appear as a source or in the support of `f` (that would capture the
-    /// renamed occurrences); the relational-image use — mapping next-state
-    /// variables onto their quantified-out current-state rails — satisfies
-    /// both by construction. Debug builds assert the source/target sets are
-    /// disjoint.
-    pub fn rename(&mut self, f: NodeRef, pairs: &[(Var, Var)]) -> NodeRef {
-        if f.is_terminal() {
-            return f;
-        }
-        match self.rename_map(pairs) {
-            Some((map, token)) => self.rename_rec(f, &map, token),
-            None => f,
+    /// of their sources. No target may appear in the support of `f` (that
+    /// would capture the renamed occurrences); the relational-image use —
+    /// mapping next-state variables onto their quantified-out current-state
+    /// rails — satisfies this by construction.
+    pub fn rename(&mut self, f: NodeRef, map: &RenameMap) -> NodeRef {
+        match &map.0 {
+            Some((map, token)) if !f.is_terminal() => self.rename_rec(f, map, *token),
+            _ => f,
         }
     }
 
-    /// The variable map of `pairs` (identity off the sources) and the
-    /// token of its interned form, or `None` when every pair is an
-    /// identity.
-    fn rename_map(&mut self, pairs: &[(Var, Var)]) -> Option<(Vec<u32>, NodeRef)> {
+    /// Interns the simultaneous renaming `pairs` (source, target) for
+    /// [`Bdd::rename`] and [`Bdd::and_exists_rename`]: the variable map
+    /// is built and its token looked up once here, not on every
+    /// application. Identity pairs are dropped. Sources must be distinct
+    /// and no target may also be a source; debug builds assert both. The
+    /// map serves only the manager that interned it and covers the
+    /// variables declared so far: applying it to a function over a later
+    /// variable panics.
+    pub fn rename_map(&mut self, pairs: &[(Var, Var)]) -> RenameMap {
         let pairs: Vec<(Var, Var)> = pairs.iter().copied().filter(|&(s, t)| s != t).collect();
         if pairs.is_empty() {
-            return None;
+            return RenameMap(None);
         }
         debug_assert!(
             pairs
@@ -1813,12 +1813,12 @@ impl Bdd {
         // images skip the whole rebuild. Sifting's generation bump
         // invalidates these entries along with everything else; gc keeps
         // those whose nodes survive.
-        let mut sorted = pairs.clone();
+        let mut sorted = pairs;
         sorted.sort_unstable_by_key(|&(s, _)| s.0);
         let sorted: Vec<(u32, u32)> = sorted.into_iter().map(|(s, t)| (s.0, t.0)).collect();
         let next = self.rename_maps.len() as u32;
         let token = NodeRef(*self.rename_maps.entry(sorted).or_insert(next));
-        Some((map, token))
+        RenameMap(Some((map, token)))
     }
 
     /// Rebuilds `f` under `map`, memoized in the shared cache on the regular
@@ -2315,6 +2315,13 @@ pub(crate) struct StoreSnapshot {
     level_of_var: Vec<u32>,
     lists: Vec<Vec<NodeRef>>,
 }
+
+/// A simultaneous variable renaming interned by [`Bdd::rename_map`]:
+/// the target of every variable (identity off the sources) and the token
+/// that keys its cache entries, or `None` when the renaming is the
+/// identity.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RenameMap(Option<(Vec<u32>, NodeRef)>);
 
 /// A garbage-pressure trigger: collects dead nodes once the arena has
 /// grown past a mark, so a long construction that drops most of what it
@@ -2909,16 +2916,19 @@ mod tests {
         let (mut b, x, y, z) = setup3();
         let (fx, fy) = (b.var(x), b.var(y));
         let f = b.and(fx, fy); // x & y
-        let r = b.rename(f, &[(y, z)]); // -> x & z
+        let yz = b.rename_map(&[(y, z)]);
+        let r = b.rename(f, &yz); // -> x & z
         let fz = b.var(z);
         let expect = b.and(fx, fz);
         assert_eq!(r, expect);
         // Untouched variables and empty maps are identities.
-        assert_eq!(b.rename(f, &[]), f);
-        assert_eq!(b.rename(f, &[(z, z)]), f);
+        let empty = b.rename_map(&[]);
+        assert_eq!(b.rename(f, &empty), f);
+        let zz = b.rename_map(&[(z, z)]);
+        assert_eq!(b.rename(f, &zz), f);
         // Renaming commutes with complement up to handle identity.
         let nf = b.not(f);
-        let nr = b.rename(nf, &[(y, z)]);
+        let nr = b.rename(nf, &yz);
         assert_eq!(nr, b.not(expect));
     }
 
@@ -2934,7 +2944,8 @@ mod tests {
         let (fxn, fyn) = (b.var(xn), b.var(yn));
         let nyn = b.not(fyn);
         let f = b.and(fxn, nyn); // x' & !y'
-        let r = b.rename(f, &[(xn, x), (yn, y)]);
+        let next_to_cur = b.rename_map(&[(xn, x), (yn, y)]);
+        let r = b.rename(f, &next_to_cur);
         let (fx, fy) = (b.var(x), b.var(y));
         let nfy = b.not(fy);
         let expect = b.and(fx, nfy);
@@ -2952,7 +2963,8 @@ mod tests {
         let (mut b, x, y, z) = setup3();
         let (fx, fy) = (b.var(x), b.var(y));
         let f = b.xor(fx, fy);
-        let g = b.rename(f, &[(x, z)]);
+        let xz = b.rename_map(&[(x, z)]);
+        let g = b.rename(f, &xz);
         let fz = b.var(z);
         let expect = b.xor(fz, fy);
         assert_eq!(g, expect);

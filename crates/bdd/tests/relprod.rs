@@ -221,12 +221,13 @@ fn order_preserving_rename_matches_the_substitution_oracle() {
             let targets: Vec<Var> = (0..nvars).map(|i| bdd.new_var(format!("y{i}"))).collect();
             let pairs: Vec<(Var, Var)> =
                 vars.iter().copied().zip(targets.iter().copied()).collect();
-            let renamed = bdd.rename(f, &pairs);
+            let map = bdd.rename_map(&pairs);
+            let renamed = bdd.rename(f, &map);
             let expect = rename_oracle(&mut bdd, f, &pairs);
             assert_eq!(renamed, expect, "nvars={nvars} case={case}");
             // A second call goes through the cross-call cache entries and
             // must agree with the first.
-            assert_eq!(bdd.rename(f, &pairs), renamed, "nvars={nvars} case={case}");
+            assert_eq!(bdd.rename(f, &map), renamed, "nvars={nvars} case={case}");
         }
     }
 }
@@ -244,7 +245,8 @@ fn order_reversing_rename_matches_the_substitution_oracle() {
                 .copied()
                 .zip(targets.iter().rev().copied())
                 .collect();
-            let renamed = bdd.rename(f, &pairs);
+            let map = bdd.rename_map(&pairs);
+            let renamed = bdd.rename(f, &map);
             let expect = rename_oracle(&mut bdd, f, &pairs);
             assert_eq!(renamed, expect, "nvars={nvars} case={case}");
         }
@@ -273,9 +275,12 @@ fn rename_through_many_maps_matches_the_oracle_and_is_memoized() {
     }
     for (m, pairs) in maps.iter().enumerate() {
         for h in [f, g] {
-            let renamed = bdd.rename(h, pairs);
+            let map = bdd.rename_map(pairs);
+            let renamed = bdd.rename(h, &map);
             let mk_calls = bdd.mk_calls();
-            assert_eq!(bdd.rename(h, pairs), renamed, "map {m} repeated");
+            let again = bdd.rename_map(pairs);
+            assert_eq!(again, map, "map {m} interned twice");
+            assert_eq!(bdd.rename(h, &again), renamed, "map {m} repeated");
             assert_eq!(bdd.mk_calls(), mk_calls, "map {m} not memoized");
             let expect = rename_oracle(&mut bdd, h, pairs);
             assert_eq!(renamed, expect, "map {m}");
@@ -300,7 +305,8 @@ fn mixed_order_rename_takes_both_branches_in_one_recursion() {
 
     // Only the `ite` branch probes the ITE cache.
     let before = bdd.stats().cache_lookups;
-    let renamed = bdd.rename(f, &preserving);
+    let (preserving_map, mixed_map) = (bdd.rename_map(&preserving), bdd.rename_map(&mixed));
+    let renamed = bdd.rename(f, &preserving_map);
     assert_eq!(
         bdd.stats().cache_lookups,
         before,
@@ -310,7 +316,7 @@ fn mixed_order_rename_takes_both_branches_in_one_recursion() {
     assert_eq!(renamed, expect);
 
     let before = bdd.stats().cache_lookups;
-    let renamed = bdd.rename(f, &mixed);
+    let renamed = bdd.rename(f, &mixed_map);
     assert!(
         bdd.stats().cache_lookups > before,
         "mixed map never used ite"
@@ -323,7 +329,7 @@ fn mixed_order_rename_takes_both_branches_in_one_recursion() {
     for case in 0..CASES {
         let mut rng = Rng::new(0xa11ce ^ case);
         let h = gen_fn(&mut rng, &mut bdd, &x, 4);
-        let renamed = bdd.rename(h, &mixed);
+        let renamed = bdd.rename(h, &mixed_map);
         let expect = rename_oracle(&mut bdd, h, &mixed);
         assert_eq!(renamed, expect, "case={case}");
     }
@@ -474,6 +480,7 @@ fn and_exists_rename_equals_and_exists_then_rename() {
                 .collect();
             let c = bdd.cube(quantified);
             let pairs: Vec<(Var, Var)> = y.iter().copied().zip(x.iter().copied()).collect();
+            let map = bdd.rename_map(&pairs);
             if case % 2 == 1 {
                 scramble(&mut bdd, &[f, g, c], case);
             }
@@ -484,13 +491,13 @@ fn and_exists_rename_equals_and_exists_then_rename() {
             {
                 let product = bdd.and_exists(a, b, c);
                 let expect = rename_oracle(&mut bdd, product, &pairs);
-                assert_eq!(bdd.rename(product, &pairs), expect);
+                assert_eq!(bdd.rename(product, &map), expect);
                 let what = format!("nvars={nvars} case={case} operands={k}");
                 twice_around_gc(
                     &mut bdd,
                     &[f, g, c],
                     expect,
-                    |m| m.and_exists_rename(a, b, c, &pairs),
+                    |m| m.and_exists_rename(a, b, c, &map),
                     &what,
                 );
             }
@@ -512,6 +519,7 @@ fn and_exists_rename_under_an_order_reversing_map_matches_the_oracle() {
                 .copied()
                 .zip(targets.iter().rev().copied())
                 .collect();
+            let map = bdd.rename_map(&pairs);
             let c = bdd.cube(subset.iter().copied());
             if case % 2 == 1 {
                 scramble(&mut bdd, &[f, g, c], case);
@@ -523,7 +531,7 @@ fn and_exists_rename_under_an_order_reversing_map_matches_the_oracle() {
                 &mut bdd,
                 &[f, g, c, product],
                 expect,
-                |m| m.and_exists_rename(f, g, c, &pairs),
+                |m| m.and_exists_rename(f, g, c, &map),
                 &what,
             );
             assert_eq!(bdd.and_exists(f, g, c), product, "{what}: plain product");

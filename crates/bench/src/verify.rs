@@ -7,16 +7,17 @@
 //! ```
 //!
 //! `--smoke` stops the relay chains at n = 12, so the bench finishes in
-//! well under a second. Every run asserts sanity thresholds — every case
+//! well under a second; the full run goes on to n = 24 (about 3 s in
+//! release). Every run asserts sanity thresholds — every case
 //! reaches its fixpoint, counts a non-trivial reachable set, stays inside
 //! the default node budget, and records the relational-product kernel
 //! counters — and exits non-zero on violation. `--gate FILE` also
 //! compares this run against the committed `BENCH_verify.json`: for
 //! every case present in both, the verdict fields (`reached_states`,
 //! `lost_possible`, `dead_transitions`, `deadlock`) and the traversal
-//! shape (`iterations`, `image_steps`) must match exactly and
-//! `peak_live_nodes` must not regress by more than 5%. A gated field
-//! missing from a committed case fails the gate.
+//! shape (`iterations`, `image_steps`, `descent_nodes`) must match
+//! exactly and `peak_live_nodes` must not regress by more than 5%. A
+//! gated field missing from a committed case fails the gate.
 //!
 //! Each case also prints and records the image descent's work counters
 //! (`descent_nodes`, `env_applications`, `react_applications`) and the
@@ -96,9 +97,10 @@ impl CaseResult {
 
 /// The fields a case must share exactly with its namesake in the
 /// committed file (`--gate`).
-const GATED: [&str; 6] = [
+const GATED: [&str; 7] = [
     "iterations",
     "image_steps",
+    "descent_nodes",
     "reached_states",
     "lost_possible",
     "dead_transitions",
@@ -176,13 +178,13 @@ fn gate_failures(run: &[Json], committed: &Json) -> Vec<String> {
 /// `BENCH_verify.json`). Returns the sanity and `--gate` failures.
 pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
     // The smoke set stops at n=12, the largest chain that stays well
-    // under a second; n=20 is the full run's chain that collects
-    // mid-reach.
+    // under a second; n=20 and n=24 are the full run's chains that
+    // collect mid-reach.
     let smoke = opts.smoke;
     let chain_sizes: &[usize] = if smoke {
         &[4, 8, 12]
     } else {
-        &[4, 8, 12, 16, 20]
+        &[4, 8, 12, 16, 20, 24]
     };
 
     let mut results = Vec::new();

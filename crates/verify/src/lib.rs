@@ -82,9 +82,12 @@ pub struct VerifyOptions {
     /// descent); exceeded after reclamation ⇒
     /// [`VerifyError::NodeBudgetExceeded`].
     pub node_budget: usize,
-    /// Allocated-node level above which the manager is sifted between
+    /// Live-node level above which the manager is sifted between
     /// fixpoint iterations (group constraints keep each buffer's cur/next
     /// flag rails and each machine's ctrl cur+next block contiguous).
+    /// The live set is measured after a mid-reach collection; a
+    /// threshold below the collector's 2^18-node floor lowers the floor
+    /// to it. Each sift at least doubles the level for the next one.
     /// Reordering changes only node counts and wall time, never verdicts
     /// or reached-state counts. `usize::MAX` disables it.
     pub reorder_threshold: usize,
@@ -723,9 +726,10 @@ mod tests {
 
     #[test]
     fn forced_reordering_changes_no_verdict() {
-        // Threshold 1 triggers a sift after every fixpoint iteration:
-        // verdicts, reached-state counts and iteration counts must be
-        // bit-identical to the unreordered run on every example network.
+        // Threshold 1 sifts at the first collection, which it also lets
+        // fire: verdicts, reached-state counts and iteration counts must
+        // be bit-identical to the unreordered run on every example
+        // network.
         for net in [toggler_pair(), token_ring()] {
             let baseline = verify_network(&net, &VerifyOptions::default()).unwrap();
             assert_eq!(baseline.stats.mid_reach_reorders, 0);

@@ -12,10 +12,12 @@
 //!    kept adjacent in the order;
 //! 2. the binary-encoded control state, current then next (only for
 //!    machines with more than one control state);
-//! 3. one auxiliary variable per data test (existentially quantified out
-//!    of every image — data is abstracted as free nondeterminism);
-//! 4. one auxiliary variable per action (quantified out after the buffer
-//!    updates are applied).
+//! 3. one auxiliary variable per data test (data is abstracted as free
+//!    nondeterminism);
+//! 4. one auxiliary variable per action.
+//!
+//! No state set mentions a test or an action variable: both are
+//! quantified out of each reaction's relation once, at model build.
 //!
 //! # Transition partitioning
 //!
@@ -33,8 +35,12 @@
 //!   buffers (`flag' ↔ flag ∨ emitted`); the machine's own buffers are
 //!   cleared (snapshot consumption). The two constraint sets are
 //!   disjoint because no machine consumes its own output — `Cfsm::build`
-//!   rejects that, and the encoding asserts it. Reactions that fire
-//!   nothing are identity steps and are simply omitted.
+//!   rejects that, and the encoding asserts it. The step's
+//!   [`ReactStep::relation`] is `∃(tests ∪ acts)` of the two together:
+//!   the reaction between the current and next values of the variables
+//!   it consumes, so every image and preimage is one relational product
+//!   with it. Reactions that fire nothing are identity steps and are
+//!   simply omitted.
 //!
 //! `χ|consume=1` is built straight over the network's variables from the
 //! per-transition enabling conditions the checks use too
@@ -52,7 +58,7 @@
 //! direction that makes the lost-event/deadlock verdicts sound alarms.
 
 use polis_bdd::encode::MvVar;
-use polis_bdd::{Bdd, NodeRef, Var};
+use polis_bdd::{Bdd, NodeRef, RenameMap, Var};
 use polis_cfsm::{action_cube, Action, Cfsm, Network};
 
 /// The BDD variables owned by one machine of the network.
@@ -95,31 +101,35 @@ pub(crate) struct EnvStep {
     pub cube: NodeRef,
 }
 
-/// One machine's reaction as a partitioned transition relation with a
-/// pre-computed early-quantification schedule.
+/// One machine's reaction as a partition of the transition relation,
+/// with its test and action variables quantified out once, at model
+/// build.
 pub(crate) struct ReactStep {
     /// `χ|consume=1` over global variables: `⋁_t cond_t ∧ action_cube_t`
     /// over the machine's transitions (see [`NetworkModel::conds`]).
     pub chi_fire: NodeRef,
     /// Consumer buffer updates fused with snapshot consumption:
-    /// `(flag' ↔ flag ∨ ⋁ emitting actions) ∧ ⋀ ¬own_flag'`. The clear
-    /// half has no action variables in its support, so conjoining it
-    /// before the action quantification is sound and saves one
-    /// relational product per image.
+    /// `(flag' ↔ flag ∨ ⋁ emitting actions) ∧ ⋀ ¬own_flag'`.
     pub update_clear: NodeRef,
-    /// Test variables (quantified immediately after `χ` is conjoined).
-    pub q_tests: Vec<Var>,
-    /// Action variables (quantified after `update_clear` is conjoined).
-    pub q_acts: Vec<Var>,
-    /// Next → current renaming applied last.
-    pub rename: Vec<(Var, Var)>,
-    /// Positive cube over `q_tests` (for the `χ` relational product).
+    /// `∃(tests ∪ acts). chi_fire ∧ update_clear`: the reaction as a
+    /// relation between the current and the next values of the
+    /// variables it consumes. A state set `n` never mentions a test or
+    /// an action variable, so `∃tests,acts. n ∧ χ ∧ upd = n ∧ relation`,
+    /// and every image and preimage is one relational product with it.
+    pub relation: NodeRef,
+    /// Positive cube over the machine's test variables (the checks
+    /// quantify them out of the enabling conditions).
     pub tests_cube: NodeRef,
-    /// Positive cube over `q_acts` plus the current-state variables the
-    /// step consumes — the machine's own flags and control bits and every
-    /// affected consumer flag (for the `update_clear` relational
-    /// product).
-    pub acts_cur_cube: NodeRef,
+    /// Positive cube over the current-state variables the step consumes:
+    /// the machine's own flags and control bits and every affected
+    /// consumer flag, i.e. the targets of `rename`.
+    pub cur_cube: NodeRef,
+    /// The next rail of the consumed variables, the sources of `rename`.
+    pub next_rail: Vec<Var>,
+    /// Next → current renaming of the image, interned once.
+    pub rename: RenameMap,
+    /// Current → next renaming of the preimage (`rename` inverted).
+    pub unrename: RenameMap,
 }
 
 /// The full symbolic model: manager, layout, partitioned relation, and
@@ -295,15 +305,19 @@ impl NetworkModel {
             }
             let update_clear = bdd.and(update, own_clear);
             let tests_cube = bdd.cube(vars[i].tests.iter().copied());
-            let acts_cur_cube = bdd.cube(vars[i].acts.iter().copied().chain(q_cur.iter().copied()));
+            let aux_cube = bdd.cube(vars[i].tests.iter().chain(&vars[i].acts).copied());
+            let relation = bdd.and_exists(chi_fire, update_clear, aux_cube);
+            let cur_cube = bdd.cube(q_cur);
+            let unrename: Vec<(Var, Var)> = rename.iter().map(|&(n, c)| (c, n)).collect();
             react_steps.push(ReactStep {
                 chi_fire,
                 update_clear,
-                q_tests: vars[i].tests.clone(),
-                q_acts: vars[i].acts.clone(),
-                rename,
+                relation,
                 tests_cube,
-                acts_cur_cube,
+                cur_cube,
+                next_rail: rename.iter().map(|&(n, _)| n).collect(),
+                rename: bdd.rename_map(&rename),
+                unrename: bdd.rename_map(&unrename),
             });
         }
 
@@ -322,8 +336,9 @@ impl NetworkModel {
     }
 
     /// Every node the model must keep alive across reclamation: the
-    /// partitioned relation, the initial state, the precomputed
-    /// quantification cubes, and the enabling conditions. The cubes are
+    /// partitioned relation (each reaction's parts and its quantified
+    /// relation), the initial state, the precomputed quantification
+    /// cubes, and the enabling conditions. The cubes are
     /// ordinary nodes — omitting them here would let a mid-traversal `gc`
     /// free them out from under the next image.
     pub fn persistent_roots(&self) -> Vec<NodeRef> {
@@ -334,8 +349,9 @@ impl NetworkModel {
         for step in &self.react_steps {
             roots.push(step.chi_fire);
             roots.push(step.update_clear);
+            roots.push(step.relation);
             roots.push(step.tests_cube);
-            roots.push(step.acts_cur_cube);
+            roots.push(step.cur_cube);
         }
         for machine_conds in &self.conds {
             roots.extend_from_slice(machine_conds);
@@ -374,16 +390,12 @@ impl NetworkModel {
     /// predicate "machine `i` can emit this signal now" (for some data).
     pub fn emit_possible(&mut self, i: usize, m: &Cfsm, oi: usize) -> NodeRef {
         let emit = emits_signal(&mut self.bdd, m, &self.vars[i], oi);
-        let step = &self.react_steps[i];
-        let mut f = self.bdd.and(step.chi_fire, emit);
-        let mut aux: Vec<Var> = step.q_tests.clone();
-        aux.extend_from_slice(&step.q_acts);
-        if let Some(next) = &self.vars[i].ctrl_next {
-            aux.extend_from_slice(next.bits());
-        }
+        let mv = &self.vars[i];
+        let f = self.bdd.and(self.react_steps[i].chi_fire, emit);
+        let next = mv.ctrl_next.as_ref().map_or(&[][..], |n| n.bits());
+        let aux = mv.tests.iter().chain(&mv.acts).chain(next).copied();
         let aux_cube = self.bdd.cube(aux);
-        f = self.bdd.exists_cube(f, aux_cube);
-        f
+        self.bdd.exists_cube(f, aux_cube)
     }
 }
 
@@ -402,7 +414,7 @@ fn emits_signal(bdd: &mut Bdd, m: &Cfsm, mv: &MachineVars, oi: usize) -> NodeRef
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polis_core::random::{random_cfsm, RandomSpec, Rng};
+    use polis_core::random::{random_cfsm, random_network, RandomSpec, Rng};
     use polis_core::workloads;
     use std::convert::Infallible;
 
@@ -509,6 +521,39 @@ mod tests {
                 m.name()
             );
         }
+    }
+
+    #[test]
+    fn each_relation_quantifies_the_tests_and_actions_out_of_its_parts() {
+        // Checked against the unfused conjunction then quantification,
+        // on the example specs and seeded relay networks.
+        let mut nets: Vec<Network> = workloads::EXAMPLES
+            .iter()
+            .map(|(spec, _)| workloads::spec(spec).network)
+            .collect();
+        for n in 2..=6 {
+            nets.push(random_network(n, &RandomSpec::default(), 0x5eed ^ n as u64));
+        }
+        let mut steps = 0;
+        for net in &nets {
+            let mut model = NetworkModel::build(net);
+            for (i, mv) in model.vars.iter().enumerate() {
+                let step = &model.react_steps[i];
+                let aux: Vec<Var> = mv.tests.iter().chain(&mv.acts).copied().collect();
+                let both = model.bdd.and(step.chi_fire, step.update_clear);
+                let aux_cube = model.bdd.cube(aux.iter().copied());
+                let want = model.bdd.exists_cube(both, aux_cube);
+                assert_eq!(step.relation, want, "{}: machine {i}", net.name());
+                let support = model.bdd.support(step.relation);
+                assert!(
+                    support.iter().all(|v| !aux.contains(v)),
+                    "{}: machine {i} relation mentions a test or action",
+                    net.name()
+                );
+                steps += 1;
+            }
+        }
+        assert!(steps > 16, "{steps} reactions checked");
     }
 
     #[test]

@@ -27,13 +27,11 @@
 //! sets share most of their subgraphs; every collection and reorder
 //! drops it.
 //!
-//! Each partition application is a fused kernel recursion: the
-//! environment image is [`Bdd::exists_set`], the reaction image follows
-//! the early-quantification schedule pre-computed in the step (tests
-//! right after `χ`, actions right after the buffer updates, the consumed
-//! current-state block last) as [`Bdd::and_exists`] then
-//! [`Bdd::and_exists_rename`], and the results merge with
-//! [`Bdd::or_and_not`].
+//! Each partition application is one fused kernel recursion: the
+//! environment image is [`Bdd::exists_set`], the reaction image is
+//! [`Bdd::and_exists_rename`] with the step's relation, whose test and
+//! action variables the model quantified out at build, over the consumed
+//! current-state block, and the results merge with [`Bdd::or_and_not`].
 //!
 //! Every phase of an iteration (image descent, frontier, GC, sift) adds
 //! its wall time to [`VerifyStats::phases`]; the descent's work is
@@ -48,11 +46,12 @@
 //!   function between `New ∖ Reached` and `Reached'` yields the same
 //!   image frontier, so the generalized cofactor picks a smaller
 //!   representative without changing any per-iteration reached set;
-//! * when live nodes outgrow [`VerifyOptions::reorder_threshold`], the
-//!   manager is sifted between iterations under the model's group
-//!   constraints (flag cur/next rails and ctrl cur+next blocks stay
-//!   contiguous), and every partition's top is re-derived from the new
-//!   order.
+//! * when the live set, as a collection leaves it, outgrows
+//!   [`VerifyOptions::reorder_threshold`] (or the doubled mark of the
+//!   last sift), the manager is sifted between iterations under the
+//!   model's group constraints (flag cur/next rails and ctrl cur+next
+//!   blocks stay contiguous), and every partition's top is re-derived
+//!   from the new order.
 //!
 //! The arena is bounded by [`VerifyOptions::node_budget`]: once per
 //! iteration, after the descent and the frontier update, the allocation
@@ -69,16 +68,13 @@ use polis_bdd::{Bdd, GcTrigger, NodeRef, Var};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// One machine-reaction image as a chain of two relational products
-/// following the early-quantification schedule: tests fall right after
-/// `χ`, then actions and the consumed current-state block with the fused
-/// `update_clear` part, whose product is built directly on the current
-/// rail ([`Bdd::and_exists_rename`]). (Renaming once per iteration after
-/// the union was tried and discarded: the mixed-rail intermediate unions
-/// blow up.)
+/// One machine-reaction image: a single relational product with the
+/// step's pre-quantified relation over the consumed current-state block,
+/// built directly on the current rail ([`Bdd::and_exists_rename`]).
+/// (Renaming once per iteration after the union was tried and discarded:
+/// the mixed-rail intermediate unions blow up.)
 fn react_image(bdd: &mut Bdd, step: &ReactStep, from: NodeRef) -> NodeRef {
-    let a = bdd.and_exists(from, step.chi_fire, step.tests_cube);
-    bdd.and_exists_rename(a, step.update_clear, step.acts_cur_cube, &step.rename)
+    bdd.and_exists_rename(from, step.relation, step.cur_cube, &step.rename)
 }
 
 /// One partition of the transition relation.
@@ -93,8 +89,10 @@ enum Step<'m> {
 /// A partition with the variables it touches.
 struct Part<'m> {
     step: Step<'m>,
-    /// Every variable the step's relation, quantification cubes or rename
-    /// map mention, sorted and deduplicated.
+    /// Every variable the step's relation or quantification cube mentions
+    /// (a reaction's cube holds its rename targets, and a rename source
+    /// the relation does not mention never occurs in a state set), sorted
+    /// and deduplicated.
     footprint: Vec<Var>,
     /// The highest level in `footprint` under the current order
     /// (`num_vars()` for an empty footprint).
@@ -123,15 +121,11 @@ impl<'m> Descent<'m> {
     /// current order (a stable sort, so equal tops keep `steps`' order).
     fn new(bdd: &Bdd, steps: impl IntoIterator<Item = Step<'m>>) -> Descent<'m> {
         let part = |step| {
-            let (roots, rename): (&[NodeRef], &[(Var, Var)]) = match step {
-                Step::Env(s) => (std::slice::from_ref(&s.cube), &[]),
-                Step::React(s) => (
-                    &[s.chi_fire, s.update_clear, s.tests_cube, s.acts_cur_cube],
-                    &s.rename,
-                ),
+            let roots = match step {
+                Step::Env(s) => vec![s.cube],
+                Step::React(s) => vec![s.relation, s.cur_cube],
             };
             let mut footprint: Vec<Var> = roots.iter().flat_map(|&f| bdd.support(f)).collect();
-            footprint.extend(rename.iter().flat_map(|&(s, t)| [s, t]));
             footprint.sort_unstable();
             footprint.dedup();
             Part {
@@ -235,9 +229,11 @@ impl<'m> Descent<'m> {
 /// Collections never fire below 2^18 nodes, so small and mid-size models
 /// keep their op caches warm for the whole traversal (every seed example
 /// and the relay chains up to width 8 stay under it); after one, the next
-/// is armed at 4× the live size.
+/// is armed at 4× the live size. A reorder threshold below 2^18 lowers
+/// that floor to itself: only a collection measures the live set the
+/// mid-reach sift compares with the threshold.
 fn gc_trigger(opts: &VerifyOptions) -> GcTrigger {
-    GcTrigger::new(1 << 18, 4).capped_at(opts.node_budget)
+    GcTrigger::new((1 << 18).min(opts.reorder_threshold), 4).capped_at(opts.node_budget)
 }
 
 /// Reclaims dead nodes and errors out if the live set still exceeds the
@@ -247,7 +243,7 @@ fn gc_trigger(opts: &VerifyOptions) -> GcTrigger {
 /// Besides the hard budget, the garbage-pressure `trigger` (see
 /// [`gc_trigger`]) bounds the peak arena: the dead majority is collected
 /// as soon as allocation crosses its mark instead of lingering until the
-/// budget (or the reorder threshold) is hit. Collection never changes any
+/// budget is hit. Collection never changes any
 /// function a handle denotes, so reached sets and verdicts are untouched.
 ///
 /// `rings` are the stored trace onion (shed first when the live set alone
@@ -316,10 +312,12 @@ pub(crate) fn fixpoint(
     let bdd = &mut model.bdd;
     let steps = model.env_steps.iter().map(Step::Env);
     let mut descent = Descent::new(bdd, steps.chain(model.react_steps.iter().map(Step::React)));
-    // Re-armed after every sift: the next reorder fires only once the
-    // arena doubles past the post-sift level, so a traversal that simply
-    // *stays* large after one reorder does not sift again on every
-    // iteration.
+    // The sift mark. The traversal sifts when the live set, as a
+    // collection leaves it, passes the mark; the arena between
+    // collections is mostly garbage and says nothing about the order.
+    // Each sift at least doubles the mark, so a traversal that simply
+    // *stays* large after one reorder does not sift again, and a run
+    // sifts at most ⌊log2(peak live / threshold)⌋ + 1 times.
     let mut next_reorder = opts.reorder_threshold;
     let mut trigger = gc_trigger(opts);
     while !frontier.is_false() {
@@ -352,7 +350,7 @@ pub(crate) fn fixpoint(
         stats.frontier_sizes.push(fsize);
         stats.peak_frontier_nodes = stats.peak_frontier_nodes.max(fsize);
         stats.phases.frontier += start.elapsed();
-        if enforce_budget(
+        let collected = enforce_budget(
             bdd,
             opts,
             stats,
@@ -360,10 +358,11 @@ pub(crate) fn fixpoint(
             &persistent,
             &[reached, frontier],
             &mut rings,
-        )? {
+        )?;
+        if collected {
             descent.forget();
         }
-        if bdd.allocated_nodes() > next_reorder {
+        if collected && bdd.allocated_nodes() > next_reorder {
             let mut roots = persistent.clone();
             roots.push(reached);
             roots.push(frontier);
@@ -375,7 +374,7 @@ pub(crate) fn fixpoint(
             descent.retop(bdd);
             stats.phases.sift += start.elapsed();
             stats.mid_reach_reorders += 1;
-            next_reorder = (bdd.allocated_nodes() * 2).max(opts.reorder_threshold);
+            next_reorder = next_reorder.max(bdd.allocated_nodes()).saturating_mul(2);
         }
     }
     let delta = diff_stats(&base, &bdd.stats());
@@ -415,9 +414,11 @@ mod tests {
 
     /// The traversal before the image descent and before any image step
     /// was fused: one full image per partition, environment images as
-    /// `exists_cube` then `and`, reaction images as `and_exists` then
-    /// `rename`, a balanced OR tree over them, and `raw = new ∖ reached`
-    /// last. Kept only as an independent oracle for [`fixpoint`]'s
+    /// `exists_cube` then `and`, reaction images as `and_exists` over
+    /// the tests with `χ`, `and_exists` over the actions and the consumed
+    /// block with the updates, then `rename` (never the model's
+    /// pre-quantified relation), a balanced OR tree over them, and
+    /// `raw = new ∖ reached` last. Kept only as an independent oracle for [`fixpoint`]'s
     /// descent and its three fused kernel operations. `keep` are extra GC
     /// roots, so handles of an earlier run on the same manager stay valid
     /// for comparison.
@@ -445,9 +446,11 @@ mod tests {
                 let quantified = bdd.exists_cube(frontier, step.cube);
                 imgs.push(bdd.and(quantified, step.cube));
             }
-            for step in &model.react_steps {
+            for (step, mv) in model.react_steps.iter().zip(&model.vars) {
                 let a = bdd.and_exists(frontier, step.chi_fire, step.tests_cube);
-                let a = bdd.and_exists(a, step.update_clear, step.acts_cur_cube);
+                let acts_cur = bdd.cube(mv.acts.iter().copied());
+                let acts_cur = bdd.and(acts_cur, step.cur_cube);
+                let a = bdd.and_exists(a, step.update_clear, acts_cur);
                 imgs.push(bdd.rename(a, &step.rename));
             }
             stats.image_steps += imgs.len() as u64;
@@ -499,23 +502,17 @@ mod tests {
         Ok((reached, rings, stats))
     }
 
-    /// Runs [`fixpoint`] under `opts` and then the reference at the
-    /// default budget on one manager, and asserts they agree ring by
-    /// ring, count by count and verdict by verdict. Returns the
-    /// collections the descent run made, or `None` when it aborted or shed
-    /// its rings under `opts.node_budget`.
-    fn agrees_with_reference(net: &Network, opts: &VerifyOptions) -> Option<u64> {
-        descent_stats_if_agreeing(net, opts).map(|s| s.mid_reach_collections)
-    }
-
-    /// [`agrees_with_reference`], returning all of the descent run's
-    /// stats.
-    fn descent_stats_if_agreeing(net: &Network, opts: &VerifyOptions) -> Option<VerifyStats> {
+    /// Runs [`fixpoint`] under `opts` (with rings) and then the reference
+    /// at the default budget on one manager, and asserts they agree count
+    /// by count and verdict by verdict, and ring by ring unless the
+    /// descent run shed its rings under `opts.node_budget`. Returns the
+    /// descent run's stats and whether it kept its rings, or `None` when
+    /// it aborted.
+    fn agrees_with_reference(net: &Network, opts: &VerifyOptions) -> Option<(VerifyStats, bool)> {
         let mut model = NetworkModel::build(net);
         let mut stats = VerifyStats::default();
         let (reached, rings) = fixpoint(&mut model, opts, &mut stats).ok()?;
-        let rings = rings?;
-        let mut keep = rings.rings.clone();
+        let mut keep = rings.as_ref().map_or(Vec::new(), |r| r.rings.clone());
         keep.push(reached);
         let ref_opts = VerifyOptions {
             node_budget: VerifyOptions::default().node_budget,
@@ -525,14 +522,16 @@ mod tests {
             .expect("the reference completes at the default budget");
         let ref_rings = ref_rings.expect("the reference keeps its rings");
         let name = net.name();
-        assert_eq!(
-            rings.rings.len(),
-            ref_rings.rings.len(),
-            "{name}: ring count"
-        );
-        assert_eq!(rings.complete, ref_rings.complete, "{name}: ring cap");
-        for (i, (&a, &b)) in rings.rings.iter().zip(&ref_rings.rings).enumerate() {
-            assert!(model.bdd.xor(a, b).is_false(), "{name}: ring {i} differs");
+        if let Some(rings) = &rings {
+            assert_eq!(
+                rings.rings.len(),
+                ref_rings.rings.len(),
+                "{name}: ring count"
+            );
+            assert_eq!(rings.complete, ref_rings.complete, "{name}: ring cap");
+            for (i, (&a, &b)) in rings.rings.iter().zip(&ref_rings.rings).enumerate() {
+                assert!(model.bdd.xor(a, b).is_false(), "{name}: ring {i} differs");
+            }
         }
         assert!(
             model.bdd.xor(reached, ref_reached).is_false(),
@@ -551,12 +550,15 @@ mod tests {
             (
                 checks::lost_events(&mut model, net, reached),
                 checks::dead_transitions(&mut model, net, reached),
-                checks::deadlock(&mut model, net, reached, Some(rings)),
+                checks::deadlock(&mut model, net, reached, rings),
             )
         };
-        let new_verdicts = verdicts(reached, &rings);
-        assert_eq!(new_verdicts, verdicts(ref_reached, &ref_rings), "{name}");
-        Some(stats)
+        // A run without rings is compared on cube witnesses.
+        let kept = rings.is_some();
+        let new_verdicts = verdicts(reached, rings.as_ref());
+        let ref_verdicts = verdicts(ref_reached, kept.then_some(&ref_rings));
+        assert_eq!(new_verdicts, ref_verdicts, "{name}");
+        Some((stats, kept))
     }
 
     /// The example networks plus seeded relay networks of 3 to
@@ -577,7 +579,7 @@ mod tests {
         };
         for net in oracle_networks(8) {
             assert!(
-                agrees_with_reference(&net, &opts).is_some(),
+                matches!(agrees_with_reference(&net, &opts), Some((_, true))),
                 "{}: default budget must complete with rings",
                 net.name()
             );
@@ -588,7 +590,13 @@ mod tests {
     fn fused_fixpoint_matches_the_unfused_reference_under_collections() {
         // Budgets below the unconstrained peak make the descent run's
         // once-per-iteration check collect; at least one such budget
-        // must complete.
+        // must complete, and with its rings unless the peak is within
+        // one node of the floor. The budgets lie between the persistent
+        // floor (the model alone, as its build leaves the arena) and the
+        // peak: no run fits below the floor, and the smallest networks'
+        // floors fill most of their peaks. `oneshot` (floor 14, peak 15)
+        // sheds its rings at every budget that makes it collect, so its
+        // collecting run is compared on counts and verdicts alone.
         for net in oracle_networks(8) {
             let opts = VerifyOptions {
                 trace_rings: true,
@@ -596,53 +604,77 @@ mod tests {
             };
             let mut stats = VerifyStats::default();
             let mut model = NetworkModel::build(&net);
+            let floor = model.bdd.allocated_nodes();
             fixpoint(&mut model, &opts, &mut stats).unwrap();
             let peak = stats.peak_live_nodes as usize;
-            // `peak - 1` serves the smallest networks, whose persistent
-            // roots fill most of the peak: below it the rings are shed.
-            let collected = [
-                peak / 2,
-                peak * 2 / 3,
-                peak * 3 / 4,
-                peak * 9 / 10,
-                peak - 1,
-            ]
-            .into_iter()
-            .filter_map(|node_budget| {
-                agrees_with_reference(
-                    &net,
-                    &VerifyOptions {
-                        node_budget,
-                        ..opts
-                    },
-                )
-            })
-            .any(|gcs| gcs > 0);
+            let collected = [(1, 2), (2, 3), (3, 4), (9, 10)]
+                .map(|(num, den)| floor + (peak - floor) * num / den)
+                .into_iter()
+                .chain([peak - 1])
+                .filter_map(|node_budget| {
+                    agrees_with_reference(
+                        &net,
+                        &VerifyOptions {
+                            node_budget,
+                            ..opts
+                        },
+                    )
+                })
+                .filter(|(stats, _)| stats.mid_reach_collections > 0)
+                .map(|(_, kept)| kept)
+                .collect::<Vec<bool>>();
+            let name = net.name();
             assert!(
-                collected,
-                "{}: no budget below peak {peak} completed with fused-run collections",
-                net.name()
+                !collected.is_empty(),
+                "{name}: no budget between floor {floor} and peak {peak} completed with fused-run collections",
+            );
+            assert!(
+                collected.contains(&true) || peak <= floor + 1,
+                "{name}: every collecting run between floor {floor} and peak {peak} shed its rings",
             );
         }
     }
 
     #[test]
     fn descent_matches_the_reference_under_mid_reach_sifting() {
-        // A threshold of one node sifts after the first iteration and
-        // again whenever the arena doubles, so the descent must re-derive
-        // every partition's top from each new order. The relay networks
-        // stop at 6 machines, which already sift 12 to 32 times each; the
-        // larger ones sift dozens of times for seconds of a debug run and
-        // stay in the other reference tests.
-        let opts = VerifyOptions {
-            trace_rings: true,
-            reorder_threshold: 1,
-            ..VerifyOptions::default()
-        };
-        for net in oracle_networks(6) {
-            let stats = descent_stats_if_agreeing(&net, &opts)
-                .unwrap_or_else(|| panic!("{}: must complete with rings", net.name()));
-            assert!(stats.mid_reach_reorders > 0, "{}: no sift", net.name());
+        // A threshold of one node sifts at the first collection (the
+        // threshold lowers the collector's floor to one node) and again
+        // whenever a collection finds the live set past the doubled
+        // mark, so the descent must re-derive every partition's top from
+        // each new order. Each run sifts at most ⌊log2(peak live /
+        // threshold)⌋ + 1 times, since the mark at least doubles per
+        // sift. At a threshold of 4096 nothing sifts: the live sets of
+        // these networks, rings included, stay under 2,400 nodes, while
+        // the larger relay networks' arenas, garbage included, peak at
+        // up to 9,100 and pass the mark every iteration or two.
+        for reorder_threshold in [1, 4096] {
+            let opts = VerifyOptions {
+                trace_rings: true,
+                reorder_threshold,
+                ..VerifyOptions::default()
+            };
+            for net in oracle_networks(8) {
+                let name = net.name();
+                let Some((stats, true)) = agrees_with_reference(&net, &opts) else {
+                    panic!("{name}: must complete with rings at threshold {reorder_threshold}");
+                };
+                let peak = stats.peak_live_nodes as usize;
+                let bound = if peak > reorder_threshold {
+                    (peak / reorder_threshold).ilog2() as u64 + 1
+                } else {
+                    0
+                };
+                let reorders = stats.mid_reach_reorders;
+                assert!(
+                    reorders <= bound,
+                    "{name}: {reorders} sifts at threshold {reorder_threshold}, peak {peak}",
+                );
+                if reorder_threshold == 1 {
+                    assert!(reorders > 0, "{name}: no sift");
+                } else {
+                    assert_eq!(reorders, 0, "{name}: sifted below the threshold");
+                }
+            }
         }
     }
 

@@ -332,22 +332,14 @@ pub(crate) fn decode_point(model: &mut NetworkModel, set: NodeRef) -> Option<Dec
 
 /// Preimage of the single state `t` under one machine reaction: rename
 /// `t`'s written variables onto the next rail (the inverse of the step's
-/// image renaming), conjoin the buffer-update/clear constraint, then one
-/// fused relational product with `χ|consume=1` quantifying tests,
-/// actions, and the next rail — the forward kernel with the rails
-/// swapped. The result ranges over current-state variables only.
+/// image renaming), then one relational product with the step's
+/// pre-quantified relation over the next rail — the forward kernel with
+/// the rails swapped. The result ranges over current-state variables
+/// only.
 fn react_preimage(bdd: &mut Bdd, step: &ReactStep, t: NodeRef) -> NodeRef {
-    let inverse: Vec<(Var, Var)> = step.rename.iter().map(|&(n, c)| (c, n)).collect();
-    let t_next = bdd.rename(t, &inverse);
-    let a = bdd.and(t_next, step.update_clear);
-    let q = bdd.cube(
-        step.q_tests
-            .iter()
-            .chain(&step.q_acts)
-            .chain(step.rename.iter().map(|(n, _)| n))
-            .copied(),
-    );
-    bdd.and_exists(a, step.chi_fire, q)
+    let t_next = bdd.rename(t, &step.unrename);
+    let next = bdd.cube(step.next_rail.iter().copied());
+    bdd.and_exists(t_next, step.relation, next)
 }
 
 /// Identifies the transition that carries machine `mi` from `prev` into
@@ -437,9 +429,7 @@ pub(crate) fn walk_trace(
                 let cand = model.bdd.and(pre, rings.rings[k]);
                 if !cand.is_false() {
                     let prev = pick_state(&mut model.bdd, cand, &state_vars)?;
-                    let inverse: Vec<(Var, Var)> =
-                        step.rename.iter().map(|&(n, c)| (c, n)).collect();
-                    let t_next = model.bdd.rename(point.minterm, &inverse);
+                    let t_next = model.bdd.rename(point.minterm, &step.unrename);
                     let s = decode_react(model, net, mi, &prev, t_next)?;
                     hop = Some((k, prev, s));
                     break 'search;
