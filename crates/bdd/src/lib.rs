@@ -22,12 +22,11 @@
 //!   conjoin-and-quantify ([`Bdd::and_exists`], with its own dedicated
 //!   cache), the generalized cofactor ([`Bdd::constrain`]) and set
 //!   difference ([`Bdd::and_not`]), plus one fused recursion per image
-//!   step that never builds the throwaway intermediate: the set image
-//!   ([`Bdd::exists_set`]), the renamed relational product
-//!   ([`Bdd::and_exists_rename`], the same recursion as `and_exists`
-//!   with each result renamed under a [`RenameMap`] interned once by
-//!   [`Bdd::rename_map`]) and the union minus a reached set
-//!   ([`Bdd::or_and_not`]), and level-wise
+//!   step that never builds the throwaway intermediate and subtracts a
+//!   reached set on the way: the set image ([`Bdd::exists_set`]) and the
+//!   renamed relational product ([`Bdd::and_exists_rename`], the same
+//!   recursion as `and_exists` with each result renamed under a
+//!   [`RenameMap`] interned once by [`Bdd::rename_map`]), and level-wise
 //!   access ([`Bdd::node_level`], [`Bdd::cofactors_at_level`],
 //!   [`Bdd::node_at_level`]) for recursions written outside the kernel;
 //! * mark-and-sweep garbage collection ([`Bdd::gc`]), and a
@@ -66,8 +65,8 @@
 //!   linear probing, splitmix64-mixed keys, no single-entry delete) for
 //!   hash-consing;
 //! * a **direct-mapped lossy operation cache** shared by ITE, the
-//!   restriction/quantification memos, `constrain`, `rename`, `exists_set`
-//!   and `or_and_not`, plus a second dedicated cache for the relational
+//!   restriction/quantification memos, `constrain`, `rename` and
+//!   `exists_set`, plus a second dedicated cache for the relational
 //!   products ([`Bdd::and_exists`], [`Bdd::and_exists_rename`]); both
 //!   invalidated in O(1) by
 //!   bumping a generation counter (no rehash on reorder). Each operator
@@ -433,15 +432,19 @@ const OP_ANDEX: u32 = 8;
 /// Cross-call rename memo entries in the shared cache; keyed by the node
 /// and the interned substitution map (see [`Bdd::rename`]).
 const OP_RENAME: u32 = 9;
-/// [`Bdd::exists_set`] entries in the shared cache.
+/// [`Bdd::exists_set`] entries in the shared cache, keyed on the
+/// operand, the cube and the subtracted set.
 const OP_EXISTS_SET: u32 = 10;
-/// [`Bdd::or_and_not`] entries in the shared cache.
-const OP_OR_AND_NOT: u32 = 11;
 /// Renamed relational products ([`Bdd::and_exists_rename`]) in the
 /// dedicated AndExists cache key as `OP_ANDEX_RENAME + token` of their
 /// interned rename map, so they never alias a plain `OP_ANDEX` entry or
 /// a product under another map. Every other op code is below it.
 const OP_ANDEX_RENAME: u32 = 16;
+/// Products minus a set ([`Bdd::and_exists_rename`] with `minus ≠ 0`) key
+/// as `OP_ANDEX_MINUS | token` of their interned (map, cube) pair on the
+/// two operands and the subtracted set; the cube suffix follows from the
+/// token and the operands' top. Renamed-product tokens stay below it.
+const OP_ANDEX_MINUS: u32 = 1 << 31;
 
 #[derive(Debug, Clone, Copy)]
 struct OpSlot {
@@ -458,8 +461,8 @@ const OP_CACHE_MIN: usize = 1 << 8;
 const OP_CACHE_MAX: usize = 1 << 20;
 
 /// CUDD-style direct-mapped operation cache: one instance is shared by
-/// ITE, the restriction/quantification memos, `constrain`, `rename`,
-/// `exists_set` and `or_and_not`, another serves the relational products.
+/// ITE, the restriction/quantification memos, `constrain`, `rename` and
+/// `exists_set`, another serves the relational products.
 /// Collisions overwrite (lossy), so capacity is bounded; a generation
 /// counter invalidates every entry in O(1) when the variable order changes.
 #[derive(Debug, Clone)]
@@ -664,7 +667,7 @@ pub struct Bdd {
     /// Human-readable variable names (see [`Bdd::var_name`]).
     var_names: Vec<String>,
     /// Shared ITE + restrict/cube-quantification/constrain/rename/
-    /// exists_set/or_and_not operation cache.
+    /// exists_set operation cache.
     cache: OpCache,
     /// Dedicated AndExists (relational-product) cache: three live node
     /// operands per key, so sharing slots with binary ops would evict the
@@ -677,6 +680,11 @@ pub struct Bdd {
     /// keys their `rename` entries in the shared cache (tokens are dense,
     /// in first-use order).
     rename_maps: HashMap<Vec<(u32, u32)>, u32>,
+    /// Interned (rename-map token, cube variables) pairs of the products
+    /// minus a set, to the token that keys their `OP_ANDEX_MINUS` entries
+    /// (dense, in first-use order). Keyed on the cube's variable ids, not
+    /// its handle, so a token never outlives the meaning of its cube.
+    minus_products: HashMap<(u32, Vec<u32>), u32>,
     /// Per-node reference counts (rc column, indexed by arena index); only
     /// maintained while sifting.
     rc: Vec<u32>,
@@ -698,7 +706,7 @@ pub struct Bdd {
     /// Operation-cache hits in `ite`.
     cache_hits: u64,
     /// Shared-cache probes by `restrict`, the cube quantifiers,
-    /// `exists_set`, `or_and_not` and `constrain` (not `ite` or `rename`).
+    /// `exists_set` and `constrain` (not `ite` or `rename`).
     memo_lookups: u64,
     /// Shared-cache hits by the same.
     memo_hits: u64,
@@ -715,10 +723,11 @@ pub struct Bdd {
     /// High-water mark of allocated (live) nodes.
     peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`, and cache misses of the
-    /// cube quantifiers, `exists_set`, the relational products,
-    /// `constrain` and `or_and_not`.
+    /// cube quantifiers, `exists_set`, the relational products and
+    /// `constrain`.
     op_visits: u64,
-    /// Dedicated-cache probes by `and_exists`/`and_exists_rename`.
+    /// Dedicated-cache probes by `and_exists`/`and_exists_rename`, with
+    /// or without a subtracted set.
     andex_lookups: u64,
     /// Dedicated-cache hits by `and_exists`/`and_exists_rename`.
     andex_hits: u64,
@@ -755,7 +764,7 @@ pub struct BddStats {
     /// Valid cache entries overwritten by a colliding key (lossy cache).
     pub cache_evictions: u64,
     /// Shared-cache probes by `restrict`, the cube quantifiers,
-    /// `exists_set`, `or_and_not` and `constrain` (not `ite` or `rename`).
+    /// `exists_set` and `constrain` (not `ite` or `rename`).
     pub memo_lookups: u64,
     /// Shared-cache hits by the same.
     pub memo_hits: u64,
@@ -766,10 +775,11 @@ pub struct BddStats {
     /// High-water mark of allocated (live) nodes.
     pub peak_live_nodes: u64,
     /// Non-terminal node visits by `restrict`, and cache misses of the
-    /// cube quantifiers, `exists_set`, the relational products,
-    /// `constrain` and `or_and_not`.
+    /// cube quantifiers, `exists_set`, the relational products and
+    /// `constrain`.
     pub op_visits: u64,
-    /// Dedicated-cache probes by `and_exists`/`and_exists_rename`.
+    /// Dedicated-cache probes by `and_exists`/`and_exists_rename`, with
+    /// or without a subtracted set.
     pub andex_lookups: u64,
     /// Dedicated-cache hits by `and_exists`/`and_exists_rename`.
     pub andex_hits: u64,
@@ -874,6 +884,7 @@ impl Bdd {
             andex: OpCache::new(),
             marks: RefCell::new(Marks::default()),
             rename_maps: HashMap::new(),
+            minus_products: HashMap::new(),
             rc: Vec::new(),
             sifting: false,
             swap_moved: Vec::new(),
@@ -1477,59 +1488,70 @@ impl Bdd {
         r
     }
 
-    /// The set image `(∃ cube. f) ∧ cube` in one recursion: every cube
-    /// variable is quantified out of `f` and then fixed to 1, without
-    /// materializing the quantified intermediate. This is the environment
-    /// image of reachability (deliver an input: whatever the consumer
-    /// flags were, they are now set).
+    /// The set image minus a set, `(∃ cube. f) ∧ cube ∧ ¬minus`, in one
+    /// recursion: every cube variable is quantified out of `f` and then
+    /// fixed to 1, and `minus` is subtracted on the way, without
+    /// materializing the quantified intermediate or the full image. This
+    /// is the environment image of reachability (deliver an input:
+    /// whatever the consumer flags were, they are now set) with the
+    /// reached set dropped; `minus = 0` gives the plain image.
     ///
-    /// At a cube level the result node is `(v, 0, t ∨ e)` over the
-    /// cofactor results, elsewhere `f`'s own node over the recursed
-    /// children. `cube` must be a positive cube. Memoized in the shared
-    /// cache on the full handle of `f` (quantification does not commute
+    /// The recursion splits at the top of `f`, `cube` and `minus`. At a
+    /// cube variable `v` the result node is `(v, 0, t ∨ e)`, where `t` and
+    /// `e` are the images of the cofactors of `f` minus `minus|v=1`;
+    /// elsewhere it is the variable's node over the recursed cofactors of
+    /// `f` and `minus`. `cube` must be a positive cube. Memoized in the
+    /// shared cache on the full handles (quantification does not commute
     /// with the conjunction, so there is no complement duality to
     /// exploit); counts one [`BddStats`] `cube_quant_calls` per call like
     /// [`Bdd::exists_cube`].
-    pub fn exists_set(&mut self, f: NodeRef, cube: NodeRef) -> NodeRef {
+    pub fn exists_set(&mut self, f: NodeRef, cube: NodeRef, minus: NodeRef) -> NodeRef {
         self.cube_quant_calls += 1;
-        self.exists_set_rec(f, cube)
+        self.exists_set_rec(f, cube, minus)
     }
 
-    fn exists_set_rec(&mut self, f: NodeRef, cube: NodeRef) -> NodeRef {
-        if cube.is_true() || f.is_false() {
-            return f;
+    fn exists_set_rec(&mut self, f: NodeRef, cube: NodeRef, r: NodeRef) -> NodeRef {
+        if f.is_false() || r.is_true() {
+            return NodeRef::FALSE;
+        }
+        if cube.is_true() {
+            return self.and_not(f, r);
         }
         if f.is_true() {
-            return cube;
+            return self.and_not(cube, r);
         }
         self.memo_lookups += 1;
-        if let Some(r) = self.cache.lookup(OP_EXISTS_SET, f, cube, EMPTY) {
+        if let Some(res) = self.cache.lookup(OP_EXISTS_SET, f, cube, r) {
             self.memo_hits += 1;
-            return r;
+            return res;
         }
         self.op_visits += 1;
-        let r = if self.level_of_node(cube) <= self.level_of_node(f) {
+        let top = self.level_of_node(f).min(self.level_of_node(r));
+        let res = if self.level_of_node(cube) <= top {
             debug_assert!(self.lo_col[cube.idx()].is_false(), "not a positive cube");
             let (v, rest) = (self.var_col[cube.idx()], self.hi_col[cube.idx()]);
             let (f0, f1) = self.cofactors_at(f, v);
-            let t = self.exists_set_rec(f1, rest);
-            // `t == rest` means `∃ rest. f1` is 1, which absorbs `e`.
+            let (_, r1) = self.cofactors_at(r, v);
+            let t = self.exists_set_rec(f1, rest, r1);
+            // `t == rest` means `∃ rest. f1` is 1 and misses `r1`, which
+            // absorbs `e`.
             let q = if t == rest || f0 == f1 {
                 t
             } else {
-                let e = self.exists_set_rec(f0, rest);
+                let e = self.exists_set_rec(f0, rest, r1);
                 self.or(t, e)
             };
             self.mk(v, NodeRef::FALSE, q)
         } else {
-            let v = self.var_col[f.idx()];
+            let v = self.var_at_level[top as usize];
             let (f0, f1) = self.cofactors_at(f, v);
-            let t = self.exists_set_rec(f1, cube);
-            let e = self.exists_set_rec(f0, cube);
+            let (r0, r1) = self.cofactors_at(r, v);
+            let t = self.exists_set_rec(f1, cube, r1);
+            let e = self.exists_set_rec(f0, cube, r0);
             self.mk(v, e, t)
         };
-        self.cache.insert(OP_EXISTS_SET, f, cube, EMPTY, r);
-        r
+        self.cache.insert(OP_EXISTS_SET, f, cube, r, res);
+        res
     }
 
     /// The relational product `∃ cube. f ∧ g` in one recursion, without ever
@@ -1555,59 +1577,169 @@ impl Bdd {
         if f.is_true() {
             return self.exists_cube(g, cube);
         }
-        self.and_exists_rec(f, g, cube, None)
+        self.and_exists_rec(f, g, cube, Product::PLAIN, NodeRef::FALSE)
     }
 
-    /// The renamed relational product `rename(∃ cube. f ∧ g, map)` in one
-    /// recursion: the image step of reachability, whose next-state rail
-    /// is mapped back onto the current one, without materializing the
-    /// quantified product on the wrong rail.
+    /// The renamed relational product minus a set,
+    /// `rename(∃ cube. f ∧ g, map) ∧ ¬minus`, in one recursion: the image
+    /// step of reachability, whose next-state rail is mapped back onto the
+    /// current one and whose reached set is dropped, without materializing
+    /// the quantified product on the wrong rail or the full image.
+    /// `minus = 0` gives the plain renamed product.
     ///
     /// A quantified level ors its cofactor results as in
-    /// [`Bdd::and_exists`]; any other node is rebuilt on its renamed
-    /// variable exactly as [`Bdd::rename`] does (plain `mk` when the
-    /// target sits above both children, `ite` otherwise), so the result is
-    /// correct under any variable order. Where the cube runs out the rest
-    /// is `f ∧ g` renamed. No target of `map` may survive the
+    /// [`Bdd::and_exists`], passing the same `minus` to both. Any other
+    /// level is rebuilt on its renamed variable `y` over the cofactors of
+    /// `minus` on `y`. A top variable of `minus` that lies above every
+    /// level still to come, and that none of them renames onto, is split
+    /// first. Where `minus` is 0 the rest is the plain product: a node is
+    /// rebuilt exactly as [`Bdd::rename`] does (plain `mk` when the target
+    /// sits above both children, `ite` otherwise), and where the cube runs
+    /// out the rest is `f ∧ g` renamed. No target of `map` may survive the
     /// quantification (the image quantifies every current-state variable
-    /// it renames onto). Memoized in the dedicated AndExists cache under
-    /// the map's token, so plain and renamed products never alias.
+    /// it renames onto).
+    ///
+    /// Subtracting inside the recursion needs, under the current order,
+    /// a map that keeps the order of the variables surviving the
+    /// quantification, every target in the cube and above its source, no
+    /// source in the cube, and no other cube variable between a target
+    /// and a source (the verifier's variable groups keep this under any
+    /// group-respecting order). It is checked on every call; when it
+    /// fails, the call builds the product and then takes
+    /// [`Bdd::and_not`], and so does a subproblem whose `minus` tops at a
+    /// source of `map`: the result is the same function either way.
+    ///
+    /// Memoized in the dedicated AndExists cache: plain products under the
+    /// map's token, products minus a set under a token interned for the
+    /// map and the cube, so neither aliases a plain `and_exists` entry.
     pub fn and_exists_rename(
         &mut self,
         f: NodeRef,
         g: NodeRef,
         cube: NodeRef,
         map: &RenameMap,
+        minus: NodeRef,
     ) -> NodeRef {
-        match &map.0 {
-            Some((map, token)) => self.and_exists_rec(f, g, cube, Some((map, *token))),
-            None => self.and_exists(f, g, cube),
+        let mut p = match &map.0 {
+            Some(rename) => Product {
+                rename: Some(rename),
+                op: OP_ANDEX_RENAME + rename.token.0,
+                minus_op: 0,
+            },
+            None if minus.is_false() => return self.and_exists(f, g, cube),
+            None => Product::PLAIN,
+        };
+        if !minus.is_false() {
+            if !self.keeps_order(cube, p.rename) {
+                let product = self.and_exists_rec(f, g, cube, p, NodeRef::FALSE);
+                return self.and_not(product, minus);
+            }
+            p.minus_op = OP_ANDEX_MINUS | self.minus_token(cube, p.rename);
         }
+        self.and_exists_rec(f, g, cube, p, minus)
     }
 
-    /// The one relational-product recursion behind [`Bdd::and_exists`]
-    /// (`rn` is `None`) and [`Bdd::and_exists_rename`] (`rn` is the rename
-    /// map and its token). With a map, every result is renamed: terminal
-    /// and cube-exhausted results through `rename_rec`, rebuilt nodes
-    /// through `renamed_node`, and entries key under
-    /// `OP_ANDEX_RENAME + token` instead of `OP_ANDEX`.
+    /// Whether a product under `rename` with `cube` quantified can
+    /// subtract a set inside its recursion under the current order. It
+    /// can when the map keeps the order of the variables that survive the
+    /// quantification, every target is in the cube and above its source,
+    /// no source is in the cube, and every cube variable between the
+    /// highest target and the lowest source is a target. Then a variable
+    /// of the subtracted set sits at the level of the source that renames
+    /// onto it, or at its own level if none does, and the recursion can
+    /// merge it into the walk over the operands' levels with plain `mk`.
+    /// Outside that span every surviving variable maps to itself, so only
+    /// the span is walked.
+    fn keeps_order(&self, cube: NodeRef, rename: Option<&Rename>) -> bool {
+        let Some(m) = rename else {
+            return true;
+        };
+        let (mut first, mut last) = (u32::MAX, 0);
+        for &(s, t) in &m.pairs {
+            let (ls, lt) = (self.level_of_var[s as usize], self.level_of_var[t as usize]);
+            if lt > ls {
+                return false;
+            }
+            first = first.min(lt);
+            last = last.max(ls);
+        }
+        let mut cube = cube;
+        let mut out_above = None;
+        for level in first..=last {
+            while self.level_of_node(cube) < level {
+                cube = self.hi_col[cube.idx()];
+            }
+            let v = self.var_at_level[level as usize] as usize;
+            if self.level_of_node(cube) == level {
+                if m.source[v] == NO_SOURCE || m.target[v] as usize != v {
+                    return false;
+                }
+                continue;
+            }
+            let out = self.level_of_var[m.target[v] as usize];
+            if out_above.is_some_and(|above| out <= above) {
+                return false;
+            }
+            out_above = Some(out);
+        }
+        true
+    }
+
+    /// The token keying the `OP_ANDEX_MINUS` entries of the products under
+    /// `rename` with `cube` quantified, interned on the map's token and the
+    /// cube's variables.
+    fn minus_token(&mut self, cube: NodeRef, rename: Option<&Rename>) -> u32 {
+        let mut vars = Vec::new();
+        let mut c = cube;
+        while !c.is_terminal() {
+            debug_assert!(self.lo_col[c.idx()].is_false(), "not a positive cube");
+            vars.push(self.var_col[c.idx()]);
+            c = self.hi_col[c.idx()];
+        }
+        vars.sort_unstable();
+        let map = rename.map_or(u32::MAX, |m| m.token.0);
+        let next = self.minus_products.len() as u32;
+        *self.minus_products.entry((map, vars)).or_insert(next)
+    }
+
+    /// The level whose product step decides output variable `u` of a
+    /// product under `rename`: its source's level if `u` is a target, else
+    /// its own.
+    fn output_position(&self, u: u32, rename: Option<&Rename>) -> u32 {
+        let s = rename.map_or(NO_SOURCE, |m| m.source[u as usize]);
+        self.level_of_var[if s == NO_SOURCE { u } else { s } as usize]
+    }
+
+    /// The one relational-product recursion behind [`Bdd::and_exists`] and
+    /// [`Bdd::and_exists_rename`]: `rename(∃ cube. f ∧ g) ∧ ¬r` under
+    /// `p`'s map (none for `and_exists`). With `r = 0` it is the plain
+    /// product: terminal and cube-exhausted results go through
+    /// `rename_rec`, and entries key on the cube under `p.op`. Any other
+    /// `r` needs [`Bdd::keeps_order`] to hold; its entries key on `r`
+    /// under `p.minus_op`, since the cube suffix follows from the token
+    /// and the operands' top.
     fn and_exists_rec(
         &mut self,
         f: NodeRef,
         g: NodeRef,
         cube: NodeRef,
-        rn: Option<(&[u32], NodeRef)>,
+        p: Product<'_>,
+        r: NodeRef,
     ) -> NodeRef {
-        if f.is_false() || g.is_false() || f == g.complement() {
+        if r.is_true() || f.is_false() || g.is_false() || f == g.complement() {
             return NodeRef::FALSE;
         }
-        if f.is_true() || g.is_true() || f == g {
+        let g = if f == g { NodeRef::TRUE } else { g };
+        if r.is_false() && (f.is_true() || g.is_true()) {
             let h = if f.is_true() { g } else { f };
             let q = self.quant_cube_rec(h, cube, true);
-            return self.rename_opt(q, rn);
+            return self.rename_opt(q, p.rename);
         }
-        // Both non-terminal. Conjunction is commutative: order the operands
-        // by raw key so (f, g) and (g, f) share one cache slot.
+        if f.is_true() && g.is_true() {
+            return r.complement();
+        }
+        // Conjunction is commutative: order the operands by raw key so
+        // (f, g) and (g, f) share one cache slot.
         let (f, g) = if f.0 <= g.0 { (f, g) } else { (g, f) };
         let top = self.level_of_node(f).min(self.level_of_node(g));
         // Advance the cube past variables above both operands.
@@ -1616,40 +1748,56 @@ impl Bdd {
             debug_assert!(self.lo_col[cube.idx()].is_false(), "not a positive cube");
             cube = self.hi_col[cube.idx()];
         }
-        if cube.is_terminal() {
-            debug_assert!(cube.is_true(), "cube must not be the zero function");
-            let a = self.and(f, g);
-            return self.rename_opt(a, rn);
-        }
-        let op = rn.map_or(OP_ANDEX, |(_, token)| OP_ANDEX_RENAME + token.0);
+        let (op, key) = if r.is_false() {
+            if cube.is_terminal() {
+                debug_assert!(cube.is_true(), "cube must not be the zero function");
+                let a = self.and(f, g);
+                return self.rename_opt(a, p.rename);
+            }
+            (p.op, cube)
+        } else {
+            (p.minus_op, r)
+        };
         self.andex_lookups += 1;
-        if let Some(r) = self.andex.lookup(op, f, g, cube) {
+        if let Some(res) = self.andex.lookup(op, f, g, key) {
             self.andex_hits += 1;
-            return r;
+            return res;
         }
         self.op_visits += 1;
-        let v = self.var_at_level[top as usize];
-        let (f0, f1) = self.cofactors_at(f, v);
-        let (g0, g1) = self.cofactors_at(g, v);
-        let r = if self.level_of_node(cube) == top {
-            let rest = self.hi_col[cube.idx()];
-            let t = self.and_exists_rec(f1, g1, rest, rn);
-            if t.is_true() {
-                NodeRef::TRUE
-            } else {
-                let e = self.and_exists_rec(f0, g0, rest, rn);
-                self.or(t, e)
-            }
+        let u = self.var_col[r.idx()];
+        let res = if !r.is_false() && p.rename.is_some_and(|m| m.target[u as usize] != u) {
+            // `r` tops at a source, which no output level splits.
+            let product = self.and_exists_rec(f, g, cube, p, NodeRef::FALSE);
+            self.and_not(product, r)
+        } else if !r.is_false() && self.output_position(u, p.rename) < top {
+            let (r0, r1) = self.cofactors_at(r, u);
+            let t = self.and_exists_rec(f, g, cube, p, r1);
+            let e = self.and_exists_rec(f, g, cube, p, r0);
+            self.mk(u, e, t)
         } else {
-            let t = self.and_exists_rec(f1, g1, cube, rn);
-            let e = self.and_exists_rec(f0, g0, cube, rn);
-            match rn {
-                Some((map, _)) => self.renamed_node(map[v as usize], e, t),
-                None => self.mk(v, e, t),
+            let v = self.var_at_level[top as usize];
+            let (f0, f1) = self.cofactors_at(f, v);
+            let (g0, g1) = self.cofactors_at(g, v);
+            if self.level_of_node(cube) == top {
+                let rest = self.hi_col[cube.idx()];
+                let t = self.and_exists_rec(f1, g1, rest, p, r);
+                // Everything outside `r` already: `e` adds nothing.
+                if t == r.complement() {
+                    t
+                } else {
+                    let e = self.and_exists_rec(f0, g0, rest, p, r);
+                    self.or(t, e)
+                }
+            } else {
+                let y = p.rename.map_or(v, |m| m.target[v as usize]);
+                let (r0, r1) = self.cofactors_at(r, y);
+                let t = self.and_exists_rec(f1, g1, cube, p, r1);
+                let e = self.and_exists_rec(f0, g0, cube, p, r0);
+                self.renamed_node(y, e, t)
             }
         };
-        self.andex.insert(op, f, g, cube, r);
-        r
+        self.andex.insert(op, f, g, key, res);
+        res
     }
 
     /// The generalized cofactor (Coudert/Madre `constrain`): a function that
@@ -1718,50 +1866,6 @@ impl Bdd {
         self.ite(g, NodeRef::FALSE, f)
     }
 
-    /// `(a ∨ b) ∧ ¬r` in one recursion, without materializing `a ∨ b`:
-    /// the first level of reachability's image union, where two images
-    /// (mostly states already reached) merge and drop the reached set
-    /// `r` at once. Memoized in the shared cache with `a`/`b` ordered by
-    /// key; degenerate operands fall back to `or` or [`Bdd::and_not`].
-    pub fn or_and_not(&mut self, a: NodeRef, b: NodeRef, r: NodeRef) -> NodeRef {
-        if r.is_true() {
-            return NodeRef::FALSE;
-        }
-        if r.is_false() {
-            return self.or(a, b);
-        }
-        let nr = r.complement();
-        if a.is_true() || b.is_true() || a == b.complement() || a == nr || b == nr {
-            return nr;
-        }
-        if a.is_false() || a == r {
-            return self.and_not(b, r);
-        }
-        if b.is_false() || b == r || a == b {
-            return self.and_not(a, r);
-        }
-        let (a, b) = if a.0 <= b.0 { (a, b) } else { (b, a) };
-        self.memo_lookups += 1;
-        if let Some(res) = self.cache.lookup(OP_OR_AND_NOT, a, b, r) {
-            self.memo_hits += 1;
-            return res;
-        }
-        self.op_visits += 1;
-        let top = self
-            .level_of_node(a)
-            .min(self.level_of_node(b))
-            .min(self.level_of_node(r));
-        let v = self.var_at_level[top as usize];
-        let (a0, a1) = self.cofactors_at(a, v);
-        let (b0, b1) = self.cofactors_at(b, v);
-        let (r0, r1) = self.cofactors_at(r, v);
-        let t = self.or_and_not(a1, b1, r1);
-        let e = self.or_and_not(a0, b0, r0);
-        let res = self.mk(v, e, t);
-        self.cache.insert(OP_OR_AND_NOT, a, b, r, res);
-        res
-    }
-
     /// Simultaneous variable renaming: rewrites `f` with every source
     /// variable of `map` replaced by its target variable.
     ///
@@ -1773,7 +1877,7 @@ impl Bdd {
     /// rails — satisfies this by construction.
     pub fn rename(&mut self, f: NodeRef, map: &RenameMap) -> NodeRef {
         match &map.0 {
-            Some((map, token)) if !f.is_terminal() => self.rename_rec(f, map, *token),
+            Some(m) if !f.is_terminal() => self.rename_rec(f, &m.target, m.token),
             _ => f,
         }
     }
@@ -1804,9 +1908,11 @@ impl Bdd {
                 .all(|(i, &(s, _))| pairs[..i].iter().all(|&(s2, _)| s2 != s)),
             "duplicate rename source"
         );
-        let mut map: Vec<u32> = (0..self.level_of_var.len() as u32).collect();
+        let mut target: Vec<u32> = (0..self.level_of_var.len() as u32).collect();
+        let mut source = vec![NO_SOURCE; target.len()];
         for &(s, t) in &pairs {
-            map[s.0 as usize] = t.0;
+            target[s.0 as usize] = t.0;
+            source[t.0 as usize] = s.0;
         }
         // Intern the (source-sorted) map and use its id as a token keying
         // shared-cache entries, so subgraphs shared between successive
@@ -1817,8 +1923,13 @@ impl Bdd {
         sorted.sort_unstable_by_key(|&(s, _)| s.0);
         let sorted: Vec<(u32, u32)> = sorted.into_iter().map(|(s, t)| (s.0, t.0)).collect();
         let next = self.rename_maps.len() as u32;
-        let token = NodeRef(*self.rename_maps.entry(sorted).or_insert(next));
-        RenameMap(Some((map, token)))
+        let token = NodeRef(*self.rename_maps.entry(sorted.clone()).or_insert(next));
+        RenameMap(Some(Rename {
+            target,
+            source,
+            pairs: sorted,
+            token,
+        }))
     }
 
     /// Rebuilds `f` under `map`, memoized in the shared cache on the regular
@@ -1848,11 +1959,11 @@ impl Bdd {
         r.xor_parity(p)
     }
 
-    /// `f` renamed under `rn` (see [`Bdd::and_exists_rename`]), or `f`
-    /// itself when there is no map.
-    fn rename_opt(&mut self, f: NodeRef, rn: Option<(&[u32], NodeRef)>) -> NodeRef {
-        match rn {
-            Some((map, token)) => self.rename_rec(f, map, token),
+    /// `f` renamed under `rename` (see [`Bdd::and_exists_rename`]), or
+    /// `f` itself when there is no map.
+    fn rename_opt(&mut self, f: NodeRef, rename: Option<&Rename>) -> NodeRef {
+        match rename {
+            Some(m) => self.rename_rec(f, &m.target, m.token),
             None => f,
         }
     }
@@ -2316,12 +2427,46 @@ pub(crate) struct StoreSnapshot {
     lists: Vec<Vec<NodeRef>>,
 }
 
-/// A simultaneous variable renaming interned by [`Bdd::rename_map`]:
-/// the target of every variable (identity off the sources) and the token
-/// that keys its cache entries, or `None` when the renaming is the
-/// identity.
+/// A simultaneous variable renaming interned by [`Bdd::rename_map`], or
+/// `None` when the renaming is the identity.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RenameMap(Option<(Vec<u32>, NodeRef)>);
+pub struct RenameMap(Option<Rename>);
+
+/// The tables of a non-identity [`RenameMap`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rename {
+    /// The target of every variable (identity off the sources).
+    target: Vec<u32>,
+    /// The source of every target ([`NO_SOURCE`] off the targets).
+    source: Vec<u32>,
+    /// The (source, target) pairs, sorted by source.
+    pairs: Vec<(u32, u32)>,
+    /// The token that keys the map's cache entries.
+    token: NodeRef,
+}
+
+/// A [`Rename::source`] entry of a variable no source renames onto.
+const NO_SOURCE: u32 = u32::MAX;
+
+/// How [`Bdd::and_exists_rec`] renames one product and keys its entries.
+#[derive(Clone, Copy)]
+struct Product<'a> {
+    /// The map every result is renamed under (`None`: no renaming).
+    rename: Option<&'a Rename>,
+    /// Op code of the plain entries (`r = 0`), keyed on the cube.
+    op: u32,
+    /// Op code of the entries minus a set, keyed on the set.
+    minus_op: u32,
+}
+
+impl Product<'_> {
+    /// The plain relational product ([`Bdd::and_exists`]).
+    const PLAIN: Product<'static> = Product {
+        rename: None,
+        op: OP_ANDEX,
+        minus_op: 0,
+    };
+}
 
 /// A garbage-pressure trigger: collects dead nodes once the arena has
 /// grown past a mark, so a long construction that drops most of what it

@@ -1,13 +1,13 @@
 //! Property-style tests for the relational-product kernel: `and_exists`,
 //! `exists_cube`/`forall_cube`, `constrain`, and `and_not` against their
-//! defining identities, and the fused image steps (`exists_set`,
-//! `and_exists_rename`, `or_and_not`) against their unfused
-//! compositions, over deterministically seeded random function pairs at
-//! several variable counts (offline-safe, no external property-testing
-//! framework).
+//! defining identities, and the fused image steps (`exists_set` and
+//! `and_exists_rename`, each with and without a subtracted set) against
+//! their unfused compositions, over deterministically seeded random
+//! function pairs at several variable counts (offline-safe, no external
+//! property-testing framework).
 
 use polis_bdd::reorder::SiftConfig;
-use polis_bdd::{Bdd, NodeRef, Var};
+use polis_bdd::{Bdd, NodeRef, RenameMap, Var};
 use polis_core::random::Rng;
 
 const VAR_COUNTS: [usize; 3] = [4, 6, 9];
@@ -349,7 +349,7 @@ fn kernel_counters_advance() {
         assert!(after.andex_lookups > before.andex_lookups);
     }
     let before_set = bdd.stats().cube_quant_calls;
-    let _ = bdd.exists_set(f, c);
+    let _ = bdd.exists_set(f, c, NodeRef::FALSE);
     assert_eq!(bdd.stats().cube_quant_calls, before_set + 1);
     let merged = before.merged(&after);
     assert_eq!(
@@ -394,58 +394,43 @@ fn twice_around_gc(
 
 #[test]
 fn exists_set_equals_exists_cube_then_and() {
+    // Complemented operands, `minus` = 0 (the plain set image) and 1, and
+    // the degenerate shapes the terminal rules catch: the operand, its
+    // complement or the cube subtracted, the constant operand.
     for &nvars in &VAR_COUNTS {
         for case in 0..CASES {
-            let (mut bdd, _, f, g, subset) = setup(nvars, case);
-            let c = bdd.cube(subset.iter().copied());
-            if case % 2 == 1 {
-                scramble(&mut bdd, &[f, g, c], case);
-            }
-            let (nf, ng) = (bdd.not(f), bdd.not(g));
-            for (k, h) in [f, nf, g, ng].into_iter().enumerate() {
-                let q = bdd.exists_cube(h, c);
-                let expect = bdd.and(q, c);
-                let what = format!("nvars={nvars} case={case} operand={k}");
-                twice_around_gc(&mut bdd, &[f, g, c], expect, |b| b.exists_set(h, c), &what);
-            }
-        }
-    }
-}
-
-#[test]
-fn or_and_not_equals_or_then_and_not() {
-    for &nvars in &VAR_COUNTS {
-        for case in 0..CASES {
-            let (mut bdd, vars, f, g, _) = setup(nvars, case);
+            let (mut bdd, vars, f, g, subset) = setup(nvars, case);
             let mut rng = Rng::new(0x0a4d ^ case.wrapping_mul(0x9e37) ^ nvars as u64);
             let r = gen_fn(&mut rng, &mut bdd, &vars, 2 + (case % 4) as usize);
+            let c = bdd.cube(subset.iter().copied());
             if case % 2 == 1 {
-                scramble(&mut bdd, &[f, g, r], case);
+                scramble(&mut bdd, &[f, g, r, c], case);
             }
             let (nf, ng, nr) = (bdd.not(f), bdd.not(g), bdd.not(r));
-            // Complemented operands and the degenerate shapes the
-            // terminal rules catch (equal, complementary, r among a/b).
-            let triples = [
-                (f, g, r),
-                (g, f, r),
-                (nf, g, r),
-                (f, ng, nr),
-                (nf, ng, nr),
-                (f, f, r),
-                (f, nf, r),
-                (f, r, g),
-                (f, g, nf),
-                (r, g, r),
+            let pairs = [
+                (f, NodeRef::FALSE),
+                (nf, NodeRef::FALSE),
+                (g, NodeRef::FALSE),
+                (ng, NodeRef::FALSE),
+                (f, r),
+                (nf, r),
+                (g, nr),
+                (f, f),
+                (f, nf),
+                (f, c),
+                (f, NodeRef::TRUE),
+                (NodeRef::TRUE, r),
             ];
-            for (k, (a, b, c)) in triples.into_iter().enumerate() {
-                let union = bdd.or(a, b);
-                let expect = bdd.and_not(union, c);
-                let what = format!("nvars={nvars} case={case} triple={k}");
+            for (k, (h, minus)) in pairs.into_iter().enumerate() {
+                let q = bdd.exists_cube(h, c);
+                let image = bdd.and(q, c);
+                let expect = bdd.and_not(image, minus);
+                let what = format!("nvars={nvars} case={case} pair={k}");
                 twice_around_gc(
                     &mut bdd,
-                    &[f, g, r],
+                    &[f, g, r, c],
                     expect,
-                    |m| m.or_and_not(a, b, c),
+                    |b| b.exists_set(h, c, minus),
                     &what,
                 );
             }
@@ -497,7 +482,7 @@ fn and_exists_rename_equals_and_exists_then_rename() {
                     &mut bdd,
                     &[f, g, c],
                     expect,
-                    |m| m.and_exists_rename(a, b, c, &map),
+                    |m| m.and_exists_rename(a, b, c, &map, NodeRef::FALSE),
                     &what,
                 );
             }
@@ -531,10 +516,187 @@ fn and_exists_rename_under_an_order_reversing_map_matches_the_oracle() {
                 &mut bdd,
                 &[f, g, c, product],
                 expect,
-                |m| m.and_exists_rename(f, g, c, &map),
+                |m| m.and_exists_rename(f, g, c, &map, NodeRef::FALSE),
                 &what,
             );
             assert_eq!(bdd.and_exists(f, g, c), product, "{what}: plain product");
         }
     }
+}
+
+/// The verifier's variable layout in miniature: `flags` adjacent
+/// (current, next) pairs, one unrenamed state variable, a `bits`-wide
+/// control block (current bits, then next bits), and one auxiliary
+/// variable, declared in that order. The sift groups keep each pair and
+/// the block contiguous and in declaration order.
+struct Rails {
+    bdd: Bdd,
+    cur: Vec<Var>,
+    next: Vec<Var>,
+    free: Var,
+    aux: Var,
+    groups: Vec<Vec<Var>>,
+}
+
+fn rails(flags: usize, bits: usize) -> Rails {
+    let mut bdd = Bdd::new();
+    let (mut cur, mut next, mut groups) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..flags {
+        let pair = [bdd.new_var(format!("f{i}")), bdd.new_var(format!("f{i}'"))];
+        cur.push(pair[0]);
+        next.push(pair[1]);
+        groups.push(pair.to_vec());
+    }
+    let free = bdd.new_var("s");
+    let block: Vec<Var> = (0..bits).map(|i| bdd.new_var(format!("c{i}"))).collect();
+    let block_next: Vec<Var> = (0..bits).map(|i| bdd.new_var(format!("c{i}'"))).collect();
+    cur.extend_from_slice(&block);
+    next.extend_from_slice(&block_next);
+    if bits > 0 {
+        groups.push(block.into_iter().chain(block_next).collect());
+    }
+    let aux = bdd.new_var("aux");
+    Rails {
+        bdd,
+        cur,
+        next,
+        free,
+        aux,
+        groups,
+    }
+}
+
+/// `rename(∃c. a ∧ b, map) ∖ minus` in three separate operations.
+fn two_step(
+    bdd: &mut Bdd,
+    a: NodeRef,
+    b: NodeRef,
+    c: NodeRef,
+    map: &RenameMap,
+    minus: NodeRef,
+) -> NodeRef {
+    let product = bdd.and_exists(a, b, c);
+    let image = bdd.rename(product, map);
+    bdd.and_not(image, minus)
+}
+
+/// Checks `and_exists_rename(·, ·, c, map, minus)` against [`two_step`]
+/// on random operands over every rail and subtracted sets over the
+/// current rail, the unrenamed variable and the auxiliary, plus the
+/// degenerate shapes (complements, equal operands, a constant operand or
+/// set, a set over the next rail too), each twice around a collection.
+/// Odd cases sift under the rails' groups first, and at least one sift
+/// must move the order. Returns how many plain
+/// repeats of a fused call still had nodes to build, i.e. how often the
+/// fused call did not build the full product.
+fn check_fused_product(
+    name: &str,
+    flags: usize,
+    bits: usize,
+    pairs: impl Fn(&Rails) -> Vec<(Var, Var)>,
+    quantify_aux: bool,
+) -> usize {
+    let (mut fresh_repeats, mut reordered) = (0, false);
+    for case in 0..CASES {
+        let mut x = rails(flags, bits);
+        let mut rng = Rng::new(0x3e7a ^ (flags as u64) << 40 ^ (bits as u64) << 32 ^ case);
+        let every: Vec<Var> = (0..x.bdd.num_vars() as u32).map(Var).collect();
+        let mut outputs = x.cur.clone();
+        outputs.extend([x.free, x.aux]);
+        let depth = 2 + (case % 4) as usize;
+        let f = gen_fn(&mut rng, &mut x.bdd, &every, depth);
+        let g = gen_fn(&mut rng, &mut x.bdd, &every, depth);
+        let r = gen_fn(&mut rng, &mut x.bdd, &outputs, depth);
+        let wide = gen_fn(&mut rng, &mut x.bdd, &every, depth);
+        let quantified = x.cur.iter().copied().chain(quantify_aux.then_some(x.aux));
+        let c = x.bdd.cube(quantified);
+        let map = x.bdd.rename_map(&pairs(&x));
+        let roots = [f, g, r, wide, c];
+        if case % 2 == 1 {
+            let cfg = SiftConfig {
+                precedence: Vec::new(),
+                groups: x.groups.clone(),
+                max_passes: 1,
+            };
+            let declared = x.bdd.order();
+            x.bdd.sift(&roots, &cfg);
+            reordered |= x.bdd.order() != declared;
+        }
+        let bdd = &mut x.bdd;
+        let (nf, ng, nr) = (bdd.not(f), bdd.not(g), bdd.not(r));
+        let shapes = [
+            (f, g, r),
+            (nf, g, r),
+            (f, ng, nr),
+            (f, f, r),
+            (f, nf, r),
+            (f, g, wide),
+            (NodeRef::TRUE, g, r),
+            (f, NodeRef::TRUE, r),
+            (f, g, NodeRef::TRUE),
+            (f, g, NodeRef::FALSE),
+        ];
+        for (k, (a, b, minus)) in shapes.into_iter().enumerate() {
+            let what = format!("{name}: case={case} shape={k}");
+            let expect = two_step(bdd, a, b, c, &map, minus);
+            twice_around_gc(
+                bdd,
+                &roots,
+                expect,
+                |m| m.and_exists_rename(a, b, c, &map, minus),
+                &what,
+            );
+            // A plain repeat builds nothing exactly when the fused call
+            // left the full product in the cache.
+            let mk_calls = bdd.mk_calls();
+            bdd.and_exists_rename(a, b, c, &map, NodeRef::FALSE);
+            fresh_repeats += usize::from(bdd.mk_calls() > mk_calls);
+        }
+    }
+    assert!(reordered, "{name}: no sift moved the order");
+    fresh_repeats
+}
+
+/// Each next-rail variable onto its current twin.
+fn next_onto_cur(x: &Rails) -> Vec<(Var, Var)> {
+    x.next.iter().copied().zip(x.cur.iter().copied()).collect()
+}
+
+#[test]
+fn product_minus_a_set_over_adjacent_pairs_equals_the_two_step_result() {
+    let fresh = check_fused_product("pairs", 4, 0, next_onto_cur, false);
+    assert!(fresh > 0, "every fused call built the full product");
+    check_fused_product("pairs+aux", 3, 0, next_onto_cur, true);
+}
+
+#[test]
+fn product_minus_a_set_over_a_control_block_equals_the_two_step_result() {
+    let fresh = check_fused_product("block", 1, 3, next_onto_cur, false);
+    assert!(fresh > 0, "every fused call built the full product");
+    check_fused_product("block+aux", 2, 2, next_onto_cur, true);
+}
+
+#[test]
+fn product_minus_a_set_under_the_identity_map_equals_the_two_step_result() {
+    // Nothing renamed: the subtraction rides on the plain product.
+    check_fused_product("identity", 2, 2, |_| Vec::new(), true);
+}
+
+#[test]
+fn product_minus_a_set_under_an_order_breaking_map_takes_the_fallback() {
+    // Every target stays above its source, but the two block bits swap:
+    // the map does not keep the order of the next rail, so the call must
+    // build the product and subtract after it (a fused recursion would
+    // trip `mk`'s order assertion), and every plain repeat hits the
+    // product the fallback left in the cache.
+    let swapped = |x: &Rails| {
+        let mut pairs = next_onto_cur(x);
+        let n = pairs.len();
+        let (a, b) = (pairs[n - 2].1, pairs[n - 1].1);
+        pairs[n - 2].1 = b;
+        pairs[n - 1].1 = a;
+        pairs
+    };
+    let fresh = check_fused_product("swapped", 1, 2, swapped, false);
+    assert_eq!(fresh, 0, "a fused call ran under an order-breaking map");
 }

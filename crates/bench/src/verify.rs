@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `--smoke` stops the relay chains at n = 12, so the bench finishes in
-//! well under a second; the full run goes on to n = 24 (about 3 s in
+//! well under a second; the full run goes on to n = 32 (about 4 s in
 //! release). Every run asserts sanity thresholds — every case
 //! reaches its fixpoint, counts a non-trivial reachable set, stays inside
 //! the default node budget, and records the relational-product kernel
@@ -178,13 +178,13 @@ fn gate_failures(run: &[Json], committed: &Json) -> Vec<String> {
 /// `BENCH_verify.json`). Returns the sanity and `--gate` failures.
 pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
     // The smoke set stops at n=12, the largest chain that stays well
-    // under a second; n=20 and n=24 are the full run's chains that
-    // collect mid-reach.
+    // under a second; n=32 is the full run's one chain that collects
+    // mid-reach.
     let smoke = opts.smoke;
     let chain_sizes: &[usize] = if smoke {
         &[4, 8, 12]
     } else {
-        &[4, 8, 12, 16, 20, 24]
+        &[4, 8, 12, 16, 20, 24, 28, 32]
     };
 
     let mut results = Vec::new();

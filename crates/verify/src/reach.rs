@@ -13,9 +13,10 @@
 //!   variable, so its image of `mk(v, lo, hi)` is `mk(v, img(lo),
 //!   img(hi))`;
 //! * at each (frontier node, reached node) pair the descent applies the
-//!   partitions whose top it has reached, ORs their images minus the
-//!   cofactored reached set, and rebuilds the node over the descent into
-//!   both cofactors for every partition whose top lies deeper.
+//!   partitions whose top it has reached, each minus the cofactored
+//!   reached set, ORs the results, and rebuilds the node over the
+//!   descent into both cofactors for every partition whose top lies
+//!   deeper.
 //!
 //! The root is `⋃ imgs ∖ reached`, the same function (hence the same
 //! canonical handle) as a union of full images minus the reached set,
@@ -27,11 +28,13 @@
 //! sets share most of their subgraphs; every collection and reorder
 //! drops it.
 //!
-//! Each partition application is one fused kernel recursion: the
-//! environment image is [`Bdd::exists_set`], the reaction image is
-//! [`Bdd::and_exists_rename`] with the step's relation, whose test and
-//! action variables the model quantified out at build, over the consumed
-//! current-state block, and the results merge with [`Bdd::or_and_not`].
+//! Each partition application is one fused kernel recursion that
+//! subtracts the cofactored reached set inside it, so no full image is
+//! ever built: the environment image is [`Bdd::exists_set`], the
+//! reaction image is [`Bdd::and_exists_rename`] with the step's
+//! relation, whose test and action variables the model quantified out at
+//! build, over the consumed current-state block. The results merge with
+//! a plain [`Bdd::or`].
 //!
 //! Every phase of an iteration (image descent, frontier, GC, sift) adds
 //! its wall time to [`VerifyStats::phases`]; the descent's work is
@@ -68,13 +71,14 @@ use polis_bdd::{Bdd, GcTrigger, NodeRef, Var};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// One machine-reaction image: a single relational product with the
-/// step's pre-quantified relation over the consumed current-state block,
-/// built directly on the current rail ([`Bdd::and_exists_rename`]).
+/// One machine-reaction image minus `reached`: a single relational
+/// product with the step's pre-quantified relation over the consumed
+/// current-state block, built directly on the current rail with the
+/// reached set dropped inside the recursion ([`Bdd::and_exists_rename`]).
 /// (Renaming once per iteration after the union was tried and discarded:
 /// the mixed-rail intermediate unions blow up.)
-fn react_image(bdd: &mut Bdd, step: &ReactStep, from: NodeRef) -> NodeRef {
-    bdd.and_exists_rename(from, step.relation, step.cur_cube, &step.rename)
+fn react_image(bdd: &mut Bdd, step: &ReactStep, from: NodeRef, reached: NodeRef) -> NodeRef {
+    bdd.and_exists_rename(from, step.relation, step.cur_cube, &step.rename, reached)
 }
 
 /// One partition of the transition relation.
@@ -203,14 +207,14 @@ impl<'m> Descent<'m> {
             let img = match self.parts[i].step {
                 Step::Env(step) => {
                     self.env_applications += 1;
-                    bdd.exists_set(n, step.cube)
+                    bdd.exists_set(n, step.cube, r)
                 }
                 Step::React(step) => {
                     self.react_applications += 1;
-                    react_image(bdd, step, n)
+                    react_image(bdd, step, n, r)
                 }
             };
-            new = bdd.or_and_not(new, img, r);
+            new = bdd.or(new, img);
         }
         if deeper < self.parts.len() {
             let (n0, n1) = bdd.cofactors_at_level(n, level);
@@ -419,7 +423,8 @@ mod tests {
     /// block with the updates, then `rename` (never the model's
     /// pre-quantified relation), a balanced OR tree over them, and
     /// `raw = new ∖ reached` last. Kept only as an independent oracle for [`fixpoint`]'s
-    /// descent and its three fused kernel operations. `keep` are extra GC
+    /// descent and its two fused kernel operations, each of which
+    /// subtracts the reached set inside its recursion. `keep` are extra GC
     /// roots, so handles of an earlier run on the same manager stay valid
     /// for comparison.
     fn reference_fixpoint(

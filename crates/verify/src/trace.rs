@@ -379,6 +379,14 @@ fn decode_react(
     })
 }
 
+/// The step behind one preimage of a trace point: an environment
+/// delivery of primary input `.0`, or a reaction of machine `.0`.
+#[derive(Clone, Copy)]
+enum Via {
+    Deliver(usize),
+    React(usize),
+}
+
 /// Walks a violating/witness state in `target` back to the initial state
 /// through the stored rings, decoding every hop. Returns `None` when the
 /// target misses every *stored* ring (only possible on an incomplete
@@ -401,39 +409,48 @@ pub(crate) fn walk_trace(
     let mut rev_steps: Vec<TraceStep> = Vec::new();
     let signals = net.primary_inputs();
     while level > 0 {
+        // The point's preimages do not depend on the ring, so each is
+        // computed once per hop, in the search order: environment
+        // deliveries, then machine reactions.
+        let mut preimages: Vec<(NodeRef, Via)> = Vec::new();
+        for (si, step) in model.env_steps.iter().enumerate() {
+            // The preimage of a point whose delivered flags are all 1
+            // frees exactly those flags.
+            let on_cube = model.bdd.constrain(point.minterm, step.cube);
+            if on_cube.is_false() {
+                continue; // some delivered flag is 0 in the point
+            }
+            let pre = model.bdd.exists_cube(point.minterm, step.cube);
+            preimages.push((pre, Via::Deliver(si)));
+        }
+        for (mi, step) in model.react_steps.iter().enumerate() {
+            let pre = react_preimage(&mut model.bdd, step, point.minterm);
+            preimages.push((pre, Via::React(mi)));
+        }
+        for &(pre, _) in &preimages {
+            preimage_nodes += model.bdd.size(&[pre]) as u64;
+        }
         let mut hop: Option<(usize, StatePoint, TraceStep)> = None;
         'search: for k in 0..level {
-            // Environment deliveries: the preimage of a point whose
-            // delivered flags are all 1 frees exactly those flags.
-            for (si, step) in model.env_steps.iter().enumerate() {
-                let on_cube = model.bdd.constrain(point.minterm, step.cube);
-                if on_cube.is_false() {
-                    continue; // some delivered flag is 0 in the point
-                }
-                let pre = model.bdd.exists_cube(point.minterm, step.cube);
-                preimage_nodes += model.bdd.size(&[pre]) as u64;
+            for &(pre, via) in &preimages {
                 let cand = model.bdd.and(pre, rings.rings[k]);
-                if !cand.is_false() {
-                    let prev = pick_state(&mut model.bdd, cand, &state_vars)?;
-                    let s = TraceStep::Deliver {
+                if cand.is_false() {
+                    continue;
+                }
+                let prev = pick_state(&mut model.bdd, cand, &state_vars)?;
+                let s = match via {
+                    Via::Deliver(si) => TraceStep::Deliver {
                         signal: signals[si].clone(),
-                    };
-                    hop = Some((k, prev, s));
-                    break 'search;
-                }
-            }
-            for mi in 0..model.react_steps.len() {
-                let step = &model.react_steps[mi];
-                let pre = react_preimage(&mut model.bdd, step, point.minterm);
-                preimage_nodes += model.bdd.size(&[pre]) as u64;
-                let cand = model.bdd.and(pre, rings.rings[k]);
-                if !cand.is_false() {
-                    let prev = pick_state(&mut model.bdd, cand, &state_vars)?;
-                    let t_next = model.bdd.rename(point.minterm, &step.unrename);
-                    let s = decode_react(model, net, mi, &prev, t_next)?;
-                    hop = Some((k, prev, s));
-                    break 'search;
-                }
+                    },
+                    Via::React(mi) => {
+                        let t_next = model
+                            .bdd
+                            .rename(point.minterm, &model.react_steps[mi].unrename);
+                        decode_react(model, net, mi, &prev, t_next)?
+                    }
+                };
+                hop = Some((k, prev, s));
+                break 'search;
             }
         }
         // Every ring-i state has a predecessor in an earlier ring; a miss

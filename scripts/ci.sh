@@ -188,8 +188,8 @@ check_props examples/specs/dashboard.pol 3 \
   "assert never (speedo.wticks && odometer.wticks): VIOLATED"
 
 echo "==> verify bench, every case (sanity thresholds + deterministic regression gate)"
-# The full set, not --smoke: relay_chain_16 and relay_chain_20 (the one
-# case that collects mid-reach) are gated only here.
+# The full set, not --smoke: relay_chain_16 to relay_chain_32 are gated
+# only here, and relay_chain_32 is the one case that collects mid-reach.
 ./target/release/paper verify --gate BENCH_verify.json --out /tmp/bench_verify.json
 
 echo "==> generated-code gate: code bytes, RAM, cycles and peak live nodes equal BENCH_synth.json (any change fails)"
