@@ -779,7 +779,9 @@ pub struct BddStats {
     /// `constrain`.
     pub op_visits: u64,
     /// Dedicated-cache probes by `and_exists`/`and_exists_rename`, with
-    /// or without a subtracted set.
+    /// or without a subtracted set. A product minus a set probes it only
+    /// above its last quantified and renamed level; the tail below runs
+    /// as `and`/`and_not` and counts in `cache_lookups`.
     pub andex_lookups: u64,
     /// Dedicated-cache hits by `and_exists`/`and_exists_rename`.
     pub andex_hits: u64,
@@ -1595,9 +1597,13 @@ impl Bdd {
     /// first. Where `minus` is 0 the rest is the plain product: a node is
     /// rebuilt exactly as [`Bdd::rename`] does (plain `mk` when the target
     /// sits above both children, `ite` otherwise), and where the cube runs
-    /// out the rest is `f ∧ g` renamed. No target of `map` may survive the
-    /// quantification (the image quantifies every current-state variable
-    /// it renames onto).
+    /// out the rest is `f ∧ g` renamed. Where the cube has run out and the
+    /// operands top below every source of `map`, nothing is quantified or
+    /// renamed any more and the rest is `f ∧ g ∧ ¬minus`, built by
+    /// [`Bdd::and`] and [`Bdd::and_not`] in the shared cache, so products
+    /// under other maps and cubes reuse it. No target of `map` may survive
+    /// the quantification (the image quantifies every current-state
+    /// variable it renames onto).
     ///
     /// Subtracting inside the recursion needs, under the current order,
     /// a map that keeps the order of the variables surviving the
@@ -1612,6 +1618,8 @@ impl Bdd {
     /// Memoized in the dedicated AndExists cache: plain products under the
     /// map's token, products minus a set under a token interned for the
     /// map and the cube, so neither aliases a plain `and_exists` entry.
+    /// The tail below the last quantified and renamed level runs in the
+    /// shared cache and counts no AndExists lookup.
     pub fn and_exists_rename(
         &mut self,
         f: NodeRef,
@@ -1625,16 +1633,18 @@ impl Bdd {
                 rename: Some(rename),
                 op: OP_ANDEX_RENAME + rename.token.0,
                 minus_op: 0,
+                identity_from: u32::MAX,
             },
             None if minus.is_false() => return self.and_exists(f, g, cube),
             None => Product::PLAIN,
         };
         if !minus.is_false() {
-            if !self.keeps_order(cube, p.rename) {
+            let Some(identity_from) = self.keeps_order(cube, p.rename) else {
                 let product = self.and_exists_rec(f, g, cube, p, NodeRef::FALSE);
                 return self.and_not(product, minus);
-            }
+            };
             p.minus_op = OP_ANDEX_MINUS | self.minus_token(cube, p.rename);
+            p.identity_from = identity_from;
         }
         self.and_exists_rec(f, g, cube, p, minus)
     }
@@ -1649,16 +1659,18 @@ impl Bdd {
     /// onto it, or at its own level if none does, and the recursion can
     /// merge it into the walk over the operands' levels with plain `mk`.
     /// Outside that span every surviving variable maps to itself, so only
-    /// the span is walked.
-    fn keeps_order(&self, cube: NodeRef, rename: Option<&Rename>) -> bool {
+    /// the span is walked. Returns the level just below the deepest
+    /// source (0 without a map), from which on the map is the identity,
+    /// or `None` when the product cannot subtract inside its recursion.
+    fn keeps_order(&self, cube: NodeRef, rename: Option<&Rename>) -> Option<u32> {
         let Some(m) = rename else {
-            return true;
+            return Some(0);
         };
         let (mut first, mut last) = (u32::MAX, 0);
         for &(s, t) in &m.pairs {
             let (ls, lt) = (self.level_of_var[s as usize], self.level_of_var[t as usize]);
             if lt > ls {
-                return false;
+                return None;
             }
             first = first.min(lt);
             last = last.max(ls);
@@ -1672,17 +1684,17 @@ impl Bdd {
             let v = self.var_at_level[level as usize] as usize;
             if self.level_of_node(cube) == level {
                 if m.source[v] == NO_SOURCE || m.target[v] as usize != v {
-                    return false;
+                    return None;
                 }
                 continue;
             }
             let out = self.level_of_var[m.target[v] as usize];
             if out_above.is_some_and(|above| out <= above) {
-                return false;
+                return None;
             }
             out_above = Some(out);
         }
-        true
+        Some(last + 1)
     }
 
     /// The token keying the `OP_ANDEX_MINUS` entries of the products under
@@ -1715,9 +1727,11 @@ impl Bdd {
     /// `p`'s map (none for `and_exists`). With `r = 0` it is the plain
     /// product: terminal and cube-exhausted results go through
     /// `rename_rec`, and entries key on the cube under `p.op`. Any other
-    /// `r` needs [`Bdd::keeps_order`] to hold; its entries key on `r`
-    /// under `p.minus_op`, since the cube suffix follows from the token
-    /// and the operands' top.
+    /// `r` needs [`Bdd::keeps_order`] to hold; once the cube is exhausted
+    /// and the operands top at or below `p.identity_from`, the result is
+    /// `and_not(and(f, g), r)` from the shared cache, and above that the
+    /// entries key on `r` under `p.minus_op`, since the cube suffix
+    /// follows from the token and the operands' top.
     fn and_exists_rec(
         &mut self,
         f: NodeRef,
@@ -1756,6 +1770,12 @@ impl Bdd {
             }
             (p.op, cube)
         } else {
+            // Past the last quantified and renamed level the product is
+            // `f ∧ g ∧ ¬r`: hand it to the shared ITE cache.
+            if cube.is_true() && top >= p.identity_from {
+                let a = self.and(f, g);
+                return self.and_not(a, r);
+            }
             (p.minus_op, r)
         };
         self.andex_lookups += 1;
@@ -2457,6 +2477,9 @@ struct Product<'a> {
     op: u32,
     /// Op code of the entries minus a set, keyed on the set.
     minus_op: u32,
+    /// The level from which on the map is the identity: one below its
+    /// deepest source, 0 without a map ([`Bdd::keeps_order`]).
+    identity_from: u32,
 }
 
 impl Product<'_> {
@@ -2465,6 +2488,7 @@ impl Product<'_> {
         rename: None,
         op: OP_ANDEX,
         minus_op: 0,
+        identity_from: 0,
     };
 }
 

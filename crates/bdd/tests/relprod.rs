@@ -526,19 +526,22 @@ fn and_exists_rename_under_an_order_reversing_map_matches_the_oracle() {
 
 /// The verifier's variable layout in miniature: `flags` adjacent
 /// (current, next) pairs, one unrenamed state variable, a `bits`-wide
-/// control block (current bits, then next bits), and one auxiliary
-/// variable, declared in that order. The sift groups keep each pair and
-/// the block contiguous and in declaration order.
+/// control block (current bits, then next bits), one auxiliary variable,
+/// and a tail of `tail` unrelated variables, declared in that order. The
+/// tail stands for the rest of a network below one machine's footprint:
+/// no product quantifies or renames it. The sift groups keep each pair
+/// and the block contiguous and in declaration order.
 struct Rails {
     bdd: Bdd,
     cur: Vec<Var>,
     next: Vec<Var>,
     free: Var,
     aux: Var,
+    tail: Vec<Var>,
     groups: Vec<Vec<Var>>,
 }
 
-fn rails(flags: usize, bits: usize) -> Rails {
+fn rails(flags: usize, bits: usize, tail: usize) -> Rails {
     let mut bdd = Bdd::new();
     let (mut cur, mut next, mut groups) = (Vec::new(), Vec::new(), Vec::new());
     for i in 0..flags {
@@ -556,12 +559,14 @@ fn rails(flags: usize, bits: usize) -> Rails {
         groups.push(block.into_iter().chain(block_next).collect());
     }
     let aux = bdd.new_var("aux");
+    let tail = (0..tail).map(|i| bdd.new_var(format!("t{i}"))).collect();
     Rails {
         bdd,
         cur,
         next,
         free,
         aux,
+        tail,
         groups,
     }
 }
@@ -581,10 +586,11 @@ fn two_step(
 }
 
 /// Checks `and_exists_rename(·, ·, c, map, minus)` against [`two_step`]
-/// on random operands over every rail and subtracted sets over the
-/// current rail, the unrenamed variable and the auxiliary, plus the
-/// degenerate shapes (complements, equal operands, a constant operand or
-/// set, a set over the next rail too), each twice around a collection.
+/// on random operands over every rail and the tail, and subtracted sets
+/// over the current rail, the unrenamed variable, the auxiliary and the
+/// tail, plus the degenerate shapes (complements, equal operands, a
+/// constant operand or set, a set over the next rail too), each twice
+/// around a collection.
 /// Odd cases sift under the rails' groups first, and at least one sift
 /// must move the order. Returns how many plain
 /// repeats of a fused call still had nodes to build, i.e. how often the
@@ -593,16 +599,18 @@ fn check_fused_product(
     name: &str,
     flags: usize,
     bits: usize,
+    tail: usize,
     pairs: impl Fn(&Rails) -> Vec<(Var, Var)>,
     quantify_aux: bool,
 ) -> usize {
     let (mut fresh_repeats, mut reordered) = (0, false);
     for case in 0..CASES {
-        let mut x = rails(flags, bits);
+        let mut x = rails(flags, bits, tail);
         let mut rng = Rng::new(0x3e7a ^ (flags as u64) << 40 ^ (bits as u64) << 32 ^ case);
         let every: Vec<Var> = (0..x.bdd.num_vars() as u32).map(Var).collect();
         let mut outputs = x.cur.clone();
         outputs.extend([x.free, x.aux]);
+        outputs.extend_from_slice(&x.tail);
         let depth = 2 + (case % 4) as usize;
         let f = gen_fn(&mut rng, &mut x.bdd, &every, depth);
         let g = gen_fn(&mut rng, &mut x.bdd, &every, depth);
@@ -664,22 +672,88 @@ fn next_onto_cur(x: &Rails) -> Vec<(Var, Var)> {
 
 #[test]
 fn product_minus_a_set_over_adjacent_pairs_equals_the_two_step_result() {
-    let fresh = check_fused_product("pairs", 4, 0, next_onto_cur, false);
+    let fresh = check_fused_product("pairs", 4, 0, 0, next_onto_cur, false);
     assert!(fresh > 0, "every fused call built the full product");
-    check_fused_product("pairs+aux", 3, 0, next_onto_cur, true);
+    check_fused_product("pairs+aux", 3, 0, 0, next_onto_cur, true);
+    check_fused_product("pairs+tail", 3, 0, 8, next_onto_cur, false);
 }
 
 #[test]
 fn product_minus_a_set_over_a_control_block_equals_the_two_step_result() {
-    let fresh = check_fused_product("block", 1, 3, next_onto_cur, false);
+    let fresh = check_fused_product("block", 1, 3, 0, next_onto_cur, false);
     assert!(fresh > 0, "every fused call built the full product");
-    check_fused_product("block+aux", 2, 2, next_onto_cur, true);
+    check_fused_product("block+aux", 2, 2, 0, next_onto_cur, true);
+    check_fused_product("block+aux+tail", 1, 2, 8, next_onto_cur, true);
 }
 
 #[test]
 fn product_minus_a_set_under_the_identity_map_equals_the_two_step_result() {
     // Nothing renamed: the subtraction rides on the plain product.
-    check_fused_product("identity", 2, 2, |_| Vec::new(), true);
+    check_fused_product("identity", 2, 2, 0, |_| Vec::new(), true);
+    check_fused_product("identity+tail", 1, 2, 8, |_| Vec::new(), true);
+}
+
+/// The AndExists-cache probes of one product minus a set on a fresh
+/// manager with a tail of `tail` variables, as in one machine's reaction
+/// image: the relation is a random in-footprint function, and the
+/// frontier and the subtracted set are random in-footprint functions
+/// conjoined with the parity of the tail, which depends on every tail
+/// variable.
+fn andex_lookups_of_one_product(case: u64, tail: usize, quantify_aux: bool) -> u64 {
+    let mut x = rails(2, 2, tail);
+    let mut rng = Rng::new(0x7a11 ^ case);
+    let mut footprint: Vec<Var> = x.cur.iter().chain(&x.next).copied().collect();
+    footprint.extend([x.free, x.aux]);
+    let mut outputs = x.cur.clone();
+    outputs.extend([x.free, x.aux]);
+    let depth = 3 + (case % 3) as usize;
+    let pairs = next_onto_cur(&x);
+    let bdd = &mut x.bdd;
+    let f = gen_fn(&mut rng, bdd, &footprint, depth);
+    let g = gen_fn(&mut rng, bdd, &footprint, depth);
+    let r = gen_fn(&mut rng, bdd, &outputs, depth);
+    let parity = x.tail.iter().fold(NodeRef::FALSE, |p, &v| {
+        let lit = bdd.var(v);
+        bdd.xor(p, lit)
+    });
+    let (frontier, reached) = (bdd.and(f, parity), bdd.and(r, parity));
+    let quantified = x.cur.iter().copied().chain(quantify_aux.then_some(x.aux));
+    let c = bdd.cube(quantified);
+    let map = bdd.rename_map(&pairs);
+    let before = bdd.stats().andex_lookups;
+    let fused = bdd.and_exists_rename(frontier, g, c, &map, reached);
+    let lookups = bdd.stats().andex_lookups - before;
+    let expect = two_step(bdd, frontier, g, c, &map, reached);
+    assert_eq!(fused, expect, "case={case} tail={tail}");
+    lookups
+}
+
+#[test]
+fn product_minus_a_set_probes_the_andex_cache_only_inside_the_footprint() {
+    // Below the footprint the product runs as `and`/`and_not` in the
+    // shared cache, so its AndExists probes do not grow with the tail.
+    // The cache is lossy: a colliding key can evict an entry that a later
+    // probe recomputes, so the sums over all cases get 2% of slack.
+    // Walking the tail inside the product instead adds about 30% at 8.
+    for quantify_aux in [false, true] {
+        let sum = |tail| -> u64 {
+            (0..CASES)
+                .map(|case| andex_lookups_of_one_product(case, tail, quantify_aux))
+                .sum()
+        };
+        let short = sum(1);
+        assert!(
+            short > CASES,
+            "aux={quantify_aux}: too few probes ({short})"
+        );
+        for tail in [2, 8] {
+            let long = sum(tail);
+            assert!(
+                long * 50 <= short * 51,
+                "aux={quantify_aux} tail={tail}: {long} probes against {short} at tail=1"
+            );
+        }
+    }
 }
 
 #[test]
@@ -697,6 +771,6 @@ fn product_minus_a_set_under_an_order_breaking_map_takes_the_fallback() {
         pairs[n - 1].1 = a;
         pairs
     };
-    let fresh = check_fused_product("swapped", 1, 2, swapped, false);
+    let fresh = check_fused_product("swapped", 1, 2, 0, swapped, false);
     assert_eq!(fresh, 0, "a fused call ran under an order-breaking map");
 }

@@ -7,7 +7,7 @@
 //! ```
 //!
 //! `--smoke` stops the relay chains at n = 12, so the bench finishes in
-//! well under a second; the full run goes on to n = 32 (about 4 s in
+//! well under a second; the full run goes on to n = 32 (about 2 s in
 //! release). Every run asserts sanity thresholds — every case
 //! reaches its fixpoint, counts a non-trivial reachable set, stays inside
 //! the default node budget, and records the relational-product kernel
@@ -16,14 +16,17 @@
 //! every case present in both, the verdict fields (`reached_states`,
 //! `lost_possible`, `dead_transitions`, `deadlock`) and the traversal
 //! shape (`iterations`, `image_steps`, `descent_nodes`) must match
-//! exactly and `peak_live_nodes` must not regress by more than 5%. A
-//! gated field missing from a committed case fails the gate.
+//! exactly, and neither `peak_live_nodes` nor `andex_lookups` (the
+//! AndExists-cache probes of the relational products) may regress by
+//! more than 5%. A gated field missing from a committed case fails the
+//! gate.
 //!
 //! Each case also prints and records the image descent's work counters
 //! (`descent_nodes`, `env_applications`, `react_applications`) and the
 //! fixpoint's wall time per phase (`phase_<name>_ms` columns: the image
 //! descent — env images, relational products with the rename onto the
-//! current rail and their union, interleaved — then frontier, GC, sift).
+//! current rail and their union, interleaved — then frontier, the
+//! stats-only frontier size walks (`measure`), GC, sift).
 
 use crate::{named, write_json, BenchOptions};
 use polis_cfsm::Network;
@@ -107,6 +110,12 @@ const GATED: [&str; 7] = [
     "deadlock",
 ];
 
+/// The counters a case may exceed its committed namesake's by at most
+/// 5% (`--gate`): the peak live nodes, and the AndExists-cache probes,
+/// which stay low only while each product hands the tail below its last
+/// quantified and renamed level to the shared cache.
+const BOUNDED: [&str; 2] = ["peak_live_nodes", "andex_lookups"];
+
 /// Verifies `net`, then checks `props` in a second pass unless the suite
 /// is empty (the relay chains have none).
 fn run_case(name: &str, net: &Network, props: &[Property]) -> CaseResult {
@@ -132,8 +141,9 @@ fn run_case(name: &str, net: &Network, props: &[Property]) -> CaseResult {
 
 /// Deterministic regression gate: every case of this run that is also
 /// in `committed` (an array of cases, matched by name) must agree exactly
-/// on the [`GATED`] fields, and may not regress `peak_live_nodes` by more
-/// than 5%. A gated field missing from the committed case fails.
+/// on the [`GATED`] fields, and may not regress a [`BOUNDED`] counter by
+/// more than 5%. A gated or bounded field missing from the committed
+/// case fails.
 fn gate_failures(run: &[Json], committed: &Json) -> Vec<String> {
     let mut failures = Vec::new();
     let mut matched = 0usize;
@@ -153,19 +163,20 @@ fn gate_failures(run: &[Json], committed: &Json) -> Vec<String> {
                 )),
             }
         }
-        // 5% headroom: peaks are deterministic for a given kernel, so
-        // this only trips when a code change genuinely inflates memory.
-        // (Tightened from 10% with the complement-edge kernel: the
-        // garbage-pressure collector makes peaks far more stable.)
-        let peak = |case: &Json| case.get("peak_live_nodes").and_then(Json::as_num::<u128>);
-        match (peak(ours), peak(theirs)) {
-            (Some(p), Some(c)) if p * 20 > c * 21 => failures.push(format!(
-                "{name}: peak_live_nodes {p} regresses >5% over committed {c}"
-            )),
-            (_, None) => failures.push(format!(
-                "{name}: committed `peak_live_nodes` is missing or not an integer"
-            )),
-            _ => {}
+        // 5% headroom: both counters are deterministic for a given
+        // kernel, so this only trips when a code change genuinely
+        // inflates memory or product work.
+        for field in BOUNDED {
+            let count = |case: &Json| case.get(field).and_then(Json::as_num::<u128>);
+            match (count(ours), count(theirs)) {
+                (Some(p), Some(c)) if p * 20 > c * 21 => failures.push(format!(
+                    "{name}: {field} {p} regresses >5% over committed {c}"
+                )),
+                (_, None) => failures.push(format!(
+                    "{name}: committed `{field}` is missing or not an integer"
+                )),
+                _ => {}
+            }
         }
     }
     if matched == 0 {
@@ -323,4 +334,92 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
         failures.extend(gate_failures(&current, cases));
     }
     Ok(failures)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A committed-style case with every gated and bounded field.
+    fn case(peak: u64, andex: u64) -> Json {
+        let gated = GATED.map(|f| (f, Json::num(1u64)));
+        Json::obj(
+            [
+                ("name", Json::Str("c".to_owned())),
+                ("peak_live_nodes", Json::num(peak)),
+                ("andex_lookups", Json::num(andex)),
+            ]
+            .into_iter()
+            .chain(gated),
+        )
+    }
+
+    fn gate(run: Json, committed: Json) -> Vec<String> {
+        gate_failures(&[run], &Json::Arr(vec![committed]))
+    }
+
+    /// `case` with `field` set to `value`, or dropped for `None`.
+    fn with(case: Json, field: &str, value: Option<Json>) -> Json {
+        let Json::Obj(fields) = case else {
+            unreachable!("cases are objects")
+        };
+        let fields = fields.into_iter().filter(|(k, _)| k != field);
+        Json::Obj(fields.chain(value.map(|v| (field.to_owned(), v))).collect())
+    }
+
+    #[test]
+    fn equal_cases_pass() {
+        assert_eq!(
+            gate(case(1000, 1000), case(1000, 1000)),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn a_gated_field_mismatch_fails() {
+        let run = with(case(1000, 1000), "descent_nodes", Some(Json::num(2u64)));
+        let failures = gate(run, case(1000, 1000));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("descent_nodes"), "{failures:?}");
+    }
+
+    #[test]
+    fn six_percent_more_peak_fails() {
+        let failures = gate(case(1060, 1000), case(1000, 1000));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("peak_live_nodes 1060"), "{failures:?}");
+    }
+
+    #[test]
+    fn six_percent_more_andex_lookups_fails() {
+        let failures = gate(case(1000, 1060), case(1000, 1000));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("andex_lookups 1060"), "{failures:?}");
+    }
+
+    #[test]
+    fn half_the_andex_lookups_passes() {
+        assert!(gate(case(1000, 500), case(1000, 1000)).is_empty());
+    }
+
+    #[test]
+    fn a_missing_committed_field_fails() {
+        for field in GATED.into_iter().chain(BOUNDED) {
+            let failures = gate(case(1000, 1000), with(case(1000, 1000), field, None));
+            assert_eq!(failures.len(), 1, "{field}: {failures:?}");
+            assert!(failures[0].contains(&format!("`{field}`")), "{failures:?}");
+        }
+    }
+
+    #[test]
+    fn no_matching_case_fails() {
+        let run = with(
+            case(1000, 1000),
+            "name",
+            Some(Json::Str("other".to_owned())),
+        );
+        let failures = gate(run, case(1000, 1000));
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("no case"), "{failures:?}");
+    }
 }

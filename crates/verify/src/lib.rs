@@ -212,8 +212,11 @@ pub struct PhaseTimes {
     /// the rename onto the current rail, and their union minus the
     /// reached set, interleaved in one recursion.
     pub image: Duration,
-    /// Reached-set update, `constrain` minimization and frontier sizes.
+    /// Reached-set update and `constrain` minimization.
     pub frontier: Duration,
+    /// The two stats-only size walks per iteration, over the raw and the
+    /// minimized frontier (`constrain_reduced_nodes`, `frontier_sizes`).
+    pub measure: Duration,
     /// Mid-traversal garbage collections.
     pub gc: Duration,
     /// Mid-traversal sifting.
@@ -222,10 +225,11 @@ pub struct PhaseTimes {
 
 impl PhaseTimes {
     /// `(name, time)` for every phase, in fixpoint order.
-    pub fn named(&self) -> [(&'static str, Duration); 4] {
+    pub fn named(&self) -> [(&'static str, Duration); 5] {
         [
             ("image", self.image),
             ("frontier", self.frontier),
+            ("measure", self.measure),
             ("gc", self.gc),
             ("sift", self.sift),
         ]

@@ -33,11 +33,16 @@
 //! ever built: the environment image is [`Bdd::exists_set`], the
 //! reaction image is [`Bdd::and_exists_rename`] with the step's
 //! relation, whose test and action variables the model quantified out at
-//! build, over the consumed current-state block. The results merge with
-//! a plain [`Bdd::or`].
+//! build, over the consumed current-state block. Below the last level a
+//! partition quantifies or renames, both kernels hand the rest to
+//! [`Bdd::and_not`] in the shared cache, so the part of the frontier
+//! outside a partition's footprint is subtracted once for all
+//! partitions and iterations. The results merge with a plain
+//! [`Bdd::or`].
 //!
-//! Every phase of an iteration (image descent, frontier, GC, sift) adds
-//! its wall time to [`VerifyStats::phases`]; the descent's work is
+//! Every phase of an iteration (image descent, frontier, the stats-only
+//! frontier size walks, GC, sift) adds its wall time to
+//! [`VerifyStats::phases`]; the descent's work is
 //! counted in [`VerifyStats::descent_nodes`],
 //! [`VerifyStats::env_applications`] and
 //! [`VerifyStats::react_applications`].
@@ -348,12 +353,14 @@ pub(crate) fn fixpoint(
         reached = bdd.or(reached, raw);
         frontier = bdd.constrain(raw, unseen);
         stats.constrain_calls += 1;
+        stats.phases.frontier += start.elapsed();
+        let start = Instant::now();
         let raw_size = bdd.size(&[raw]) as u64;
         let fsize = bdd.size(&[frontier]) as u64;
         stats.constrain_reduced_nodes += raw_size.saturating_sub(fsize);
         stats.frontier_sizes.push(fsize);
         stats.peak_frontier_nodes = stats.peak_frontier_nodes.max(fsize);
-        stats.phases.frontier += start.elapsed();
+        stats.phases.measure += start.elapsed();
         let collected = enforce_budget(
             bdd,
             opts,

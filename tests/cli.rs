@@ -586,6 +586,7 @@ fn verify_trace_holds_parse_then_verify_stage() {
         "env_applications",
         "react_applications",
         "phase_image_ms",
+        "phase_measure_ms",
         "properties_checked",
     ] {
         assert!(
