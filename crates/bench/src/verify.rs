@@ -26,7 +26,7 @@
 //! fixpoint's wall time per phase (`phase_<name>_ms` columns: the image
 //! descent — env images, relational products with the rename onto the
 //! current rail and their union, interleaved — then frontier, the
-//! stats-only frontier size walks (`measure`), GC, sift).
+//! stats-only frontier size walk (`measure`), GC, sift).
 
 use crate::{named, write_json, BenchOptions};
 use polis_cfsm::Network;
@@ -77,10 +77,6 @@ impl CaseResult {
             ("andex_lookups", Json::num(s.andex_lookups)),
             ("andex_hits", Json::num(s.andex_hits)),
             ("cube_quant_calls", Json::num(s.cube_quant_calls)),
-            (
-                "constrain_reduced_nodes",
-                Json::num(s.constrain_reduced_nodes),
-            ),
             ("mid_reach_reorders", Json::num(s.mid_reach_reorders)),
             ("mid_reach_collections", Json::num(s.mid_reach_collections)),
             ("props_checked", prop(|p| p.checked)),
@@ -222,7 +218,7 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
         };
         println!(
             "{:<18} {:>9.2} ms  iters {:>3}  images {:>5}  states {:>12}  peak live {:>8}  \
-             andex hit {:>5.1}%  shed {:>7}  reorders {}  gcs {}",
+             andex hit {:>5.1}%  reorders {}  gcs {}",
             r.name,
             r.wall_ms,
             s.iterations,
@@ -231,7 +227,6 @@ pub fn run(opts: &BenchOptions) -> Result<Vec<String>, String> {
                 .map_or("overflow".to_owned(), |n| n.to_string()),
             s.peak_live_nodes,
             andex_pct,
-            s.constrain_reduced_nodes,
             s.mid_reach_reorders,
             s.mid_reach_collections,
         );

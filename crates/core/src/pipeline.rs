@@ -346,8 +346,6 @@ fn stage_verify(
     ctx.count("andex_lookups", stats.andex_lookups);
     ctx.count("andex_hits", stats.andex_hits);
     ctx.count("cube_quant_calls", stats.cube_quant_calls);
-    ctx.count("constrain_calls", stats.constrain_calls);
-    ctx.count("constrain_reduced_nodes", stats.constrain_reduced_nodes);
     ctx.count("mid_reach_reorders", stats.mid_reach_reorders);
     ctx.count("collections", stats.mid_reach_collections);
     for (phase, time) in stats.phases.named() {

@@ -170,7 +170,9 @@ pub struct VerifyStats {
     pub env_applications: u64,
     /// Machine-reaction images applied inside the descent.
     pub react_applications: u64,
-    /// Frontier BDD size after each iteration.
+    /// BDD size of each iteration's new-state set, which is both its
+    /// onion ring and the next iteration's frontier (one size walk per
+    /// iteration).
     pub frontier_sizes: Vec<u64>,
     /// Largest frontier BDD.
     pub peak_frontier_nodes: u64,
@@ -186,10 +188,9 @@ pub struct VerifyStats {
     pub andex_hits: u64,
     /// Single-pass cube quantifications during the traversal.
     pub cube_quant_calls: u64,
-    /// Frontier-minimization `constrain` applications (one per iteration).
-    pub constrain_calls: u64,
-    /// Frontier nodes shed by `constrain` minimization, summed over all
-    /// iterations (raw frontier size minus minimized size).
+    /// Always 0: the fixpoint no longer minimizes its frontier with
+    /// `constrain`, so no node is shed. Kept only for readers of the old
+    /// stats surface.
     pub constrain_reduced_nodes: u64,
     /// Sifting passes triggered between fixpoint iterations by
     /// [`VerifyOptions::reorder_threshold`].
@@ -212,10 +213,10 @@ pub struct PhaseTimes {
     /// the rename onto the current rail, and their union minus the
     /// reached set, interleaved in one recursion.
     pub image: Duration,
-    /// Reached-set update and `constrain` minimization.
+    /// Reached-set update (the new-state set is the next frontier as is).
     pub frontier: Duration,
-    /// The two stats-only size walks per iteration, over the raw and the
-    /// minimized frontier (`constrain_reduced_nodes`, `frontier_sizes`).
+    /// The stats-only size walk per iteration over the new frontier
+    /// (`frontier_sizes`, `peak_frontier_nodes`).
     pub measure: Duration,
     /// Mid-traversal garbage collections.
     pub gc: Duration,
@@ -321,11 +322,10 @@ impl VerifyReport {
             self.stats.peak_live_nodes,
         ));
         out.push_str(&format!(
-            "kernel: and_exists {}/{} cache hits, {} cube quantifications, constrain shed {} nodes, {} mid-reach reorders\n",
+            "kernel: and_exists {}/{} cache hits, {} cube quantifications, {} mid-reach reorders\n",
             self.stats.andex_hits,
             self.stats.andex_lookups,
             self.stats.cube_quant_calls,
-            self.stats.constrain_reduced_nodes,
             self.stats.mid_reach_reorders,
         ));
         out.push_str("lost events:\n");
@@ -930,16 +930,23 @@ mod tests {
     #[test]
     fn traversal_records_kernel_counters() {
         let net = token_ring();
-        let report = verify_network(&net, &VerifyOptions::default()).unwrap();
-        assert!(report.stats.andex_lookups > 0, "images use and_exists");
-        assert!(
-            report.stats.cube_quant_calls > 0,
-            "env images use exists_cube"
-        );
-        assert_eq!(
-            report.stats.constrain_calls, report.stats.iterations,
-            "one frontier minimization per iteration"
-        );
-        assert!(report.render().contains("and_exists"));
+        let opts = VerifyOptions {
+            trace_rings: true,
+            ..VerifyOptions::default()
+        };
+        let mut v = Verifier::run(&net, &opts).unwrap();
+        let stats = v.stats.clone();
+        assert!(stats.andex_lookups > 0, "images use and_exists");
+        assert!(stats.cube_quant_calls > 0, "env images use exists_cube");
+        // Each iteration's frontier is its ring, sized by one walk.
+        let sizes = &stats.frontier_sizes;
+        assert_eq!(sizes.len() as u64, stats.iterations);
+        let rings = &v.rings.as_ref().expect("rings stored").rings;
+        assert_eq!(rings.len(), sizes.len() + 1, "ring 0 is the initial state");
+        for (i, &size) in sizes.iter().enumerate() {
+            let ring = v.model.bdd.size(&[rings[i + 1]]) as u64;
+            assert_eq!(size, ring, "frontier {i} is ring {}", i + 1);
+        }
+        assert!(v.report().render().contains("and_exists"));
     }
 }

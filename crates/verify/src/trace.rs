@@ -2,30 +2,31 @@
 //! preimage walk over the reachability fixpoint's frontier onions.
 //!
 //! The fixpoint optionally stores each iteration's *exact* new-state set
-//! (`raw = New ∖ Reached`, before `constrain` minimization) as an onion
-//! ring; ring 0 is the initial state. The rings partition the reachable
-//! set, and every state of ring *i* has a predecessor in some ring
-//! *k < i* under one environment delivery or one machine reaction — the
-//! minimized frontier handed to iteration *i* is always contained in
-//! `⋃_{k<i} ring_k`.
+//! (`New ∖ Reached`) as an onion ring; ring 0 is the initial state. Each
+//! ring is also the frontier the next iteration images, so the rings are
+//! exact breadth-first layers: they partition the reachable set, every
+//! state of ring *i* has a predecessor in ring *i − 1* under one
+//! environment delivery or one machine reaction, and none in a ring
+//! before *i − 1* (its successors would lie in ring *i − 1* or earlier).
 //!
 //! [`walk_trace`] exploits this: given a target set, it picks a full
 //! product-state minterm in the earliest ring intersecting the target,
 //! then repeatedly computes the *preimage of that one state point* under
 //! each partition (the existing [`Bdd::and_exists`] kernel with the
-//! variable rails swapped) and intersects with earlier rings until ring
-//! 0 is reached. Each hop is decoded on the spot into machine control
-//! states, buffer fills, the delivered signal or the fired transition
-//! (identified by replaying the machine's declaration-order priority
-//! under the picked data-test valuation) — a human-readable trace
-//! instead of a witness cube.
+//! variable rails swapped) and intersects with the ring one level back
+//! until ring 0 is reached, so a target first reached in ring *i* gets
+//! a trace of exactly *i* steps. Each hop is decoded on the spot into
+//! machine control states, buffer fills, the delivered signal or the
+//! fired transition (identified by replaying the machine's
+//! declaration-order priority under the picked data-test valuation) — a
+//! human-readable trace instead of a witness cube.
 //!
 //! [`CexTrace::replay`] is the matching BDD-free oracle: it re-executes
 //! the decoded steps on an explicit product state under the GALS
 //! semantics (deliveries set every consumer flag; a reaction fires the
 //! priority winner, clears the snapshot, and emits) and checks every
 //! intermediate state byte-for-byte — the trace-soundness conformance
-//! tests and `polis prop` both go through it.
+//! tests and `polis verify --props` both go through it.
 
 use crate::model::{NetworkModel, ReactStep};
 use polis_bdd::{Bdd, NodeRef, Var};
@@ -430,10 +431,10 @@ pub(crate) fn walk_trace(
         for &(pre, _) in &preimages {
             preimage_nodes += model.bdd.size(&[pre]) as u64;
         }
-        let mut hop: Option<(usize, StatePoint, TraceStep)> = None;
-        'search: for k in 0..level {
+        level -= 1;
+        let (prev, s) = 'hop: {
             for &(pre, via) in &preimages {
-                let cand = model.bdd.and(pre, rings.rings[k]);
+                let cand = model.bdd.and(pre, rings.rings[level]);
                 if cand.is_false() {
                     continue;
                 }
@@ -449,17 +450,16 @@ pub(crate) fn walk_trace(
                         decode_react(model, net, mi, &prev, t_next)?
                     }
                 };
-                hop = Some((k, prev, s));
-                break 'search;
+                break 'hop (prev, s);
             }
-        }
-        // Every ring-i state has a predecessor in an earlier ring; a miss
-        // here would be a model bug, so fail soft into the cube witness.
-        let (k, prev, s) = hop?;
+            // Every ring-i state has a predecessor in ring i − 1; a miss
+            // here would be a model bug, so fail soft into the cube
+            // witness.
+            return None;
+        };
         rev_states.push(decode_state(model, &prev));
         rev_steps.push(s);
         point = prev;
-        level = k;
     }
     rev_states.reverse();
     rev_steps.reverse();
@@ -468,4 +468,87 @@ pub(crate) fn walk_trace(
         steps: rev_steps,
         preimage_nodes,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::prop::compile_expr;
+    use crate::{Verifier, VerifyOptions};
+    use polis_cfsm::Network;
+    use polis_core::random::{random_network, RandomSpec};
+    use polis_core::workloads;
+    use polis_lang::{PropExpr, PropKind, Property, Span};
+
+    /// A `reachable` at each machine's last state and a `never` on each
+    /// machine's first buffer.
+    fn ad_hoc_props(net: &Network) -> Vec<Property> {
+        let span = Span { line: 1, col: 1 };
+        let mut props = Vec::new();
+        for (machine, m) in net.cfsms().iter().enumerate() {
+            let state = m.states().len() - 1;
+            let expr = PropExpr::AtState {
+                machine,
+                state,
+                span,
+            };
+            props.push(Property {
+                kind: PropKind::Reachable,
+                expr,
+                span,
+            });
+            if !m.inputs().is_empty() {
+                let expr = PropExpr::Pending {
+                    machine,
+                    input: 0,
+                    span,
+                };
+                props.push(Property {
+                    kind: PropKind::Never,
+                    expr,
+                    span,
+                });
+            }
+        }
+        props
+    }
+
+    #[test]
+    fn a_target_first_reached_in_ring_i_gets_an_i_step_trace() {
+        // Rings are exact breadth-first layers, so the walk steps back one
+        // ring per hop and every trace is as short as any execution.
+        let mut cases: Vec<(Network, Vec<Property>)> = workloads::EXAMPLES
+            .iter()
+            .map(|(name, _)| {
+                let spec = workloads::spec(name);
+                (spec.network, spec.properties)
+            })
+            .collect();
+        for n in 3..=6 {
+            let net = random_network(n, &RandomSpec::default(), 0x9e37_79b9_7f4a_7c15 ^ n as u64);
+            let props = ad_hoc_props(&net);
+            cases.push((net, props));
+        }
+        let opts = VerifyOptions {
+            trace_rings: true,
+            ..VerifyOptions::default()
+        };
+        let mut traced = 0;
+        for (net, props) in &cases {
+            let name = net.name();
+            let mut v = Verifier::run(net, &opts).unwrap();
+            let report = v.check_properties(props);
+            let rings = v.rings.as_ref().expect("rings stored").rings.clone();
+            for (p, r) in props.iter().zip(&report.results) {
+                let set = compile_expr(&mut v.model, &p.expr);
+                let hit = v.model.bdd.and(v.reached, set);
+                let first = rings
+                    .iter()
+                    .position(|&ring| !v.model.bdd.and(ring, hit).is_false());
+                let steps = r.trace.as_ref().map(|t| t.len());
+                assert_eq!(steps, first, "{name}: {}", p.render(net));
+                traced += usize::from(first.is_some_and(|i| i > 0));
+            }
+        }
+        assert!(traced >= 10, "only {traced} traces of one step or more");
+    }
 }
